@@ -76,17 +76,7 @@ def cmd_build_graph(args) -> int:
             raise ValueError("so3 samplings need --orient")
         spec = GridSpec(kind, level=args.level, n_orient=n_orient)
 
-    isotropic = kind in (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL)
-    if isotropic:
-        if args.epsilon is not None or args.alpha is not None or args.xi is not None:
-            raise ValueError(f"{args.kind} graphs are isotropic; metric flags not allowed")
-        metric, alpha = make_metric(spec)
-    else:
-        if args.alpha is not None and args.xi is not None:
-            raise ValueError("give either --alpha or --xi, not both")
-        alpha_in = args.alpha if (args.alpha is not None or args.xi is not None) else 1.0
-        metric, alpha = make_metric(spec, epsilon=args.epsilon or 1.0,
-                                    alpha=alpha_in, xi=args.xi)
+    metric, alpha = make_metric(spec, epsilon=args.epsilon, alpha=args.alpha, xi=args.xi)
     knn = args.knn if args.knn is not None else default_knn(spec)
 
     _print_config("build-graph", {
@@ -231,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ny", type=int)
     b.add_argument("--level", type=int)
     b.add_argument("--orient", type=int)
-    b.add_argument("--epsilon", type=float)
+    b.add_argument("--epsilon", type=float, default=1.0)
     b.add_argument("--alpha", type=float)
     b.add_argument("--xi", type=float)
     b.add_argument("--knn", type=int)

@@ -238,22 +238,14 @@ class Laplacian:
 
 
 def laplacian(graph: ManifoldGraph) -> Laplacian:
-    """Assemble I - D^(-1/2) W D^(-1/2) with exact mirrored symmetry."""
+    """Assemble I - D^(-1/2) W D^(-1/2) on the graph's mirrored CSR layout,
+    so mirrored entries share the same floats."""
     n = graph.n_vertices
     deg = graph.degrees()
-    i, j, w, _ = graph.edge_pairs()
-    off = -w / np.sqrt(deg[i] * deg[j])
-
-    diag_ids = np.flatnonzero(deg > 0.0)
-    all_rows = np.concatenate([i, j, diag_ids])
-    all_cols = np.concatenate([j, i, diag_ids])
-    all_vals = np.concatenate([off, off, np.ones(diag_ids.size)])
-    order = np.lexsort((all_cols, all_rows))
-    counts = np.bincount(all_rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    mat = sp.csr_matrix((all_vals[order], all_cols[order].astype(np.int64), indptr), shape=(n, n))
-    return Laplacian(mat)
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    off = sp.csr_matrix((-graph.weights / np.sqrt(deg[rows] * deg[graph.indices]),
+                         graph.indices, graph.indptr), shape=(n, n))
+    return Laplacian((off + sp.diags((deg > 0.0).astype(float))).tocsr())
 
 
 def power_lambda_max(lap: Laplacian, tol: float = 1e-6, max_iter: int = 1000,
@@ -318,37 +310,41 @@ def rescale(lap: Laplacian) -> Laplacian:
 # sub-graph sampling
 
 
-def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:
-    """Keep each edge with probability min(1, c w), c calibrated by bisection
-    so the expected surviving count is kappa * |E|.  Weights are kept as-is;
-    kappa >= 1 returns the identical graph."""
+def _keep_probabilities(w: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
+    """Keep probabilities min(1, c w) whose sum is kappa * |E|, and c.
+
+    The expected count is piecewise linear in c: with the m largest weights
+    saturated it is m + c * tail[m], tail[m] being the sum of the rest.  c is
+    solved exactly at the first m whose solution leaves the m-th largest
+    weight unsaturated.  When zero weights cap the count below the target,
+    every positive-weight edge is kept (c = inf) and zero weights never are.
+    """
     if not 0.0 <= kappa:
         raise ValueError("kappa must be non-negative")
     if kappa >= 1.0:
-        return graph
+        return np.ones(w.size), np.inf
+    pos = np.sort(w[w > 0.0])[::-1]
+    tail = np.cumsum(pos[::-1])[::-1]
+    c_m = (kappa * w.size - np.arange(pos.size)) / tail
+    valid = np.flatnonzero(c_m * pos <= 1.0)
+    if valid.size == 0:
+        return (w > 0.0).astype(float), np.inf
+    c = float(c_m[valid[0]])
+    return np.minimum(1.0, c * w), c
+
+
+def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:
+    """Keep each edge with probability min(1, c w), c solved exactly so the
+    expected surviving count is kappa * |E|.  Weights are kept as-is;
+    kappa >= 1 returns the identical graph."""
     i, j, w, dist = graph.edge_pairs()
-    target = kappa * i.size
-    if i.size == 0:
+    p, c = _keep_probabilities(w, kappa)
+    if kappa >= 1.0 or i.size == 0:
         return graph
-
-    def expected(c: float) -> float:
-        return float(np.sum(np.minimum(1.0, c * w)))
-
-    lo, hi = 0.0, 1.0
-    while expected(hi) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if expected(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    p = np.minimum(1.0, c * w)
     rng = np.random.Generator(np.random.Philox(seed))
     keep = rng.random(i.size) < p
     note = (f"edge sampling kappa={kappa} kept {int(keep.sum())} of {i.size} "
-            f"(expected {target:.1f}, c={c:.6g})",)
+            f"(expected {p.sum():.1f}, c={c:.6g})",)
     data = np.stack([w[keep], dist[keep]], axis=-1) if keep.any() else np.zeros((0, 2))
     indptr, indices, vals = _mirrored_csr(graph.n_vertices, i[keep], j[keep], data)
     return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth,
@@ -358,24 +354,7 @@ def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph
 
 def edge_keep_probabilities(graph: ManifoldGraph, kappa: float) -> np.ndarray:
     """The per-edge keep probabilities sample_edges would use (for analysis)."""
-    if kappa >= 1.0:
-        return np.ones(graph.n_edges)
-    _, _, w, _ = graph.edge_pairs()
-    target = kappa * w.size
-
-    def expected(c: float) -> float:
-        return float(np.sum(np.minimum(1.0, c * w)))
-
-    lo, hi = 0.0, 1.0
-    while expected(hi) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if expected(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return np.minimum(1.0, 0.5 * (lo + hi) * w)
+    return _keep_probabilities(graph.edge_pairs()[2], kappa)[0]
 
 
 def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:

@@ -131,18 +131,20 @@ def _half_angle_cot(theta: np.ndarray) -> np.ndarray:
     return np.where(small, series, exact)
 
 
+def _se2_c12(x, y, theta):
+    """Translation part (c1, c2) of the closed-form SE(2) log."""
+    h = _half_angle_cot(theta)
+    return h * x + 0.5 * theta * y, -0.5 * theta * x + h * y
+
+
 def se2_log_params(x, y, theta) -> np.ndarray:
     """Closed-form SE(2) log; theta is used as given, without wrapping.
 
     Callers pass theta outside [-pi, pi) on purpose when probing the
     pi-shifted branches of the orientation coordinate.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    h = _half_angle_cot(theta)
-    c1 = h * x + 0.5 * theta * y
-    c2 = -0.5 * theta * x + h * y
+    c1, c2 = _se2_c12(np.asarray(x, dtype=float), np.asarray(y, dtype=float), theta)
     return np.stack([c1, c2, np.broadcast_to(theta, c1.shape).copy()], axis=-1)
 
 
@@ -197,21 +199,24 @@ def so3_log_matrices(matrices: np.ndarray) -> np.ndarray:
     return c
 
 
+def _sphere_c13(u: np.ndarray):
+    """(c1, c3) of the sphere log from the image point u = G.(0,0,1), shape (..., 3)."""
+    beta = np.arccos(np.clip(u[..., 2], -1.0, 1.0))
+    sb = np.hypot(u[..., 0], u[..., 1])
+    regular = sb > POLE_TOL
+    safe = np.where(regular, sb, 1.0)
+    cg = np.where(regular, u[..., 0] / safe, 1.0)
+    sg = np.where(regular, u[..., 1] / safe, 0.0)
+    return -beta * sg, beta * cg
+
+
 def sphere_log_matrices(matrices: np.ndarray) -> np.ndarray:
     """Log of the torsion-free sphere transport R_z(gamma) R_y(beta) R_z(-gamma).
 
     Only the image point G.(0,0,1) enters, so the result is independent of the
     alpha coordinate and its orientation component c2 vanishes identically.
     """
-    m = np.asarray(matrices, dtype=float)
-    ux, uy, uz = m[..., 0, 2], m[..., 1, 2], m[..., 2, 2]
-    beta = np.arccos(np.clip(uz, -1.0, 1.0))
-    sb = np.hypot(ux, uy)
-    regular = sb > POLE_TOL
-    cg = np.where(regular, ux / np.where(regular, sb, 1.0), 1.0)
-    sg = np.where(regular, uy / np.where(regular, sb, 1.0), 0.0)
-    c1 = -beta * sg
-    c3 = beta * cg
+    c1, c3 = _sphere_c13(np.asarray(matrices, dtype=float)[..., :, 2])
     return np.stack([c1, np.zeros_like(c1), c3], axis=-1)
 
 
@@ -221,35 +226,25 @@ def sphere_log_matrices(matrices: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Metric:
-    """Diagonal left-invariant metric diag(1, epsilon^-2, xi^2), uniformly
-    scaled by scale^2.
+    """Diagonal left-invariant metric diag(1, epsilon^-2, xi^2).
 
-    The weight triple is stated in SE(2) component order (two spatial slots,
-    then orientation).  so3_weight_order says which weight lands on which
-    SO(3) log component; the default (0, 2, 1) puts xi^2 on c2, the
-    orientation slot of the (c1, c2, c3) = theta*(n_x, n_z, n_y) ordering.
+    The weights are stated in SE(2) component order (two spatial slots, then
+    orientation); on SO(3) xi^2 lands on c2, the orientation slot of the
+    (c1, c2, c3) = theta*(n_x, n_z, n_y) ordering.
     """
 
     epsilon: float = 1.0
     xi: float = 1.0
-    scale: float = 1.0
-    so3_weight_order: tuple[int, int, int] = (0, 2, 1)
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and self.xi > 0.0 and self.scale > 0.0):
+        if not (self.epsilon > 0.0 and self.xi > 0.0):
             raise ValueError("metric parameters must be positive")
-        if sorted(self.so3_weight_order) != [0, 1, 2]:
-            raise ValueError("so3_weight_order must be a permutation of (0, 1, 2)")
 
     def weights(self, kind: GroupKind) -> np.ndarray:
         base = np.array([1.0, self.epsilon ** -2.0, self.xi ** 2.0])
-        base *= self.scale ** 2.0
         if kind is GroupKind.SO3:
-            return base[list(self.so3_weight_order)]
+            return base[[0, 2, 1]]
         return base
-
-    def is_isotropic(self) -> bool:
-        return self.epsilon == 1.0 and self.xi == 1.0
 
 
 def metric_norm(c: np.ndarray, metric: Metric, kind: GroupKind) -> np.ndarray:
@@ -283,9 +278,7 @@ def se2_pair_sq(params_a, params_b, weights) -> np.ndarray:
     best = None
     for off in (0.0, -np.pi, np.pi):
         th = dth + off
-        h = _half_angle_cot(th)
-        c1 = h * xr + 0.5 * th * yr
-        c2 = -0.5 * th * xr + h * yr
+        c1, c2 = _se2_c12(xr, yr, th)
         d2 = w0 * c1 * c1 + w1 * c2 * c2 + w2 * th * th
         best = d2 if best is None else np.minimum(best, d2)
     return best
@@ -313,14 +306,8 @@ def sphere_pair_sq(mats_a, mats_b, weights) -> np.ndarray:
     """Squared sphere-transport distances; depends only on the image points."""
     u = np.asarray(mats_b, dtype=float)[..., :, 2]
     v = np.einsum("...ji,...j->...i", np.asarray(mats_a, dtype=float), u)
-    beta = np.arccos(np.clip(v[..., 2], -1.0, 1.0))
-    sb = np.hypot(v[..., 0], v[..., 1])
-    safe = np.where(sb > POLE_TOL, sb, 1.0)
-    cg = np.where(sb > POLE_TOL, v[..., 0] / safe, 1.0)
-    sg = np.where(sb > POLE_TOL, v[..., 1] / safe, 0.0)
+    c1, c3 = _sphere_c13(v)
     w0, _, w2 = weights
-    c1 = -beta * sg
-    c3 = beta * cg
     return w0 * c1 * c1 + w2 * c3 * c3
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .graph import Laplacian, ManifoldGraph, build_graph, laplacian, make_metric, \
     power_lambda_max, rescale
 from .sampling import GridKind, GridSpec, grid_se2, icosphere_parents
-from .spectral import rotation_permutation
+from .spectral import cheb_terms, rotation_permutation
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,14 +47,8 @@ class ChebConv:
         self._z = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        z = np.empty((self.order,) + x.shape)
-        z[0] = x
-        if self.order > 1:
-            z[1] = _matvec(self.lap.matrix, x)
-        for j in range(2, self.order):
-            z[j] = 2.0 * _matvec(self.lap.matrix, z[j - 1]) - z[j - 2]
-        self._z = z
-        return np.einsum("jvbi,jio->vbo", z, self.theta) + self.bias
+        self._z = cheb_terms(self.lap.matrix, x, self.order)
+        return np.einsum("jvbi,jio->vbo", self._z, self.theta) + self.bias
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         z = self._z

@@ -68,9 +68,16 @@ def test_build_graph_usage_errors(tmp_path, capsys):
     # conflicting metric flags
     assert main(["build-graph", "--kind", "se2", "--nx", "4", "--orient", "2",
                  "--alpha", "1.0", "--xi", "0.5", "--out", out]) == 2
-    # isotropic kinds reject metric flags
+    # non-positive metric parameters
+    assert main(["build-graph", "--kind", "se2", "--nx", "4", "--orient", "2",
+                 "--epsilon", "0", "--out", out]) == 2
+    assert main(["build-graph", "--kind", "se2", "--nx", "4", "--orient", "2",
+                 "--alpha", "0", "--out", out]) == 2
+    # isotropic kinds reject non-isotropic metric values
     assert main(["build-graph", "--kind", "r2", "--nx", "4",
                  "--epsilon", "0.5", "--out", out]) == 2
+    assert main(["build-graph", "--kind", "s2", "--level", "1",
+                 "--alpha", "1.0", "--out", out]) == 2
     # missing sampling parameters
     assert main(["build-graph", "--kind", "se2", "--nx", "4", "--out", out]) == 2
     assert main(["build-graph", "--kind", "so3", "--orient", "2", "--out", out]) == 2

@@ -1,5 +1,7 @@
 """Graph construction tests: K-NN selection, weights, Laplacian, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -158,6 +160,22 @@ def test_laplacian_kernel(se2_8x8x4):
     assert vals[-1] <= 2.0 + 1e-12
 
 
+def test_laplacian_assembly(se2_8x8x4):
+    """Exact symmetry, empty rows at isolated vertices, and the dense formula
+    I - D^(-1/2) W D^(-1/2) on every vertex that has degree."""
+    sampled = sample_vertices(se2_8x8x4, 0.3, seed=21)
+    assert np.any(sampled.degrees() == 0.0)
+    for g in (se2_8x8x4, sampled):
+        mat = laplacian(g).matrix
+        assert (mat - mat.T).nnz == 0
+        deg = g.degrees()
+        live = deg > 0.0
+        assert np.all(np.diff(mat.indptr)[~live] == 0)
+        w = g.adjacency().toarray()[np.ix_(live, live)]
+        dense = np.eye(w.shape[0]) - w / np.sqrt(np.outer(deg[live], deg[live]))
+        np.testing.assert_array_equal(mat.toarray()[np.ix_(live, live)], dense)
+
+
 def test_power_iteration_matches_dense():
     g = built(GridKind.SE2_GRID, nx=3, ny=3, orient=2, epsilon=EPS_ANISO,
               alpha=1.0, knn=6)
@@ -224,6 +242,26 @@ def test_sample_edges_rate(se2_8x8x4):
     assert sample_edges(se2_8x8x4, 1.0, seed=0) is se2_8x8x4
     with pytest.raises(ValueError):
         sample_edges(se2_8x8x4, -0.1, seed=0)
+
+
+def test_keep_probabilities_zero_weights(se2_8x8x4):
+    """Zero weights are never kept; a target they put out of reach keeps
+    every positive-weight edge, and the note reports the expected count."""
+    w = se2_8x8x4.weights
+    g = dataclasses.replace(se2_8x8x4, weights=np.where(w >= np.quantile(w, 0.9), w, 0.0))
+    _, _, w_pairs, _ = g.edge_pairs()
+    n_pos = int(np.count_nonzero(w_pairs))
+    p = edge_keep_probabilities(g, 0.5)
+    np.testing.assert_array_equal(p, (w_pairs > 0.0).astype(float))
+    sub = sample_edges(g, 0.5, seed=0)
+    assert sub.n_edges == n_pos
+    assert f"(expected {n_pos:.1f}, c=inf)" in sub.notes[-1]
+    p = edge_keep_probabilities(g, 0.05)
+    assert p.sum() == pytest.approx(0.05 * w_pairs.size, rel=1e-12)
+    assert np.all(p[w_pairs == 0.0] == 0.0) and np.all(p <= 1.0)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            edge_keep_probabilities(se2_8x8x4, bad)
 
 
 def test_sample_edges_weight_bias(se2_8x8x4):

@@ -183,8 +183,6 @@ def test_metric_validation():
         Metric(epsilon=0.0)
     with pytest.raises(ValueError):
         Metric(xi=-1.0)
-    with pytest.raises(ValueError):
-        Metric(so3_weight_order=(0, 0, 1))
 
 
 def test_so3_metric_weight_assignment():
@@ -232,14 +230,6 @@ def test_distance_left_invariance_sampled():
             lhs = distance(compose(ai, gi), compose(ai, hi), m)
             rhs = distance(gi, hi, m)
             assert abs(lhs - rhs) <= 1e-9
-
-
-def test_distance_metric_scaling():
-    rng = np.random.default_rng(9)
-    base = Metric(epsilon=0.5, xi=1.5)
-    scaled = Metric(epsilon=0.5, xi=1.5, scale=2.5)
-    for g, h in zip(rand_se2(rng, 20), rand_se2(rng, 20)):
-        assert abs(distance(g, h, scaled) - 2.5 * distance(g, h, base)) <= 1e-12
 
 
 def test_sphere_distance_ignores_alpha():

@@ -28,7 +28,7 @@ from liegraph.network import (
     train_demo,
 )
 from liegraph.sampling import GridKind, GridSpec
-from liegraph.spectral import apply_permutation, rotation_permutation
+from liegraph.spectral import apply_permutation, cheb_apply, rotation_permutation
 
 from conftest import EPS_ANISO, built
 from oracles import central_difference
@@ -315,6 +315,11 @@ def test_chebconv_equivariance(se2_8x8x4_lap):
     a = conv.forward(apply_permutation(perm, x))
     b = apply_permutation(perm, conv.forward(x))
     assert np.max(np.abs(a - b)) <= 1e-8
+    # the layer is the channel-mixing Chebyshev filter, batch column by column
+    y = conv.forward(x)
+    for col in range(x.shape[1]):
+        np.testing.assert_allclose(y[:, col], cheb_apply(conv.lap, x[:, col], conv.theta) + conv.bias,
+                                   rtol=0, atol=1e-12)
 
 
 def test_pool_equivariance():
