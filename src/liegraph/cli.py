@@ -58,6 +58,14 @@ def _graph_summary(graph: ManifoldGraph, lambda_max: float | None) -> None:
         print(f"note: {note}")
 
 
+def _require_full_sampling(graph: ManifoldGraph, command: str) -> None:
+    """The slice layout and the rotation audit index the full sampling."""
+    full = graph.vertices.spec.n_vertices
+    if graph.n_vertices != full:
+        raise ValueError(f"{command} needs all {full} vertices of the sampling; "
+                         f"this graph has {graph.n_vertices} (vertex-sampled)")
+
+
 def cmd_build_graph(args) -> int:
     kind = _KIND_NAMES[args.kind]
     if kind in (GridKind.SE2_GRID, GridKind.R2_GRID):
@@ -130,6 +138,7 @@ def cmd_diffuse(args) -> int:
                               "signal": args.signal, "tau": args.tau,
                               "order": args.order, "out": args.out})
     graph, lap = io.read_graph(args.graph)
+    _require_full_sampling(graph, "diffuse")
     if lap is None:
         lap = power_lambda_max(laplacian(graph))
     if (args.impulse is None) == (args.signal is None):
@@ -160,6 +169,7 @@ def cmd_check_equivariance(args) -> int:
     _print_config("check-equivariance",
                   {"graph": args.graph, "quarter_turns": args.quarter_turns})
     graph, lap = io.read_graph(args.graph)
+    _require_full_sampling(graph, "check-equivariance")
     if lap is None:
         lap = laplacian(graph)
     perm = rotation_permutation(graph.vertices.spec, args.quarter_turns)

@@ -1,9 +1,12 @@
 """Anisotropic K-NN graphs, their Laplacians, and sub-graph sampling.
 
-Graph construction is brute force over all vertex pairs, vectorised and
-chunked by rows.  Every undirected edge's distance, weight and Laplacian
-entry are computed once in (low id, high id) orientation and mirrored, so
-adjacency and Laplacian are symmetric at the bit level.
+K-NN selection searches a cKDTree over a Euclidean embedding whose
+distances never exceed the anisotropic ones, then scores each vertex's
+candidates with the exact kernel; the all-pairs scan it replaces stays as
+the test reference, knn_pairs_bruteforce.  Every undirected edge's
+distance, weight and Laplacian entry are computed once in (low id, high id)
+orientation and mirrored, so adjacency and Laplacian are symmetric at the
+bit level.
 """
 
 from __future__ import annotations
@@ -14,13 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .groups import GroupKind, Metric, se2_pair_sq, so3_pair_sq, sphere_pair_sq
+from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_pair_sq,
+                     sphere_bound_points, sphere_pair_sq)
 from .sampling import GridKind, GridSpec, VertexSet
 
 BANDWIDTH_FRACTION = 0.2
 DEFAULT_KNN_LIFTED = 16
 DEFAULT_KNN_BASE = 8
 ROW_CHUNK = 256
+# Entries (rows x candidates) of one K-NN scoring block.
+CANDIDATE_BLOCK = 1 << 17
+# Slack on the K-NN search's ball radius: relative, and absolute in units of
+# the largest embedded coordinate.  The absolute part covers rounding in the
+# embedding and in the kernels; the sphere kernel's arccos resolves
+# near-coincident image points only to about 5e-8 rad.
+BALL_REL = 1e-6
+BALL_ABS = 1e-6
 # Relative slack for K-th-distance ties; far above rounding noise (~1e-15),
 # far below the gap between distinct squared distances on any sampling here.
 TIE_REL = 1e-9
@@ -57,11 +69,12 @@ def make_metric(spec: GridSpec, epsilon: float = 1.0, alpha: float | None = None
 
 
 def _pair_sq_fn(spec: GridSpec):
+    """(vertex attribute, squared-distance kernel, lower-bound embedding)."""
     if spec.group_kind is GroupKind.SE2:
-        return "params", se2_pair_sq
+        return "params", se2_pair_sq, se2_bound_points
     if spec.kind is GridKind.S2_ICOSAHEDRAL:
-        return "matrices", sphere_pair_sq
-    return "matrices", so3_pair_sq
+        return "matrices", sphere_pair_sq, sphere_bound_points
+    return "matrices", so3_pair_sq, sphere_bound_points
 
 
 @dataclass
@@ -104,25 +117,60 @@ class ManifoldGraph:
         return np.bincount(rows, weights=self.weights, minlength=self.n_vertices)
 
 
-def pairwise_sq_block(vertices: VertexSet, metric: Metric, rows: np.ndarray) -> np.ndarray:
-    """Squared distances from a block of vertices to all vertices."""
-    attr, fn = _pair_sq_fn(vertices.spec)
+def pairwise_sq_block(vertices: VertexSet, metric: Metric, rows: np.ndarray,
+                      cols: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from a block of vertices to all vertices, or, with
+    cols of shape (len(rows), m), to each row's own m candidates."""
+    attr, fn, _ = _pair_sq_fn(vertices.spec)
     w = metric.weights(vertices.spec.group_kind)
     data = getattr(vertices, attr)
-    if attr == "params":
-        return fn(data[rows][:, None, :], data[None, :, :], w)
-    return fn(data[rows][:, None], data[None, :], w)
+    return fn(data[rows][:, None], data[None] if cols is None else data[cols], w)
 
 
 def pair_distances(vertices: VertexSet, metric: Metric, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Distances for explicit vertex pairs (elementwise over i, j)."""
-    attr, fn = _pair_sq_fn(vertices.spec)
+    attr, fn, _ = _pair_sq_fn(vertices.spec)
     w = metric.weights(vertices.spec.group_kind)
     data = getattr(vertices, attr)
     return np.sqrt(fn(data[i], data[j], w))
 
 
-def _knn_pairs(vertices: VertexSet, metric: Metric, k: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_sq(vertices: VertexSet, metric: Metric, rows: np.ndarray,
+            cols: np.ndarray | None = None) -> np.ndarray:
+    """pairwise_sq_block with each row's own entry set to inf."""
+    d2 = pairwise_sq_block(vertices, metric, rows, cols)
+    d2[(np.arange(rows.size), rows) if cols is None else cols == rows[:, None]] = np.inf
+    return d2
+
+
+def _picks(vertices: VertexSet, metric: Metric, rows: np.ndarray, k: int,
+           cols: np.ndarray | None = None):
+    """(row, column) ids the K-nearest rule selects for `rows` among `cols`
+    (as in pairwise_sq_block)."""
+    d2 = _row_sq(vertices, metric, rows, cols)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(d2 <= kth[:, None] * (1.0 + TIE_REL))
+    return rows[r], (c if cols is None else cols[r, c])
+
+
+def _unique_pairs(n: int, picks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique undirected (low id, high id) pairs from (row, col) picks."""
+    i = np.concatenate([p[0] for p in picks])
+    j = np.concatenate([p[1] for p in picks])
+    lo_id, hi_id = np.minimum(i, j), np.maximum(i, j)
+    packed = np.unique(lo_id.astype(np.uint64) * np.uint64(n) + hi_id.astype(np.uint64))
+    return (packed // np.uint64(n)).astype(np.int64), (packed % np.uint64(n)).astype(np.int64)
+
+
+def knn_pairs_bruteforce(vertices: VertexSet, metric: Metric, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The K-nearest selection scored over all vertex pairs, ROW_CHUNK rows at
+    a time: the reference that knn_pairs is tested against."""
+    n = len(vertices)
+    return _unique_pairs(n, [_picks(vertices, metric, np.arange(lo, min(lo + ROW_CHUNK, n)), k)
+                             for lo in range(0, n, ROW_CHUNK)])
+
+
+def knn_pairs(vertices: VertexSet, metric: Metric, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Unique undirected pairs from per-vertex K-nearest selection.
 
     Ties at equal distance resolve to the lower vertex id (stable sort).  A
@@ -131,28 +179,61 @@ def _knn_pairs(vertices: VertexSet, metric: Metric, k: int, chunk: int) -> tuple
     the neighbor sets of symmetry-equivalent vertices agree even when
     rounding splits an exact tie across the boundary.  The union of both
     directions is kept.
+
+    The selection is knn_pairs_bruteforce's without scoring all pairs.  A
+    cKDTree holds the kernel's lower-bound embedding f, |f(a) - f(b)|^2 <=
+    d^2(a, b).  The K-th smallest exact squared distance from vertex i to its
+    2(K + 1) nearest embedded points bounds its true K-th from above by U, so
+    every vertex the rule selects lies within sqrt(U (1 + TIE_REL)) of f(i),
+    widened by BALL_REL and BALL_ABS for rounding.  Rows, ordered by ball
+    size, are scored in blocks of at most CANDIDATE_BLOCK entries against as
+    many nearest embedded points as the block's largest ball holds; rows
+    whose balls hold over half the vertices are scored against all of them.
+    A vertex set whose pairs fit in one block is scored as one block.
     """
     n = len(vertices)
-    src = []
-    dst = []
-    for lo in range(0, n, chunk):
-        rows = np.arange(lo, min(lo + chunk, n))
-        d2 = pairwise_sq_block(vertices, metric, rows)
-        d2[np.arange(rows.size), rows] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        sel_r, sel_c = np.nonzero(d2 <= kth[:, None] * (1.0 + TIE_REL))
-        src.append(rows[sel_r])
-        dst.append(sel_c)
-    i = np.concatenate(src)
-    j = np.concatenate(dst)
-    lo_id, hi_id = np.minimum(i, j), np.maximum(i, j)
-    packed = np.unique(lo_id.astype(np.uint64) * np.uint64(n) + hi_id.astype(np.uint64))
-    return (packed // np.uint64(n)).astype(np.int64), (packed % np.uint64(n)).astype(np.int64)
+    if n * n <= CANDIDATE_BLOCK:
+        return _unique_pairs(n, [_picks(vertices, metric, np.arange(n), k)])
+    # Imported here: the scipy.spatial package import takes about 0.1 s and
+    # 6 MB, which commands that build no large graph need not pay.
+    from scipy.spatial import cKDTree
+
+    attr, _, embed = _pair_sq_fn(vertices.spec)
+    f = embed(getattr(vertices, attr), metric.weights(vertices.spec.group_kind))
+    tree = cKDTree(f)
+    _, near = tree.query(f, k=min(2 * (k + 1), n))
+    upper = np.empty(n)
+    step = max(CANDIDATE_BLOCK // near.shape[1], 1)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        upper[rows] = np.partition(_row_sq(vertices, metric, rows, near[rows]),
+                                   k - 1, axis=1)[:, k - 1]
+    radius = (np.sqrt(upper * (1.0 + TIE_REL)) * (1.0 + BALL_REL)
+              + BALL_ABS * (1.0 + np.abs(f).max()))
+    counts = tree.query_ball_point(f, radius, return_length=True)
+
+    order = np.argsort(counts, kind="stable")
+    ranked = counts[order]
+    split = int(np.searchsorted(ranked, n // 2, side="right"))
+    picks = []
+    lo = 0
+    while lo < split:
+        # Size the block on its first ball, then shrink it to fit its last,
+        # the largest: balls grow along `order`.
+        hi = min(lo + max(CANDIDATE_BLOCK // ranked[lo], 1), split)
+        hi = min(lo + max(CANDIDATE_BLOCK // ranked[hi - 1], 1), split)
+        rows = order[lo:hi]
+        picks.append(_picks(vertices, metric, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1]))
+        lo = hi
+    # Balls holding over half the vertices: score those rows against all.
+    step = max(CANDIDATE_BLOCK // n, 1)
+    picks += [_picks(vertices, metric, order[lo:lo + step], k) for lo in range(split, n, step)]
+    return _unique_pairs(n, picks)
 
 
 def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
-                alpha: float | None = None, chunk: int = ROW_CHUNK) -> ManifoldGraph:
-    """Brute-force K-NN graph with Gaussian edge weights.
+                alpha: float | None = None) -> ManifoldGraph:
+    """K-NN graph (pairs from knn_pairs) with Gaussian edge weights.
 
     The bandwidth is set to BANDWIDTH_FRACTION times the mean squared edge
     distance and weights are exp(-d^2 / (4t)).  K is clamped to |V| - 1 with
@@ -175,7 +256,7 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     if k == 0:
         i = j = np.zeros(0, dtype=np.int64)
     else:
-        i, j = _knn_pairs(vertices, metric, k, chunk)
+        i, j = knn_pairs(vertices, metric, k)
     dist = pair_distances(vertices, metric, i, j) if i.size else np.zeros(0)
 
     if dist.size:
@@ -239,12 +320,14 @@ class Laplacian:
 
 def laplacian(graph: ManifoldGraph) -> Laplacian:
     """Assemble I - D^(-1/2) W D^(-1/2) on the graph's mirrored CSR layout,
-    so mirrored entries share the same floats."""
+    so mirrored entries share the same floats.  A vertex of degree 0, with no
+    edges or with only zero-weight ones, gets an empty row and column."""
     n = graph.n_vertices
     deg = graph.degrees()
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-    off = sp.csr_matrix((-graph.weights / np.sqrt(deg[rows] * deg[graph.indices]),
-                         graph.indices, graph.indptr), shape=(n, n))
+    scale = np.sqrt(deg[rows] * deg[graph.indices])
+    vals = np.divide(-graph.weights, scale, out=np.zeros(scale.size), where=scale > 0.0)
+    off = sp.csr_matrix((vals, graph.indices, graph.indptr), shape=(n, n))
     return Laplacian((off + sp.diags((deg > 0.0).astype(float))).tocsr())
 
 

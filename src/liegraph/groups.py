@@ -10,8 +10,9 @@ generator of in-place rotations about the reference axis.
 
 Everything numeric is written twice over: a scalar API built on small
 dataclasses, and vectorised kernels on parameter / matrix arrays that the
-graph builder calls for all-pairs work.  The scalar API delegates to the
-kernels so the two cannot drift apart.
+graph builder calls on blocks of vertex pairs, with a Euclidean lower bound
+for each kernel that its K-NN search prunes with.  The scalar API delegates
+to the kernels so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -309,6 +310,37 @@ def sphere_pair_sq(mats_a, mats_b, weights) -> np.ndarray:
     c1, c3 = _sphere_c13(v)
     w0, _, w2 = weights
     return w0 * c1 * c1 + w2 * c3 * c3
+
+
+# ---------------------------------------------------------------------------
+# Euclidean lower bounds of the kernels (K-NN candidate search)
+
+
+def se2_bound_points(params, weights) -> np.ndarray:
+    """Points f in R^4 with |f(a) - f(b)|^2 <= se2_pair_sq(a, b).
+
+    f = (sqrt(w_s) x, sqrt(w_s) y, sqrt(w2)/2 cos 2theta, sqrt(w2)/2 sin 2theta)
+    with w_s = min(w0, w1).  On every branch (c1, c2) is the relative
+    translation rotated and scaled by |(th/2) / sin(th/2)| >= 1, and |th| is
+    at least the distance from the relative angle to pi Z, which bounds the
+    |sin| of that distance that the orientation part of f measures.
+    """
+    p = np.asarray(params, dtype=float)
+    s = np.sqrt(min(weights[0], weights[1]))
+    h = 0.5 * np.sqrt(weights[2])
+    return np.stack([s * p[..., 0], s * p[..., 1],
+                     h * np.cos(2.0 * p[..., 2]), h * np.sin(2.0 * p[..., 2])], axis=-1)
+
+
+def sphere_bound_points(matrices, weights) -> np.ndarray:
+    """Points f = sqrt(min(w0, w2)) G.(0,0,1) with |f(a) - f(b)|^2 below both
+    so3_pair_sq and sphere_pair_sq.
+
+    The image point is unchanged by the R_z(pi) branch, and its chord
+    2 sin(theta/2) sqrt(1 - n_z^2) is at most sqrt(c1^2 + c3^2) on SO(3), or
+    at most beta = sqrt(c1^2 + c3^2) on the sphere.
+    """
+    return np.sqrt(min(weights[0], weights[2])) * np.asarray(matrices, dtype=float)[..., :, 2]
 
 
 # ---------------------------------------------------------------------------

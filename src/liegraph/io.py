@@ -125,6 +125,13 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian | None = None) -> Non
         fh.write(b"".join(parts))
 
 
+def _reject(bad: np.ndarray, message: str, pos: int) -> None:
+    """Raise at the first flagged 8-byte entry of the array stored at pos."""
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise FormatError(f"{message} (entry {first})", pos + 8 * first)
+
+
 def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "graph file")
@@ -169,8 +176,25 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
     indices = r.array("<u8", nnz).astype(np.int64)
     if nnz and indices.max() >= n:
         raise FormatError("adjacency column index out of range", idx_pos)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    _reject(rows == indices, "adjacency has a self-loop", idx_pos)
+    _reject(np.concatenate([[False], (np.diff(indices) <= 0) & (np.diff(rows) == 0)]),
+            "adjacency row is not strictly ascending", idx_pos)
+    w_pos = r.pos
     weights = r.array("<f8", nnz)
+    d_pos = r.pos
     distances = r.array("<f8", nnz)
+    # With strictly ascending rows, a symmetric adjacency has the same layout
+    # by columns as by rows, and the entry permutation one CSR-to-CSC
+    # conversion carries maps weights and distances onto themselves.
+    by_col = sp.csr_matrix((np.arange(nnz), indices, indptr), shape=(n, n)).tocsc()
+    _reject(by_col.indptr != indptr, "adjacency is not symmetric: row and column counts differ",
+            indptr_pos)
+    _reject(by_col.indices != indices, "adjacency is not symmetric", idx_pos)
+    for values, name, pos in ((weights, "weight", w_pos), (distances, "distance", d_pos)):
+        _reject(~np.isfinite(values) | (values < 0.0), f"edge {name} is negative or not finite", pos)
+        _reject(values[by_col.data].view(np.uint64) != values.view(np.uint64),
+                f"edge {name}s are not symmetric", pos)
 
     matrices = se2_matrices(params) if spec.group_kind is GroupKind.SE2 else so3_matrices(params)
     verts = VertexSet(spec, params, matrices)

@@ -210,6 +210,23 @@ def test_sample_vertices(graph_path, tmp_path):
     assert lap is not None
 
 
+def test_vertex_sampled_graph_rejected(graph_path, tmp_path, capsys):
+    """check-equivariance and diffuse index the full sampling: a vertex-sampled
+    file ends in exit 2 with a one-line message, not a traceback."""
+    sub = tmp_path / "vs.clgr"
+    assert main(["sample", "--graph", str(graph_path), "--vertices", "0.5",
+                 "--seed", "3", "--out", str(sub)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "d.csv")
+    for argv in (["check-equivariance", "--graph", str(sub)],
+                 ["diffuse", "--graph", str(sub), "--impulse", "0", "--tau", "0.5",
+                  "--out", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "needs all 32 vertices" in err and "has 16" in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_sample_usage_errors(graph_path, tmp_path):
     out = str(tmp_path / "x.clgr")
     assert main(["sample", "--graph", str(graph_path), "--out", out]) == 2

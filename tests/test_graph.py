@@ -1,11 +1,15 @@
 """Graph construction tests: K-NN selection, weights, Laplacian, sampling."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liegraph import graph as graph_module
 from liegraph.graph import (
     Laplacian,
     alpha_from_xi,
@@ -13,6 +17,7 @@ from liegraph.graph import (
     default_knn,
     edge_keep_probabilities,
     fixed_lambda_max,
+    knn_pairs_bruteforce,
     laplacian,
     make_metric,
     pair_distances,
@@ -22,8 +27,9 @@ from liegraph.graph import (
     sample_vertices,
     xi_from_alpha,
 )
-from liegraph.groups import Metric, distance
-from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_r2, grid_se2
+from liegraph.groups import Metric, distance, se2_matrices, so3_matrices
+from liegraph.sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_r2,
+                               grid_se2, grid_s2)
 
 from conftest import EPS_ANISO, built
 
@@ -107,6 +113,91 @@ def test_knn_against_bruteforce():
                                rtol=1e-12)
 
 
+# A scoring block this small sends every vertex set above 8 vertices through
+# the tree search, in blocks of a few rows, as large sets go in production.
+SMALL_BLOCK = 64
+
+
+def assert_knn_exact(g):
+    """The graph's edges and stored distances equal the brute-force reference's."""
+    i, j, _, d = g.edge_pairs()
+    bi, bj = knn_pairs_bruteforce(g.vertices, g.metric, g.knn)
+    np.testing.assert_array_equal(i, bi)
+    np.testing.assert_array_equal(j, bj)
+    np.testing.assert_array_equal(d, pair_distances(g.vertices, g.metric, bi, bj))
+
+
+@pytest.mark.parametrize("block", [graph_module.CANDIDATE_BLOCK, SMALL_BLOCK])
+@pytest.mark.parametrize("name", ["se2_8x8x4", "se2_16x16x6", "r2_16x16", "s2_level2"])
+def test_knn_tree_matches_bruteforce(name, block, request, monkeypatch):
+    g = request.getfixturevalue(name)
+    monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK", block)
+    assert_knn_exact(build_graph(g.vertices, g.metric, g.knn))
+    assert_knn_exact(built(GridKind.R2_GRID, nx=3, ny=3, knn=2))
+    # vertex-sampled subsets are non-grid vertex sets
+    for kappa, seed in ((0.5, 1), (0.2, 2)):
+        sub = sample_vertices(g, kappa, seed).vertices
+        assert_knn_exact(build_graph(sub, g.metric, g.knn))
+
+
+def test_knn_tree_near_duplicates(monkeypatch):
+    """Sphere points 1e-8 rad apart, which the arccos in the sphere kernel
+    puts at distance 0 or near it, are still found."""
+    monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK)
+    verts = grid_s2(1)
+    rng = np.random.Generator(np.random.Philox(70))
+    tilt = np.stack([np.zeros(20), rng.choice([0.0, 1e-12, 1e-8, 3e-8], 20),
+                     rng.uniform(-np.pi, np.pi, 20)], axis=1)
+    mats = np.concatenate([verts.matrices, verts.matrices[:20] @ so3_matrices(tilt)])
+    near = VertexSet(verts.spec, np.zeros((mats.shape[0], 3)), mats)
+    for k in (1, 3, 8):
+        assert_knn_exact(build_graph(near, Metric(), k))
+
+
+@st.composite
+def vertex_sets(draw):
+    """Non-grid SE(2), SO(3) or sphere vertex sets with duplicate and
+    near-duplicate points, and optionally lattice coordinates (exact ties)."""
+    kind = draw(st.sampled_from(["se2", "so3", "s2"]))
+    n = draw(st.integers(2, 48))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32 - 1))))
+    params = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-np.pi, np.pi, n)])
+    if kind != "se2":
+        params = np.column_stack([params[:, 2], rng.uniform(0.0, np.pi, n),
+                                  rng.uniform(-np.pi, np.pi, n)])
+    if draw(st.booleans()):
+        params = np.round(params * 4.0) / 4.0
+    n_dup = draw(st.integers(0, n // 2))
+    src = rng.integers(0, n, n_dup)
+    jitter = draw(st.sampled_from([0.0, 1e-12, 1e-8]))
+    params = np.concatenate([params, params[src] + jitter * rng.standard_normal((n_dup, 3))])
+    knn = draw(st.integers(1, 24))
+    if kind == "se2":
+        spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=4)
+        verts = VertexSet(spec, params, se2_matrices(params))
+    else:
+        spec = (GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=4) if kind == "so3"
+                else GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
+        params[:, 1] = np.clip(params[:, 1], 0.0, np.pi)
+        verts = VertexSet(spec, params, so3_matrices(params))
+    if kind == "s2":
+        return verts, Metric(), knn
+    metric, _ = make_metric(spec, epsilon=draw(st.sampled_from([np.sqrt(0.1), 1.0])),
+                            alpha=draw(st.sampled_from([0.1, 1.0, 100.0])))
+    return verts, metric, knn
+
+
+@settings(max_examples=120, deadline=None)
+@given(vertex_sets())
+def test_knn_tree_matches_bruteforce_random(case):
+    """Exact equality on random sets, K clamped to |V| - 1 included."""
+    verts, metric, knn = case
+    with mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK):
+        g = build_graph(verts, metric, knn)
+    assert g.knn == min(knn, len(verts) - 1)
+    assert_knn_exact(g)
+
+
 def test_degree_bounds(se2_8x8x4):
     counts = np.diff(se2_8x8x4.indptr)
     assert counts.min() >= 16
@@ -174,6 +265,24 @@ def test_laplacian_assembly(se2_8x8x4):
         w = g.adjacency().toarray()[np.ix_(live, live)]
         dense = np.eye(w.shape[0]) - w / np.sqrt(np.outer(deg[live], deg[live]))
         np.testing.assert_array_equal(mat.toarray()[np.ix_(live, live)], dense)
+
+
+def test_laplacian_zero_degree(se2_8x8x4):
+    """A vertex whose edges all weigh 0 has degree 0: its row and column are
+    empty, not 0/0, and rows with positive degree keep the dense formula."""
+    w = se2_8x8x4.weights
+    g = dataclasses.replace(se2_8x8x4, weights=np.where(w >= np.quantile(w, 0.99), w, 0.0))
+    deg = g.degrees()
+    dead = deg == 0.0
+    assert dead.sum() > 100 and np.all(np.diff(g.indptr)[dead] > 0)
+    mat = laplacian(g).matrix
+    assert np.all(np.isfinite(mat.data))
+    assert np.all(np.diff(mat.indptr)[dead] == 0)
+    assert mat[:, np.flatnonzero(dead)].nnz == 0
+    live = ~dead
+    a = g.adjacency().toarray()[np.ix_(live, live)]
+    dense = np.eye(a.shape[0]) - a / np.sqrt(np.outer(deg[live], deg[live]))
+    np.testing.assert_array_equal(mat.toarray()[np.ix_(live, live)], dense)
 
 
 def test_power_iteration_matches_dense():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liegraph import graph
 from liegraph.groups import (
     GroupKind,
     Metric,
@@ -15,14 +16,19 @@ from liegraph.groups import (
     identity,
     inverse,
     metric_norm,
+    se2_bound_points,
     se2_element,
     se2_log_params,
     se2_matrices,
+    se2_pair_sq,
     so3_element,
     so3_log_matrices,
     so3_matrices,
+    so3_pair_sq,
+    sphere_bound_points,
     sphere_distance,
     sphere_log,
+    sphere_pair_sq,
     wrap_angle,
 )
 from oracles import (
@@ -278,3 +284,62 @@ def test_property_log_exp_roundtrip_se2(theta, x, y):
     g = se2_element(x, y, theta)
     back = matrix_exp_series(se2_algebra_matrix(group_log(g)))
     assert np.abs(back - g.matrix).max() <= 1e-9
+
+
+# Rounding allowance for the bound tests: a tenth of the slack the K-NN
+# search adds to its ball radius.  Rounding is absolute, in units of the
+# coordinates, so near-coincident pairs need the absolute part; the sphere
+# kernel's arccos puts it near 1e-8 for pairs 1e-8 rad apart.
+BOUND_REL = graph.BALL_REL / 10.0
+BOUND_ABS = graph.BALL_ABS / 10.0
+BOUND_WEIGHTS = [np.array(w) for w in ((1.0, 10.0, 0.05), (1.0, 1.0, 1.0),
+                                       (10.0, 1.0, 3.7), (1.0, 0.3, 200.0))]
+
+
+def assert_bound(f, d2):
+    chord = np.linalg.norm(f[0] - f[1], axis=-1)
+    slack = np.sqrt(d2) * BOUND_REL + BOUND_ABS * (1.0 + np.abs(f).max())
+    assert np.all(chord <= np.sqrt(d2) + slack), np.max(chord - np.sqrt(d2))
+
+
+def test_se2_bound_points():
+    """|f(a) - f(b)|^2 <= se2_pair_sq(a, b), with orientations near +-pi/2
+    (relative angles near pi, where the branches switch) and near-duplicates."""
+    rng = np.random.Generator(np.random.Philox(60))
+    n = 4000
+    a = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)), rng.uniform(-np.pi, np.pi, n)])
+    b = a + np.column_stack([rng.normal(0.0, 0.3, (n, 2)), rng.uniform(-np.pi, np.pi, n)])
+    edge = np.pi / 2 + rng.choice([0.0, 1e-12, -1e-12, 1e-7, -1e-7, 1e-3], (n, 2))
+    a[: n // 2, 2] = edge[: n // 2, 0] * rng.choice([-1.0, 1.0], n // 2)
+    b[: n // 2, 2] = edge[: n // 2, 1] * rng.choice([-1.0, 1.0], n // 2)
+    b[-100:] = a[-100:] + rng.normal(0.0, 1e-9, (100, 3))
+    for w in BOUND_WEIGHTS:
+        assert_bound(se2_bound_points(np.stack([a, b]), w), se2_pair_sq(a, b, w))
+
+
+def axis_rotations(axes, angles):
+    k = np.zeros((axes.shape[0], 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -axes[:, 2], axes[:, 1], -axes[:, 0]
+    k -= k.transpose(0, 2, 1)
+    s, c = np.sin(angles)[:, None, None], np.cos(angles)[:, None, None]
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def test_sphere_bound_points():
+    """|f(a) - f(b)|^2 <= so3_pair_sq(a, b) and sphere_pair_sq(a, b), with
+    relative rotations near pi, near the identity and about the reference axis."""
+    rng = np.random.Generator(np.random.Philox(61))
+    n = 4000
+    a = so3_matrices(np.column_stack([rng.uniform(-np.pi, np.pi, n), rng.uniform(0.0, np.pi, n),
+                                      rng.uniform(-np.pi, np.pi, n)]))
+    axes = rng.normal(size=(n, 3))
+    axes[:500] = [0.0, 0.0, 1.0]
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = rng.uniform(0.0, np.pi, n)
+    angles[500:2500] = np.pi - rng.choice([0.0, 1e-12, 1e-8, 1e-5, 1e-2], 2000)
+    angles[-200:] = rng.choice([0.0, 1e-12, 1e-8], 200)
+    b = a @ axis_rotations(axes, angles)
+    for w in BOUND_WEIGHTS:
+        f = sphere_bound_points(np.stack([a, b]), w)
+        assert_bound(f, so3_pair_sq(a, b, w))
+        assert_bound(f, sphere_pair_sq(a, b, w))

@@ -186,6 +186,75 @@ def test_non_monotone_indptr(tmp_path, graph_file):
     assert exc.value.offset == indptr_pos
 
 
+def graph_layout(data: bytes) -> dict:
+    """Byte offsets of the adjacency arrays in a CLGR file with a Laplacian."""
+    n = int.from_bytes(data[61:69], "little")
+    indptr = 69 + 24 * n
+    nnz = int.from_bytes(data[indptr + 8 * (n + 1):indptr + 8 * (n + 2)], "little")
+    indices = indptr + 8 * (n + 2)
+    return {"n": n, "nnz": nnz, "indptr": indptr, "indices": indices,
+            "weights": indices + 8 * nnz, "distances": indices + 16 * nnz}
+
+
+def put(data: bytes, offset: int, raw: bytes) -> bytes:
+    out = bytearray(data)
+    out[offset:offset + len(raw)] = raw
+    return bytes(out)
+
+
+@pytest.mark.parametrize("field", ["weights", "distances"])
+@pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
+def test_bad_edge_values(tmp_path, graph_file, field, value):
+    _, data = graph_file
+    at = graph_layout(data)[field] + 8 * 5
+    path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
+    with pytest.raises(io.FormatError, match="negative or not finite") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at
+
+
+def test_self_loop(tmp_path, graph_file):
+    _, data = graph_file
+    lay = graph_layout(data)
+    # the first entry of row 0 points back at vertex 0
+    path = write_tmp(tmp_path, put(data, lay["indices"], (0).to_bytes(8, "little")))
+    with pytest.raises(io.FormatError, match="self-loop") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == lay["indices"]
+
+
+def test_unsorted_row(tmp_path, graph_file):
+    _, data = graph_file
+    lay = graph_layout(data)
+    first, second = data[lay["indices"]:lay["indices"] + 8], data[lay["indices"] + 8:lay["indices"] + 16]
+    path = write_tmp(tmp_path, put(data, lay["indices"], second + first))
+    with pytest.raises(io.FormatError, match="ascending") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == lay["indices"] + 8
+
+
+def test_asymmetric_adjacency(tmp_path, graph_file):
+    _, data = graph_file
+    lay = graph_layout(data)
+    # a weight that differs from its mirror by one ulp
+    at = lay["weights"] + 8 * 3
+    w = np.frombuffer(data[at:at + 8], dtype="<f8")[0]
+    path = write_tmp(tmp_path, put(data, at, np.nextafter(w, 2.0).tobytes()))
+    with pytest.raises(io.FormatError, match="weights are not symmetric") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at      # row 0 comes before the mirror's row
+    # row 0's last column moved up: column counts no longer match row counts,
+    # first at the old column's pointer
+    g, _ = io.read_graph(graph_file[0])
+    last = int(g.indices[g.indptr[1] - 1])
+    free = int(np.setdiff1d(np.arange(last + 1, g.n_vertices), g.indices[:g.indptr[1]])[0])
+    path = write_tmp(tmp_path, put(data, lay["indices"] + 8 * (g.indptr[1] - 1),
+                                   free.to_bytes(8, "little")))
+    with pytest.raises(io.FormatError, match="row and column counts differ") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == lay["indptr"] + 8 * (last + 1)
+
+
 def test_bad_lambda_max(tmp_path, graph_file):
     _, data = graph_file
     bad = bytearray(data)
