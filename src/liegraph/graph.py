@@ -29,8 +29,7 @@ ROW_CHUNK = 256
 CANDIDATE_BLOCK = 1 << 17
 # Slack on the K-NN search's ball radius: relative, and absolute in units of
 # the largest embedded coordinate.  The absolute part covers rounding in the
-# embedding and in the kernels; the sphere kernel's arccos resolves
-# near-coincident image points only to about 5e-8 rad.
+# embedding and in the kernels, which is absolute for near-coincident points.
 BALL_REL = 1e-6
 BALL_ABS = 1e-6
 # Relative slack for K-th-distance ties; far above rounding noise (~1e-15),

@@ -202,8 +202,10 @@ def so3_log_matrices(matrices: np.ndarray) -> np.ndarray:
 
 def _sphere_c13(u: np.ndarray):
     """(c1, c3) of the sphere log from the image point u = G.(0,0,1), shape (..., 3)."""
-    beta = np.arccos(np.clip(u[..., 2], -1.0, 1.0))
     sb = np.hypot(u[..., 0], u[..., 1])
+    # atan2 keeps full relative precision near the poles, where arccos(u_z)
+    # rounds angles below about 1e-8 to 0.
+    beta = np.arctan2(sb, u[..., 2])
     regular = sb > POLE_TOL
     safe = np.where(regular, sb, 1.0)
     cg = np.where(regular, u[..., 0] / safe, 1.0)

@@ -3,7 +3,8 @@
 Vertex signals are (V, B, C) arrays (batch in the middle so sparse matvecs
 can flatten the trailing axes); after global pooling they become (B, C).
 Every layer caches what its analytic backward needs, accumulates parameter
-gradients in-place, and returns the input gradient.
+gradients in-place, and returns the input gradient.  The caches live until
+`Model.release`, which `train_demo` calls before it returns.
 """
 
 from __future__ import annotations
@@ -47,16 +48,23 @@ class ChebConv:
         self._z = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._z = cheb_terms(self.lap.matrix, x, self.order)
-        return np.einsum("jvbi,jio->vbo", self._z, self.theta) + self.bias
+        z = cheb_terms(self.lap.matrix, x, self.order)
+        j, v, b, i = z.shape
+        # One (V*B, J*I) @ (J*I, O) product contracts terms and channels.
+        self._z = z.transpose(1, 2, 0, 3).reshape(v * b, j * i)
+        y = self._z @ self.theta.reshape(j * i, self.n_out)
+        return y.reshape(v, b, self.n_out) + self.bias
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        z = self._z
-        self.g_theta += np.einsum("jvbi,vbo->jio", z, gy)
-        self.g_bias += gy.sum(axis=(0, 1))
+        v, b, o = gy.shape
+        gy2 = gy.reshape(v * b, o)
+        self.g_theta += (self._z.T @ gy2).reshape(self.theta.shape)
+        self.g_bias += gy2.sum(axis=0)
+        # gz[j] = gy theta_j^T for every term at once, as (J, V, B, I).
+        gz = gy2 @ self.theta.reshape(-1, o).T
+        gz = np.ascontiguousarray(gz.reshape(v, b, self.order, self.n_in).transpose(2, 0, 1, 3))
         # Reverse sweep of the three-term recurrence; costs the same J - 1
         # matvecs as the forward pass.
-        gz = [np.einsum("vbo,io->vbi", gy, self.theta[j]) for j in range(self.order)]
         for j in range(self.order - 1, 1, -1):
             gz[j - 1] += 2.0 * _matvec(self.lap.matrix, gz[j])
             gz[j - 2] -= gz[j]
@@ -180,29 +188,36 @@ def coarse_spec_s2(spec: GridSpec) -> GridSpec:
 
 class Pool:
     """Cluster pooling; Max modes route gradients to the winning member,
-    Rand to the pre-drawn one, Avg spreads them uniformly."""
+    Rand to the pre-drawn one, Avg spreads them uniformly.
+
+    Max modes read clusters through `members`, an (n_coarse, max_size) table
+    of fine ids in ascending order per cluster.  Slots past a cluster's size
+    repeat its last member, which can neither raise the maximum nor move the
+    winner off a finite value."""
 
     def __init__(self, plan: PoolPlan):
         self.plan = plan
+        slot = np.minimum(np.arange(plan.sizes.max()), plan.sizes[:, None] - 1)
+        self.members = plan.order[plan.starts[:, None] + slot]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         plan = self.plan
-        if plan.mode in (PoolMode.R2_RAND,):
-            self._shape = x.shape
-            return x[plan.chosen]
-        xs = x[plan.order]
-        if plan.mode is PoolMode.S2_AVG:
-            self._shape = x.shape
-            return np.add.reduceat(xs, plan.starts, axis=0) / \
-                plan.sizes[:, None, None]
-        top = np.maximum.reduceat(xs, plan.starts, axis=0)
-        pos = np.arange(xs.shape[0])[:, None, None]
-        hit = np.where(xs == top[plan.cluster[plan.order]], pos, xs.shape[0])
-        first = np.minimum.reduceat(hit, plan.starts, axis=0)
-        # NaN inputs match nothing; clamp so the crash happens at the loss
-        # check, not here.
-        self._winner = plan.order[np.minimum(first, xs.shape[0] - 1)]
         self._shape = x.shape
+        if plan.mode in (PoolMode.R2_RAND,):
+            return x[plan.chosen]
+        if plan.mode is PoolMode.S2_AVG:
+            return np.add.reduceat(x[plan.order], plan.starts, axis=0) / \
+                plan.sizes[:, None, None]
+        top = x[self.members[:, 0]]
+        winner = np.empty(top.shape, dtype=np.int64)
+        winner[...] = self.members[:, 0, None, None]
+        for ids in self.members.T[1:]:
+            new = np.maximum(top, x[ids])
+            # Strict change only, so ties keep the lowest id; a NaN member
+            # compares unequal and takes the win, inside its own cluster.
+            np.copyto(winner, ids[:, None, None], where=new != top)
+            top = new
+        self._winner = winner
         return top
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -210,14 +225,11 @@ class Pool:
         gx = np.zeros(self._shape)
         if plan.mode in (PoolMode.R2_RAND,):
             gx[plan.chosen] = gy
-            return gx
-        if plan.mode is PoolMode.S2_AVG:
+        elif plan.mode is PoolMode.S2_AVG:
             gx[plan.order] = (gy / plan.sizes[:, None, None])[plan.cluster[plan.order]]
-            return gx
-        v, b, c = gy.shape
-        flat = self._winner * (b * c) + \
-            (np.arange(b)[:, None] * c + np.arange(c))[None, :, :]
-        np.add.at(gx.reshape(-1), flat.reshape(-1), gy.reshape(-1))
+        else:
+            # Clusters are disjoint, so winners never collide per (b, c).
+            np.put_along_axis(gx, self._winner, gy, axis=0)
         return gx
 
     def params(self):
@@ -259,15 +271,13 @@ class Unpool:
 
 class GlobalMaxPool:
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._arg = np.argmax(x, axis=0)
+        self._arg = np.argmax(x, axis=0)[None]
         self._shape = x.shape
-        return np.take_along_axis(x, self._arg[None], axis=0)[0]
+        return np.take_along_axis(x, self._arg, axis=0)[0]
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx = np.zeros(self._shape)
-        b, c = gy.shape
-        flat = self._arg * (b * c) + (np.arange(b)[:, None] * c + np.arange(c))
-        np.add.at(gx.reshape(-1), flat.reshape(-1), gy.reshape(-1))
+        np.put_along_axis(gx, self._arg, gy[None], axis=0)
         return gx
 
     def params(self):
@@ -335,6 +345,14 @@ class Model:
     def sgd_step(self, lr: float):
         for p, g in self.params():
             p -= lr * g
+
+    def release(self):
+        """Drop every layer's forward cache (the `_`-prefixed arrays); the
+        next forward rebuilds them."""
+        for layer in self.layers:
+            for name, value in list(vars(layer).items()):
+                if name.startswith("_") and isinstance(value, np.ndarray):
+                    setattr(layer, name, None)
 
 
 def nll_loss(log_probs: np.ndarray, labels: np.ndarray):
@@ -423,17 +441,12 @@ def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float 
     return DemoSetup(fine_graph, coarse_graph, fine_lap, coarse_lap, model, plan, perm)
 
 
-def evaluate(model: Model, x: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    log_probs = model.forward(x)
-    loss, _ = nll_loss(log_probs, labels)
-    acc = float(np.mean(np.argmax(log_probs, axis=1) == labels))
-    return loss, acc
+def _predict(model: Model, x: np.ndarray) -> np.ndarray:
+    return np.argmax(model.forward(x), axis=1)
 
 
 def rotation_consistency(model: Model, x: np.ndarray, perm: np.ndarray) -> float:
-    base = np.argmax(model.forward(x), axis=1)
-    rotated = np.argmax(model.forward(x[perm]), axis=1)
-    return float(np.mean(base == rotated))
+    return float(np.mean(_predict(model, x) == _predict(model, x[perm])))
 
 
 def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 32,
@@ -442,7 +455,8 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
 
     Metric rows are dicts with epoch, loss (mean train loss; epoch 0 is the
     untrained evaluation), test accuracy, and rotation consistency.  NaN loss
-    aborts with TrainingDiverged.
+    aborts with TrainingDiverged.  The model's forward caches are released
+    on return, so a trained model holds only its parameters.
     """
     if setup is None:
         setup = build_demo(seed)
@@ -452,15 +466,19 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
     test_x, test_y = oriented_bars(n_test, nx, nx, seed=seed * 7919 + 2)
     train_sig = lift_images(train_x, n_orient)
     test_sig = lift_images(test_x, n_orient)
+    test_rot = test_sig[setup.perm]
 
     rng = np.random.Generator(np.random.Philox([seed, 2]))
     model = setup.model
-    rows = []
 
-    loss0, _ = evaluate(model, train_sig, train_y)
-    _, acc0 = evaluate(model, test_sig, test_y)
-    rows.append({"epoch": 0, "loss": loss0, "accuracy": acc0,
-                 "rotation_consistency": rotation_consistency(model, test_sig, setup.perm)})
+    def test_metrics():
+        # one forward of the test set gives accuracy and the rotation base
+        pred = _predict(model, test_sig)
+        return {"accuracy": float(np.mean(pred == test_y)),
+                "rotation_consistency": float(np.mean(pred == _predict(model, test_rot)))}
+
+    loss0, _ = nll_loss(model.forward(train_sig), train_y)
+    rows = [{"epoch": 0, "loss": loss0, **test_metrics()}]
 
     n = train_y.size
     for epoch in range(1, epochs + 1):
@@ -478,7 +496,6 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
             model.backward(grad)
             model.sgd_step(lr)
             losses.append(loss)
-        _, acc = evaluate(model, test_sig, test_y)
-        rows.append({"epoch": epoch, "loss": float(np.mean(losses)), "accuracy": acc,
-                     "rotation_consistency": rotation_consistency(model, test_sig, setup.perm)})
+        rows.append({"epoch": epoch, "loss": float(np.mean(losses)), **test_metrics()})
+    model.release()
     return rows, setup

@@ -97,7 +97,12 @@ class VertexSet:
         return GroupElement(self.spec.group_kind, p, m)
 
     def orientation_index(self, ids) -> np.ndarray:
-        return np.asarray(ids) // self.spec.n_spatial
+        """Orientation slice of vertex ids, read from original ids after
+        vertex sub-sampling."""
+        ids = np.asarray(ids)
+        if self.kept is not None:
+            ids = self.kept[ids]
+        return ids // self.spec.n_spatial
 
     def flat_index(self, spatial, orient) -> np.ndarray:
         return np.asarray(orient) * self.spec.n_spatial + np.asarray(spatial)

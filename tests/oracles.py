@@ -2,7 +2,8 @@
 
 Everything here goes through a different computational route than the
 library: matrix square roots and truncated power series instead of closed
-forms, dense eigendecompositions instead of sparse recurrences.
+forms, dense eigendecompositions instead of sparse recurrences, einsum and
+segment reductions instead of matrix products and slot-wise maxima.
 """
 
 import numpy as np
@@ -109,3 +110,43 @@ def central_difference(fn, array: np.ndarray, index, step: float = 1e-5) -> floa
     lo = fn()
     array[index] = old
     return (hi - lo) / (2.0 * step)
+
+
+def chebconv_einsum(z: np.ndarray, theta: np.ndarray, bias: np.ndarray,
+                    gy: np.ndarray, matrix):
+    """Chebyshev layer by einsum over the (J, V, B, I) term stack z.
+
+    Returns (y, g_theta, g_bias, gx) for the output gradient gy, with the
+    input gradient from the reverse sweep of the three-term recurrence done
+    one term at a time.
+    """
+    y = np.einsum("jvbi,jio->vbo", z, theta) + bias
+    g_theta = np.einsum("jvbi,vbo->jio", z, gy)
+    g_bias = gy.sum(axis=(0, 1))
+    gz = [np.einsum("vbo,io->vbi", gy, theta[j]) for j in range(theta.shape[0])]
+
+    def matvec(x):
+        return (matrix @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+
+    for j in range(len(gz) - 1, 1, -1):
+        gz[j - 1] += 2.0 * matvec(gz[j])
+        gz[j - 2] -= gz[j]
+    gx = gz[0]
+    if len(gz) > 1:
+        gx = gx + matvec(gz[1])
+    return y, g_theta, g_bias, gx
+
+
+def max_pool_reduceat(x: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                      cluster: np.ndarray):
+    """(top, winner) of cluster max pooling by segment reductions.
+
+    The winner is the lowest fine id attaining the maximum.  NaN inputs
+    match no member, so they are outside this reference's domain.
+    """
+    xs = x[order]
+    top = np.maximum.reduceat(xs, starts, axis=0)
+    pos = np.arange(xs.shape[0])[:, None, None]
+    hit = np.where(xs == top[cluster[order]], pos, xs.shape[0])
+    first = np.minimum.reduceat(hit, starts, axis=0)
+    return top, order[first]

@@ -141,8 +141,7 @@ def test_knn_tree_matches_bruteforce(name, block, request, monkeypatch):
 
 
 def test_knn_tree_near_duplicates(monkeypatch):
-    """Sphere points 1e-8 rad apart, which the arccos in the sphere kernel
-    puts at distance 0 or near it, are still found."""
+    """Sphere points 1e-8 rad apart and exact duplicates are still found."""
     monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK)
     verts = grid_s2(1)
     rng = np.random.Generator(np.random.Philox(70))
@@ -417,3 +416,21 @@ def test_slice_fractions(se2_8x8x4, r2_16x16):
     assert in_frac > 0.0 and cross > 0.0
     in_frac, cross = slice_neighbor_fractions(r2_16x16)
     assert in_frac == 1.0 and cross == 0.0
+
+
+def test_slice_fractions_vertex_sampled(se2_8x8x4):
+    """Slices of a vertex-sampled graph come from the original ids, and agree
+    with the orientation angle each kept vertex carries."""
+    from liegraph.graph import slice_neighbor_fractions
+
+    ns = se2_8x8x4.vertices.spec.n_spatial
+    for seed in (3, 4):
+        sub = sample_vertices(se2_8x8x4, 0.5, seed)
+        i, j, _, _ = sub.edge_pairs()
+        orig = sub.id_map
+        expected = float(np.mean(orig[i] // ns == orig[j] // ns))
+        assert slice_neighbor_fractions(sub) == pytest.approx((expected, 1.0 - expected))
+        theta = sub.vertices.params[:, 2]
+        _, by_angle = np.unique(theta, return_inverse=True)
+        np.testing.assert_array_equal(sub.vertices.orientation_index(np.arange(len(orig))),
+                                      by_angle)

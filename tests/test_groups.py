@@ -288,8 +288,7 @@ def test_property_log_exp_roundtrip_se2(theta, x, y):
 
 # Rounding allowance for the bound tests: a tenth of the slack the K-NN
 # search adds to its ball radius.  Rounding is absolute, in units of the
-# coordinates, so near-coincident pairs need the absolute part; the sphere
-# kernel's arccos puts it near 1e-8 for pairs 1e-8 rad apart.
+# coordinates, so near-coincident pairs need the absolute part.
 BOUND_REL = graph.BALL_REL / 10.0
 BOUND_ABS = graph.BALL_ABS / 10.0
 BOUND_WEIGHTS = [np.array(w) for w in ((1.0, 10.0, 0.05), (1.0, 1.0, 1.0),
@@ -343,3 +342,19 @@ def test_sphere_bound_points():
         f = sphere_bound_points(np.stack([a, b]), w)
         assert_bound(f, so3_pair_sq(a, b, w))
         assert_bound(f, sphere_pair_sq(a, b, w))
+
+
+def test_sphere_pair_sq_small_angles():
+    """Image points 1e-8 and 1e-6 rad apart keep their full relative
+    precision: the squared distance is theta^2 at unit sphere weights."""
+    rng = np.random.Generator(np.random.Philox(62))
+    n = 200
+    phi = rng.uniform(-np.pi, np.pi, n)
+    tilt_axes = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(n)])
+    # a turns about the reference axis only, so a^T b is formed without
+    # absolute rounding in the tiny components of the image point
+    a = axis_rotations(np.tile([0.0, 0.0, 1.0], (n, 1)), rng.uniform(-np.pi, np.pi, n))
+    for theta in (1e-8, 1e-6):
+        b = a @ axis_rotations(tilt_axes, np.full(n, theta))
+        d2 = sphere_pair_sq(a, b, np.array([1.0, 10.0, 1.0]))
+        np.testing.assert_allclose(d2, theta * theta, rtol=1e-10, atol=0.0)

@@ -15,6 +15,7 @@ from liegraph.network import (
     Model,
     Pool,
     PoolMode,
+    TrainingDiverged,
     Unpool,
     build_demo,
     coarse_spec_r2,
@@ -28,10 +29,10 @@ from liegraph.network import (
     train_demo,
 )
 from liegraph.sampling import GridKind, GridSpec
-from liegraph.spectral import apply_permutation, cheb_apply, rotation_permutation
+from liegraph.spectral import apply_permutation, cheb_apply, cheb_terms, rotation_permutation
 
 from conftest import EPS_ANISO, built
-from oracles import central_difference
+from oracles import central_difference, chebconv_einsum, max_pool_reduceat
 
 
 @pytest.fixture(scope="module")
@@ -392,3 +393,103 @@ def test_untrained_accuracy_near_chance(demo_setup):
     assert len(rows) == 1
     assert rows[0]["epoch"] == 0
     assert 0.15 <= rows[0]["accuracy"] <= 0.40
+
+
+def assert_close_scaled(actual, expected, tol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(actual - expected)) <= tol * scale
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("batch", [1, 32, 128])
+@pytest.mark.parametrize("n_in", [1, 8])
+def test_chebconv_matches_einsum_oracle(se2_8x8x4_lap, n_in, batch, order):
+    """The GEMM contraction computes what the per-term einsum does."""
+    rng = np.random.Generator(np.random.Philox([27, n_in, batch, order]))
+    lap = rescale(se2_8x8x4_lap)
+    conv = ChebConv(lap, n_in, 5, order, rng)
+    conv.bias[:] = rng.standard_normal(5)
+    x = rng.standard_normal((lap.n, batch, n_in))
+    gy = rng.standard_normal((lap.n, batch, 5))
+    z = cheb_terms(lap.matrix, x, order)
+    y_ref, g_theta_ref, g_bias_ref, gx_ref = chebconv_einsum(z, conv.theta, conv.bias, gy,
+                                                             lap.matrix)
+    assert_close_scaled(conv.forward(x), y_ref)
+    gx = conv.backward(gy)
+    assert_close_scaled(conv.g_theta, g_theta_ref)
+    assert_close_scaled(conv.g_bias, g_bias_ref)
+    assert_close_scaled(gx, gx_ref)
+
+
+def max_plans():
+    """An odd planar grid (trailing column dropped) and so3 level 2 x 2,
+    whose icosahedral clusters have unequal sizes."""
+    return [r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=5, ny=6, n_orient=3), PoolMode.R2_MAX),
+            s2_pool_plan(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=2, n_orient=2),
+                         PoolMode.S2_MAX)]
+
+
+def test_max_pool_matches_reduceat_oracle():
+    """Slot-wise maxima give the same top and the same (lowest-id) winner."""
+    rng = np.random.Generator(np.random.Philox(28))
+    plans = max_plans()
+    assert len(np.unique(plans[1].sizes)) > 1
+    for plan in plans:
+        pool = Pool(plan)
+        # integers in a narrow range so most clusters hold ties
+        x = np.round(2.0 * rng.standard_normal((plan.cluster.size, 4, 3)))
+        top_ref, winner_ref = max_pool_reduceat(x, plan.order, plan.starts, plan.cluster)
+        np.testing.assert_array_equal(pool.forward(x), top_ref)
+        np.testing.assert_array_equal(pool._winner, winner_ref)
+
+
+def test_max_pool_nan_stays_in_cluster():
+    """A NaN member makes the cluster max NaN and takes the win inside its own
+    cluster, so backward never writes into another cluster."""
+    rng = np.random.Generator(np.random.Philox(29))
+    for plan in max_plans():
+        pool = Pool(plan)
+        x = rng.standard_normal((plan.cluster.size, 4, 3))
+        x[rng.random(x.shape) < 0.2] = np.nan
+        top = pool.forward(x)
+        has_nan = np.logical_or.reduceat(np.isnan(x[plan.order]), plan.starts, axis=0)
+        assert has_nan.any() and not has_nan.all()
+        np.testing.assert_array_equal(np.isnan(top), has_nan)
+        ids = np.arange(plan.n_coarse)[:, None, None]
+        np.testing.assert_array_equal(plan.cluster[pool._winner], np.broadcast_to(ids, top.shape))
+        gx = pool.backward(np.ones(top.shape))
+        np.testing.assert_array_equal(gx.sum(axis=0), np.full((4, 3), plan.n_coarse))
+        assert np.all(gx[plan.cluster < 0] == 0.0)
+
+
+def test_global_max_nan_wins():
+    x = np.zeros((6, 2, 1))
+    x[4, 1, 0] = np.nan
+    layer = GlobalMaxPool()
+    out = layer.forward(x)
+    assert out[0, 0] == 0.0 and np.isnan(out[1, 0])
+    gx = layer.backward(np.ones((2, 1)))
+    assert gx[0, 0, 0] == 1.0 and gx[4, 1, 0] == 1.0 and np.count_nonzero(gx) == 2
+
+
+def test_train_demo_nan_lr_diverges():
+    with pytest.raises(TrainingDiverged):
+        train_demo(epochs=1, lr=float("nan"), seed=0)
+
+
+def test_train_demo_releases_forward_caches():
+    """A trained model keeps only parameters and plans; it still runs."""
+    rows, setup = train_demo(epochs=1, lr=0.2, seed=1)
+    model = setup.model
+    for layer in model.layers:
+        cached = [name for name, value in vars(layer).items()
+                  if name.startswith("_") and isinstance(value, np.ndarray)]
+        assert not cached, (type(layer).__name__, cached)
+    rng = np.random.Generator(np.random.Philox(30))
+    x = rng.standard_normal((256, 3, 1))
+    labels = rng.integers(0, 4, 3)
+    model.zero_grads()
+    _, grad = nll_loss(model.forward(x), labels)
+    gx = model.backward(grad)
+    assert gx.shape == x.shape and np.all(np.isfinite(gx))
+    assert any(np.any(g != 0.0) for _, g in model.params())
