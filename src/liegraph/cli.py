@@ -118,7 +118,7 @@ def cmd_eigenmaps(args) -> int:
     _print_config("eigenmaps", {"graph": args.graph, "k": args.k, "out": args.out})
     graph, lap = io.read_graph(args.graph)
     if lap is None:
-        lap = power_lambda_max(laplacian(graph))
+        lap = laplacian(graph)
     eig = eigensystem(lap, args.k)
     io.write_eigenmaps_csv(args.out, eig.values, eig.vectors)
     sidecar = _sidecar(args.out)

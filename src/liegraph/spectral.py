@@ -106,9 +106,11 @@ def eigensystem(lap: Laplacian, k: int | None = None,
                 dense_cap: int = DENSE_EIGEN_CAP) -> EigenSystem:
     """Smallest-k eigenpairs (all of them by default, when dense is feasible).
 
-    Dense symmetric solve up to dense_cap vertices; beyond that a restarted
-    Lanczos (shift-invert at a small negative sigma, so the smallest end
-    converges fast) with k required to be well below |V|.
+    Dense symmetric solve up to dense_cap vertices.  Beyond that, plain
+    restarted Lanczos (ARPACK, which="SA") on the CSR Laplacian itself, with
+    k required to be well below |V|: only matrix-vector products, no
+    factorization.  The start vector is a fixed seeded draw, so repeated
+    calls return identical bases, also inside degenerate eigenspaces.
     """
     if lap.rescaled:
         raise ValueError("eigensystem expects the raw Laplacian")
@@ -123,7 +125,8 @@ def eigensystem(lap: Laplacian, k: int | None = None,
     else:
         if k > n - 2:
             raise ValueError("iterative eigensolver needs k well below |V|")
-        vals, vecs = spla.eigsh(lap.matrix.tocsc(), k=k, sigma=-0.05, which="LM")
+        v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
+        vals, vecs = spla.eigsh(lap.matrix, k=k, which="SA", v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     return EigenSystem(vals, _fix_signs(vecs), k == n)

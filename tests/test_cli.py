@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from liegraph import io
+from liegraph import cli, io
 from liegraph.cli import main
+from liegraph.graph import laplacian
+from liegraph.sampling import GridKind
+from liegraph.spectral import eigensystem
+
+from conftest import EPS_ANISO, built
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,24 @@ def test_eigenmaps(graph_path, tmp_path, capsys):
     assert sidecar.shape == (32, 5)
     # first eigenvalue of a connected graph is numerically zero
     assert abs(float(lines[1].split(",")[1])) <= 1e-9
+
+
+def test_eigenmaps_without_stored_laplacian(tmp_path, capsys, monkeypatch):
+    """A file with no Laplacian needs no lambda_max estimate for eigenmaps."""
+    g = built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, epsilon=EPS_ANISO,
+              alpha=1.0, knn=6)
+    path = tmp_path / "bare.clgr"
+    io.write_graph(path, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenmaps estimated lambda_max")
+
+    monkeypatch.setattr(cli, "power_lambda_max", refuse)
+    code = main(["eigenmaps", "--graph", str(path), "--k", "5",
+                 "--out", str(tmp_path / "eig.csv")])
+    assert code == 0
+    expected = eigensystem(laplacian(g), 5).values
+    assert f"eigenvalues: {' '.join(f'{v:.6g}' for v in expected)}" in capsys.readouterr().out
 
 
 def test_diffuse_impulse(graph_path, tmp_path, capsys):

@@ -21,6 +21,9 @@ from liegraph.spectral import (
 )
 
 from conftest import EPS_ANISO, built
+from oracles import eigensystem_shift_invert
+
+LANCZOS_K = 16
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,46 @@ def test_eigensystem_partial_and_iterative(se2_8x8x4_lap):
         eigensystem(se2_8x8x4_lap, k=0)
     with pytest.raises(ValueError):
         eigensystem(rescale(se2_8x8x4_lap))
+
+
+@pytest.fixture(scope="module",
+                params=["s2_level2", "r2_16x16", "se2_16x16x6", "so3_level2x6"])
+def dense_case(request):
+    """(Laplacian, dense ascending eigenpairs) of a fixture graph."""
+    if request.param == "so3_level2x6":
+        g = built(GridKind.SO3_ICOSAHEDRAL, level=2, orient=6, epsilon=EPS_ANISO,
+                  alpha=1.0)
+    else:
+        g = request.getfixturevalue(request.param)
+    lap = laplacian(g)
+    return lap, np.linalg.eigh(lap.matrix.toarray())
+
+
+def test_lanczos_matches_dense_and_shift_invert(dense_case):
+    """The sparse branch finds every copy of a repeated eigenvalue: its
+    projector onto each eigenvalue group inside k matches the dense one."""
+    lap, (dense_vals, dense_vecs) = dense_case
+    eig = eigensystem(lap, LANCZOS_K, dense_cap=0)
+    si_vals, si_vecs = eigensystem_shift_invert(lap.matrix, LANCZOS_K)
+    np.testing.assert_allclose(eig.values, dense_vals[:LANCZOS_K], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(eig.values, si_vals, rtol=0, atol=1e-10)
+    resid = np.linalg.norm(lap.matrix @ eig.vectors - eig.vectors * eig.values, axis=0)
+    assert resid.max() <= 1e-10
+    for group in eigenvalue_groups(dense_vals):
+        if group[-1] >= LANCZOS_K:
+            break
+        dense_proj = dense_vecs[:, group] @ dense_vecs[:, group].T
+        for vecs in (eig.vectors, si_vecs):
+            proj = vecs[:, group] @ vecs[:, group].T
+            assert np.max(np.abs(proj - dense_proj)) <= 1e-8
+
+
+def test_lanczos_is_reproducible(se2_8x8x4_lap):
+    """A fixed start vector keeps the basis inside degenerate eigenspaces."""
+    a = eigensystem(se2_8x8x4_lap, 6, dense_cap=0)
+    b = eigensystem(se2_8x8x4_lap, 6, dense_cap=0)
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 def test_gft_roundtrip(se2_8x8x4_lap):
