@@ -52,8 +52,12 @@ def _graph_summary(graph: ManifoldGraph, lambda_max: float | None) -> None:
     print(f"bandwidth: {graph.bandwidth:.12g}")
     if lambda_max is not None:
         print(f"lambda_max: {lambda_max:.12g}")
-    in_f, cross_f = slice_neighbor_fractions(graph)
-    print(f"neighbors: {in_f:.3f} in-slice / {cross_f:.3f} cross-slice")
+    try:
+        in_f, cross_f = slice_neighbor_fractions(graph)
+    except ValueError:
+        print("neighbors: unknown (vertex-sampled file stores no id map)")
+    else:
+        print(f"neighbors: {in_f:.3f} in-slice / {cross_f:.3f} cross-slice")
     for note in graph.notes:
         print(f"note: {note}")
 

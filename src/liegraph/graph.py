@@ -12,13 +12,14 @@ bit level.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_pair_sq,
-                     sphere_bound_points, sphere_pair_sq)
+from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_quat_pair_sq,
+                     so3_quaternions, sphere_bound_points, sphere_pair_sq)
 from .sampling import GridKind, GridSpec, VertexSet
 
 BANDWIDTH_FRACTION = 0.2
@@ -67,13 +68,19 @@ def make_metric(spec: GridSpec, epsilon: float = 1.0, alpha: float | None = None
     return Metric(epsilon=epsilon, xi=xi), alpha_from_xi(xi, spec)
 
 
-def _pair_sq_fn(spec: GridSpec):
-    """(vertex attribute, squared-distance kernel, lower-bound embedding)."""
-    if spec.group_kind is GroupKind.SE2:
-        return "params", se2_pair_sq, se2_bound_points
-    if spec.kind is GridKind.S2_ICOSAHEDRAL:
-        return "matrices", sphere_pair_sq, sphere_bound_points
-    return "matrices", so3_pair_sq, sphere_bound_points
+# Per-vertex kernel operands, the squared-distance kernel on them, its weights.
+_Kernel = namedtuple("_Kernel", "data fn w")
+
+
+def _kernel(vertices: VertexSet, metric: Metric) -> _Kernel:
+    """The distance kernel of a vertex set.  SO(3) vertices are converted to
+    unit quaternions here, once, so scoring gathers 4 floats per candidate."""
+    w = metric.weights(vertices.spec.group_kind)
+    if vertices.spec.group_kind is GroupKind.SE2:
+        return _Kernel(vertices.params, se2_pair_sq, w)
+    if vertices.spec.kind is GridKind.S2_ICOSAHEDRAL:
+        return _Kernel(vertices.matrices, sphere_pair_sq, w)
+    return _Kernel(so3_quaternions(vertices.matrices), so3_quat_pair_sq, w)
 
 
 @dataclass
@@ -116,37 +123,26 @@ class ManifoldGraph:
         return np.bincount(rows, weights=self.weights, minlength=self.n_vertices)
 
 
-def pairwise_sq_block(vertices: VertexSet, metric: Metric, rows: np.ndarray,
-                      cols: np.ndarray | None = None) -> np.ndarray:
+def _row_sq(kern: _Kernel, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Squared distances from a block of vertices to all vertices, or, with
-    cols of shape (len(rows), m), to each row's own m candidates."""
-    attr, fn, _ = _pair_sq_fn(vertices.spec)
-    w = metric.weights(vertices.spec.group_kind)
-    data = getattr(vertices, attr)
-    return fn(data[rows][:, None], data[None] if cols is None else data[cols], w)
-
-
-def pair_distances(vertices: VertexSet, metric: Metric, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances for explicit vertex pairs (elementwise over i, j)."""
-    attr, fn, _ = _pair_sq_fn(vertices.spec)
-    w = metric.weights(vertices.spec.group_kind)
-    data = getattr(vertices, attr)
-    return np.sqrt(fn(data[i], data[j], w))
-
-
-def _row_sq(vertices: VertexSet, metric: Metric, rows: np.ndarray,
-            cols: np.ndarray | None = None) -> np.ndarray:
-    """pairwise_sq_block with each row's own entry set to inf."""
-    d2 = pairwise_sq_block(vertices, metric, rows, cols)
+    cols of shape (len(rows), m), to each row's own m candidates; each row's
+    own entry is set to inf."""
+    d2 = kern.fn(kern.data[rows][:, None], kern.data[None] if cols is None else kern.data[cols],
+                 kern.w)
     d2[(np.arange(rows.size), rows) if cols is None else cols == rows[:, None]] = np.inf
     return d2
 
 
-def _picks(vertices: VertexSet, metric: Metric, rows: np.ndarray, k: int,
-           cols: np.ndarray | None = None):
+def pair_distances(vertices: VertexSet, metric: Metric, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances for explicit vertex pairs (elementwise over i, j)."""
+    data, fn, w = _kernel(vertices, metric)
+    return np.sqrt(fn(data[i], data[j], w))
+
+
+def _picks(kern: _Kernel, rows: np.ndarray, k: int, cols: np.ndarray | None = None):
     """(row, column) ids the K-nearest rule selects for `rows` among `cols`
-    (as in pairwise_sq_block)."""
-    d2 = _row_sq(vertices, metric, rows, cols)
+    (as in _row_sq)."""
+    d2 = _row_sq(kern, rows, cols)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
     r, c = np.nonzero(d2 <= kth[:, None] * (1.0 + TIE_REL))
     return rows[r], (c if cols is None else cols[r, c])
@@ -165,12 +161,13 @@ def knn_pairs_bruteforce(vertices: VertexSet, metric: Metric, k: int) -> tuple[n
     """The K-nearest selection scored over all vertex pairs, ROW_CHUNK rows at
     a time: the reference that knn_pairs is tested against."""
     n = len(vertices)
-    return _unique_pairs(n, [_picks(vertices, metric, np.arange(lo, min(lo + ROW_CHUNK, n)), k)
+    kern = _kernel(vertices, metric)
+    return _unique_pairs(n, [_picks(kern, np.arange(lo, min(lo + ROW_CHUNK, n)), k)
                              for lo in range(0, n, ROW_CHUNK)])
 
 
-def knn_pairs(vertices: VertexSet, metric: Metric, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected pairs from per-vertex K-nearest selection.
+def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique undirected pairs from per-vertex K-nearest selection under `kern`.
 
     Ties at equal distance resolve to the lower vertex id (stable sort).  A
     tie class that straddles the K-th rank is kept whole: every vertex whose
@@ -192,20 +189,20 @@ def knn_pairs(vertices: VertexSet, metric: Metric, k: int) -> tuple[np.ndarray, 
     """
     n = len(vertices)
     if n * n <= CANDIDATE_BLOCK:
-        return _unique_pairs(n, [_picks(vertices, metric, np.arange(n), k)])
+        return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
     # Imported here: the scipy.spatial package import takes about 0.1 s and
     # 6 MB, which commands that build no large graph need not pay.
     from scipy.spatial import cKDTree
 
-    attr, _, embed = _pair_sq_fn(vertices.spec)
-    f = embed(getattr(vertices, attr), metric.weights(vertices.spec.group_kind))
+    f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
+         else sphere_bound_points(vertices.matrices, kern.w))
     tree = cKDTree(f)
     _, near = tree.query(f, k=min(2 * (k + 1), n))
     upper = np.empty(n)
     step = max(CANDIDATE_BLOCK // near.shape[1], 1)
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
-        upper[rows] = np.partition(_row_sq(vertices, metric, rows, near[rows]),
+        upper[rows] = np.partition(_row_sq(kern, rows, near[rows]),
                                    k - 1, axis=1)[:, k - 1]
     radius = (np.sqrt(upper * (1.0 + TIE_REL)) * (1.0 + BALL_REL)
               + BALL_ABS * (1.0 + np.abs(f).max()))
@@ -222,11 +219,11 @@ def knn_pairs(vertices: VertexSet, metric: Metric, k: int) -> tuple[np.ndarray, 
         hi = min(lo + max(CANDIDATE_BLOCK // ranked[lo], 1), split)
         hi = min(lo + max(CANDIDATE_BLOCK // ranked[hi - 1], 1), split)
         rows = order[lo:hi]
-        picks.append(_picks(vertices, metric, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1]))
+        picks.append(_picks(kern, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1]))
         lo = hi
     # Balls holding over half the vertices: score those rows against all.
     step = max(CANDIDATE_BLOCK // n, 1)
-    picks += [_picks(vertices, metric, order[lo:lo + step], k) for lo in range(split, n, step)]
+    picks += [_picks(kern, order[lo:lo + step], k) for lo in range(split, n, step)]
     return _unique_pairs(n, picks)
 
 
@@ -252,11 +249,12 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     if alpha is None:
         alpha = alpha_from_xi(metric.xi, spec)
 
+    kern = _kernel(vertices, metric)
     if k == 0:
         i = j = np.zeros(0, dtype=np.int64)
     else:
-        i, j = knn_pairs(vertices, metric, k)
-    dist = pair_distances(vertices, metric, i, j) if i.size else np.zeros(0)
+        i, j = knn_pairs(vertices, kern, k)
+    dist = np.sqrt(kern.fn(kern.data[i], kern.data[j], kern.w)) if i.size else np.zeros(0)
 
     if dist.size:
         t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2))
@@ -289,7 +287,10 @@ def _mirrored_csr(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray):
 
 
 def slice_neighbor_fractions(graph: ManifoldGraph) -> tuple[float, float]:
-    """(in-slice, cross-slice) fractions of undirected edges."""
+    """(in-slice, cross-slice) fractions of undirected edges; ValueError for
+    a vertex-sampled set without the `kept` map its slices are read from."""
+    if graph.vertices.kept is None and graph.n_vertices < graph.vertices.spec.n_vertices:
+        raise ValueError("vertex-sampled graph without a kept-id map")
     i, j, _, _ = graph.edge_pairs()
     if i.size == 0:
         return 0.0, 0.0

@@ -12,7 +12,9 @@ Everything numeric is written twice over: a scalar API built on small
 dataclasses, and vectorised kernels on parameter / matrix arrays that the
 graph builder calls on blocks of vertex pairs, with a Euclidean lower bound
 for each kernel that its K-NN search prunes with.  The scalar API delegates
-to the kernels so the two cannot drift apart.
+to the kernels so the two cannot drift apart.  SO(3) logs and distances run
+on unit quaternions (so3_quaternions): the angle 2 atan2(|v|, |w|) is
+accurate over all of [0, pi], so no branch is needed near angle pi.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-# Series switch points for the closed-form logs.
+# Series switch point of the closed-form SE(2) log.
 SMALL_ANGLE = 1e-6
-# Trace threshold below which the SO(3) log falls back to the axis-from-diagonal
-# branch (rotation angle within ~1e-4 of pi).
-NEAR_PI_TRACE = -1.0 + 1e-8
 # sin(beta) below this is treated as a pole of the ZYZ chart (gauge gamma = 0).
 POLE_TOL = 1e-12
 
@@ -149,55 +148,38 @@ def se2_log_params(x, y, theta) -> np.ndarray:
     return np.stack([c1, c2, np.broadcast_to(theta, c1.shape).copy()], axis=-1)
 
 
-def so3_log_matrices(matrices: np.ndarray) -> np.ndarray:
-    """Principal SO(3) log from the antisymmetric part.
+def so3_quaternions(matrices: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z), up to sign, of rotation matrices (..., 3, 3).
 
-    Returns (c1, c2, c3) = theta * (n_x, n_z, n_y).  Uses the even series of
-    theta / (2 sin theta) below SMALL_ANGLE and recovers the axis from the
-    dominant diagonal of (G + I)/2 when the trace is within NEAR_PI_TRACE
-    of -1.
+    Shepperd's method (J. Guidance & Control 1(3), 1978): the symmetric
+    matrix 4 q q^T is linear in G, with diagonal 1 + tr and 1 + 2 m_ii - tr.
+    Its row with the largest diagonal entry t >= 1 (the four sum to 4),
+    divided by 2 sqrt(t), is q, so no component is read off a small divisor.
     """
     m = np.asarray(matrices, dtype=float)
-    tr = np.asarray(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])
-    cos_t = np.clip(0.5 * (tr - 1.0), -1.0, 1.0)
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    d = m - np.swapaxes(m, -1, -2)          # 4 w (x, y, z) sit at d21, d02, d10
+    s = m + np.swapaxes(m, -1, -2)          # 4 (xy, xz, yz) sit at s01, s02, s12
+    k = np.stack([1.0 + m00 + m11 + m22, d[..., 2, 1], d[..., 0, 2], d[..., 1, 0],
+                  d[..., 2, 1], 1.0 + m00 - m11 - m22, s[..., 0, 1], s[..., 0, 2],
+                  d[..., 0, 2], s[..., 0, 1], 1.0 - m00 + m11 - m22, s[..., 1, 2],
+                  d[..., 1, 0], s[..., 0, 2], s[..., 1, 2], 1.0 - m00 - m11 + m22],
+                 axis=-1).reshape(m.shape[:-2] + (4, 4))
+    lead = np.argmax(np.diagonal(k, axis1=-2, axis2=-1), axis=-1)[..., None, None]
+    row = np.take_along_axis(k, lead, axis=-2)[..., 0, :]
+    return row / (2.0 * np.sqrt(np.take_along_axis(row, lead[..., 0], axis=-1)))
 
-    a1 = m[..., 2, 1] - m[..., 1, 2]
-    a2 = m[..., 1, 0] - m[..., 0, 1]
-    a3 = m[..., 0, 2] - m[..., 2, 0]
-    # |sin theta| from the antisymmetric part; atan2 stays fully accurate at
-    # both ends of [0, pi], where arccos of the trace loses half the digits.
-    sin_norm = 0.5 * np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    theta = np.arctan2(sin_norm, cos_t)
 
-    small = np.abs(theta) < SMALL_ANGLE
-    sin_t = np.sin(np.where(small, 1.0, theta))
-    factor = np.where(small, 0.5 + theta * theta / 12.0, theta / (2.0 * sin_t))
-    c = np.stack([a1, a2, a3], axis=-1) * factor[..., None]
-
-    near_pi = tr <= NEAR_PI_TRACE
-    if np.any(near_pi):
-        flat = m[near_pi].reshape(-1, 3, 3)
-        # Symmetrize first: the O(sin theta) antisymmetric part would
-        # otherwise pollute the off-diagonal axis products.
-        b = 0.5 * (0.5 * (flat + flat.transpose(0, 2, 1)) + np.eye(3))
-        diag = np.clip(np.stack([b[:, 0, 0], b[:, 1, 1], b[:, 2, 2]], axis=1), 0.0, None)
-        lead = np.argmax(diag, axis=1)
-        rows = np.arange(flat.shape[0])
-        axis = np.empty((flat.shape[0], 3))
-        axis[rows, lead] = np.sqrt(diag[rows, lead])
-        for j in range(3):
-            off = lead != j
-            axis[off, j] = b[off, j, lead[off]] / axis[off, lead[off]]
-        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-        # Orient the axis to agree with the (tiny) antisymmetric part.
-        asym = np.stack([flat[:, 2, 1] - flat[:, 1, 2],
-                         flat[:, 1, 0] - flat[:, 0, 1],
-                         flat[:, 0, 2] - flat[:, 2, 0]], axis=1)
-        perm_axis = axis[:, [0, 2, 1]]
-        flip = np.sum(perm_axis * asym, axis=1) < 0.0
-        perm_axis[flip] *= -1.0
-        c[near_pi] = theta[near_pi][..., None] * perm_axis
-    return c
+def so3_log_matrices(matrices: np.ndarray) -> np.ndarray:
+    """Principal SO(3) log (c1, c2, c3) = sign(w) (theta / |v|) (v_x, v_z, v_y)
+    through the unit quaternion (w, v) of each matrix, and 0 at |v| = 0.
+    theta = 2 atan2(|v|, |w|) keeps full relative precision on all of [0, pi].
+    """
+    q = so3_quaternions(matrices)
+    vn = np.linalg.norm(q[..., 1:], axis=-1)
+    theta = 2.0 * np.arctan2(vn, np.abs(q[..., 0]))
+    scale = np.divide(np.copysign(theta, q[..., 0]), vn, out=np.zeros_like(vn), where=vn > 0.0)
+    return q[..., [1, 3, 2]] * scale[..., None]
 
 
 def _sphere_c13(u: np.ndarray):
@@ -266,8 +248,13 @@ def se2_pair_sq(params_a, params_b, weights) -> np.ndarray:
 
     Broadcasting shapes are the caller's business: (A, 1, 3) against (B, 3)
     gives the full block, two (n, 3) arrays give elementwise pairs.  The
-    orientation coordinate of the relative element is probed at the three
-    branches theta, theta - pi, theta + pi and the smallest squared norm wins.
+    orientation coordinate is pi-periodic: the smallest squared norm over the
+    branches dth + pi Z counts, dth the wrapped relative angle, and only dth
+    and dth - copysign(pi, dth) can be smallest.  For dth in (0, pi) the
+    branches dth +/- pi share cot(th/2) = -tan(dth/2), so (c1, c2) is linear
+    in th with the same factor on both: the dth + pi branch has (c1, c2)
+    scaled by (dth + pi)/(dth - pi), of modulus above 1, and a larger
+    orientation term.  Mirrored for dth < 0; at dth = 0 the two tie.
     """
     pa = np.asarray(params_a, dtype=float)
     pb = np.asarray(params_b, dtype=float)
@@ -279,30 +266,45 @@ def se2_pair_sq(params_a, params_b, weights) -> np.ndarray:
     dth = wrap_angle(pb[..., 2] - pa[..., 2])
     w0, w1, w2 = weights
     best = None
-    for off in (0.0, -np.pi, np.pi):
-        th = dth + off
+    for th in (dth, dth - np.copysign(np.pi, dth)):
         c1, c2 = _se2_c12(xr, yr, th)
         d2 = w0 * c1 * c1 + w1 * c2 * c2 + w2 * th * th
         best = d2 if best is None else np.minimum(best, d2)
     return best
 
 
-def _so3_weighted_sq(rel: np.ndarray, weights) -> np.ndarray:
-    c = so3_log_matrices(rel)
+def so3_quat_pair_sq(quats_a, quats_b, weights) -> np.ndarray:
+    """Squared distances between unit-quaternion arrays (..., 4), broadcast
+    like se2_pair_sq.  The relative rotation conj(q_a) q_b = (w, x, y, z)
+    sums each vector component as antisymmetric pairs, so equal inputs give
+    exactly 0; its squared log norm is theta^2 (w0 x^2 + w1 z^2 + w2 y^2) /
+    |v|^2 with theta = 2 atan2(|v|, |w|), 0 at |v| = 0.  The +/- pi shifts of
+    the relative alpha are both the right factor R_z(pi) = (0, 0, 0, 1), which
+    maps (w, x, y, z) to (-z, y, -x, w); the smaller branch counts.
+    """
+    a0, a1, a2, a3 = np.moveaxis(np.asarray(quats_a, dtype=float), -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(np.asarray(quats_b, dtype=float), -1, 0)
+    w = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    x = (a0 * b1 - a1 * b0) + (a3 * b2 - a2 * b3)
+    y = (a0 * b2 - a2 * b0) + (a1 * b3 - a3 * b1)
+    z = (a0 * b3 - a3 * b0) + (a2 * b1 - a1 * b2)
+    sw, sx, sy, sz = w * w, x * x, y * y, z * z
     w0, w1, w2 = weights
-    return w0 * c[..., 0] ** 2 + w1 * c[..., 1] ** 2 + w2 * c[..., 2] ** 2
+    best = None
+    # (w, v1^2, v2^2, v3^2) with v in the (c1, c2, c3) = (x, z, y) slot order
+    for scalar, s1, s2, s3 in ((w, sx, sz, sy), (z, sy, sw, sx)):
+        vv = s1 + s2 + s3
+        theta = 2.0 * np.arctan2(np.sqrt(vv), np.abs(scalar))
+        d2 = np.divide(theta * theta * (w0 * s1 + w1 * s2 + w2 * s3), vv,
+                       out=np.zeros_like(vv), where=vv > 0.0)
+        best = d2 if best is None else np.minimum(best, d2)
+    return best
 
 
 def so3_pair_sq(mats_a, mats_b, weights) -> np.ndarray:
-    """Squared distances for rotation-matrix arrays (..., 3, 3).
-
-    The +/- pi shifts of the relative alpha both equal a right multiplication
-    by R_z(pi) = diag(-1, -1, 1), so exactly two candidate branches exist.
-    """
-    rel = np.einsum("...ji,...jk->...ik", mats_a, mats_b)
-    d2 = _so3_weighted_sq(rel, weights)
-    flipped = rel * np.array([-1.0, -1.0, 1.0])
-    return np.minimum(d2, _so3_weighted_sq(flipped, weights))
+    """Squared distances for rotation-matrix arrays (..., 3, 3): each operand
+    is converted to unit quaternions once, then so3_quat_pair_sq."""
+    return so3_quat_pair_sq(so3_quaternions(mats_a), so3_quaternions(mats_b), weights)
 
 
 def sphere_pair_sq(mats_a, mats_b, weights) -> np.ndarray:

@@ -38,22 +38,14 @@ def cheb_terms(matrix: sp.csr_matrix, x: np.ndarray, n_terms: int) -> np.ndarray
 
 
 def cheb_apply(lap: Laplacian, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the polynomial filter sum_j coeffs[j] T_j(L) to a signal.
-
-    Scalar coefficient vectors filter every channel alike; a (J, d_in, d_out)
-    stack mixes channels like a convolution layer.
-    """
+    """Apply the polynomial filter sum_j coeffs[j] T_j(L) to every channel of
+    a signal; coeffs is a (J,) vector.  Channel mixing is ChebConv's job."""
     if not lap.rescaled:
         raise ValueError("cheb_apply needs the rescaled Laplacian")
     coeffs = np.asarray(coeffs, dtype=float)
-    z = cheb_terms(lap.matrix, np.asarray(x, dtype=float), coeffs.shape[0])
-    if coeffs.ndim == 1:
-        return np.tensordot(coeffs, z, axes=(0, 0))
-    if coeffs.ndim == 3:
-        if x.ndim != 2 or x.shape[1] != coeffs.shape[1]:
-            raise ValueError("signal channels do not match coefficient shape")
-        return np.einsum("jvi,jio->vo", z, coeffs)
-    raise ValueError("coefficients must be (J,) or (J, d_in, d_out)")
+    if coeffs.ndim != 1:
+        raise ValueError("coefficients must be a (J,) vector")
+    return np.tensordot(coeffs, cheb_terms(lap.matrix, np.asarray(x, dtype=float), coeffs.size), 1)
 
 
 def heat_coeffs(tau: float, lambda_max: float, order: int = HEAT_ORDER) -> np.ndarray:

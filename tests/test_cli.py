@@ -250,6 +250,22 @@ def test_vertex_sampled_graph_rejected(graph_path, tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_info_on_vertex_sampled_file(tmp_path, capsys):
+    """A stored vertex-sampled graph keeps no id map, so info reports its
+    slice fractions as unknown instead of reading slices off the new ids."""
+    full = tmp_path / "g.clgr"
+    sub = tmp_path / "s.clgr"
+    assert main(["build-graph", "--kind", "se2", "--nx", "8", "--orient", "4",
+                 "--epsilon", "0.316", "--alpha", "1", "--knn", "16", "--out", str(full)]) == 0
+    assert main(["sample", "--graph", str(full), "--vertices", "0.5", "--seed", "3",
+                 "--out", str(sub)]) == 0
+    assert "neighbors: 0.374 in-slice / 0.626 cross-slice" in capsys.readouterr().out
+    assert main(["info", str(sub)]) == 0
+    out = capsys.readouterr().out
+    assert "neighbors: unknown (vertex-sampled file stores no id map)" in out
+    assert "vertices: 128" in out
+
+
 def test_sample_usage_errors(graph_path, tmp_path):
     out = str(tmp_path / "x.clgr")
     assert main(["sample", "--graph", str(graph_path), "--out", out]) == 2

@@ -27,11 +27,13 @@ from liegraph.graph import (
     sample_vertices,
     xi_from_alpha,
 )
-from liegraph.groups import Metric, distance, se2_matrices, so3_matrices
+from liegraph.groups import GroupKind, Metric, distance, se2_matrices, so3_matrices
+from liegraph.network import build_demo
 from liegraph.sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_r2,
                                grid_se2, grid_s2)
 
 from conftest import EPS_ANISO, built
+from oracles import se2_pair_sq_three_branch, so3_pair_sq_matrix_log
 
 
 def test_metric_resolution():
@@ -125,6 +127,51 @@ def assert_knn_exact(g):
     np.testing.assert_array_equal(i, bi)
     np.testing.assert_array_equal(j, bj)
     np.testing.assert_array_equal(d, pair_distances(g.vertices, g.metric, bi, bj))
+
+
+LIBRARY_KERNEL = graph_module._kernel
+
+
+def oracle_kernel(vertices, metric):
+    """The library's kernel with the oracles swapped in: all three SE(2)
+    branches, and the trace log on SO(3) matrices."""
+    kern = LIBRARY_KERNEL(vertices, metric)
+    if vertices.spec.group_kind is GroupKind.SE2:
+        return kern._replace(fn=se2_pair_sq_three_branch)
+    if vertices.spec.kind is GridKind.SO3_ICOSAHEDRAL:
+        return kern._replace(data=vertices.matrices, fn=so3_pair_sq_matrix_log)
+    return kern
+
+
+GRAPH_ARRAYS = ("indptr", "indices", "weights", "distances")
+
+
+@pytest.mark.parametrize("name", ["se2_8x8x4", "se2_16x16x6", "r2_16x16"])
+def test_se2_graph_matches_three_branch_oracle(name, request, monkeypatch):
+    g = request.getfixturevalue(name)
+    monkeypatch.setattr(graph_module, "_kernel", oracle_kernel)
+    ref = build_graph(g.vertices, g.metric, g.knn)
+    for attr in GRAPH_ARRAYS:
+        assert getattr(g, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+
+
+def test_demo_graphs_match_three_branch_oracle(monkeypatch):
+    demo = build_demo(seed=0)
+    monkeypatch.setattr(graph_module, "_kernel", oracle_kernel)
+    ref = build_demo(seed=0)
+    for g, r in ((demo.fine_graph, ref.fine_graph), (demo.coarse_graph, ref.coarse_graph)):
+        for attr in GRAPH_ARRAYS:
+            assert getattr(g, attr).tobytes() == getattr(r, attr).tobytes(), attr
+
+
+@pytest.mark.parametrize("alpha", [1.0, 100.0])
+def test_so3_graph_matches_matrix_log_oracle(alpha, monkeypatch):
+    g = built(GridKind.SO3_ICOSAHEDRAL, level=2, orient=6, epsilon=EPS_ANISO, alpha=alpha)
+    monkeypatch.setattr(graph_module, "_kernel", oracle_kernel)
+    ref = build_graph(g.vertices, g.metric, g.knn)
+    np.testing.assert_array_equal(g.indptr, ref.indptr)
+    np.testing.assert_array_equal(g.indices, ref.indices)
+    np.testing.assert_allclose(g.distances, ref.distances, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("block", [graph_module.CANDIDATE_BLOCK, SMALL_BLOCK])
@@ -434,3 +481,7 @@ def test_slice_fractions_vertex_sampled(se2_8x8x4):
         _, by_angle = np.unique(theta, return_inverse=True)
         np.testing.assert_array_equal(sub.vertices.orientation_index(np.arange(len(orig))),
                                       by_angle)
+    # without the kept-id map, as read from a file, the slices are unknown
+    sub.vertices.kept = None
+    with pytest.raises(ValueError):
+        slice_neighbor_fractions(sub)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegraph import graph
+from liegraph import graph, sampling
 from liegraph.groups import (
     GroupKind,
     Metric,
@@ -25,6 +25,7 @@ from liegraph.groups import (
     so3_log_matrices,
     so3_matrices,
     so3_pair_sq,
+    so3_quaternions,
     sphere_bound_points,
     sphere_distance,
     sphere_log,
@@ -35,7 +36,10 @@ from oracles import (
     matrix_exp_series,
     matrix_log_series,
     se2_algebra_matrix,
+    se2_pair_sq_three_branch,
     so3_algebra_matrix,
+    so3_pair_sq_matrix_log,
+    so3_pair_sq_mp,
 )
 
 
@@ -139,7 +143,7 @@ def test_log_exp_roundtrip():
 
 
 def test_so3_log_near_pi_branch():
-    """Rotations within the trace cutoff of angle pi still round trip."""
+    """Rotations within 1e-9 to 1e-5 of angle pi round trip."""
     rng = np.random.default_rng(4)
     for _ in range(50):
         axis = rng.standard_normal(3)
@@ -358,3 +362,106 @@ def test_sphere_pair_sq_small_angles():
         b = a @ axis_rotations(tilt_axes, np.full(n, theta))
         d2 = sphere_pair_sq(a, b, np.array([1.0, 10.0, 1.0]))
         np.testing.assert_allclose(d2, theta * theta, rtol=1e-10, atol=0.0)
+
+
+def quaternion_matrices(q):
+    """Rotation matrices of unit quaternions (w, x, y, z), shape (n, 4)."""
+    w, x, y, z = q.T
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+    ], axis=-2)
+
+
+def test_so3_quaternions_rebuild_matrices():
+    """Unit quaternions that rebuild their matrix, on all four of Shepperd's
+    branches: random rotations, and angles near pi about axes near x, y, z."""
+    rng = np.random.Generator(np.random.Philox(63))
+    q = rng.normal(size=(4000, 4))
+    q[1000:, 0] *= 1e-6                        # angles near pi
+    for lead in (1, 2, 3):
+        q[1000 * lead:1000 * (lead + 1), 1:] *= np.where(np.arange(1, 4) == lead, 1.0, 1e-3)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    mats = quaternion_matrices(q)
+    got = so3_quaternions(mats)
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(quaternion_matrices(got), mats, rtol=0, atol=1e-15)
+    sign = np.sign(np.sum(got * q, axis=1))
+    np.testing.assert_allclose(got * sign[:, None], q, rtol=0, atol=1e-15)
+    assert so3_quaternions(mats[0]).shape == (4,)
+
+
+def test_so3_pair_sq_high_precision():
+    """so3_pair_sq is within 1e-11 relative of a 50-digit evaluation of the
+    same float matrices: on random pairs, relative angles pi - 10^u for u in
+    [-9, -3], angles 1e-8 to 1e-6, and the so3 level 3 x 6 pair (167, 1137).
+    Equal inputs give exactly 0.  The trace / antisymmetric-part log misses
+    the bound near pi, where its axis drops the (1 + cos theta)/2 I term."""
+    rng = np.random.Generator(np.random.Philox(64))
+    n = 60
+
+    def zyz(k):
+        return so3_matrices(np.column_stack([rng.uniform(-np.pi, np.pi, k), rng.uniform(0.0, np.pi, k),
+                                             rng.uniform(-np.pi, np.pi, k)]))
+
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    near_pi = zyz(n)
+    # Tiny angles: a turns about the reference axis and b tilts it about a
+    # horizontal axis, so G_a^T G_b is formed without absolute rounding in
+    # its small components.
+    turn = axis_rotations(np.tile([0.0, 0.0, 1.0], (n, 1)), rng.uniform(-np.pi, np.pi, n))
+    psi = rng.uniform(-np.pi, np.pi, n)
+    tilt = np.column_stack([np.cos(psi), np.sin(psi), np.zeros(n)])
+    level3 = sampling.grid_so3(3, 6)
+    a = np.concatenate([zyz(n), near_pi, turn, level3.matrices[[167]]])
+    b = np.concatenate([zyz(n), near_pi @ axis_rotations(axes, np.pi - 10.0 ** rng.uniform(-9.0, -3.0, n)),
+                        turn @ axis_rotations(tilt, 10.0 ** rng.uniform(-8.0, -6.0, n)),
+                        level3.matrices[[1137]]])
+    metric = Metric(epsilon=np.sqrt(0.1), xi=graph.xi_from_alpha(1.0, level3.spec))
+    oracle_err = 0.0
+    for w in BOUND_WEIGHTS + [metric.weights(GroupKind.SO3)]:
+        ref = so3_pair_sq_mp(a, b, w)
+        err = np.abs(so3_pair_sq(a, b, w) - ref) / ref
+        assert err.max() <= 1e-11, (np.argmax(err), err.max())
+        oracle_err = max(oracle_err, np.max(np.abs(so3_pair_sq_matrix_log(a, b, w) - ref) / ref))
+        np.testing.assert_array_equal(so3_pair_sq(a, a, w), 0.0)
+    assert oracle_err > 1e-11
+
+
+ANGLE = st.floats(-4.0, 4.0)
+COORD = st.floats(-3.0, 3.0)
+# Relative angles above this size put the dropped branch ((pi + |dth|) /
+# (pi - |dth|))^2 >= 1 + 1e-9 above the kept one, far beyond rounding.
+BRANCH_EXACT = 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(pa=st.tuples(COORD, COORD, ANGLE), pb=st.tuples(COORD, COORD, ANGLE),
+       same_angle=st.booleans(), eps_sq=st.floats(0.1, 1.0), xi=st.floats(0.05, 10.0))
+def test_se2_pair_sq_matches_three_branches(pa, pb, same_angle, eps_sq, xi):
+    """The two branches se2_pair_sq evaluates give the three-branch minimum
+    bit for bit; where dth + pi and dth - pi tie up to rounding (|dth| below
+    BRANCH_EXACT, dth = 0 included) within 1e-15 relative."""
+    a = np.array(pa)
+    b = np.array([pb[0], pb[1], pa[2] if same_angle else pb[2]])
+    w = Metric(epsilon=np.sqrt(eps_sq), xi=xi).weights(GroupKind.SE2)
+    got, ref = se2_pair_sq(a, b, w), se2_pair_sq_three_branch(a, b, w)
+    if abs(wrap_angle(b[2] - a[2])) > BRANCH_EXACT:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert abs(got - ref) <= 1e-15 * ref
+
+
+def test_se2_pair_sq_matches_three_branches_blocks():
+    """Bit for bit on blocks, with relative angles near 0, +-pi/2 and +-pi."""
+    rng = np.random.Generator(np.random.Philox(65))
+    n = 20000
+    a = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)), rng.uniform(-np.pi, np.pi, n)])
+    near = rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi], n) + rng.choice(
+        [1e-8, -1e-8, 1e-3, -1e-3, 0.5], n)
+    b = np.column_stack([a[:, :2] + rng.normal(0.0, 0.5, (n, 2)), a[:, 2] + near])
+    for w in BOUND_WEIGHTS:
+        got, ref = se2_pair_sq(a, b, w), se2_pair_sq_three_branch(a, b, w)
+        assert got.tobytes() == ref.tobytes()

@@ -29,7 +29,7 @@ from liegraph.network import (
     train_demo,
 )
 from liegraph.sampling import GridKind, GridSpec
-from liegraph.spectral import apply_permutation, cheb_apply, cheb_terms, rotation_permutation
+from liegraph.spectral import apply_permutation, cheb_terms, rotation_permutation
 
 from conftest import EPS_ANISO, built
 from oracles import central_difference, chebconv_einsum, max_pool_reduceat
@@ -319,8 +319,10 @@ def test_chebconv_equivariance(se2_8x8x4_lap):
     # the layer is the channel-mixing Chebyshev filter, batch column by column
     y = conv.forward(x)
     for col in range(x.shape[1]):
-        np.testing.assert_allclose(y[:, col], cheb_apply(conv.lap, x[:, col], conv.theta) + conv.bias,
-                                   rtol=0, atol=1e-12)
+        xc = x[:, col:col + 1]
+        ref = chebconv_einsum(cheb_terms(conv.lap.matrix, xc, conv.order), conv.theta, conv.bias,
+                              np.zeros(xc.shape[:2] + (conv.n_out,)), conv.lap.matrix)[0]
+        np.testing.assert_allclose(y[:, col], ref[:, 0], rtol=0, atol=1e-12)
 
 
 def test_pool_equivariance():

@@ -21,7 +21,7 @@ from liegraph.spectral import (
 )
 
 from conftest import EPS_ANISO, built
-from oracles import eigensystem_shift_invert
+from oracles import chebconv_einsum, eigensystem_shift_invert
 
 LANCZOS_K = 16
 
@@ -62,18 +62,19 @@ def test_cheb_apply_matches_dense(small_lap):
 
 
 def test_cheb_apply_channel_mixing(small_lap):
+    """The channel-mixing filter (the einsum oracle of ChebConv) is the sum
+    of scalar cheb_apply filters over input channels."""
     r = rescale(small_lap)
     rng = np.random.Generator(np.random.Philox(2))
     n = r.matrix.shape[0]
-    x = rng.standard_normal((n, 3))
+    x = rng.standard_normal((n, 1, 3))
     coeffs = rng.standard_normal((5, 3, 2))
-    out = cheb_apply(r, x, coeffs)
-    assert out.shape == (n, 2)
-    # each output channel is the sum of scalar filters over input channels
+    out = chebconv_einsum(cheb_terms(r.matrix, x, 5), coeffs, np.zeros(2),
+                          np.zeros((n, 1, 2)), r.matrix)[0][:, 0]
     manual = np.zeros((n, 2))
     for ci in range(3):
         for co in range(2):
-            manual[:, co] += cheb_apply(r, x[:, ci], coeffs[:, ci, co])
+            manual[:, co] += cheb_apply(r, x[:, 0, ci], coeffs[:, ci, co])
     np.testing.assert_allclose(out, manual, atol=1e-12)
 
 
