@@ -7,8 +7,8 @@ from .groups import (GroupElement, GroupKind, Metric, compose, distance,
 from .sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_r2,
                        grid_s2, grid_se2, grid_so3, icosphere, icosphere_parents)
 from .graph import (Laplacian, ManifoldGraph, build_graph, default_knn,
-                    fixed_lambda_max, laplacian, make_metric, power_lambda_max,
-                    rescale, sample_edges, sample_vertices,
+                    edge_weights, fixed_lambda_max, laplacian, make_metric,
+                    power_lambda_max, rescale, sample_edges, sample_vertices,
                     slice_neighbor_fractions, xi_from_alpha)
 from .spectral import (EigenSystem, apply_permutation, cheb_apply, cheb_terms,
                        eigensystem, eigenvalue_groups, equivariance_error, gft,

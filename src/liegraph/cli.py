@@ -3,7 +3,7 @@
 Every command prints its effective configuration as a single sorted
 `config:` line before doing anything, so runs are reproducible from logs
 alone.  Exit codes: 0 success / check passed, 1 failing check or diverged
-training, 2 usage or file-format errors.
+training, 2 usage, file-format or file-system (OSError) errors.
 """
 
 from __future__ import annotations
@@ -52,12 +52,8 @@ def _graph_summary(graph: ManifoldGraph, lambda_max: float | None) -> None:
     print(f"bandwidth: {graph.bandwidth:.12g}")
     if lambda_max is not None:
         print(f"lambda_max: {lambda_max:.12g}")
-    try:
-        in_f, cross_f = slice_neighbor_fractions(graph)
-    except ValueError:
-        print("neighbors: unknown (vertex-sampled file stores no id map)")
-    else:
-        print(f"neighbors: {in_f:.3f} in-slice / {cross_f:.3f} cross-slice")
+    in_f, cross_f = slice_neighbor_fractions(graph)
+    print(f"neighbors: {in_f:.3f} in-slice / {cross_f:.3f} cross-slice")
     for note in graph.notes:
         print(f"note: {note}")
 
@@ -290,10 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except io.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (io.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

@@ -4,9 +4,9 @@ K-NN selection searches a cKDTree over a Euclidean embedding whose
 distances never exceed the anisotropic ones, then scores each vertex's
 candidates with the exact kernel; the all-pairs scan it replaces stays as
 the test reference, knn_pairs_bruteforce.  Every undirected edge's
-distance, weight and Laplacian entry are computed once in (low id, high id)
-orientation and mirrored, so adjacency and Laplacian are symmetric at the
-bit level.
+distance is computed once in (low id, high id) orientation and mirrored;
+weights and Laplacian entries are elementwise functions of the mirrored
+distances, so adjacency and Laplacian are symmetric at the bit level.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class ManifoldGraph:
     weights: np.ndarray
     distances: np.ndarray
     notes: tuple[str, ...] = ()
-    id_map: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -227,13 +226,22 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     return _unique_pairs(n, picks)
 
 
+def edge_weights(distances: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian weights exp(-d^2 / (4t)) for bandwidth t > 0, 0 where the
+    exponent overflows; all ones at t = 0 (every selected pair coincides)."""
+    if bandwidth > 0.0:
+        with np.errstate(over="ignore"):
+            return np.exp(-(distances ** 2) / (4.0 * bandwidth))
+    return np.ones_like(distances)
+
+
 def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
                 alpha: float | None = None) -> ManifoldGraph:
     """K-NN graph (pairs from knn_pairs) with Gaussian edge weights.
 
-    The bandwidth is set to BANDWIDTH_FRACTION times the mean squared edge
-    distance and weights are exp(-d^2 / (4t)).  K is clamped to |V| - 1 with
-    a note when the sampling is too small.
+    The bandwidth t is set to BANDWIDTH_FRACTION times the mean squared edge
+    distance, and the weights are edge_weights(d, t).  K is clamped to
+    |V| - 1 with a note when the sampling is too small.
     """
     n = len(vertices)
     spec = vertices.spec
@@ -255,29 +263,18 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     else:
         i, j = knn_pairs(vertices, kern, k)
     dist = np.sqrt(kern.fn(kern.data[i], kern.data[j], kern.w)) if i.size else np.zeros(0)
-
-    if dist.size:
-        t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2))
-    else:
-        t = 0.0
-    if t > 0.0:
-        w = np.exp(-(dist ** 2) / (4.0 * t))
-    else:
-        w = np.ones_like(dist)   # degenerate: all selected pairs coincide
-
-    indptr, indices, data = _mirrored_csr(n, i, j, np.stack([w, dist], axis=-1) if w.size else np.zeros((0, 2)))
+    t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2)) if dist.size else 0.0
+    indptr, indices, dist = _mirrored_csr(n, i, j, dist)
     return ManifoldGraph(vertices, metric, k, t, alpha, indptr, indices,
-                         data[:, 0].copy(), data[:, 1].copy(), tuple(notes))
+                         edge_weights(dist, t), dist, tuple(notes))
 
 
 def _mirrored_csr(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray):
-    """CSR structure holding each undirected pair in both orientations.
-
-    values may be (m, c); the mirrored copies share the exact same floats.
-    """
+    """CSR structure holding each undirected pair in both orientations; the
+    mirrored copies share the exact same floats."""
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
-    vals = np.concatenate([values, values], axis=0)
+    vals = np.concatenate([values, values])
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     counts = np.bincount(rows, minlength=n)
@@ -323,12 +320,13 @@ def laplacian(graph: ManifoldGraph) -> Laplacian:
     so mirrored entries share the same floats.  A vertex of degree 0, with no
     edges or with only zero-weight ones, gets an empty row and column."""
     n = graph.n_vertices
-    deg = graph.degrees()
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    deg = np.bincount(rows, weights=graph.weights, minlength=n)
     scale = np.sqrt(deg[rows] * deg[graph.indices])
     vals = np.divide(-graph.weights, scale, out=np.zeros(scale.size), where=scale > 0.0)
     off = sp.csr_matrix((vals, graph.indices, graph.indptr), shape=(n, n))
-    return Laplacian((off + sp.diags((deg > 0.0).astype(float))).tocsr())
+    ids = np.arange(n + 1)
+    return Laplacian(off + sp.csr_matrix(((deg > 0.0).astype(float), ids[:-1], ids), (n, n)))
 
 
 def power_lambda_max(lap: Laplacian, tol: float = 1e-6, max_iter: int = 1000,
@@ -418,8 +416,8 @@ def _keep_probabilities(w: np.ndarray, kappa: float) -> tuple[np.ndarray, float]
 
 def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:
     """Keep each edge with probability min(1, c w), c solved exactly so the
-    expected surviving count is kappa * |E|.  Weights are kept as-is;
-    kappa >= 1 returns the identical graph."""
+    expected surviving count is kappa * |E|.  Surviving edges keep their
+    distances, hence their weights; kappa >= 1 returns the identical graph."""
     i, j, w, dist = graph.edge_pairs()
     p, c = _keep_probabilities(w, kappa)
     if kappa >= 1.0 or i.size == 0:
@@ -428,11 +426,10 @@ def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph
     keep = rng.random(i.size) < p
     note = (f"edge sampling kappa={kappa} kept {int(keep.sum())} of {i.size} "
             f"(expected {p.sum():.1f}, c={c:.6g})",)
-    data = np.stack([w[keep], dist[keep]], axis=-1) if keep.any() else np.zeros((0, 2))
-    indptr, indices, vals = _mirrored_csr(graph.n_vertices, i[keep], j[keep], data)
-    return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth,
-                         graph.alpha, indptr, indices, vals[:, 0].copy(), vals[:, 1].copy(),
-                         graph.notes + note, graph.id_map)
+    indptr, indices, dist = _mirrored_csr(graph.n_vertices, i[keep], j[keep], dist[keep])
+    return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth, graph.alpha,
+                         indptr, indices, edge_weights(dist, graph.bandwidth), dist,
+                         graph.notes + note)
 
 
 def edge_keep_probabilities(graph: ManifoldGraph, kappa: float) -> np.ndarray:
@@ -443,8 +440,9 @@ def edge_keep_probabilities(graph: ManifoldGraph, kappa: float) -> np.ndarray:
 def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:
     """Induced subgraph on a uniform vertex subset of size ceil(kappa |V|).
 
-    The kept-id map lands in `id_map` (new index -> original id); edge
-    weights and the bandwidth are inherited, not recomputed.
+    The map from new index to original id, composed over repeated
+    sampling, lands in `vertices.kept`; distances and the bandwidth are
+    inherited, hence the weights too.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must lie in (0, 1]")
@@ -455,15 +453,14 @@ def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGr
     new_id = np.full(n, -1, dtype=np.int64)
     new_id[kept] = np.arange(n_keep)
 
-    i, j, w, dist = graph.edge_pairs()
+    i, j, _, dist = graph.edge_pairs()
     alive = (new_id[i] >= 0) & (new_id[j] >= 0)
-    data = np.stack([w[alive], dist[alive]], axis=-1) if alive.any() else np.zeros((0, 2))
-    indptr, indices, vals = _mirrored_csr(n_keep, new_id[i[alive]], new_id[j[alive]], data)
+    indptr, indices, dist = _mirrored_csr(n_keep, new_id[i[alive]], new_id[j[alive]], dist[alive])
 
     verts = graph.vertices
     sub = VertexSet(verts.spec, verts.params[kept].copy(), verts.matrices[kept].copy(),
                     kept if verts.kept is None else verts.kept[kept])
     note = (f"vertex sampling kappa={kappa} kept {n_keep} of {n} vertices",)
     return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, graph.alpha,
-                         indptr, indices, vals[:, 0].copy(), vals[:, 1].copy(),
-                         graph.notes + note, kept)
+                         indptr, indices, edge_weights(dist, graph.bandwidth), dist,
+                         graph.notes + note)

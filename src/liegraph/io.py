@@ -1,8 +1,10 @@
 """Binary containers (CLGR graphs, CLSG signals, CLMD models) and CSV export.
 
-All integers and floats are little-endian; arrays are C-order.  Readers
-validate as they go and raise FormatError carrying the byte offset of the
-first bad field, which the CLI maps to exit code 2.
+All integers and floats are little-endian; arrays are C-order.  Each
+container opens with a 4-byte magic and its own u32 version (CLGR 2, CLSG
+and CLMD 1); other versions are rejected.  Readers validate as they go and
+raise FormatError carrying the byte offset of the first bad field, which
+the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Laplacian, ManifoldGraph
+from .graph import Laplacian, ManifoldGraph, edge_weights, laplacian
 from .groups import GroupKind, Metric, se2_matrices, so3_matrices
 from .sampling import GridKind, GridSpec, VertexSet
 from . import network
@@ -20,7 +22,9 @@ from . import network
 GRAPH_MAGIC = b"CLGR"
 SIGNAL_MAGIC = b"CLSG"
 MODEL_MAGIC = b"CLMD"
-FORMAT_VERSION = 1
+GRAPH_VERSION = 2
+SIGNAL_VERSION = 1
+MODEL_VERSION = 1
 
 KIND_CODES = {
     GridKind.SE2_GRID: 0,
@@ -68,13 +72,12 @@ class _Reader:
         size = np.dtype(dtype).itemsize * count
         return np.frombuffer(self.take(size), dtype=dtype).copy()
 
-    def expect_magic(self, magic: bytes):
+    def expect_magic(self, magic: bytes, version: int):
         got = self.take(4)
         if got != magic:
             raise FormatError(f"bad magic {got!r}, expected {magic!r}", 0)
-        version = self.scalar("<I")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported version {version}", 4)
+        if (got := self.scalar("<I")) != version:
+            raise FormatError(f"unsupported version {got}", 4)
 
 
 def _u32(v) -> bytes:
@@ -102,27 +105,41 @@ def _f64s(a) -> bytes:
 
 
 def write_graph(path, graph: ManifoldGraph, lap: Laplacian | None = None) -> None:
-    if lap is not None and lap.rescaled:
-        raise ValueError("store the raw Laplacian, not the rescaled one")
-    if lap is not None and lap.lambda_max is None:
-        raise ValueError("stored Laplacians carry lambda_max; estimate it first")
-    spec = graph.vertices.spec
-    parts = [GRAPH_MAGIC, _u32(FORMAT_VERSION),
-             struct.pack("<B", KIND_CODES[spec.kind]),
+    """Store a graph and, optionally, the lambda_max of its raw Laplacian.
+
+    Layout after magic and version: kind u8; nx, ny, level, n_orient u32;
+    epsilon, xi, alpha f64 (offset 25); knn u32; bandwidth f64 (offset 53);
+    n u64; params n x 3 f64; kept flag u8, then n u64 original ids if set;
+    indptr (n + 1) u64, edge count u64, indices u64, distances f64;
+    Laplacian flag u8, then lambda_max f64 if set.  read_graph rebuilds
+    weights and Laplacian; ValueError if they would differ from the graph's
+    and lap's, or if a vertex-sampled set has no kept-id map.
+    """
+    if lap is not None and (lap.rescaled or lap.lambda_max is None):
+        raise ValueError("store the raw Laplacian with its estimated lambda_max")
+    verts, spec = graph.vertices, graph.vertices.spec
+    if verts.kept is None and len(verts) < spec.n_vertices:
+        raise ValueError("a vertex-sampled graph needs its kept-id map")
+    if not _bit_equal(graph.weights, edge_weights(graph.distances, graph.bandwidth)):
+        raise ValueError("weights are not edge_weights(distances, bandwidth)")
+    if lap is not None and not _bit_equal(lap.matrix, laplacian(graph).matrix):
+        raise ValueError("the Laplacian is not laplacian(graph)")
+    parts = [GRAPH_MAGIC, _u32(GRAPH_VERSION), struct.pack("<B", KIND_CODES[spec.kind]),
              _u32(spec.nx), _u32(spec.ny), _u32(spec.level), _u32(spec.n_orient),
              _f64(graph.metric.epsilon), _f64(graph.metric.xi), _f64(graph.alpha),
-             _u32(graph.knn), _f64(graph.bandwidth),
-             _u64(len(graph.vertices)), _f64s(graph.vertices.params),
+             _u32(graph.knn), _f64(graph.bandwidth), _u64(len(verts)), _f64s(verts.params),
+             b"\x00" if verts.kept is None else b"\x01" + _u64s(verts.kept),
              _u64s(graph.indptr), _u64(graph.indices.size), _u64s(graph.indices),
-             _f64s(graph.weights), _f64s(graph.distances)]
-    if lap is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        m = lap.matrix
-        parts += [struct.pack("<B", 1), _u64s(m.indptr), _u64(m.indices.size),
-                  _u64s(m.indices), _f64s(m.data), _f64(lap.lambda_max)]
+             _f64s(graph.distances), b"\x00" if lap is None else b"\x01" + _f64(lap.lambda_max)]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
+
+
+def _bit_equal(a, b) -> bool:
+    """True when two arrays, or the arrays of two CSR matrices, hold the same bits."""
+    if sp.issparse(a):
+        return all(_bit_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _reject(bad: np.ndarray, message: str, pos: int) -> None:
@@ -132,29 +149,38 @@ def _reject(bad: np.ndarray, message: str, pos: int) -> None:
         raise FormatError(f"{message} (entry {first})", pos + 8 * first)
 
 
+def _flag(r: _Reader, name: str) -> bool:
+    flag = r.scalar("<B")
+    if flag > 1:
+        raise FormatError(f"{name} flag must be 0 or 1, got {flag}", r.pos - 1)
+    return flag == 1
+
+
 def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
+    """Read a CLGR file (layout in write_graph), rebuilding weights and Laplacian."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "graph file")
-    r.expect_magic(GRAPH_MAGIC)
+    r.expect_magic(GRAPH_MAGIC, GRAPH_VERSION)
 
     kind_pos = r.pos
     kind_code = r.scalar("<B")
     if kind_code not in KIND_FROM_CODE:
         raise FormatError(f"unknown sampling kind {kind_code}", kind_pos)
-    kind = KIND_FROM_CODE[kind_code]
     nx, ny = r.scalar("<I"), r.scalar("<I")
     level, n_orient = r.scalar("<I"), r.scalar("<I")
     try:
-        spec = GridSpec(kind, nx=nx, ny=ny, level=level, n_orient=n_orient)
+        spec = GridSpec(KIND_FROM_CODE[kind_code], nx=nx, ny=ny, level=level, n_orient=n_orient)
     except ValueError as exc:
         raise FormatError(f"inconsistent sampling fields: {exc}", kind_pos) from exc
 
     metric_pos = r.pos
     eps, xi, alpha = r.scalar("<d"), r.scalar("<d"), r.scalar("<d")
-    knn = r.scalar("<I")
-    bandwidth = r.scalar("<d")
-    if not (eps > 0.0 and xi > 0.0):
-        raise FormatError("metric parameters must be positive", metric_pos)
+    try:
+        metric = Metric(epsilon=eps, xi=xi)
+    except ValueError as exc:
+        raise FormatError(str(exc), metric_pos) from exc
+    knn, t_pos = r.scalar("<I"), r.pos
+    t = r.scalar("<d")
 
     nv_pos = r.pos
     n = r.scalar("<Q")
@@ -162,6 +188,14 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
         raise FormatError(f"vertex count {n} exceeds the sampling size "
                           f"{spec.n_vertices}", nv_pos)
     params = r.array("<f8", n * 3).reshape(n, 3)
+    kept_pos = r.pos
+    kept = r.array("<u8", n) if _flag(r, "kept-id map") else None
+    if kept is not None:
+        _reject(np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept >= spec.n_vertices),
+                "kept ids are not strictly ascending ids of the sampling", kept_pos + 1)
+        kept = kept.astype(np.int64)
+    elif n < spec.n_vertices:
+        raise FormatError(f"{n} of {spec.n_vertices} vertices but no kept-id map", kept_pos)
 
     indptr_pos = r.pos
     indptr = r.array("<u8", n + 1).astype(np.int64)
@@ -173,60 +207,39 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
         raise FormatError(f"edge count {nnz} contradicts row pointers "
                           f"({indptr[-1]})", nnz_pos)
     idx_pos = r.pos
-    indices = r.array("<u8", nnz).astype(np.int64)
+    indices = r.array("<u8", nnz)
     if nnz and indices.max() >= n:
         raise FormatError("adjacency column index out of range", idx_pos)
+    indices = indices.astype(np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
     _reject(rows == indices, "adjacency has a self-loop", idx_pos)
     _reject(np.concatenate([[False], (np.diff(indices) <= 0) & (np.diff(rows) == 0)]),
             "adjacency row is not strictly ascending", idx_pos)
-    w_pos = r.pos
-    weights = r.array("<f8", nnz)
     d_pos = r.pos
     distances = r.array("<f8", nnz)
     # With strictly ascending rows, a symmetric adjacency has the same layout
     # by columns as by rows, and the entry permutation one CSR-to-CSC
-    # conversion carries maps weights and distances onto themselves.
+    # conversion carries maps the distances onto themselves.
     by_col = sp.csr_matrix((np.arange(nnz), indices, indptr), shape=(n, n)).tocsc()
     _reject(by_col.indptr != indptr, "adjacency is not symmetric: row and column counts differ",
             indptr_pos)
     _reject(by_col.indices != indices, "adjacency is not symmetric", idx_pos)
-    for values, name, pos in ((weights, "weight", w_pos), (distances, "distance", d_pos)):
-        _reject(~np.isfinite(values) | (values < 0.0), f"edge {name} is negative or not finite", pos)
-        _reject(values[by_col.data].view(np.uint64) != values.view(np.uint64),
-                f"edge {name}s are not symmetric", pos)
+    _reject(~np.isfinite(distances) | (distances < 0.0), "edge distance is negative or not finite",
+            d_pos)
+    _reject(distances[by_col.data].view(np.uint64) != distances.view(np.uint64),
+            "edge distances are not symmetric", d_pos)
+    if not 0.0 <= t < np.inf or (t == 0.0 and distances.any()):
+        raise FormatError(f"bandwidth {t} is < 0, not finite, or 0 with a distance > 0", t_pos)
 
     matrices = se2_matrices(params) if spec.group_kind is GroupKind.SE2 else so3_matrices(params)
-    verts = VertexSet(spec, params, matrices)
-    metric = Metric(epsilon=eps, xi=xi)
-    graph = ManifoldGraph(verts, metric, knn, bandwidth, alpha, indptr,
-                          indices, weights, distances)
-
-    has_lap = r.scalar("<B")
+    graph = ManifoldGraph(VertexSet(spec, params, matrices, kept), metric, knn, t, alpha,
+                          indptr, indices, edge_weights(distances, t), distances)
     lap = None
-    if has_lap == 1:
-        lp_pos = r.pos
-        lap_indptr = r.array("<u8", n + 1).astype(np.int64)
-        if lap_indptr[0] != 0 or np.any(np.diff(lap_indptr) < 0):
-            raise FormatError("Laplacian row pointers are not monotone", lp_pos)
-        lnnz_pos = r.pos
-        lap_nnz = r.scalar("<Q")
-        if lap_nnz != lap_indptr[-1]:
-            raise FormatError(f"Laplacian entry count {lap_nnz} contradicts row "
-                              f"pointers ({lap_indptr[-1]})", lnnz_pos)
-        li_pos = r.pos
-        lap_indices = r.array("<u8", lap_nnz).astype(np.int64)
-        if lap_nnz and lap_indices.max() >= n:
-            raise FormatError("Laplacian column index out of range", li_pos)
-        lap_data = r.array("<f8", lap_nnz)
-        lam_pos = r.pos
-        lam = r.scalar("<d")
+    if _flag(r, "Laplacian"):
+        lam_pos, lam = r.pos, r.scalar("<d")
         if not 0.0 < lam <= 2.0:
             raise FormatError(f"lambda_max {lam} outside (0, 2]", lam_pos)
-        mat = sp.csr_matrix((lap_data, lap_indices, lap_indptr), shape=(n, n))
-        lap = Laplacian(mat, lam)
-    elif has_lap != 0:
-        raise FormatError(f"Laplacian flag must be 0 or 1, got {has_lap}", r.pos - 1)
+        lap = Laplacian(laplacian(graph).matrix, lam)
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
     return graph, lap
@@ -243,14 +256,14 @@ def write_signal(path, values: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError("signals are (V,) or (V, d)")
     with open(path, "wb") as fh:
-        fh.write(b"".join([SIGNAL_MAGIC, _u32(FORMAT_VERSION),
+        fh.write(b"".join([SIGNAL_MAGIC, _u32(SIGNAL_VERSION),
                            _u64(arr.shape[0]), _u32(arr.shape[1]), _f64s(arr)]))
 
 
 def read_signal(path) -> np.ndarray:
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "signal file")
-    r.expect_magic(SIGNAL_MAGIC)
+    r.expect_magic(SIGNAL_MAGIC, SIGNAL_VERSION)
     n = r.scalar("<Q")
     d_pos = r.pos
     d = r.scalar("<I")
@@ -291,7 +304,7 @@ def _read_plan(r: _Reader) -> network.PoolPlan:
 
 
 def write_model(path, model: network.Model) -> None:
-    parts = [MODEL_MAGIC, _u32(FORMAT_VERSION), _u32(len(model.layers))]
+    parts = [MODEL_MAGIC, _u32(MODEL_VERSION), _u32(len(model.layers))]
     for layer in model.layers:
         if isinstance(layer, network.ChebConv):
             parts += [struct.pack("<B", 0), _u32(layer.order), _u32(layer.n_in),
@@ -327,7 +340,7 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "model file")
-    r.expect_magic(MODEL_MAGIC)
+    r.expect_magic(MODEL_MAGIC, MODEL_VERSION)
     n_layers = r.scalar("<I")
     laps = list(laplacians or [])
     layers = []

@@ -96,9 +96,6 @@ class PoolMode(Enum):
     S2_AVG = "s2avg"
 
 
-MAX_MODES = (PoolMode.R2_MAX, PoolMode.S2_MAX)
-
-
 @dataclass
 class PoolPlan:
     """Fine-to-coarse cluster assignment with a precomputed segment layout.

@@ -26,7 +26,6 @@ class GridKind(Enum):
     S2_ICOSAHEDRAL = "s2"
 
 
-LIFTED_KINDS = (GridKind.SE2_GRID, GridKind.SO3_ICOSAHEDRAL)
 PLANAR_KINDS = (GridKind.SE2_GRID, GridKind.R2_GRID)
 
 

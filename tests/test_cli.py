@@ -251,8 +251,8 @@ def test_vertex_sampled_graph_rejected(graph_path, tmp_path, capsys):
 
 
 def test_info_on_vertex_sampled_file(tmp_path, capsys):
-    """A stored vertex-sampled graph keeps no id map, so info reports its
-    slice fractions as unknown instead of reading slices off the new ids."""
+    """A stored vertex-sampled graph keeps its kept-id map, so info reads the
+    slice fractions off the original ids, as for the in-memory graph."""
     full = tmp_path / "g.clgr"
     sub = tmp_path / "s.clgr"
     assert main(["build-graph", "--kind", "se2", "--nx", "8", "--orient", "4",
@@ -262,8 +262,30 @@ def test_info_on_vertex_sampled_file(tmp_path, capsys):
     assert "neighbors: 0.374 in-slice / 0.626 cross-slice" in capsys.readouterr().out
     assert main(["info", str(sub)]) == 0
     out = capsys.readouterr().out
-    assert "neighbors: unknown (vertex-sampled file stores no id map)" in out
+    assert "neighbors: 0.374 in-slice / 0.626 cross-slice" in out
     assert "vertices: 128" in out
+
+
+def test_info_on_version_1_file(graph_path, tmp_path, capsys):
+    """Graph files of version 1 are not read: one error line, exit 2."""
+    old = tmp_path / "v1.clgr"
+    old.write_bytes(io.GRAPH_MAGIC + (1).to_bytes(4, "little") + graph_path.read_bytes()[8:])
+    assert main(["info", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unsupported version 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "{dir}"],
+    ["build-graph", "--kind", "r2", "--nx", "3", "--out", "{dir}"],
+    ["train-demo", "--epochs", "0", "--metrics", "{dir}"],
+])
+def test_os_errors_exit_2(tmp_path, capsys, argv):
+    """A path that cannot be read or written (here a directory) ends in one
+    error line and exit 2, not a traceback."""
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_sample_usage_errors(graph_path, tmp_path):

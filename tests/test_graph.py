@@ -439,16 +439,16 @@ def test_sample_edges_deterministic(se2_8x8x4):
 def test_sample_vertices(se2_8x8x4):
     sub = sample_vertices(se2_8x8x4, 0.5, seed=3)
     assert sub.n_vertices == 128
-    assert sub.id_map.shape == (128,)
-    assert np.all(np.diff(sub.id_map) > 0)
+    assert sub.vertices.kept.shape == (128,)
+    assert np.all(np.diff(sub.vertices.kept) > 0)
     # inherited bandwidth, induced edges only
     assert sub.bandwidth == se2_8x8x4.bandwidth
     i, j, w, _ = sub.edge_pairs()
     orig = {(a, b): ww for a, b, ww, _ in zip(*se2_8x8x4.edge_pairs())}
-    for a, b, ww in zip(sub.id_map[i], sub.id_map[j], w):
+    for a, b, ww in zip(sub.vertices.kept[i], sub.vertices.kept[j], w):
         assert orig[(min(a, b), max(a, b))] == ww
     np.testing.assert_array_equal(sub.vertices.params,
-                                  se2_8x8x4.vertices.params[sub.id_map])
+                                  se2_8x8x4.vertices.params[sub.vertices.kept])
     with pytest.raises(ValueError):
         sample_vertices(se2_8x8x4, 0.0, seed=0)
     with pytest.raises(ValueError):
@@ -474,14 +474,14 @@ def test_slice_fractions_vertex_sampled(se2_8x8x4):
     for seed in (3, 4):
         sub = sample_vertices(se2_8x8x4, 0.5, seed)
         i, j, _, _ = sub.edge_pairs()
-        orig = sub.id_map
+        orig = sub.vertices.kept
         expected = float(np.mean(orig[i] // ns == orig[j] // ns))
         assert slice_neighbor_fractions(sub) == pytest.approx((expected, 1.0 - expected))
         theta = sub.vertices.params[:, 2]
         _, by_angle = np.unique(theta, return_inverse=True)
         np.testing.assert_array_equal(sub.vertices.orientation_index(np.arange(len(orig))),
                                       by_angle)
-    # without the kept-id map, as read from a file, the slices are unknown
+    # a vertex subset built without the kept-id map has unknown slices
     sub.vertices.kept = None
     with pytest.raises(ValueError):
         slice_neighbor_fractions(sub)

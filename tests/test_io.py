@@ -1,14 +1,17 @@
 """Serialization tests: byte-identical round trips and corruption reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from liegraph import io
-from liegraph.graph import laplacian, power_lambda_max, rescale
+from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
+                            sample_vertices)
 from liegraph.network import Model, PoolMode, Unpool, build_demo, r2_pool_plan
 from liegraph.sampling import GridKind, GridSpec
 
-from conftest import built
+from conftest import EPS_ANISO, built
 
 
 def read_bytes(path):
@@ -53,6 +56,64 @@ def test_write_graph_validation(tmp_path, se2_8x8x4, se2_8x8x4_lap):
         io.write_graph(tmp_path / "x.clgr", se2_8x8x4, rescale(se2_8x8x4_lap))
     with pytest.raises(ValueError):
         io.write_graph(tmp_path / "x.clgr", se2_8x8x4, laplacian(se2_8x8x4))
+
+
+def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8x4_lap):
+    """The file keeps distances and lambda_max only, so weights that are not
+    the kernel of the distances, or a Laplacian of another graph, raise."""
+    path = tmp_path / "x.clgr"
+    off = dataclasses.replace(se2_8x8x4, weights=np.nextafter(se2_8x8x4.weights, 2.0))
+    with pytest.raises(ValueError, match="edge_weights"):
+        io.write_graph(path, off)
+    other = sample_edges(se2_8x8x4, 0.5, seed=1)
+    with pytest.raises(ValueError, match="laplacian"):
+        io.write_graph(path, se2_8x8x4, power_lambda_max(laplacian(other)))
+    verts = sample_vertices(se2_8x8x4, 0.5, seed=3)
+    no_map = dataclasses.replace(verts, vertices=dataclasses.replace(verts.vertices, kept=None))
+    with pytest.raises(ValueError, match="kept"):
+        io.write_graph(path, no_map)
+    assert not path.exists()
+
+
+def _sampled(kind, **fields):
+    g = built(kind, **fields)
+    return {"full": g, "edges": sample_edges(g, 0.5, seed=4),
+            "vertices": sample_vertices(g, 0.5, seed=5)}
+
+
+ROUNDTRIP_CASES = {
+    "se2_16x16x6": dict(kind=GridKind.SE2_GRID, nx=16, ny=16, orient=6, epsilon=EPS_ANISO,
+                        alpha=1.0, knn=16),
+    "so3_2x6": dict(kind=GridKind.SO3_ICOSAHEDRAL, level=2, orient=6, epsilon=EPS_ANISO,
+                    alpha=1.0, knn=16),
+    "s2_3": dict(kind=GridKind.S2_ICOSAHEDRAL, level=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDTRIP_CASES))
+def test_graph_roundtrip_rebuilds_bit_identical(tmp_path, case):
+    """Weights and the Laplacian come back bit for bit although the file
+    holds neither, and write -> read -> write gives identical bytes."""
+    for name, g in _sampled(**ROUNDTRIP_CASES[case]).items():
+        lap = power_lambda_max(laplacian(g))
+        first, second = tmp_path / f"{name}.clgr", tmp_path / f"{name}2.clgr"
+        io.write_graph(first, g, lap)
+        back, back_lap = io.read_graph(first)
+        for attr in ("indptr", "indices", "weights", "distances"):
+            assert getattr(back, attr).tobytes() == getattr(g, attr).tobytes(), name
+        for attr in ("indptr", "indices", "data"):
+            assert (getattr(back_lap.matrix, attr).tobytes()
+                    == getattr(lap.matrix, attr).tobytes()), name
+        assert back_lap.lambda_max == lap.lambda_max
+        if g.vertices.kept is None:
+            assert back.vertices.kept is None
+        else:
+            np.testing.assert_array_equal(back.vertices.kept, g.vertices.kept)
+        io.write_graph(second, back, back_lap)
+        data = read_bytes(first)
+        assert data == read_bytes(second), name
+        # after the distances come only the Laplacian flag and lambda_max
+        assert len(data) == graph_layout(data)["lap_flag"] + 1 + 8
 
 
 def test_signal_roundtrip(tmp_path):
@@ -172,12 +233,18 @@ def test_trailing_bytes(tmp_path, graph_file):
     assert exc.value.offset == len(data)
 
 
+def test_version_1_rejected(tmp_path, graph_file):
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, 4, (1).to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="unsupported version 1") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 4
+
+
 def test_non_monotone_indptr(tmp_path, graph_file):
     _, data = graph_file
-    # header is 61 bytes, then the vertex count (8) and params (n * 24); the
-    # second indptr entry sits 8 bytes into the indptr block
-    n = 32
-    indptr_pos = 61 + 8 + n * 24
+    # the second indptr entry sits 8 bytes into the indptr block
+    indptr_pos = graph_layout(data)["indptr"]
     bad = bytearray(data)
     bad[indptr_pos + 8:indptr_pos + 16] = (2 ** 40).to_bytes(8, "little")
     path = write_tmp(tmp_path, bytes(bad))
@@ -187,13 +254,17 @@ def test_non_monotone_indptr(tmp_path, graph_file):
 
 
 def graph_layout(data: bytes) -> dict:
-    """Byte offsets of the adjacency arrays in a CLGR file with a Laplacian."""
+    """Byte offsets of the fields of a CLGR file after the fixed 61-byte
+    header (which puts the metric at 25 and the bandwidth at 53)."""
     n = int.from_bytes(data[61:69], "little")
-    indptr = 69 + 24 * n
+    kept_flag = 69 + 24 * n
+    kept = kept_flag + 1 if data[kept_flag] == 1 else None
+    indptr = kept_flag + 1 + (8 * n if kept is not None else 0)
     nnz = int.from_bytes(data[indptr + 8 * (n + 1):indptr + 8 * (n + 2)], "little")
     indices = indptr + 8 * (n + 2)
-    return {"n": n, "nnz": nnz, "indptr": indptr, "indices": indices,
-            "weights": indices + 8 * nnz, "distances": indices + 16 * nnz}
+    return {"n": n, "nnz": nnz, "kept_flag": kept_flag, "kept": kept, "indptr": indptr,
+            "indices": indices, "distances": indices + 8 * nnz,
+            "lap_flag": indices + 16 * nnz}
 
 
 def put(data: bytes, offset: int, raw: bytes) -> bytes:
@@ -202,7 +273,7 @@ def put(data: bytes, offset: int, raw: bytes) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("field", ["weights", "distances"])
+@pytest.mark.parametrize("field", ["distances"])
 @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
 def test_bad_edge_values(tmp_path, graph_file, field, value):
     _, data = graph_file
@@ -223,6 +294,17 @@ def test_self_loop(tmp_path, graph_file):
     assert exc.value.offset == lay["indices"]
 
 
+@pytest.mark.parametrize("index", [32, 2 ** 64 - 1])
+def test_column_index_out_of_range(tmp_path, graph_file, index):
+    """Checked on the stored u64, before any cast could wrap it negative."""
+    _, data = graph_file
+    lay = graph_layout(data)
+    path = write_tmp(tmp_path, put(data, lay["indices"], index.to_bytes(8, "little")))
+    with pytest.raises(io.FormatError, match="column index out of range") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == lay["indices"]
+
+
 def test_unsorted_row(tmp_path, graph_file):
     _, data = graph_file
     lay = graph_layout(data)
@@ -236,11 +318,11 @@ def test_unsorted_row(tmp_path, graph_file):
 def test_asymmetric_adjacency(tmp_path, graph_file):
     _, data = graph_file
     lay = graph_layout(data)
-    # a weight that differs from its mirror by one ulp
-    at = lay["weights"] + 8 * 3
-    w = np.frombuffer(data[at:at + 8], dtype="<f8")[0]
-    path = write_tmp(tmp_path, put(data, at, np.nextafter(w, 2.0).tobytes()))
-    with pytest.raises(io.FormatError, match="weights are not symmetric") as exc:
+    # a distance that differs from its mirror by one ulp
+    at = lay["distances"] + 8 * 3
+    d = np.frombuffer(data[at:at + 8], dtype="<f8")[0]
+    path = write_tmp(tmp_path, put(data, at, np.nextafter(d, 2.0).tobytes()))
+    with pytest.raises(io.FormatError, match="distances are not symmetric") as exc:
         io.read_graph(path)
     assert exc.value.offset == at      # row 0 comes before the mirror's row
     # row 0's last column moved up: column counts no longer match row counts,
@@ -253,6 +335,80 @@ def test_asymmetric_adjacency(tmp_path, graph_file):
     with pytest.raises(io.FormatError, match="row and column counts differ") as exc:
         io.read_graph(path)
     assert exc.value.offset == lay["indptr"] + 8 * (last + 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3, 0.0])
+def test_bad_bandwidth(tmp_path, graph_file, value):
+    """Weights derive from the bandwidth: it must be finite and non-negative,
+    and 0 only when every edge distance is 0."""
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, 53, np.float64(value).tobytes()))
+    with pytest.raises(io.FormatError, match="bandwidth") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 53
+
+
+@pytest.mark.parametrize("at", [25, 33])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+def test_bad_metric(tmp_path, graph_file, at, value):
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
+    with pytest.raises(io.FormatError, match="metric parameters must be positive") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 25
+
+
+@pytest.mark.parametrize("field", ["kept_flag", "lap_flag"])
+def test_bad_flag(tmp_path, graph_file, field):
+    _, data = graph_file
+    at = graph_layout(data)[field]
+    path = write_tmp(tmp_path, corrupt(data, at, 2))
+    with pytest.raises(io.FormatError, match="flag must be 0 or 1") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at
+
+
+@pytest.fixture(scope="module")
+def sampled_file(tmp_path_factory):
+    g = sample_vertices(built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, knn=6), 0.5, seed=3)
+    path = tmp_path_factory.mktemp("io") / "s.clgr"
+    io.write_graph(path, g, power_lambda_max(laplacian(g)))
+    return g, read_bytes(path)
+
+
+def test_kept_ids_stored(tmp_path, sampled_file):
+    g, data = sampled_file
+    lay = graph_layout(data)
+    assert lay["kept"] is not None
+    stored = np.frombuffer(data[lay["kept"]:lay["kept"] + 8 * lay["n"]], dtype="<u8")
+    np.testing.assert_array_equal(stored, g.vertices.kept)
+    back, _ = io.read_graph(write_tmp(tmp_path, data))
+    np.testing.assert_array_equal(back.vertices.kept, g.vertices.kept)
+    np.testing.assert_array_equal(back.vertices.orientation_index(np.arange(back.n_vertices)),
+                                  g.vertices.orientation_index(np.arange(g.n_vertices)))
+
+
+def test_bad_kept_ids(tmp_path, sampled_file):
+    g, data = sampled_file
+    lay = graph_layout(data)
+    kept = g.vertices.kept
+    # out of the sampling's range, then not strictly ascending
+    at = lay["kept"] + 8 * (lay["n"] - 1)
+    path = write_tmp(tmp_path, put(data, at, (2 ** 63 + 1).to_bytes(8, "little")))
+    with pytest.raises(io.FormatError, match="ascending ids of the sampling") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at
+    at = lay["kept"] + 8 * 2
+    path = write_tmp(tmp_path, put(data, at, int(kept[1]).to_bytes(8, "little")))
+    with pytest.raises(io.FormatError, match="ascending ids of the sampling") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at
+    # a vertex-sampled file without the map
+    stripped = (data[:lay["kept_flag"]] + b"\x00"
+                + data[lay["kept"] + 8 * lay["n"]:])
+    with pytest.raises(io.FormatError, match="no kept-id map") as exc:
+        io.read_graph(write_tmp(tmp_path, stripped))
+    assert exc.value.offset == lay["kept_flag"]
 
 
 def test_bad_lambda_max(tmp_path, graph_file):
