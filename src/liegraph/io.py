@@ -108,16 +108,20 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian | None = None) -> Non
     """Store a graph and, optionally, the lambda_max of its raw Laplacian.
 
     Layout after magic and version: kind u8; nx, ny, level, n_orient u32;
-    epsilon, xi, alpha f64 (offset 25); knn u32; bandwidth f64 (offset 53);
-    n u64; params n x 3 f64; kept flag u8, then n u64 original ids if set;
+    epsilon, xi, alpha f64 (offsets 25, 33, 41); knn u32 (offset 49);
+    bandwidth f64 (offset 53); n u64; params n x 3 f64; kept flag u8, then
+    n u64 original ids if set;
     indptr (n + 1) u64, edge count u64, indices u64, distances f64;
     Laplacian flag u8, then lambda_max f64 if set.  read_graph rebuilds
     weights and Laplacian; ValueError if they would differ from the graph's
-    and lap's, or if a vertex-sampled set has no kept-id map.
+    and lap's, if a vertex-sampled set has no kept-id map, or if alpha or
+    knn would not read back (see _header_error).
     """
     if lap is not None and (lap.rescaled or lap.lambda_max is None):
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
     verts, spec = graph.vertices, graph.vertices.spec
+    if (bad := _header_error(spec, graph.alpha, graph.knn)) is not None:
+        raise ValueError(bad[0])
     if verts.kept is None and len(verts) < spec.n_vertices:
         raise ValueError("a vertex-sampled graph needs its kept-id map")
     if not _bit_equal(graph.weights, edge_weights(graph.distances, graph.bandwidth)):
@@ -147,6 +151,16 @@ def _reject(bad: np.ndarray, message: str, pos: int) -> None:
     if bad.any():
         first = int(np.argmax(bad))
         raise FormatError(f"{message} (entry {first})", pos + 8 * first)
+
+
+def _header_error(spec: GridSpec, alpha: float, knn: int) -> tuple[str, int] | None:
+    """(message, offset) for an alpha that is not finite and positive, or a
+    knn of 0 on a sampling with at least two vertices; None when both hold."""
+    if not 0.0 < alpha < np.inf:
+        return f"alpha {alpha} is not finite and positive", 41
+    if knn == 0 and spec.n_vertices > 1:
+        return f"knn 0 on a sampling of {spec.n_vertices} vertices", 49
+    return None
 
 
 def _flag(r: _Reader, name: str) -> bool:
@@ -180,6 +194,8 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
     except ValueError as exc:
         raise FormatError(str(exc), metric_pos) from exc
     knn, t_pos = r.scalar("<I"), r.pos
+    if (bad := _header_error(spec, alpha, knn)) is not None:
+        raise FormatError(*bad)
     t = r.scalar("<d")
 
     nv_pos = r.pos
@@ -298,7 +314,7 @@ def _read_plan(r: _Reader) -> network.PoolPlan:
     n_coarse = r.scalar("<Q")
     cluster = np.frombuffer(r.take(8 * v_fine), dtype="<i8").astype(np.int64)
     plan = network._plan_from_cluster(_POOL_MODE_FROM_CODE[mode_code], cluster, n_coarse)
-    if r.scalar("<B") == 1:
+    if _flag(r, "chosen-ids"):
         plan.chosen = r.array("<u8", n_coarse).astype(np.int64)
     return plan
 
@@ -363,7 +379,7 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
         elif code == 2:
             layers.append(network.Pool(_read_plan(r)))
         elif code == 3:
-            mode = "rand" if r.scalar("<B") == 1 else "avg"
+            mode = "rand" if _flag(r, "unpool rand-mode") else "avg"
             layers.append(network.Unpool(_read_plan(r), mode))
         elif code == 4:
             layers.append(network.GlobalMaxPool())

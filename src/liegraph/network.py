@@ -5,6 +5,11 @@ can flatten the trailing axes); after global pooling they become (B, C).
 Every layer caches what its analytic backward needs, accumulates parameter
 gradients in-place, and returns the input gradient.  The caches live until
 `Model.release`, which `train_demo` calls before it returns.
+
+`ChebConv` applies T_j(L) in one of two forms, chosen by the fill of L
+alone: a sparse L runs the three-term recurrence (J - 1 sparse products per
+pass), a dense one the stacked operator [T_1(L); ...; T_{J-1}(L)] as one
+BLAS product per pass.  That operator is a forward cache too.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from .sampling import GridKind, GridSpec, grid_se2, icosphere_parents
 from .spectral import cheb_terms, rotation_permutation
 
 
+# A Laplacian with nnz >= V^2 / DENSE_FILL runs ChebConv as dense products.
+DENSE_FILL = 8
+
+
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -30,7 +39,24 @@ def _matvec(matrix, x: np.ndarray) -> np.ndarray:
 
 
 class ChebConv:
-    """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias."""
+    """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias.
+
+    The terms z_j = T_j(L) x come from one of two operator forms, picked
+    once from the fill of L: `dense` when nnz >= V^2 / DENSE_FILL.
+    - Sparse: the recurrence z_j = 2 L z_{j-1} - z_{j-2} on the CSR matrix,
+      and backward its reverse sweep, J - 1 sparse products each way.
+    - Dense: P = [T_1(L); ...; T_{J-1}(L)], a ((J-1)V, V) array built on
+      the first forward by the same recurrence on the dense L.  Forward is
+      one product P X, backward gx = gz_0 + P^T gz_{1..J-1}.
+    Both give the same terms to rounding.  Measured with 2 BLAS threads, the
+    dense form took 0.18-0.65 of the sparse time at V=64 and fill 0.31,
+    0.49-0.77 at V=256 and 0.077, 0.65-1.74 at V=512 and 0.038, and
+    1.18-3.35 at V=1024 and 0.019.  DENSE_FILL = 8 keeps V=256 at 0.077
+    sparse, where whole training runs showed no consistent gain from the
+    dense form; on K-NN graphs it admits only a few hundred vertices.  P is a
+    forward cache, so `Model.release` drops it and the next forward
+    rebuilds it.
+    """
 
     def __init__(self, lap: Laplacian, n_in: int, n_out: int, order: int,
                  rng: np.random.Generator):
@@ -40,37 +66,60 @@ class ChebConv:
             raise ValueError("order must be at least 1")
         self.lap = lap
         self.n_in, self.n_out, self.order = n_in, n_out, order
+        self.dense = lap.matrix.nnz * DENSE_FILL >= lap.n ** 2
         bound = np.sqrt(6.0 / (order * n_in + n_out))
         self.theta = rng.uniform(-bound, bound, size=(order, n_in, n_out))
         self.bias = np.zeros(n_out)
         self.g_theta = np.zeros_like(self.theta)
         self.g_bias = np.zeros_like(self.bias)
         self._z = None
+        self._p = None
+
+    def _terms(self, x: np.ndarray) -> np.ndarray:
+        if not self.dense:
+            return cheb_terms(self.lap.matrix, x, self.order)
+        v = x.shape[0]
+        if self._p is None:
+            terms = cheb_terms(self.lap.matrix.toarray(), np.eye(v), self.order)
+            self._p = terms[1:].reshape(-1, v)
+        z = np.empty((self.order,) + x.shape)
+        z[0] = x
+        # Z_{1..J-1} = P Z_0, written into the stack by one product.
+        flat = z.reshape(self.order * v, -1)
+        np.matmul(self._p, flat[:v], out=flat[v:])
+        return z
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        z = cheb_terms(self.lap.matrix, x, self.order)
+        z = self._terms(x)
         j, v, b, i = z.shape
         # One (V*B, J*I) @ (J*I, O) product contracts terms and channels.
         self._z = z.transpose(1, 2, 0, 3).reshape(v * b, j * i)
         y = self._z @ self.theta.reshape(j * i, self.n_out)
-        return y.reshape(v, b, self.n_out) + self.bias
+        y += self.bias
+        return y.reshape(v, b, self.n_out)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         v, b, o = gy.shape
         gy2 = gy.reshape(v * b, o)
         self.g_theta += (self._z.T @ gy2).reshape(self.theta.shape)
-        self.g_bias += gy2.sum(axis=0)
+        self.g_bias += np.ones(v * b) @ gy2
         # gz[j] = gy theta_j^T for every term at once, as (J, V, B, I).
         gz = gy2 @ self.theta.reshape(-1, o).T
         gz = np.ascontiguousarray(gz.reshape(v, b, self.order, self.n_in).transpose(2, 0, 1, 3))
+        if self.dense:
+            flat = gz.reshape(self.order * v, -1)
+            flat[:v] += self._p.T @ flat[v:]
+            return gz[0]
         # Reverse sweep of the three-term recurrence; costs the same J - 1
         # matvecs as the forward pass.
         for j in range(self.order - 1, 1, -1):
-            gz[j - 1] += 2.0 * _matvec(self.lap.matrix, gz[j])
+            t = _matvec(self.lap.matrix, gz[j])
+            t *= 2.0
+            gz[j - 1] += t
             gz[j - 2] -= gz[j]
         gx = gz[0]
         if self.order > 1:
-            gx = gx + _matvec(self.lap.matrix, gz[1])
+            gx += _matvec(self.lap.matrix, gz[1])
         return gx
 
     def params(self):
@@ -78,12 +127,15 @@ class ChebConv:
 
 
 class ReLU:
+    """max(x, 0).  A NaN pre-activation propagates as NaN; its gradient, like
+    that of every x <= 0, is zero."""
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, gy, 0.0)
+        return gy * self._mask
 
     def params(self):
         return []
@@ -295,7 +347,7 @@ class Dense:
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         self.g_weight += self._x.T @ gy
-        self.g_bias += gy.sum(axis=0)
+        self.g_bias += np.ones(gy.shape[0]) @ gy
         return gy @ self.weight.T
 
     def params(self):

@@ -19,11 +19,14 @@ HEAT_ORDER = 30
 SIGN_TOL = 1e-12
 
 
-def cheb_terms(matrix: sp.csr_matrix, x: np.ndarray, n_terms: int) -> np.ndarray:
+def cheb_terms(matrix, x: np.ndarray, n_terms: int) -> np.ndarray:
     """Stack of Chebyshev terms z_j = T_j(matrix) x, shape (n_terms,) + x.shape.
 
-    The matrix must already be rescaled into [-1, 1].  Signals may be (V,) or
-    (V, d); the recurrence is z_j = 2 M z_{j-1} - z_{j-2}.
+    The matrix, sparse or a dense array, must already be rescaled into
+    [-1, 1].  Signals may be (V,) or (V, d).  The recurrence
+    z_j = 2 M z_{j-1} - z_{j-2} runs in place on the output stack: each step
+    allocates only the product M z_{j-1} and rounds exactly as the
+    out-of-place form.  With the identity as x it yields the matrices T_j(M).
     """
     if n_terms < 1:
         raise ValueError("need at least one Chebyshev term")
@@ -33,7 +36,9 @@ def cheb_terms(matrix: sp.csr_matrix, x: np.ndarray, n_terms: int) -> np.ndarray
     if n_terms > 1:
         out[1] = matrix @ flat
     for j in range(2, n_terms):
-        out[j] = 2.0 * (matrix @ out[j - 1]) - out[j - 2]
+        t = matrix @ out[j - 1]
+        t *= 2.0
+        np.subtract(t, out[j - 2], out=out[j])
     return out.reshape((n_terms,) + x.shape)
 
 

@@ -7,7 +7,9 @@ segment reductions instead of matrix products and slot-wise maxima, a
 shift-invert sparse-LU eigensolve instead of plain Lanczos, the SO(3) log
 from the trace and antisymmetric part instead of unit quaternions, and all
 three orientation branches of the SE(2) distance instead of the two that
-can win.
+can win.  The one exception is `cheb_terms_reference`, the out-of-place
+Chebyshev recurrence, which the library's in-place one must match bit for
+bit.
 """
 
 import numpy as np
@@ -117,6 +119,16 @@ def central_difference(fn, array: np.ndarray, index, step: float = 1e-5) -> floa
     lo = fn()
     array[index] = old
     return (hi - lo) / (2.0 * step)
+
+
+def cheb_terms_reference(matrix, x: np.ndarray, n_terms: int) -> np.ndarray:
+    """T_j(matrix) x for j < n_terms by z_j = 2 (M z_{j-1}) - z_{j-2}, each
+    term a fresh array."""
+    flat = x.reshape(x.shape[0], -1)
+    terms = [flat, matrix @ flat][:n_terms]
+    for _ in range(2, n_terms):
+        terms.append(2.0 * (matrix @ terms[-1]) - terms[-2])
+    return np.stack(terms).reshape((n_terms,) + x.shape)
 
 
 def chebconv_einsum(z: np.ndarray, theta: np.ndarray, bias: np.ndarray,

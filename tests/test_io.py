@@ -72,7 +72,21 @@ def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8
     no_map = dataclasses.replace(verts, vertices=dataclasses.replace(verts.vertices, kept=None))
     with pytest.raises(ValueError, match="kept"):
         io.write_graph(path, no_map)
+    for bad_alpha in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            io.write_graph(path, dataclasses.replace(se2_8x8x4, alpha=bad_alpha))
+    with pytest.raises(ValueError, match="knn 0"):
+        io.write_graph(path, dataclasses.replace(se2_8x8x4, knn=0))
     assert not path.exists()
+
+
+def test_single_vertex_graph_keeps_knn_zero(tmp_path):
+    """build_graph clamps K to 0 on one vertex, and that file reads back."""
+    g = built(GridKind.R2_GRID, nx=1, ny=1)
+    assert g.knn == 0
+    io.write_graph(tmp_path / "one.clgr", g)
+    back, _ = io.read_graph(tmp_path / "one.clgr")
+    assert back.knn == 0 and back.n_vertices == 1
 
 
 def _sampled(kind, **fields):
@@ -171,6 +185,21 @@ def test_model_needs_laplacians(tmp_path):
         io.read_model(path)
 
 
+def test_model_bad_unpool_flags(tmp_path):
+    """The rand-mode byte and the chosen-ids flag take only 0 or 1."""
+    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4), PoolMode.R2_RAND)
+    path = tmp_path / "u.clmd"
+    io.write_model(path, Model([Unpool(plan, "rand")]))
+    data = read_bytes(path)
+    # magic, version, layer count, then the layer code at 12 and the mode at 13;
+    # the file ends with the chosen-ids flag and n_coarse u64 ids
+    for at, name in [(13, "unpool rand-mode"), (len(data) - 8 * plan.n_coarse - 1, "chosen-ids")]:
+        assert data[at] == 1
+        with pytest.raises(io.FormatError, match=f"{name} flag must be 0 or 1") as exc:
+            io.read_model(write_tmp(tmp_path, corrupt(data, at, 2)))
+        assert exc.value.offset == at
+
+
 def corrupt(data: bytes, offset: int, value: int) -> bytes:
     out = bytearray(data)
     out[offset] = value
@@ -254,15 +283,17 @@ def test_non_monotone_indptr(tmp_path, graph_file):
 
 
 def graph_layout(data: bytes) -> dict:
-    """Byte offsets of the fields of a CLGR file after the fixed 61-byte
-    header (which puts the metric at 25 and the bandwidth at 53)."""
+    """Byte offsets of the fields of a CLGR file: alpha and knn inside the
+    fixed 61-byte header (which puts the metric at 25 and the bandwidth at
+    53), the rest after it."""
     n = int.from_bytes(data[61:69], "little")
     kept_flag = 69 + 24 * n
     kept = kept_flag + 1 if data[kept_flag] == 1 else None
     indptr = kept_flag + 1 + (8 * n if kept is not None else 0)
     nnz = int.from_bytes(data[indptr + 8 * (n + 1):indptr + 8 * (n + 2)], "little")
     indices = indptr + 8 * (n + 2)
-    return {"n": n, "nnz": nnz, "kept_flag": kept_flag, "kept": kept, "indptr": indptr,
+    return {"alpha": 41, "knn": 49, "n": n, "nnz": nnz, "kept_flag": kept_flag, "kept": kept,
+            "indptr": indptr,
             "indices": indices, "distances": indices + 8 * nnz,
             "lap_flag": indices + 16 * nnz}
 
@@ -356,6 +387,25 @@ def test_bad_metric(tmp_path, graph_file, at, value):
     with pytest.raises(io.FormatError, match="metric parameters must be positive") as exc:
         io.read_graph(path)
     assert exc.value.offset == 25
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_bad_alpha(tmp_path, graph_file, value):
+    _, data = graph_file
+    at = graph_layout(data)["alpha"]
+    path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
+    with pytest.raises(io.FormatError, match="alpha .* is not finite and positive") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at
+
+
+def test_knn_zero(tmp_path, graph_file):
+    _, data = graph_file
+    at = graph_layout(data)["knn"]
+    path = write_tmp(tmp_path, put(data, at, (0).to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="knn 0 on a sampling of 32 vertices") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at
 
 
 @pytest.mark.parametrize("field", ["kept_flag", "lap_flag"])

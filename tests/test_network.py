@@ -3,11 +3,15 @@
 Every layer's backward pass is checked against central differences through
 its own forward, and the linear layers against exact adjointness."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from liegraph.graph import laplacian, power_lambda_max, rescale
 from liegraph.network import (
+    DENSE_FILL,
     ChebConv,
     Dense,
     GlobalMaxPool,
@@ -15,6 +19,7 @@ from liegraph.network import (
     Model,
     Pool,
     PoolMode,
+    ReLU,
     TrainingDiverged,
     Unpool,
     build_demo,
@@ -34,6 +39,8 @@ from liegraph.spectral import apply_permutation, cheb_terms, rotation_permutatio
 from conftest import EPS_ANISO, built
 from oracles import central_difference, chebconv_einsum, max_pool_reduceat
 
+TRAIN_DEMO_ROWS = Path(__file__).parent / "data" / "train_demo_rows.json"
+
 
 @pytest.fixture(scope="module")
 def small_rescaled():
@@ -45,6 +52,26 @@ def small_rescaled():
 @pytest.fixture(scope="module")
 def demo_setup():
     return build_demo(seed=3)
+
+
+@pytest.fixture(scope="module")
+def operator_laps(se2_8x8x4_lap):
+    """One rescaled Laplacian on each side of the DENSE_FILL rule, with its
+    sampling: se2 8x8x4 (sparse) and the demo's coarse se2 4x4x4, K=16
+    (dense)."""
+    coarse = built(GridKind.SE2_GRID, nx=4, ny=4, orient=4, epsilon=EPS_ANISO,
+                   alpha=1.0, knn=16)
+    return {"sparse": (rescale(se2_8x8x4_lap), GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)),
+            "dense": (rescale(power_lambda_max(laplacian(coarse))), coarse.vertices.spec)}
+
+
+def operator_conv(operator_laps, form, n_in, n_out, order, rng):
+    """A ChebConv on the `form` Laplacian, checked to take that path."""
+    lap, spec = operator_laps[form]
+    conv = ChebConv(lap, n_in, n_out, order, rng)
+    assert conv.dense == (form == "dense")
+    assert conv.dense == (lap.matrix.nnz * DENSE_FILL >= lap.n ** 2)
+    return conv, spec
 
 
 def probe_indices(rng, shape, count):
@@ -99,11 +126,31 @@ def test_chebconv_validation(small_rescaled, se2_8x8x4_lap):
 
 def test_relu_gradient():
     rng = np.random.Generator(np.random.Philox(12))
-    from liegraph.network import ReLU
     relu = ReLU()
     x = rng.standard_normal((30, 4, 2))
     x += 0.2 * np.sign(x)      # keep probes away from the kink
     check_input_gradient(relu, x, rng)
+
+
+def test_relu_matches_where_oracle():
+    """On finite inputs, signed zeros included, forward equals the np.where
+    form bit for bit and backward in value."""
+    rng = np.random.Generator(np.random.Philox(34))
+    x = rng.standard_normal((64, 5, 3))
+    x[::4] = 0.0
+    x[1::4] = -0.0
+    gy = rng.standard_normal(x.shape)
+    relu = ReLU()
+    assert relu.forward(x).tobytes() == np.where(x > 0.0, x, 0.0).tobytes()
+    np.testing.assert_array_equal(relu.backward(gy), np.where(x > 0.0, gy, 0.0))
+
+
+def test_relu_propagates_nan():
+    """A NaN pre-activation stays NaN; its gradient is zeroed."""
+    relu = ReLU()
+    y = relu.forward(np.array([np.nan, -1.0, 2.0]))
+    assert np.isnan(y[0]) and y[1] == 0.0 and y[2] == 2.0
+    np.testing.assert_array_equal(relu.backward(np.full(3, 5.0)), [0.0, 0.0, 5.0])
 
 
 def test_dense_gradients():
@@ -307,12 +354,19 @@ def test_pool_plan_validation():
         Unpool(plan, "rand")       # no drawn member on a Max plan
 
 
-def test_chebconv_equivariance(se2_8x8x4_lap):
-    spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
-    perm = rotation_permutation(spec)
+def test_chebconv_equivariance(operator_laps):
+    check_chebconv_equivariance(operator_laps, "sparse")
+
+
+def test_chebconv_equivariance_dense(operator_laps):
+    check_chebconv_equivariance(operator_laps, "dense")
+
+
+def check_chebconv_equivariance(operator_laps, form):
     rng = np.random.Generator(np.random.Philox(23))
-    conv = ChebConv(rescale(se2_8x8x4_lap), 2, 3, order=4, rng=rng)
-    x = rng.standard_normal((256, 5, 2))
+    conv, spec = operator_conv(operator_laps, form, 2, 3, 4, rng)
+    perm = rotation_permutation(spec)
+    x = rng.standard_normal((spec.n_vertices, 5, 2))
     a = conv.forward(apply_permutation(perm, x))
     b = apply_permutation(perm, conv.forward(x))
     assert np.max(np.abs(a - b)) <= 1e-8
@@ -405,11 +459,23 @@ def assert_close_scaled(actual, expected, tol=1e-12):
 @pytest.mark.parametrize("order", [1, 2, 4])
 @pytest.mark.parametrize("batch", [1, 32, 128])
 @pytest.mark.parametrize("n_in", [1, 8])
-def test_chebconv_matches_einsum_oracle(se2_8x8x4_lap, n_in, batch, order):
-    """The GEMM contraction computes what the per-term einsum does."""
+def test_chebconv_matches_einsum_oracle(operator_laps, n_in, batch, order):
+    check_chebconv_against_einsum(operator_laps, "sparse", n_in, batch, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("batch", [1, 32, 128])
+@pytest.mark.parametrize("n_in", [1, 8])
+def test_chebconv_dense_matches_einsum_oracle(operator_laps, n_in, batch, order):
+    check_chebconv_against_einsum(operator_laps, "dense", n_in, batch, order)
+
+
+def check_chebconv_against_einsum(operator_laps, form, n_in, batch, order):
+    """Either operator form with the GEMM contraction computes what the
+    recurrence and the per-term einsum do."""
     rng = np.random.Generator(np.random.Philox([27, n_in, batch, order]))
-    lap = rescale(se2_8x8x4_lap)
-    conv = ChebConv(lap, n_in, 5, order, rng)
+    conv, _ = operator_conv(operator_laps, form, n_in, 5, order, rng)
+    lap = conv.lap
     conv.bias[:] = rng.standard_normal(5)
     x = rng.standard_normal((lap.n, batch, n_in))
     gy = rng.standard_normal((lap.n, batch, 5))
@@ -480,9 +546,11 @@ def test_train_demo_nan_lr_diverges():
 
 
 def test_train_demo_releases_forward_caches():
-    """A trained model keeps only parameters and plans; it still runs."""
+    """A trained model keeps only parameters and plans, the dense layer's
+    stacked operator included; it still runs."""
     rows, setup = train_demo(epochs=1, lr=0.2, seed=1)
     model = setup.model
+    assert [layer.dense for layer in model.layers if isinstance(layer, ChebConv)] == [False, True]
     for layer in model.layers:
         cached = [name for name, value in vars(layer).items()
                   if name.startswith("_") and isinstance(value, np.ndarray)]
@@ -495,3 +563,19 @@ def test_train_demo_releases_forward_caches():
     gx = model.backward(grad)
     assert gx.shape == x.shape and np.all(np.isfinite(gx))
     assert any(np.any(g != 0.0) for _, g in model.params())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_demo_trajectory_locked(seed):
+    """train_demo trains as when the rows in data/train_demo_rows.json were
+    recorded (sparse recurrence on both layers, np.where ReLU): accuracy and
+    rotation consistency exactly, losses to 1e-12 relative, in every epoch."""
+    with open(TRAIN_DEMO_ROWS) as fh:
+        recorded = json.load(fh)
+    rows, _ = train_demo(seed=seed, **recorded["call"])
+    expected = recorded["rows"][str(seed)]
+    assert [r["epoch"] for r in rows] == [r["epoch"] for r in expected]
+    for got, want in zip(rows, expected):
+        assert got["accuracy"] == want["accuracy"], got["epoch"]
+        assert got["rotation_consistency"] == want["rotation_consistency"], got["epoch"]
+        assert got["loss"] == pytest.approx(want["loss"], rel=1e-12, abs=0.0), got["epoch"]

@@ -21,7 +21,7 @@ from liegraph.spectral import (
 )
 
 from conftest import EPS_ANISO, built
-from oracles import chebconv_einsum, eigensystem_shift_invert
+from oracles import cheb_terms_reference, chebconv_einsum, eigensystem_shift_invert
 
 LANCZOS_K = 16
 
@@ -43,6 +43,30 @@ def test_cheb_terms_base_cases(small_lap):
     np.testing.assert_allclose(z[2], 2 * (m @ (m @ x)) - x, atol=1e-14)
     with pytest.raises(ValueError):
         cheb_terms(m, x, 0)
+
+
+@pytest.mark.parametrize("form", ["sparse", "dense"])
+@pytest.mark.parametrize("trailing", [(), (3,), (4, 2)])
+def test_cheb_terms_bit_identical_to_reference(se2_8x8x4_lap, form, trailing):
+    """The in-place recurrence rounds exactly as the out-of-place one."""
+    m = rescale(se2_8x8x4_lap).matrix
+    if form == "dense":
+        m = m.toarray()
+    rng = np.random.Generator(np.random.Philox([6, len(trailing)]))
+    x = rng.standard_normal((m.shape[0],) + trailing)
+    for n_terms in (1, 2, 3, 30):
+        z = cheb_terms(m, x, n_terms)
+        assert z.shape == (n_terms,) + x.shape
+        assert z.tobytes() == cheb_terms_reference(m, x, n_terms).tobytes()
+
+
+def test_heat_diffuse_bit_identical_to_reference(se2_8x8x4_lap):
+    rng = np.random.Generator(np.random.Philox(7))
+    x = rng.standard_normal((se2_8x8x4_lap.n, 2))
+    coeffs = heat_coeffs(1.0, se2_8x8x4_lap.lambda_max)
+    ref = np.tensordot(coeffs, cheb_terms_reference(rescale(se2_8x8x4_lap).matrix, x,
+                                                    coeffs.size), 1)
+    assert heat_diffuse(se2_8x8x4_lap, x, 1.0).tobytes() == ref.tobytes()
 
 
 def test_cheb_apply_matches_dense(small_lap):
