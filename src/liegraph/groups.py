@@ -222,8 +222,8 @@ class Metric:
     xi: float = 1.0
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and self.xi > 0.0):
-            raise ValueError("metric parameters must be positive")
+        if not (0.0 < self.epsilon < np.inf and 0.0 < self.xi < np.inf):
+            raise ValueError("metric parameters must be positive and finite")
 
     def weights(self, kind: GroupKind) -> np.ndarray:
         base = np.array([1.0, self.epsilon ** -2.0, self.xi ** 2.0])

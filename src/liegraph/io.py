@@ -2,9 +2,10 @@
 
 All integers and floats are little-endian; arrays are C-order.  Each
 container opens with a 4-byte magic and its own u32 version (CLGR 2, CLSG
-and CLMD 1); other versions are rejected.  Readers validate as they go and
+1 and CLMD 2); other versions are rejected.  Readers validate as they go and
 raise FormatError carrying the byte offset of the first bad field, which
-the CLI maps to exit code 2.
+the CLI maps to exit code 2.  Files hold primary data only: readers rebuild
+edge weights, Laplacians and pool plans from what is stored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Laplacian, ManifoldGraph, edge_weights, laplacian
+from .graph import Laplacian, ManifoldGraph, alpha_from_xi, edge_weights, laplacian
 from .groups import GroupKind, Metric, se2_matrices, so3_matrices
 from .sampling import GridKind, GridSpec, VertexSet
 from . import network
@@ -24,7 +25,7 @@ SIGNAL_MAGIC = b"CLSG"
 MODEL_MAGIC = b"CLMD"
 GRAPH_VERSION = 2
 SIGNAL_VERSION = 1
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 KIND_CODES = {
     GridKind.SE2_GRID: 0,
@@ -33,14 +34,6 @@ KIND_CODES = {
     GridKind.S2_ICOSAHEDRAL: 3,
 }
 KIND_FROM_CODE = {v: k for k, v in KIND_CODES.items()}
-
-_POOL_MODE_CODES = {
-    network.PoolMode.R2_RAND: 0,
-    network.PoolMode.R2_MAX: 1,
-    network.PoolMode.S2_MAX: 2,
-    network.PoolMode.S2_AVG: 3,
-}
-_POOL_MODE_FROM_CODE = {v: k for k, v in _POOL_MODE_CODES.items()}
 
 
 class FormatError(Exception):
@@ -120,7 +113,7 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian | None = None) -> Non
     if lap is not None and (lap.rescaled or lap.lambda_max is None):
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
     verts, spec = graph.vertices, graph.vertices.spec
-    if (bad := _header_error(spec, graph.alpha, graph.knn)) is not None:
+    if (bad := _header_error(spec, graph.metric.xi, graph.alpha, graph.knn)) is not None:
         raise ValueError(bad[0])
     if verts.kept is None and len(verts) < spec.n_vertices:
         raise ValueError("a vertex-sampled graph needs its kept-id map")
@@ -153,11 +146,14 @@ def _reject(bad: np.ndarray, message: str, pos: int) -> None:
         raise FormatError(f"{message} (entry {first})", pos + 8 * first)
 
 
-def _header_error(spec: GridSpec, alpha: float, knn: int) -> tuple[str, int] | None:
-    """(message, offset) for an alpha that is not finite and positive, or a
-    knn of 0 on a sampling with at least two vertices; None when both hold."""
+def _header_error(spec: GridSpec, xi: float, alpha: float, knn: int) -> tuple[str, int] | None:
+    """(message, offset) for an alpha that is not finite and positive or not
+    alpha_from_xi(xi, spec) bit for bit, or a knn of 0 on a sampling with at
+    least two vertices; None when all hold."""
     if not 0.0 < alpha < np.inf:
         return f"alpha {alpha} is not finite and positive", 41
+    if alpha != (derived := alpha_from_xi(xi, spec)):
+        return f"alpha {alpha!r} contradicts xi, which gives alpha {derived!r}", 41
     if knn == 0 and spec.n_vertices > 1:
         return f"knn 0 on a sampling of {spec.n_vertices} vertices", 49
     return None
@@ -194,7 +190,7 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
     except ValueError as exc:
         raise FormatError(str(exc), metric_pos) from exc
     knn, t_pos = r.scalar("<I"), r.pos
-    if (bad := _header_error(spec, alpha, knn)) is not None:
+    if (bad := _header_error(spec, xi, alpha, knn)) is not None:
         raise FormatError(*bad)
     t = r.scalar("<d")
 
@@ -295,60 +291,62 @@ def read_signal(path) -> np.ndarray:
 # CLMD model checkpoints
 
 
-def _write_plan(parts: list, plan: network.PoolPlan) -> None:
-    parts += [struct.pack("<B", _POOL_MODE_CODES[plan.mode]),
-              _u64(plan.cluster.size), _u64(plan.n_coarse),
-              np.ascontiguousarray(plan.cluster, dtype="<i8").tobytes()]
-    if plan.chosen is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts += [struct.pack("<B", 1), _u64s(plan.chosen)]
-
-
-def _read_plan(r: _Reader) -> network.PoolPlan:
-    mode_pos = r.pos
-    mode_code = r.scalar("<B")
-    if mode_code not in _POOL_MODE_FROM_CODE:
-        raise FormatError(f"unknown pool mode {mode_code}", mode_pos)
-    v_fine = r.scalar("<Q")
-    n_coarse = r.scalar("<Q")
-    cluster = np.frombuffer(r.take(8 * v_fine), dtype="<i8").astype(np.int64)
-    plan = network._plan_from_cluster(_POOL_MODE_FROM_CODE[mode_code], cluster, n_coarse)
-    if _flag(r, "chosen-ids"):
-        plan.chosen = r.array("<u8", n_coarse).astype(np.int64)
-    return plan
+_LAYER_CODES = {network.ChebConv: 0, network.ReLU: 1, network.Pool: 2, network.Unpool: 3,
+                network.GlobalMaxPool: 4, network.Dense: 5, network.LogSoftmax: 6}
+_LAYER_FROM_CODE = {v: k for k, v in _LAYER_CODES.items()}
 
 
 def write_model(path, model: network.Model) -> None:
+    """Store a layer stack (layout in read_model)."""
     parts = [MODEL_MAGIC, _u32(MODEL_VERSION), _u32(len(model.layers))]
     for layer in model.layers:
-        if isinstance(layer, network.ChebConv):
-            parts += [struct.pack("<B", 0), _u32(layer.order), _u32(layer.n_in),
-                      _u32(layer.n_out), _f64s(layer.theta), _f64s(layer.bias)]
-        elif isinstance(layer, network.ReLU):
-            parts.append(struct.pack("<B", 1))
-        elif isinstance(layer, network.Pool):
-            parts.append(struct.pack("<B", 2))
-            _write_plan(parts, layer.plan)
-        elif isinstance(layer, network.Unpool):
-            parts += [struct.pack("<B", 3),
-                      struct.pack("<B", 1 if layer.mode == "rand" else 0)]
-            _write_plan(parts, layer.plan)
-        elif isinstance(layer, network.GlobalMaxPool):
-            parts.append(struct.pack("<B", 4))
-        elif isinstance(layer, network.Dense):
-            parts += [struct.pack("<B", 5), _u32(layer.weight.shape[0]),
-                      _u32(layer.weight.shape[1]), _f64s(layer.weight), _f64s(layer.bias)]
-        elif isinstance(layer, network.LogSoftmax):
-            parts.append(struct.pack("<B", 6))
-        else:
-            raise ValueError(f"cannot serialize layer {type(layer).__name__}")
+        cls = type(layer)
+        if cls not in _LAYER_CODES:
+            raise ValueError(f"cannot serialize layer {cls.__name__}")
+        parts.append(struct.pack("<B", _LAYER_CODES[cls]))
+        if cls is network.ChebConv:
+            parts += [_u32(layer.order), _u32(layer.n_in), _u32(layer.n_out)]
+        elif cls is network.Dense:
+            parts += [_u32(n) for n in layer.weight.shape]
+        elif cls in (network.Pool, network.Unpool):
+            cluster = np.ascontiguousarray(layer.plan.cluster, dtype="<i8")
+            parts += [_u64(cluster.size), _u64(layer.plan.n_coarse), cluster.tobytes()]
+        parts += [_f64s(p) for p, _ in layer.params()]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
+def _sizes(r: _Reader, *names: str) -> list[int]:
+    """One u32 per name, each at least 1."""
+    at = r.pos
+    sizes = [r.scalar("<I") for _ in names]
+    if 0 in sizes:
+        bad = sizes.index(0)
+        raise FormatError(f"{names[bad]} must be at least 1, got 0", at + 4 * bad)
+    return sizes
+
+
+def _read_plan(r: _Reader) -> network.PoolPlan:
+    v_fine, n_pos = r.scalar("<Q"), r.pos
+    n_coarse, cluster_pos = r.scalar("<Q"), r.pos
+    try:
+        return network.pool_plan(r.array("<i8", v_fine), n_coarse)
+    except network.PoolPlanError as exc:
+        at = n_pos if exc.entry is None else cluster_pos + 8 * exc.entry
+        raise FormatError(str(exc), at) from exc
+
+
 def read_model(path, laplacians: list | None = None) -> network.Model:
     """Rebuild a checkpointed model.
+
+    Layout after magic and version: layer count u32, then per layer a code
+    u8 and its fields.  ChebConv (0): order, n_in, n_out u32, theta f64,
+    bias f64.  Dense (5): n_in, n_out u32, weight f64, bias f64.  Pool (2)
+    and Unpool (3): v_fine u64, n_coarse u64, cluster i64 x v_fine.  ReLU
+    (1), GlobalMaxPool (4) and LogSoftmax (6) have no fields.  A size below
+    1, or a cluster map that network.pool_plan refuses, is a FormatError at
+    its field; a size the file cannot back fails as truncation before any
+    layer is built.
 
     ChebConv layers are rebound to `laplacians` in file order (they are not
     stored in the checkpoint); pass the rescaled Laplacians of the graphs the
@@ -364,37 +362,27 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
     for _ in range(n_layers):
         code_pos = r.pos
         code = r.scalar("<B")
-        if code == 0:
-            order, n_in, n_out = r.scalar("<I"), r.scalar("<I"), r.scalar("<I")
+        cls = _LAYER_FROM_CODE.get(code)
+        if cls is None:
+            raise FormatError(f"unknown layer code {code}", code_pos)
+        values = []
+        if cls is network.ChebConv:
+            order, n_in, n_out = _sizes(r, "order", "n_in", "n_out")
+            values = [r.array("<f8", order * n_in * n_out), r.array("<f8", n_out)]
             if not laps:
                 raise ValueError("not enough Laplacians to rebind ChebConv layers")
-            layer = network.ChebConv(laps.pop(0), n_in, n_out, order, rng)
-            layer.theta = r.array("<f8", order * n_in * n_out).reshape(order, n_in, n_out)
-            layer.bias = r.array("<f8", n_out)
-            layer.g_theta = np.zeros_like(layer.theta)
-            layer.g_bias = np.zeros_like(layer.bias)
-            layers.append(layer)
-        elif code == 1:
-            layers.append(network.ReLU())
-        elif code == 2:
-            layers.append(network.Pool(_read_plan(r)))
-        elif code == 3:
-            mode = "rand" if _flag(r, "unpool rand-mode") else "avg"
-            layers.append(network.Unpool(_read_plan(r), mode))
-        elif code == 4:
-            layers.append(network.GlobalMaxPool())
-        elif code == 5:
-            n_in, n_out = r.scalar("<I"), r.scalar("<I")
-            layer = network.Dense(n_in, n_out, rng)
-            layer.weight = r.array("<f8", n_in * n_out).reshape(n_in, n_out)
-            layer.bias = r.array("<f8", n_out)
-            layer.g_weight = np.zeros_like(layer.weight)
-            layer.g_bias = np.zeros_like(layer.bias)
-            layers.append(layer)
-        elif code == 6:
-            layers.append(network.LogSoftmax())
+            layer = cls(laps.pop(0), n_in, n_out, order, rng)
+        elif cls is network.Dense:
+            n_in, n_out = _sizes(r, "n_in", "n_out")
+            values = [r.array("<f8", n_in * n_out), r.array("<f8", n_out)]
+            layer = cls(n_in, n_out, rng)
+        elif cls in (network.Pool, network.Unpool):
+            layer = cls(_read_plan(r))
         else:
-            raise FormatError(f"unknown layer code {code}", code_pos)
+            layer = cls()
+        for (p, _), v in zip(layer.params(), values):
+            p[...] = v.reshape(p.shape)
+        layers.append(layer)
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
     return network.Model(layers)

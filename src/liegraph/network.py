@@ -6,16 +6,19 @@ Every layer caches what its analytic backward needs, accumulates parameter
 gradients in-place, and returns the input gradient.  The caches live until
 `Model.release`, which `train_demo` calls before it returns.
 
-`ChebConv` applies T_j(L) in one of two forms, chosen by the fill of L
+`ChebConv` applies T_j(L) in one of two forms, picked by the fill of L
 alone: a sparse L runs the three-term recurrence (J - 1 sparse products per
 pass), a dense one the stacked operator [T_1(L); ...; T_{J-1}(L)] as one
 BLAS product per pass.  That operator is a forward cache too.
+
+A `PoolPlan` is only a clustering of fine vertices (checked by `pool_plan`,
+derived from a sampling by `r2_pool_plan` and `s2_pool_plan`).  `Pool` takes
+each cluster's maximum; `Unpool` copies each coarse value back to its members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -141,13 +144,6 @@ class ReLU:
         return []
 
 
-class PoolMode(Enum):
-    R2_RAND = "r2rand"
-    R2_MAX = "r2max"
-    S2_MAX = "s2max"
-    S2_AVG = "s2avg"
-
-
 @dataclass
 class PoolPlan:
     """Fine-to-coarse cluster assignment with a precomputed segment layout.
@@ -157,44 +153,47 @@ class PoolPlan:
     fine ids sorted by cluster then id; starts are the segment offsets.
     """
 
-    mode: PoolMode
     cluster: np.ndarray
     n_coarse: int
     order: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    chosen: np.ndarray | None = None
     notes: tuple[str, ...] = ()
 
-    def redraw(self, seed: int) -> None:
-        """Pick one member per cluster for the Rand modes."""
-        rng = np.random.Generator(np.random.Philox(seed))
-        pick = np.floor(rng.random(self.n_coarse) * self.sizes).astype(np.int64)
-        pick = np.minimum(pick, self.sizes - 1)
-        self.chosen = self.order[self.starts + pick]
+
+class PoolPlanError(ValueError):
+    """A cluster map that makes no pool plan; entry is the index of the first
+    bad cluster id (0 for an empty cluster), None when n_coarse is at fault."""
+
+    def __init__(self, message: str, entry: int | None = None):
+        super().__init__(message)
+        self.entry = entry
 
 
-def _plan_from_cluster(mode: PoolMode, cluster: np.ndarray, n_coarse: int,
-                       notes: tuple[str, ...] = ()) -> PoolPlan:
+def pool_plan(cluster: np.ndarray, n_coarse: int, notes: tuple[str, ...] = ()) -> PoolPlan:
+    """The plan of a cluster map; PoolPlanError unless 1 <= n_coarse <=
+    cluster.size, every id lies in [-1, n_coarse) and no cluster is empty."""
+    cluster = np.asarray(cluster, dtype=np.int64)
+    if not 1 <= n_coarse <= cluster.size:
+        raise PoolPlanError(f"{n_coarse} coarse vertices for {cluster.size} fine ones")
+    bad = (cluster < -1) | (cluster >= n_coarse)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise PoolPlanError(f"cluster id {cluster[v]} of vertex {v} outside [-1, {n_coarse})", v)
     kept = np.flatnonzero(cluster >= 0)
     order = kept[np.argsort(cluster[kept], kind="stable")]
     sizes = np.bincount(cluster[kept], minlength=n_coarse)
-    if np.any(sizes == 0):
-        raise ValueError("every coarse vertex needs at least one fine member")
+    if not sizes.all():
+        raise PoolPlanError(f"coarse vertex {int(np.argmin(sizes))} has no fine member", 0)
     starts = np.zeros(n_coarse, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
-    plan = PoolPlan(mode, cluster, n_coarse, order, starts, sizes, None, notes)
-    if mode in (PoolMode.R2_RAND,):
-        plan.redraw(0)
-    return plan
+    return PoolPlan(cluster, n_coarse, order, starts, sizes, notes)
 
 
-def r2_pool_plan(spec: GridSpec, mode: PoolMode) -> PoolPlan:
+def r2_pool_plan(spec: GridSpec) -> PoolPlan:
     """Non-overlapping 2x2 spatial blocks inside every orientation slice."""
     if spec.kind not in (GridKind.SE2_GRID, GridKind.R2_GRID):
         raise ValueError("r2 pooling applies to planar grids")
-    if mode not in (PoolMode.R2_MAX, PoolMode.R2_RAND):
-        raise ValueError("planar pooling supports the R2 modes")
     cnx, cny = spec.nx // 2, spec.ny // 2
     if cnx < 1 or cny < 1:
         raise ValueError("grid too small to pool")
@@ -206,20 +205,18 @@ def r2_pool_plan(spec: GridSpec, mode: PoolMode) -> PoolPlan:
     ix, iy, k = (ids % ns) % spec.nx, (ids % ns) // spec.nx, ids // ns
     inside = (ix < 2 * cnx) & (iy < 2 * cny)
     cluster = np.where(inside, k * (cnx * cny) + (iy // 2) * cnx + (ix // 2), -1)
-    return _plan_from_cluster(mode, cluster, cnx * cny * spec.n_orient, notes)
+    return pool_plan(cluster, cnx * cny * spec.n_orient, notes)
 
 
 def coarse_spec_r2(spec: GridSpec) -> GridSpec:
     return GridSpec(spec.kind, nx=spec.nx // 2, ny=spec.ny // 2, n_orient=spec.n_orient)
 
 
-def s2_pool_plan(spec: GridSpec, mode: PoolMode) -> PoolPlan:
+def s2_pool_plan(spec: GridSpec) -> PoolPlan:
     """Icosahedral level drop: prefix vertices keep themselves, midpoints fold
     into the lower endpoint of their parent edge."""
     if spec.kind not in (GridKind.SO3_ICOSAHEDRAL, GridKind.S2_ICOSAHEDRAL):
         raise ValueError("s2 pooling applies to icosahedral samplings")
-    if mode not in (PoolMode.S2_MAX, PoolMode.S2_AVG):
-        raise ValueError("icosahedral pooling supports the S2 modes")
     if spec.level < 1:
         raise ValueError("level 0 cannot be pooled")
     parents = icosphere_parents(spec.level)
@@ -228,7 +225,7 @@ def s2_pool_plan(spec: GridSpec, mode: PoolMode) -> PoolPlan:
     ids = np.arange(spec.n_vertices)
     s, k = ids % ns_f, ids // ns_f
     cluster = k * ns_c + parents[s]
-    return _plan_from_cluster(mode, cluster, ns_c * spec.n_orient)
+    return pool_plan(cluster, ns_c * spec.n_orient)
 
 
 def coarse_spec_s2(spec: GridSpec) -> GridSpec:
@@ -236,11 +233,11 @@ def coarse_spec_s2(spec: GridSpec) -> GridSpec:
 
 
 class Pool:
-    """Cluster pooling; Max modes route gradients to the winning member,
-    Rand to the pre-drawn one, Avg spreads them uniformly.
+    """Max pooling over the clusters of a plan; backward routes each gradient
+    to its cluster's winning member.
 
-    Max modes read clusters through `members`, an (n_coarse, max_size) table
-    of fine ids in ascending order per cluster.  Slots past a cluster's size
+    Clusters are read through `members`, an (n_coarse, max_size) table of
+    fine ids in ascending order per cluster.  Slots past a cluster's size
     repeat its last member, which can neither raise the maximum nor move the
     winner off a finite value."""
 
@@ -250,13 +247,7 @@ class Pool:
         self.members = plan.order[plan.starts[:, None] + slot]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        plan = self.plan
         self._shape = x.shape
-        if plan.mode in (PoolMode.R2_RAND,):
-            return x[plan.chosen]
-        if plan.mode is PoolMode.S2_AVG:
-            return np.add.reduceat(x[plan.order], plan.starts, axis=0) / \
-                plan.sizes[:, None, None]
         top = x[self.members[:, 0]]
         winner = np.empty(top.shape, dtype=np.int64)
         winner[...] = self.members[:, 0, None, None]
@@ -270,15 +261,9 @@ class Pool:
         return top
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        plan = self.plan
         gx = np.zeros(self._shape)
-        if plan.mode in (PoolMode.R2_RAND,):
-            gx[plan.chosen] = gy
-        elif plan.mode is PoolMode.S2_AVG:
-            gx[plan.order] = (gy / plan.sizes[:, None, None])[plan.cluster[plan.order]]
-        else:
-            # Clusters are disjoint, so winners never collide per (b, c).
-            np.put_along_axis(gx, self._winner, gy, axis=0)
+        # Clusters are disjoint, so winners never collide per (b, c).
+        np.put_along_axis(gx, self._winner, gy, axis=0)
         return gx
 
     def params(self):
@@ -286,33 +271,20 @@ class Pool:
 
 
 class Unpool:
-    """Adjoint-style upsampling: Avg replicates the coarse value across the
-    cluster, Rand places it on the drawn member and zeros elsewhere."""
+    """Copies each coarse value to every member of its cluster (dropped fine
+    vertices get 0); backward sums the gradient over each cluster."""
 
-    def __init__(self, plan: PoolPlan, mode: str = "avg"):
-        if mode not in ("avg", "rand"):
-            raise ValueError("unpool mode must be 'avg' or 'rand'")
-        if mode == "rand" and plan.chosen is None:
-            raise ValueError("rand unpooling needs a drawn plan")
+    def __init__(self, plan: PoolPlan):
         self.plan = plan
-        self.mode = mode
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        plan = self.plan
-        shape = (plan.cluster.size,) + y.shape[1:]
-        out = np.zeros(shape)
-        if self.mode == "rand":
-            out[plan.chosen] = y
-        else:
-            kept = plan.cluster >= 0
-            out[kept] = y[plan.cluster[kept]]
+        cluster = self.plan.cluster
+        out = np.zeros((cluster.size,) + y.shape[1:])
+        out[cluster >= 0] = y[cluster[cluster >= 0]]
         return out
 
     def backward(self, gx: np.ndarray) -> np.ndarray:
-        plan = self.plan
-        if self.mode == "rand":
-            return gx[plan.chosen]
-        return np.add.reduceat(gx[plan.order], plan.starts, axis=0)
+        return np.add.reduceat(gx[self.plan.order], self.plan.starts, axis=0)
 
     def params(self):
         return []
@@ -474,7 +446,7 @@ def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float 
     coarse_graph = build_graph(coarse, c_metric, knn)
     coarse_lap = power_lambda_max(laplacian(coarse_graph))
 
-    plan = r2_pool_plan(fine.spec, PoolMode.R2_MAX)
+    plan = r2_pool_plan(fine.spec)
     lf, lc = rescale(fine_lap), rescale(coarse_lap)
     model = Model([
         ChebConv(lf, 1, channels[0], order, rng),

@@ -90,6 +90,26 @@ def test_build_graph_usage_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_build_graph_rejects_infinite_metric(tmp_path, capsys):
+    """An infinite epsilon, xi or alpha would zero a weight term: exit 2, no file."""
+    out = tmp_path / "g.clgr"
+    for flag in ("--epsilon", "--xi", "--alpha"):
+        assert main(["build-graph", "--kind", "se2", "--nx", "4", "--orient", "2",
+                     flag, "inf", "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_info_rejects_alpha_that_contradicts_xi(graph_path, tmp_path, capsys):
+    data = bytearray(graph_path.read_bytes())
+    data[41:49] = np.float64(7.5).tobytes()
+    bad = tmp_path / "alpha.clgr"
+    bad.write_bytes(bytes(data))
+    assert main(["info", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "contradicts xi" in err and "offset 41" in err
+
+
 def test_info_missing_and_corrupt(tmp_path, capsys):
     assert main(["info", str(tmp_path / "absent.clgr")]) == 2
     bad = tmp_path / "bad.clgr"

@@ -8,7 +8,7 @@ import pytest
 from liegraph import io
 from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
                             sample_vertices)
-from liegraph.network import Model, PoolMode, Unpool, build_demo, r2_pool_plan
+from liegraph.network import Model, Pool, Unpool, build_demo, r2_pool_plan, s2_pool_plan
 from liegraph.sampling import GridKind, GridSpec
 
 from conftest import EPS_ANISO, built
@@ -163,18 +163,27 @@ def test_model_roundtrip(tmp_path):
     assert read_bytes(path) == read_bytes(second)
 
 
-def test_model_roundtrip_with_unpool_and_rand(tmp_path):
-    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4), PoolMode.R2_RAND)
-    plan.redraw(7)
-    model = Model([Unpool(plan, "rand")])
-    path = tmp_path / "u.clmd"
-    io.write_model(path, model)
-    back = io.read_model(path)
-    assert back.layers[0].mode == "rand"
-    np.testing.assert_array_equal(back.layers[0].plan.chosen, plan.chosen)
+def test_model_roundtrip_with_unpool(tmp_path):
+    """Pool and Unpool layers store their cluster map and nothing else; an
+    icosahedral plan and an odd planar one (with dropped vertices) come back
+    bit for bit."""
     rng = np.random.Generator(np.random.Philox(32))
-    y = rng.standard_normal((4, 2, 2))
-    np.testing.assert_array_equal(back.layers[0].forward(y), model.layers[0].forward(y))
+    for plan in (s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)),
+                 r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=5, ny=5))):
+        model = Model([Unpool(plan), Pool(plan)])
+        path, again = tmp_path / "u.clmd", tmp_path / "u2.clmd"
+        io.write_model(path, model)
+        data = read_bytes(path)
+        lay = model_layout(data)
+        assert len(data) == lay[1]["cluster"] + 8 * plan.cluster.size
+        back = io.read_model(path)
+        for layer in back.layers:
+            for attr in ("cluster", "order", "starts", "sizes"):
+                np.testing.assert_array_equal(getattr(layer.plan, attr), getattr(plan, attr))
+        y = rng.standard_normal((plan.n_coarse, 2, 2))
+        np.testing.assert_array_equal(back.forward(y), model.forward(y))
+        io.write_model(again, back)
+        assert read_bytes(again) == data
 
 
 def test_model_needs_laplacians(tmp_path):
@@ -185,19 +194,71 @@ def test_model_needs_laplacians(tmp_path):
         io.read_model(path)
 
 
-def test_model_bad_unpool_flags(tmp_path):
-    """The rand-mode byte and the chosen-ids flag take only 0 or 1."""
-    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4), PoolMode.R2_RAND)
-    path = tmp_path / "u.clmd"
-    io.write_model(path, Model([Unpool(plan, "rand")]))
-    data = read_bytes(path)
-    # magic, version, layer count, then the layer code at 12 and the mode at 13;
-    # the file ends with the chosen-ids flag and n_coarse u64 ids
-    for at, name in [(13, "unpool rand-mode"), (len(data) - 8 * plan.n_coarse - 1, "chosen-ids")]:
-        assert data[at] == 1
-        with pytest.raises(io.FormatError, match=f"{name} flag must be 0 or 1") as exc:
-            io.read_model(write_tmp(tmp_path, corrupt(data, at, 2)))
-        assert exc.value.offset == at
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """The demo checkpoint, its bytes, and the Laplacians it binds to."""
+    setup = build_demo(seed=5)
+    path = tmp_path_factory.mktemp("io") / "m.clmd"
+    io.write_model(path, setup.model)
+    return read_bytes(path), [rescale(setup.fine_lap), rescale(setup.coarse_lap)]
+
+
+def test_model_version_1_rejected(tmp_path, model_file):
+    data, laps = model_file
+    path = write_tmp(tmp_path, put(data, 4, (1).to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="unsupported version 1") as exc:
+        io.read_model(path, laps)
+    assert exc.value.offset == 4
+
+
+@pytest.mark.parametrize("field, entry, value, message, reported", [
+    ("cluster", 5, 64, r"cluster id 64 of vertex 5 outside \[-1, 64\)", "cluster"),
+    ("cluster", 7, -5, r"cluster id -5 of vertex 7 outside \[-1, 64\)", "cluster"),
+    ("n_coarse", 0, 2 ** 62, f"{2 ** 62} coarse vertices for 256 fine ones", "n_coarse"),
+    ("n_coarse", 0, 0, "0 coarse vertices for 256 fine ones", "n_coarse"),
+    ("n_coarse", 0, 65, "coarse vertex 64 has no fine member", "cluster"),
+], ids=["id_n_coarse", "id_minus_5", "n_coarse_2_62", "n_coarse_0", "empty_cluster"])
+def test_model_bad_pool_plan(tmp_path, model_file, field, entry, value, message, reported):
+    """A stored cluster map is checked by pool_plan; a bad count or id is a
+    format error at that field, an empty cluster one at the map's start."""
+    data, laps = model_file
+    pool = model_layout(data)[2]
+    assert data[pool["code"]] == 2
+    path = write_tmp(tmp_path, put(data, pool[field] + 8 * entry,
+                                   np.int64(value).astype("<i8").tobytes()))
+    with pytest.raises(io.FormatError, match=message) as exc:
+        io.read_model(path, laps)
+    assert exc.value.offset == pool[reported] + 8 * entry
+
+
+@pytest.mark.parametrize("layer, zeroed, bad", [
+    (0, ["order"], "order"),
+    (0, ["n_in"], "n_in"),
+    (0, ["n_out"], "n_out"),
+    (0, ["n_in", "n_out"], "n_in"),
+    (6, ["n_in", "n_out"], "n_in"),
+    (6, ["n_out"], "n_out"),
+], ids=["cheb_order", "cheb_n_in", "cheb_n_out", "cheb_0x0", "dense_0x0", "dense_n_out"])
+def test_model_bad_layer_size(tmp_path, model_file, layer, zeroed, bad):
+    """ChebConv and Dense sizes below 1 are format errors at that u32."""
+    data, laps = model_file
+    fields = model_layout(data)[layer]
+    for name in zeroed:
+        data = put(data, fields[name], (0).to_bytes(4, "little"))
+    with pytest.raises(io.FormatError, match=f"{bad} must be at least 1, got 0") as exc:
+        io.read_model(write_tmp(tmp_path, data), laps)
+    assert exc.value.offset == fields[bad]
+
+
+def test_model_sizes_beyond_the_file(tmp_path, model_file):
+    """Parameters are read before a layer is built, so sizes the file cannot
+    back fail as truncation instead of allocating 4096^3 weights."""
+    data, laps = model_file
+    cheb = model_layout(data)[0]
+    data = put(data, cheb["order"], np.array([4096] * 3, dtype="<u4").tobytes())
+    with pytest.raises(io.FormatError, match="truncated model file") as exc:
+        io.read_model(write_tmp(tmp_path, data), laps)
+    assert exc.value.offset == cheb["params"]
 
 
 def corrupt(data: bytes, offset: int, value: int) -> bytes:
@@ -298,6 +359,32 @@ def graph_layout(data: bytes) -> dict:
             "lap_flag": indices + 16 * nnz}
 
 
+def model_layout(data: bytes) -> list[dict]:
+    """Byte offsets of the fields of a CLMD file, one dict per layer: the
+    layer code, then the size u32s of ChebConv (order, n_in, n_out) and Dense
+    (n_in, n_out) followed by their parameters, or the v_fine, n_coarse and
+    cluster fields of Pool and Unpool."""
+    def uint(at, size):
+        return int.from_bytes(data[at:at + size], "little")
+
+    layers, at = [], 12
+    for _ in range(uint(8, 4)):
+        layer = {"code": at}
+        code, at = data[at], at + 1
+        if code in (0, 5):
+            sizes = {}
+            for name in ("order", "n_in", "n_out") if code == 0 else ("n_in", "n_out"):
+                layer[name], sizes[name], at = at, uint(at, 4), at + 4
+            layer["params"] = at
+            at += 8 * (int(np.prod(list(sizes.values()))) + sizes["n_out"])
+        elif code in (2, 3):
+            layer.update(v_fine=at, n_coarse=at + 8, cluster=at + 16)
+            at += 16 + 8 * uint(at, 8)
+        layers.append(layer)
+    assert at == len(data)
+    return layers
+
+
 def put(data: bytes, offset: int, raw: bytes) -> bytes:
     out = bytearray(data)
     out[offset:offset + len(raw)] = raw
@@ -380,7 +467,7 @@ def test_bad_bandwidth(tmp_path, graph_file, value):
 
 
 @pytest.mark.parametrize("at", [25, 33])
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
 def test_bad_metric(tmp_path, graph_file, at, value):
     _, data = graph_file
     path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
@@ -397,6 +484,21 @@ def test_bad_alpha(tmp_path, graph_file, value):
     with pytest.raises(io.FormatError, match="alpha .* is not finite and positive") as exc:
         io.read_graph(path)
     assert exc.value.offset == at
+
+
+def test_alpha_must_match_xi(tmp_path, graph_file, se2_8x8x4):
+    """Every graph has alpha = alpha_from_xi(xi, spec), so another finite
+    positive alpha, one ulp off included, is refused on write and on read."""
+    with pytest.raises(ValueError, match="contradicts xi"):
+        io.write_graph(tmp_path / "x.clgr", dataclasses.replace(se2_8x8x4, alpha=7.5))
+    _, data = graph_file
+    at = graph_layout(data)["alpha"]
+    stored = np.frombuffer(data[at:at + 8], "<f8")[0]
+    for alpha in (7.5, np.nextafter(stored, np.inf)):
+        path = write_tmp(tmp_path, put(data, at, np.float64(alpha).tobytes()))
+        with pytest.raises(io.FormatError, match="contradicts xi") as exc:
+            io.read_graph(path)
+        assert exc.value.offset == at
 
 
 def test_knn_zero(tmp_path, graph_file):
@@ -489,7 +591,8 @@ def test_signal_wrong_magic(tmp_path, graph_file):
 
 
 def test_model_unknown_layer_code(tmp_path):
-    data = io.MODEL_MAGIC + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + bytes([99])
+    data = (io.MODEL_MAGIC + io.MODEL_VERSION.to_bytes(4, "little") + (1).to_bytes(4, "little")
+            + bytes([99]))
     path = write_tmp(tmp_path, data)
     with pytest.raises(io.FormatError, match="unknown layer code") as exc:
         io.read_model(path)

@@ -18,7 +18,7 @@ from liegraph.network import (
     LogSoftmax,
     Model,
     Pool,
-    PoolMode,
+    PoolPlanError,
     ReLU,
     TrainingDiverged,
     Unpool,
@@ -28,6 +28,7 @@ from liegraph.network import (
     lift_images,
     nll_loss,
     oriented_bars,
+    pool_plan,
     r2_pool_plan,
     rotation_consistency,
     s2_pool_plan,
@@ -181,37 +182,33 @@ def test_nll_loss_gradient():
         assert abs(grad[idx] - fd) <= 1e-8
 
 
-@pytest.mark.parametrize("mode", [PoolMode.R2_MAX, PoolMode.R2_RAND])
-def test_r2_pool_gradients(mode):
+def test_r2_pool_gradients():
     rng = np.random.Generator(np.random.Philox(16))
     spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
-    plan = r2_pool_plan(spec, mode)
+    plan = r2_pool_plan(spec)
     pool = Pool(plan)
     x = rng.standard_normal((spec.n_vertices, 3, 2))
-    if mode is PoolMode.R2_MAX:
-        # strict winners so the finite-difference step cannot flip them
-        xs = x[plan.order].reshape(plan.n_coarse, 4, -1)
-        gap = np.sort(xs, axis=1)[:, -1] - np.sort(xs, axis=1)[:, -2]
-        assert gap.min() > 1e-3
+    # strict winners so the finite-difference step cannot flip them
+    xs = x[plan.order].reshape(plan.n_coarse, 4, -1)
+    gap = np.sort(xs, axis=1)[:, -1] - np.sort(xs, axis=1)[:, -2]
+    assert gap.min() > 1e-3
     check_input_gradient(pool, x, rng)
 
 
-@pytest.mark.parametrize("mode", [PoolMode.S2_MAX, PoolMode.S2_AVG])
-def test_s2_pool_gradients(mode):
+def test_s2_pool_gradients():
     rng = np.random.Generator(np.random.Philox(17))
     spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=2)
-    plan = s2_pool_plan(spec, mode)
+    plan = s2_pool_plan(spec)
     pool = Pool(plan)
     x = rng.standard_normal((spec.n_vertices, 2, 3))
     check_input_gradient(pool, x, rng)
 
 
-@pytest.mark.parametrize("unpool_mode", ["avg", "rand"])
-def test_unpool_gradients(unpool_mode):
+def test_unpool_gradients():
     rng = np.random.Generator(np.random.Philox(18))
     spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
-    plan = r2_pool_plan(spec, PoolMode.R2_RAND)
-    layer = Unpool(plan, unpool_mode)
+    plan = r2_pool_plan(spec)
+    layer = Unpool(plan)
     y = rng.standard_normal((plan.n_coarse, 3, 2))
     check_input_gradient(layer, y, rng)
 
@@ -241,38 +238,24 @@ def test_global_max_permutation_invariant():
 
 
 def test_pool_backward_is_adjoint():
-    """<pool(x), y> = <x, backward(y)> for every pooling mode at a base point."""
+    """<layer(x), y> = <x, backward(y)> at a base point, for max pooling on
+    both plan kinds and for unpooling (which is linear)."""
     rng = np.random.Generator(np.random.Philox(21))
-    cases = [
-        (Pool(r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2), m)), 32)
-        for m in (PoolMode.R2_MAX, PoolMode.R2_RAND)
-    ] + [
-        (Pool(s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1), m)), 42)
-        for m in (PoolMode.S2_MAX, PoolMode.S2_AVG)
-    ]
-    for pool, n in cases:
+    s2_plan = s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
+    cases = [(Pool(r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2))), 32),
+             (Pool(s2_plan), 42),
+             (Unpool(s2_plan), 12)]
+    for layer, n in cases:
         x = rng.standard_normal((n, 2, 2))
-        out = pool.forward(x)
+        out = layer.forward(x)
         y = rng.standard_normal(out.shape)
         lhs = float(np.sum(out * y))
-        rhs = float(np.sum(x * pool.backward(y)))
-        assert lhs == pytest.approx(rhs, rel=1e-12), pool.plan.mode
-
-
-def test_avg_pool_unpool_pairing():
-    """Replicating unpool is the size-weighted adjoint of average pooling."""
-    rng = np.random.Generator(np.random.Philox(22))
-    plan = s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1), PoolMode.S2_AVG)
-    pool, unpool = Pool(plan), Unpool(plan, "avg")
-    x = rng.standard_normal((42, 2, 2))
-    y = rng.standard_normal((12, 2, 2))
-    lhs = float(np.sum(pool.forward(x) * y))
-    rhs = float(np.sum(x * unpool.forward(y / plan.sizes[:, None, None])))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+        rhs = float(np.sum(x * layer.backward(y)))
+        assert lhs == pytest.approx(rhs, rel=1e-12), type(layer).__name__
 
 
 def test_max_pool_tie_routes_lowest_id():
-    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4), PoolMode.R2_MAX)
+    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4))
     x = np.zeros((16, 1, 1))
     # cluster 0 holds fine ids {0, 1, 4, 5}; tie the max between 0 and 5
     x[0] = x[5] = 3.0
@@ -286,7 +269,7 @@ def test_max_pool_tie_routes_lowest_id():
 def test_icosahedral_parent_keeps_value():
     """A level-1 parent vertex that holds the cluster max pools to itself."""
     spec = GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)
-    plan = s2_pool_plan(spec, PoolMode.S2_MAX)
+    plan = s2_pool_plan(spec)
     x = np.full((42, 1, 1), -1.0)
     x[:12, 0, 0] = np.arange(12) + 10.0
     out = Pool(plan).forward(x)
@@ -295,24 +278,30 @@ def test_icosahedral_parent_keeps_value():
 
 def test_pool_plan_layout():
     spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
-    plan = r2_pool_plan(spec, PoolMode.R2_MAX)
+    plan = r2_pool_plan(spec)
     assert plan.n_coarse == 64
     assert np.all(plan.sizes == 4)
     assert np.all(plan.cluster >= 0)
     assert coarse_spec_r2(spec).nx == 4
     # icosahedral: prefix vertices stay in their own cluster
     so3 = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=2)
-    splan = s2_pool_plan(so3, PoolMode.S2_MAX)
+    splan = s2_pool_plan(so3)
     assert splan.n_coarse == 24
     for k in range(2):
         for s in range(12):
             assert splan.cluster[k * 42 + s] == k * 12 + s
     assert coarse_spec_s2(so3).level == 0
+    # a plan from a cluster map: members by cluster then id, -1 dropped
+    plan = pool_plan(np.array([1, -1, 0, 1]), 2, ("note",))
+    np.testing.assert_array_equal(plan.order, [2, 0, 3])
+    np.testing.assert_array_equal(plan.starts, [0, 1])
+    np.testing.assert_array_equal(plan.sizes, [1, 2])
+    assert plan.notes == ("note",)
 
 
 def test_odd_grid_drops_trailing():
     spec = GridSpec(GridKind.R2_GRID, nx=5, ny=5)
-    plan = r2_pool_plan(spec, PoolMode.R2_MAX)
+    plan = r2_pool_plan(spec)
     assert plan.notes and "dropped" in plan.notes[0]
     ids = np.arange(25)
     dropped = (ids % 5 == 4) | (ids // 5 == 4)
@@ -325,33 +314,30 @@ def test_odd_grid_drops_trailing():
     assert np.all(gx[dropped] == 0.0)
 
 
-def test_redraw_deterministic():
-    spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
-    plan = r2_pool_plan(spec, PoolMode.R2_RAND)
-    plan.redraw(9)
-    first = plan.chosen.copy()
-    plan.redraw(9)
-    np.testing.assert_array_equal(plan.chosen, first)
-    # the drawn member really belongs to its cluster
-    np.testing.assert_array_equal(plan.cluster[plan.chosen], np.arange(plan.n_coarse))
-
-
 def test_pool_plan_validation():
     with pytest.raises(ValueError):
-        r2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1), PoolMode.R2_MAX)
+        r2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
     with pytest.raises(ValueError):
-        r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4), PoolMode.S2_AVG)
+        r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=1, ny=1))
     with pytest.raises(ValueError):
-        r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=1, ny=1), PoolMode.R2_MAX)
+        s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=0))
     with pytest.raises(ValueError):
-        s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=0), PoolMode.S2_MAX)
-    with pytest.raises(ValueError):
-        s2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2), PoolMode.S2_MAX)
-    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4), PoolMode.R2_MAX)
-    with pytest.raises(ValueError):
-        Unpool(plan, "nearest")
-    with pytest.raises(ValueError):
-        Unpool(plan, "rand")       # no drawn member on a Max plan
+        s2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2))
+
+
+@pytest.mark.parametrize("cluster, n_coarse, entry, message", [
+    ([0, 0, 1], 0, None, "0 coarse vertices for 3 fine ones"),
+    ([0, 0, 1], 4, None, "4 coarse vertices for 3 fine ones"),
+    ([0, 2, 1], 2, 1, r"cluster id 2 of vertex 1 outside \[-1, 2\)"),
+    ([0, -1, -5], 2, 2, r"cluster id -5 of vertex 2 outside \[-1, 2\)"),
+    ([0, -1, 0], 2, 0, "coarse vertex 1 has no fine member"),
+], ids=["n_coarse_0", "n_coarse_above_v_fine", "id_n_coarse", "id_minus_5", "empty_cluster"])
+def test_pool_plan_checks(cluster, n_coarse, entry, message):
+    """pool_plan checks the count, then every id, then that no cluster is
+    empty, and names the first cluster entry at fault (None for the count)."""
+    with pytest.raises(PoolPlanError, match=message) as exc:
+        pool_plan(np.array(cluster), n_coarse)
+    assert exc.value.entry == entry
 
 
 def test_chebconv_equivariance(operator_laps):
@@ -382,7 +368,7 @@ def check_chebconv_equivariance(operator_laps, form):
 def test_pool_equivariance():
     """Max pooling commutes with the quarter turn via the coarse-grid turn."""
     spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
-    plan = r2_pool_plan(spec, PoolMode.R2_MAX)
+    plan = r2_pool_plan(spec)
     fine_perm = rotation_permutation(spec)
     coarse_perm = rotation_permutation(coarse_spec_r2(spec))
     rng = np.random.Generator(np.random.Philox(24))
@@ -492,9 +478,8 @@ def check_chebconv_against_einsum(operator_laps, form, n_in, batch, order):
 def max_plans():
     """An odd planar grid (trailing column dropped) and so3 level 2 x 2,
     whose icosahedral clusters have unequal sizes."""
-    return [r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=5, ny=6, n_orient=3), PoolMode.R2_MAX),
-            s2_pool_plan(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=2, n_orient=2),
-                         PoolMode.S2_MAX)]
+    return [r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=5, ny=6, n_orient=3)),
+            s2_pool_plan(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=2, n_orient=2))]
 
 
 def test_max_pool_matches_reduceat_oracle():
