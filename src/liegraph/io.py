@@ -350,7 +350,8 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
 
     ChebConv layers are rebound to `laplacians` in file order (they are not
     stored in the checkpoint); pass the rescaled Laplacians of the graphs the
-    model was trained on.
+    model was trained on.  A Laplacian whose size differs from the vertex
+    count a Pool or Unpool layer fixes around it is a ValueError.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "model file")
@@ -358,28 +359,37 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
     n_layers = r.scalar("<I")
     laps = list(laplacians or [])
     layers = []
+    n = source = None  # vertex count the layers so far give, and who fixed it
     rng = np.random.Generator(np.random.Philox(0))
-    for _ in range(n_layers):
+    for k in range(n_layers):
         code_pos = r.pos
         code = r.scalar("<B")
         cls = _LAYER_FROM_CODE.get(code)
         if cls is None:
             raise FormatError(f"unknown layer code {code}", code_pos)
-        values = []
+        values, counts = [], None
         if cls is network.ChebConv:
             order, n_in, n_out = _sizes(r, "order", "n_in", "n_out")
             values = [r.array("<f8", order * n_in * n_out), r.array("<f8", n_out)]
             if not laps:
                 raise ValueError("not enough Laplacians to rebind ChebConv layers")
             layer = cls(laps.pop(0), n_in, n_out, order, rng)
+            counts = (layer.lap.n, layer.lap.n)
         elif cls is network.Dense:
             n_in, n_out = _sizes(r, "n_in", "n_out")
             values = [r.array("<f8", n_in * n_out), r.array("<f8", n_out)]
             layer = cls(n_in, n_out, rng)
         elif cls in (network.Pool, network.Unpool):
             layer = cls(_read_plan(r))
+            counts = layer.plan.cluster.size, layer.plan.n_coarse
+            counts = counts if cls is network.Pool else counts[::-1]
         else:
             layer = cls()
+        if counts:
+            if n not in (None, counts[0]):
+                raise ValueError(f"layer {k} ({cls.__name__}) takes {counts[0]} vertices, "
+                                 f"layer {source} gives {n}: Laplacians out of order?")
+            n, source = counts[1], f"{k} ({cls.__name__})"
         for (p, _), v in zip(layer.params(), values):
             p[...] = v.reshape(p.shape)
         layers.append(layer)

@@ -2,9 +2,10 @@
 
 Vertex signals are (V, B, C) arrays (batch in the middle so sparse matvecs
 can flatten the trailing axes); after global pooling they become (B, C).
-Every layer caches what its analytic backward needs, accumulates parameter
-gradients in-place, and returns the input gradient.  The caches live until
-`Model.release`, which `train_demo` calls before it returns.
+A training forward (`train=True`, the default) caches what the analytic
+backward needs, which accumulates parameter gradients in-place and returns
+the input gradient; an evaluation forward stores no `_`-prefixed array.  The
+caches live until `Model.release`, which `train_demo` calls before it returns.
 
 `ChebConv` applies T_j(L) in one of two forms, picked by the fill of L
 alone: a sparse L runs the three-term recurrence (J - 1 sparse products per
@@ -75,29 +76,31 @@ class ChebConv:
         self.bias = np.zeros(n_out)
         self.g_theta = np.zeros_like(self.theta)
         self.g_bias = np.zeros_like(self.bias)
-        self._z = None
         self._p = None
 
-    def _terms(self, x: np.ndarray) -> np.ndarray:
+    def _terms(self, x: np.ndarray, train: bool) -> np.ndarray:
         if not self.dense:
             return cheb_terms(self.lap.matrix, x, self.order)
         v = x.shape[0]
-        if self._p is None:
-            terms = cheb_terms(self.lap.matrix.toarray(), np.eye(v), self.order)
-            self._p = terms[1:].reshape(-1, v)
+        p = self._p
+        if p is None:
+            p = cheb_terms(self.lap.matrix.toarray(), np.eye(v), self.order)[1:].reshape(-1, v)
+            self._p = p if train else None
         z = np.empty((self.order,) + x.shape)
         z[0] = x
         # Z_{1..J-1} = P Z_0, written into the stack by one product.
         flat = z.reshape(self.order * v, -1)
-        np.matmul(self._p, flat[:v], out=flat[v:])
+        np.matmul(p, flat[:v], out=flat[v:])
         return z
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        z = self._terms(x)
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        z = self._terms(x, train)
         j, v, b, i = z.shape
         # One (V*B, J*I) @ (J*I, O) product contracts terms and channels.
-        self._z = z.transpose(1, 2, 0, 3).reshape(v * b, j * i)
-        y = self._z @ self.theta.reshape(j * i, self.n_out)
+        z = z.transpose(1, 2, 0, 3).reshape(v * b, j * i)
+        if train:
+            self._z = z
+        y = z @ self.theta.reshape(j * i, self.n_out)
         y += self.bias
         return y.reshape(v, b, self.n_out)
 
@@ -133,8 +136,9 @@ class ReLU:
     """max(x, 0).  A NaN pre-activation propagates as NaN; its gradient, like
     that of every x <= 0, is zero."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0.0
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        if train:
+            self._mask = x > 0.0
         return np.maximum(x, 0.0)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -236,32 +240,34 @@ class Pool:
     """Max pooling over the clusters of a plan; backward routes each gradient
     to its cluster's winning member.
 
-    Clusters are read through `members`, an (n_coarse, max_size) table of
-    fine ids in ascending order per cluster.  Slots past a cluster's size
-    repeat its last member, which can neither raise the maximum nor move the
-    winner off a finite value."""
+    Clusters are read through `members`, an (n_coarse, max_size >= 2) table
+    of fine ids in ascending order per cluster; slots past a cluster's size
+    repeat its last member.  The winner sits in the first slot that holds the
+    maximum, so ties go to the lowest id.  Its slot counts the leading slots,
+    all but the last, that miss, so a cluster holding a NaN picks its last."""
 
     def __init__(self, plan: PoolPlan):
         self.plan = plan
-        slot = np.minimum(np.arange(plan.sizes.max()), plan.sizes[:, None] - 1)
+        slot = np.minimum(np.arange(max(plan.sizes.max(), 2)), plan.sizes[:, None] - 1)
         self.members = plan.order[plan.starts[:, None] + slot]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         top = x[self.members[:, 0]]
-        winner = np.empty(top.shape, dtype=np.int64)
-        winner[...] = self.members[:, 0, None, None]
         for ids in self.members.T[1:]:
-            new = np.maximum(top, x[ids])
-            # Strict change only, so ties keep the lowest id; a NaN member
-            # compares unequal and takes the win, inside its own cluster.
-            np.copyto(winner, ids[:, None, None], where=new != top)
-            top = new
-        self._winner = winner
+            np.maximum(top, x[ids], out=top)
+        if not train:
+            return top
+        miss = x[self.members[:, 0]] != top
+        slot = miss.astype(np.intp)
+        for ids in self.members.T[1:-1]:
+            miss &= x[ids] != top
+            slot += miss
+        rows = np.arange(self.members.shape[0])[:, None, None] * self.members.shape[1]
+        self._winner = np.take(self.members, rows + slot)
         return top
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        gx = np.zeros(self._shape)
+        gx = np.zeros((self.plan.cluster.size,) + gy.shape[1:])
         # Clusters are disjoint, so winners never collide per (b, c).
         np.put_along_axis(gx, self._winner, gy, axis=0)
         return gx
@@ -277,7 +283,7 @@ class Unpool:
     def __init__(self, plan: PoolPlan):
         self.plan = plan
 
-    def forward(self, y: np.ndarray) -> np.ndarray:
+    def forward(self, y: np.ndarray, train: bool = True) -> np.ndarray:
         cluster = self.plan.cluster
         out = np.zeros((cluster.size,) + y.shape[1:])
         out[cluster >= 0] = y[cluster[cluster >= 0]]
@@ -291,10 +297,11 @@ class Unpool:
 
 
 class GlobalMaxPool:
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._arg = np.argmax(x, axis=0)[None]
-        self._shape = x.shape
-        return np.take_along_axis(x, self._arg, axis=0)[0]
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        if train:
+            self._arg = np.argmax(x, axis=0)[None]
+            self._shape = x.shape
+        return x.max(axis=0)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx = np.zeros(self._shape)
@@ -313,8 +320,9 @@ class Dense:
         self.g_weight = np.zeros_like(self.weight)
         self.g_bias = np.zeros_like(self.bias)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        if train:
+            self._x = x
         return x @ self.weight + self.bias
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -327,10 +335,12 @@ class Dense:
 
 
 class LogSoftmax:
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         shift = x - x.max(axis=-1, keepdims=True)
-        self._out = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
-        return self._out
+        out = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+        if train:
+            self._out = out
+        return out
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         return gy - np.exp(self._out) * gy.sum(axis=-1, keepdims=True)
@@ -343,9 +353,9 @@ class Model:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, train)
         return x
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -463,7 +473,7 @@ def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float 
 
 
 def _predict(model: Model, x: np.ndarray) -> np.ndarray:
-    return np.argmax(model.forward(x), axis=1)
+    return np.argmax(model.forward(x, train=False), axis=1)
 
 
 def rotation_consistency(model: Model, x: np.ndarray, perm: np.ndarray) -> float:
@@ -498,7 +508,7 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
         return {"accuracy": float(np.mean(pred == test_y)),
                 "rotation_consistency": float(np.mean(pred == _predict(model, test_rot)))}
 
-    loss0, _ = nll_loss(model.forward(train_sig), train_y)
+    loss0, _ = nll_loss(model.forward(train_sig, train=False), train_y)
     rows = [{"epoch": 0, "loss": loss0, **test_metrics()}]
 
     n = train_y.size

@@ -194,6 +194,23 @@ def test_model_needs_laplacians(tmp_path):
         io.read_model(path)
 
 
+def test_model_rejects_swapped_laplacians(tmp_path, model_file):
+    """The Pool layer's v_fine and n_coarse fix the vertex counts of the
+    ChebConv layers around it, so a Laplacian of the wrong size is named
+    when the model is read, not at its first forward."""
+    data, laps = model_file
+    path = write_tmp(tmp_path, data)
+    with pytest.raises(ValueError, match=r"layer 2 \(Pool\) takes 256 vertices, "
+                                         r"layer 0 \(ChebConv\) gives 64") as exc:
+        io.read_model(path, laps[::-1])
+    assert not isinstance(exc.value, io.FormatError)
+    with pytest.raises(ValueError, match=r"layer 3 \(ChebConv\) takes 256 vertices, "
+                                         r"layer 2 \(Pool\) gives 64"):
+        io.read_model(path, [laps[0], laps[0]])
+    model = io.read_model(path, laps)
+    assert [layer.lap.n for layer in model.layers if hasattr(layer, "lap")] == [256, 64]
+
+
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
     """The demo checkpoint, its bytes, and the Laplacians it binds to."""
