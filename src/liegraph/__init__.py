@@ -14,10 +14,10 @@ from .spectral import (EigenSystem, apply_permutation, cheb_apply, cheb_terms,
                        eigensystem, eigenvalue_groups, equivariance_error, gft,
                        heat_coeffs, heat_diffuse, igft, rotation_permutation,
                        slice_anisotropy)
-from .network import (ChebConv, Dense, GlobalMaxPool, LogSoftmax, Model, Pool,
-                      PoolPlan, ReLU, TrainingDiverged, Unpool, build_demo,
-                      nll_loss, oriented_bars, pool_plan, r2_pool_plan,
-                      s2_pool_plan, train_demo)
+from .network import (ChebConv, ChebTerms, Dense, GlobalMaxPool, LogSoftmax,
+                      Model, Pool, PoolPlan, ReLU, TrainingDiverged, Unpool,
+                      build_demo, nll_loss, oriented_bars, pool_plan,
+                      r2_pool_plan, s2_pool_plan, train_demo)
 from .io import (FormatError, read_graph, read_model, read_signal, write_graph,
                  write_model, write_signal)
 

@@ -32,6 +32,28 @@ _KIND_NAMES = {
 }
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type of --lr: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _print_config(command: str, args: dict) -> None:
     pairs = " ".join(f"{k}={v}" for k, v in sorted(args.items()) if v is not None)
     print(f"config: command={command} {pairs}")
@@ -267,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True)
     s.add_argument("--edges", type=float)
     s.add_argument("--vertices", type=float)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_sample)
 
     t = sub.add_parser("train-demo", help="train the oriented-bar classifier")
     t.add_argument("--epochs", type=int, default=30)
-    t.add_argument("--lr", type=float, default=1e-2)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--lr", type=_rate, default=1e-2)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--metrics")
     t.add_argument("--checkpoint")
     t.set_defaults(fn=cmd_train_demo)

@@ -10,7 +10,10 @@ caches live until `Model.release`, which `train_demo` calls before it returns.
 `ChebConv` applies T_j(L) in one of two forms, picked by the fill of L
 alone: a sparse L runs the three-term recurrence (J - 1 sparse products per
 pass), a dense one the stacked operator [T_1(L); ...; T_{J-1}(L)] as one
-BLAS product per pass.  That operator is a forward cache too.
+BLAS product per pass.  That operator is a forward cache too.  A first layer
+filters data that no parameter touches, so `train_demo` computes its terms
+once per dataset (`ChebConv.terms`) and feeds batches of them as `ChebTerms`,
+which skips the recurrence forward and the input gradient backward.
 
 A `PoolPlan` is only a clustering of fine vertices (checked by `pool_plan`,
 derived from a sampling by `r2_pool_plan` and `s2_pool_plan`).  `Pool` takes
@@ -42,8 +45,22 @@ def _matvec(matrix, x: np.ndarray) -> np.ndarray:
     return np.asarray(matrix @ x.reshape(v, -1)).reshape(x.shape)
 
 
+@dataclass
+class ChebTerms:
+    """The (J, V, B, I) stack z_j = T_j(L) x of a signal x, as `ChebConv.terms`
+    returns it; column b holds the terms of x[:, b] alone, so z[:, :, sel]
+    are the terms of x[:, sel]."""
+
+    z: np.ndarray
+
+
 class ChebConv:
     """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias.
+
+    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one; `backward`
+    returns the gradient with respect to what forward took: gx, (V, B, I),
+    by the operator's reverse sweep, or the term gradient gz, (J, V, B, I),
+    with no sweep at all.
 
     The terms z_j = T_j(L) x come from one of two operator forms, picked
     once from the fill of L: `dense` when nnz >= V^2 / DENSE_FILL.
@@ -93,13 +110,24 @@ class ChebConv:
         np.matmul(p, flat[:v], out=flat[v:])
         return z
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        z = self._terms(x, train)
+    def terms(self, x: np.ndarray) -> ChebTerms:
+        """The terms of x by this layer's operator form, caching nothing."""
+        return ChebTerms(self._terms(x, train=False))
+
+    def forward(self, x: np.ndarray | ChebTerms, train: bool = True) -> np.ndarray:
+        if isinstance(x, ChebTerms):
+            z = x.z
+            if (z.shape[0], z.shape[1], z.shape[-1]) != (self.order, self.lap.n, self.n_in):
+                raise ValueError(f"terms of shape {z.shape} for a layer with J={self.order}, "
+                                 f"V={self.lap.n}, I={self.n_in}")
+        else:
+            z = self._terms(x, train)
         j, v, b, i = z.shape
         # One (V*B, J*I) @ (J*I, O) product contracts terms and channels.
         z = z.transpose(1, 2, 0, 3).reshape(v * b, j * i)
         if train:
             self._z = z
+            self._sweep = not isinstance(x, ChebTerms)
         y = z @ self.theta.reshape(j * i, self.n_out)
         y += self.bias
         return y.reshape(v, b, self.n_out)
@@ -112,6 +140,8 @@ class ChebConv:
         # gz[j] = gy theta_j^T for every term at once, as (J, V, B, I).
         gz = gy2 @ self.theta.reshape(-1, o).T
         gz = np.ascontiguousarray(gz.reshape(v, b, self.order, self.n_in).transpose(2, 0, 1, 3))
+        if not self._sweep:
+            return gz
         if self.dense:
             flat = gz.reshape(self.order * v, -1)
             flat[:v] += self._p.T @ flat[v:]
@@ -353,7 +383,7 @@ class Model:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray | ChebTerms, train: bool = True) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train)
         return x
@@ -472,7 +502,7 @@ def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float 
     return DemoSetup(fine_graph, coarse_graph, fine_lap, coarse_lap, model, plan, perm)
 
 
-def _predict(model: Model, x: np.ndarray) -> np.ndarray:
+def _predict(model: Model, x: np.ndarray | ChebTerms) -> np.ndarray:
     return np.argmax(model.forward(x, train=False), axis=1)
 
 
@@ -486,29 +516,36 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
 
     Metric rows are dicts with epoch, loss (mean train loss; epoch 0 is the
     untrained evaluation), test accuracy, and rotation consistency.  NaN loss
-    aborts with TrainingDiverged.  The model's forward caches are released
-    on return, so a trained model holds only its parameters.
+    aborts with TrainingDiverged; epochs < 0 raise ValueError.  The first
+    layer's Chebyshev terms of the train, test and rotated test sets are
+    computed once per call, and every forward takes its batch's columns of
+    them, which gives the signal path's numbers bit for bit (each column's
+    terms are computed alone).  The terms live only during the call, and the
+    model's forward caches are released on return, so a trained model holds
+    only its parameters.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     if setup is None:
         setup = build_demo(seed)
     n_orient = setup.fine_graph.vertices.spec.n_orient
     nx = setup.fine_graph.vertices.spec.nx
     train_x, train_y = oriented_bars(n_train, nx, nx, seed=seed * 7919 + 1)
     test_x, test_y = oriented_bars(n_test, nx, nx, seed=seed * 7919 + 2)
-    train_sig = lift_images(train_x, n_orient)
-    test_sig = lift_images(test_x, n_orient)
-    test_rot = test_sig[setup.perm]
-
     rng = np.random.Generator(np.random.Philox([seed, 2]))
     model = setup.model
+    first = model.layers[0]
+    test_sig = lift_images(test_x, n_orient)
+    train_z = first.terms(lift_images(train_x, n_orient))
+    test_z, rot_z = first.terms(test_sig), first.terms(test_sig[setup.perm])
 
     def test_metrics():
         # one forward of the test set gives accuracy and the rotation base
-        pred = _predict(model, test_sig)
+        pred = _predict(model, test_z)
         return {"accuracy": float(np.mean(pred == test_y)),
-                "rotation_consistency": float(np.mean(pred == _predict(model, test_rot)))}
+                "rotation_consistency": float(np.mean(pred == _predict(model, rot_z)))}
 
-    loss0, _ = nll_loss(model.forward(train_sig, train=False), train_y)
+    loss0, _ = nll_loss(model.forward(train_z, train=False), train_y)
     rows = [{"epoch": 0, "loss": loss0, **test_metrics()}]
 
     n = train_y.size
@@ -517,8 +554,7 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
         losses = []
         for lo in range(0, n, batch):
             sel = order[lo:lo + batch]
-            x = train_sig[:, sel]
-            log_probs = model.forward(x)
+            log_probs = model.forward(ChebTerms(train_z.z[:, :, sel]))
             loss, grad = nll_loss(log_probs, train_y[sel])
             if not np.isfinite(loss):
                 raise TrainingDiverged(

@@ -329,6 +329,51 @@ def test_train_demo_epoch_zero(tmp_path, capsys):
     assert ckpt.read_bytes()[:4] == io.MODEL_MAGIC
 
 
+def test_train_demo_negative_epochs(capsys):
+    """--epochs -1 trains nothing: one error line and exit 2."""
+    assert main(["train-demo", "--epochs", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: epochs must be non-negative, got -1\n"
+
+
+def usage_error(argv, capsys) -> str:
+    """The one `error:` line argparse prints for argv, which must exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("lr", [["--lr", "inf"], ["--lr", "-1"], ["--lr", "nan"],
+                                ["--lr", "0"], ["--lr=-inf"], ["--lr", "fast"]],
+                         ids=["inf", "-1", "nan", "0", "-inf", "fast"])
+def test_train_demo_rejects_bad_lr(lr, capsys):
+    """An --lr that is not a finite positive number stops before training
+    (no config line, no overflow warning) with one error line naming the
+    flag, and exit 2."""
+    line = usage_error(["train-demo", "--epochs", "1", *lr], capsys)
+    assert line.startswith("liegraph train-demo: error: argument --lr: "
+                           "must be a finite positive number, got")
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--graph", "{graph}", "--edges", "0.5", "--out", "{out}"],
+    ["train-demo", "--epochs", "0"],
+])
+def test_negative_seed_names_the_flag(command, graph_path, tmp_path, capsys):
+    """Both commands that take --seed reject a negative one through the same
+    argparse type, naming the flag, with exit 2."""
+    argv = [a.format(graph=graph_path, out=tmp_path / "s.clgr") for a in command]
+    line = usage_error(argv + ["--seed", "-1"], capsys)
+    assert line == (f"liegraph {command[0]}: error: argument --seed: "
+                    "must be a non-negative integer, got '-1'")
+    assert not (tmp_path / "s.clgr").exists()
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

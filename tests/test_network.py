@@ -13,6 +13,7 @@ from liegraph.graph import laplacian, power_lambda_max, rescale
 from liegraph.network import (
     DENSE_FILL,
     ChebConv,
+    ChebTerms,
     Dense,
     GlobalMaxPool,
     LogSoftmax,
@@ -475,6 +476,39 @@ def check_chebconv_against_einsum(operator_laps, form, n_in, batch, order):
     assert_close_scaled(gx, gx_ref)
 
 
+@pytest.mark.parametrize("batch", [1, 32, 128])
+@pytest.mark.parametrize("k", [0, 3], ids=["L0_sparse", "L3_dense"])
+def test_chebconv_terms_input_matches_signal(demo_setup, k, batch):
+    """On either operator form, a forward on the layer's own terms of x gives
+    the signal path's output, g_theta and g_bias bit for bit, and backward
+    returns the gradient wrt the terms: <gz, dz> = <gy, dy> for the linear
+    map dz -> dy."""
+    like = demo_setup.model.layers[k]
+    rng = np.random.Generator(np.random.Philox([37, k, batch]))
+    conv = ChebConv(like.lap, like.n_in, like.n_out, like.order, rng)
+    assert conv.dense == (k == 3)
+    conv.bias[:] = rng.standard_normal(conv.n_out)
+    x = rng.standard_normal((conv.lap.n, batch, conv.n_in))
+    gy = rng.standard_normal((conv.lap.n, batch, conv.n_out))
+    y = conv.forward(x)
+    assert conv.backward(gy).shape == x.shape
+    g_theta, g_bias = conv.g_theta.copy(), conv.g_bias.copy()
+    conv.g_theta[...] = 0.0
+    conv.g_bias[...] = 0.0
+    terms = conv.terms(x)
+    assert_same_bits(conv.forward(terms), y)
+    gz = conv.backward(gy)
+    assert_same_bits(conv.g_theta, g_theta)
+    assert_same_bits(conv.g_bias, g_bias)
+    assert gz.shape == terms.z.shape == (conv.order,) + x.shape
+    dz = rng.standard_normal(gz.shape)
+    conv.bias[:] = 0.0
+    dy = conv.forward(ChebTerms(dz), train=False)
+    assert float(np.sum(gz * dz)) == pytest.approx(float(np.sum(gy * dy)), rel=1e-12)
+    with pytest.raises(ValueError, match="terms of shape"):
+        conv.forward(ChebTerms(dz[1:]))
+
+
 def max_plans():
     """An odd planar grid (trailing column dropped) and so3 level 2 x 2,
     whose icosahedral clusters have unequal sizes."""
@@ -603,6 +637,24 @@ def test_train_demo_forward_calls_per_layer():
         assert train == [False] * 3 + [True] * 8 + [False] * 2, k
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_train_demo_computes_input_terms_once(epochs):
+    """The first layer's Chebyshev terms are computed once each for the train,
+    test and rotated test sets, however many epochs run (a forward on a
+    signal would compute them in every one of its 10 * epochs + 3 calls)."""
+    setup = build_demo(seed=0)
+    first = setup.model.layers[0]
+    shapes = []
+
+    def counted(x, train):
+        shapes.append(x.shape)
+        return ChebConv._terms(first, x, train)
+
+    first._terms = counted
+    train_demo(epochs=epochs, lr=0.2, seed=0, setup=setup)
+    assert shapes == [(256, 256, 1), (256, 128, 1), (256, 128, 1)]
+
+
 def test_train_demo_nan_lr_diverges():
     with pytest.raises(TrainingDiverged):
         train_demo(epochs=1, lr=float("nan"), seed=0)
@@ -610,13 +662,14 @@ def test_train_demo_nan_lr_diverges():
 
 def test_train_demo_releases_forward_caches():
     """A trained model keeps only parameters and plans, the dense layer's
-    stacked operator included; it still runs."""
+    stacked operator and the input layer's term stacks included; it still
+    runs."""
     rows, setup = train_demo(epochs=1, lr=0.2, seed=1)
     model = setup.model
     assert [layer.dense for layer in model.layers if isinstance(layer, ChebConv)] == [False, True]
     for layer in model.layers:
         cached = [name for name, value in vars(layer).items()
-                  if name.startswith("_") and isinstance(value, np.ndarray)]
+                  if name.startswith("_") and isinstance(value, (np.ndarray, ChebTerms))]
         assert not cached, (type(layer).__name__, cached)
     rng = np.random.Generator(np.random.Philox(30))
     x = rng.standard_normal((256, 3, 1))
