@@ -1,19 +1,16 @@
 """Anisotropic Riemannian manifold graphs and spectral operators on SE(2)
 and SO(3), with the plane and sphere as single-slice degenerate cases."""
 
-from .groups import (GroupElement, GroupKind, Metric, compose, distance,
-                     from_matrix, group_log, identity, inverse, metric_norm,
-                     se2_element, so3_element, sphere_distance, sphere_log)
-from .sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_r2,
-                       grid_s2, grid_se2, grid_so3, icosphere, icosphere_parents)
+from .groups import GroupKind, Metric
+from .sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_se2, icosphere,
+                       icosphere_parents)
 from .graph import (Laplacian, ManifoldGraph, build_graph, default_knn,
                     edge_weights, fixed_lambda_max, laplacian, make_metric,
                     power_lambda_max, rescale, sample_edges, sample_vertices,
                     slice_neighbor_fractions, xi_from_alpha)
-from .spectral import (EigenSystem, apply_permutation, cheb_apply, cheb_terms,
-                       eigensystem, eigenvalue_groups, equivariance_error, gft,
-                       heat_coeffs, heat_diffuse, igft, rotation_permutation,
-                       slice_anisotropy)
+from .spectral import (EigenSystem, cheb_apply, cheb_terms, eigensystem,
+                       equivariance_error, heat_coeffs, heat_diffuse,
+                       rotation_permutation, slice_anisotropy)
 from .network import (ChebConv, ChebTerms, Dense, GlobalMaxPool, LogSoftmax,
                       Model, Pool, PoolPlan, ReLU, TrainingDiverged, Unpool,
                       build_demo, nll_loss, oriented_bars, pool_plan,

@@ -132,12 +132,6 @@ def _row_sq(kern: _Kernel, rows: np.ndarray, cols: np.ndarray | None = None) -> 
     return d2
 
 
-def pair_distances(vertices: VertexSet, metric: Metric, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances for explicit vertex pairs (elementwise over i, j)."""
-    data, fn, w = _kernel(vertices, metric)
-    return np.sqrt(fn(data[i], data[j], w))
-
-
 def _picks(kern: _Kernel, rows: np.ndarray, k: int, cols: np.ndarray | None = None):
     """(row, column) ids the K-nearest rule selects for `rows` among `cols`
     (as in _row_sq)."""
@@ -430,11 +424,6 @@ def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph
     return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth, graph.alpha,
                          indptr, indices, edge_weights(dist, graph.bandwidth), dist,
                          graph.notes + note)
-
-
-def edge_keep_probabilities(graph: ManifoldGraph, kappa: float) -> np.ndarray:
-    """The per-edge keep probabilities sample_edges would use (for analysis)."""
-    return _keep_probabilities(graph.edge_pairs()[2], kappa)[0]
 
 
 def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:

@@ -1,20 +1,21 @@
-"""Group elements, logarithmic maps and anisotropic distances on SE(2) and SO(3).
+"""Anisotropic left-invariant distances on SE(2) and SO(3), vectorised.
 
 Both groups are represented by 3x3 matrices: SE(2) as homogeneous planar
 transforms, SO(3) as rotation matrices in ZYZ Euler parametrisation
-G = R_z(gamma) R_y(beta) R_z(alpha).  Group-algebra coordinates are plain
-length-3 numpy arrays (c1, c2, c3); for SE(2) these are the two translation
+G = R_z(gamma) R_y(beta) R_z(alpha).  Group-algebra coordinates (c1, c2, c3)
+sit on the last axis of an array; for SE(2) these are the two translation
 generators and the rotation generator, for SO(3) the component ordering is
 (c1, c2, c3) = theta * (n_x, n_z, n_y) so that c2 always multiplies the
 generator of in-place rotations about the reference axis.
 
-Everything numeric is written twice over: a scalar API built on small
-dataclasses, and vectorised kernels on parameter / matrix arrays that the
-graph builder calls on blocks of vertex pairs, with a Euclidean lower bound
-for each kernel that its K-NN search prunes with.  The scalar API delegates
-to the kernels so the two cannot drift apart.  SO(3) logs and distances run
-on unit quaternions (so3_quaternions): the angle 2 atan2(|v|, |w|) is
-accurate over all of [0, pi], so no branch is needed near angle pi.
+Every function works on whole arrays of parameters or matrices: the graph
+builder calls the squared-distance kernels on blocks of vertex pairs, and
+prunes its K-NN search with a Euclidean lower bound for each kernel.  Each
+group has one closed-form log, se2_log_params and so3_log_matrices; the
+distance kernels evaluate the same formulas on relative elements.  SO(3)
+logs and distances run on unit quaternions (so3_quaternions): the angle
+2 atan2(|v|, |w|) is accurate over all of [0, pi], so no branch is needed
+near angle pi.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ SMALL_ANGLE = 1e-6
 # sin(beta) below this is treated as a pole of the ZYZ chart (gauge gamma = 0).
 POLE_TOL = 1e-12
 
-ORTHO_TOL = 1e-9
-
 
 class GroupKind(Enum):
     SE2 = "se2"
@@ -43,7 +42,7 @@ def wrap_angle(theta):
 
 
 # ---------------------------------------------------------------------------
-# matrix <-> parameter kernels
+# parameters to matrices
 
 
 def se2_matrices(params: np.ndarray) -> np.ndarray:
@@ -60,12 +59,6 @@ def se2_matrices(params: np.ndarray) -> np.ndarray:
     out[..., 1, 2] = y
     out[..., 2, 2] = 1.0
     return out
-
-
-def se2_params(matrices: np.ndarray) -> np.ndarray:
-    matrices = np.asarray(matrices, dtype=float)
-    theta = wrap_angle(np.arctan2(matrices[..., 1, 0], matrices[..., 0, 0]))
-    return np.stack([matrices[..., 0, 2], matrices[..., 1, 2], theta], axis=-1)
 
 
 def so3_matrices(params: np.ndarray) -> np.ndarray:
@@ -91,30 +84,6 @@ def so3_matrices(params: np.ndarray) -> np.ndarray:
     out[..., 2, 1] = sb * sa
     out[..., 2, 2] = cb
     return out
-
-
-def so3_params(matrices: np.ndarray) -> np.ndarray:
-    """ZYZ angles from rotation matrices, pole gauge gamma = 0."""
-    m = np.asarray(matrices, dtype=float)
-    cb = np.clip(m[..., 2, 2], -1.0, 1.0)
-    # atan2 keeps full precision at the poles, where arccos(m22) would lose
-    # half the significant digits.
-    sb = np.hypot(m[..., 0, 2], m[..., 1, 2])
-    beta = np.arctan2(sb, cb)
-    regular = sb > POLE_TOL
-
-    gamma = np.where(regular, np.arctan2(m[..., 1, 2], m[..., 0, 2]), 0.0)
-    alpha = np.where(regular, np.arctan2(m[..., 2, 1], -m[..., 2, 0]), 0.0)
-
-    # Poles: beta ~ 0 gives G = R_z(gamma + alpha), beta ~ pi gives
-    # G = R_z(gamma - alpha) R_y(pi); both get gauge gamma = 0.
-    north = ~regular & (cb > 0.0)
-    south = ~regular & (cb <= 0.0)
-    if np.any(north):
-        alpha = np.where(north, np.arctan2(m[..., 1, 0], m[..., 0, 0]), alpha)
-    if np.any(south):
-        alpha = np.where(south, -np.arctan2(-m[..., 1, 0], -m[..., 0, 0]), alpha)
-    return np.stack([wrap_angle(alpha), beta, wrap_angle(gamma)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +164,6 @@ def _sphere_c13(u: np.ndarray):
     return -beta * sg, beta * cg
 
 
-def sphere_log_matrices(matrices: np.ndarray) -> np.ndarray:
-    """Log of the torsion-free sphere transport R_z(gamma) R_y(beta) R_z(-gamma).
-
-    Only the image point G.(0,0,1) enters, so the result is independent of the
-    alpha coordinate and its orientation component c2 vanishes identically.
-    """
-    c1, c3 = _sphere_c13(np.asarray(matrices, dtype=float)[..., :, 2])
-    return np.stack([c1, np.zeros_like(c1), c3], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # metric
 
@@ -222,21 +181,17 @@ class Metric:
     xi: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < np.inf and 0.0 < self.xi < np.inf):
-            raise ValueError("metric parameters must be positive and finite")
+        with np.errstate(all="ignore"):
+            w = np.array([self.epsilon, self.xi], dtype=float) ** [-2.0, 2.0]
+        if not (0.0 < self.epsilon < np.inf and 0.0 < self.xi < np.inf and np.isfinite(w).all()):
+            raise ValueError("metric parameters must be positive and finite, "
+                             "with finite weights epsilon^-2 and xi^2")
 
     def weights(self, kind: GroupKind) -> np.ndarray:
         base = np.array([1.0, self.epsilon ** -2.0, self.xi ** 2.0])
         if kind is GroupKind.SO3:
             return base[[0, 2, 1]]
         return base
-
-
-def metric_norm(c: np.ndarray, metric: Metric, kind: GroupKind) -> np.ndarray:
-    """Weighted norm of algebra coordinates (..., 3)."""
-    w = metric.weights(kind)
-    c = np.asarray(c, dtype=float)
-    return np.sqrt(w[0] * c[..., 0] ** 2 + w[1] * c[..., 1] ** 2 + w[2] * c[..., 2] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,109 +300,3 @@ def sphere_bound_points(matrices, weights) -> np.ndarray:
     at most beta = sqrt(c1^2 + c3^2) on the sphere.
     """
     return np.sqrt(min(weights[0], weights[2])) * np.asarray(matrices, dtype=float)[..., :, 2]
-
-
-# ---------------------------------------------------------------------------
-# scalar element API
-
-
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """One group element: canonical parameters plus the matrix they rebuild."""
-
-    kind: GroupKind
-    params: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.params.setflags(write=False)
-        self.matrix.setflags(write=False)
-
-
-def se2_element(x: float, y: float, theta: float) -> GroupElement:
-    p = np.array([float(x), float(y), float(wrap_angle(theta))])
-    return GroupElement(GroupKind.SE2, p, se2_matrices(p))
-
-
-def so3_element(alpha: float, beta: float, gamma: float) -> GroupElement:
-    if not 0.0 <= beta <= np.pi:
-        raise ValueError(f"beta must lie in [0, pi], got {beta}")
-    p = np.array([float(wrap_angle(alpha)), float(beta), float(wrap_angle(gamma))])
-    return GroupElement(GroupKind.SO3, p, so3_matrices(p))
-
-
-def identity(kind: GroupKind) -> GroupElement:
-    if kind is GroupKind.SE2:
-        return se2_element(0.0, 0.0, 0.0)
-    return so3_element(0.0, 0.0, 0.0)
-
-
-def from_matrix(kind: GroupKind, matrix: np.ndarray) -> GroupElement:
-    """Build an element from a 3x3 matrix, validating group membership."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if kind is GroupKind.SE2:
-        r = m[:2, :2]
-        if not np.allclose(m[2], [0.0, 0.0, 1.0], atol=ORTHO_TOL):
-            raise ValueError("last row of an SE(2) matrix must be (0, 0, 1)")
-        if not np.allclose(r.T @ r, np.eye(2), atol=ORTHO_TOL) or np.linalg.det(r) < 0.0:
-            raise ValueError("rotation block is not special orthogonal")
-        p = se2_params(m)
-        return GroupElement(kind, p, se2_matrices(p))
-    if not np.allclose(m.T @ m, np.eye(3), atol=ORTHO_TOL) or np.linalg.det(m) < 0.0:
-        raise ValueError("matrix is not special orthogonal")
-    p = so3_params(m)
-    return GroupElement(kind, p, so3_matrices(p))
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.kind is not h.kind:
-        raise ValueError("cannot compose elements of different groups")
-    return from_matrix(g.kind, g.matrix @ h.matrix)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    if g.kind is GroupKind.SE2:
-        r = g.matrix[:2, :2]
-        m = np.eye(3)
-        m[:2, :2] = r.T
-        m[:2, 2] = -r.T @ g.matrix[:2, 2]
-        return from_matrix(g.kind, m)
-    return from_matrix(g.kind, g.matrix.T)
-
-
-def group_log(g: GroupElement) -> np.ndarray:
-    """Principal logarithm of one element as algebra coordinates."""
-    if g.kind is GroupKind.SE2:
-        x, y, theta = g.params
-        return se2_log_params(x, y, theta)
-    return so3_log_matrices(g.matrix)
-
-
-def sphere_log(g: GroupElement) -> np.ndarray:
-    """Torsion-free sphere log of an SO(3) element (orientation slot is zero)."""
-    if g.kind is not GroupKind.SO3:
-        raise ValueError("sphere_log is defined for SO(3) elements")
-    return sphere_log_matrices(g.matrix)
-
-
-def distance(g: GroupElement, h: GroupElement, metric: Metric) -> float:
-    """Approximate left-invariant distance ||log(g^-1 h)||, pi-periodic in
-    the orientation coordinate."""
-    if g.kind is not h.kind:
-        raise ValueError("cannot measure distance between different groups")
-    w = metric.weights(g.kind)
-    if g.kind is GroupKind.SE2:
-        d2 = se2_pair_sq(g.params, h.params, w)
-    else:
-        d2 = so3_pair_sq(g.matrix, h.matrix, w)
-    return float(np.sqrt(d2))
-
-
-def sphere_distance(g: GroupElement, h: GroupElement, metric: Metric) -> float:
-    """Distance through the sphere log; ignores both alpha coordinates."""
-    if g.kind is not GroupKind.SO3 or h.kind is not GroupKind.SO3:
-        raise ValueError("sphere_distance is defined for SO(3) elements")
-    w = metric.weights(GroupKind.SO3)
-    return float(np.sqrt(sphere_pair_sq(g.matrix, h.matrix, w)))

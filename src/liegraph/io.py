@@ -416,17 +416,6 @@ def write_eigenmaps_csv(path, values: np.ndarray, vectors: np.ndarray) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def write_signal_csv(path, values: np.ndarray) -> None:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    cols = ",".join(f"c{i}" for i in range(arr.shape[1]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"vertex,{cols}\n")
-        for v in range(arr.shape[0]):
-            fh.write(",".join([str(v)] + [_fmt(x) for x in arr[v]]) + "\n")
-
-
 def write_field_csv(path, vertices, values: np.ndarray) -> None:
     """Signal CSV joined with vertex coordinates, for external plotting.
 

@@ -13,7 +13,8 @@ pass), a dense one the stacked operator [T_1(L); ...; T_{J-1}(L)] as one
 BLAS product per pass.  That operator is a forward cache too.  A first layer
 filters data that no parameter touches, so `train_demo` computes its terms
 once per dataset (`ChebConv.terms`) and feeds batches of them as `ChebTerms`,
-which skips the recurrence forward and the input gradient backward.
+which skips the recurrence forward and the input gradient backward
+(`Model.backward` then returns None).
 
 A `PoolPlan` is only a clustering of fine vertices (checked by `pool_plan`,
 derived from a sampling by `r2_pool_plan` and `s2_pool_plan`).  `Pool` takes
@@ -57,10 +58,10 @@ class ChebTerms:
 class ChebConv:
     """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias.
 
-    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one; `backward`
-    returns the gradient with respect to what forward took: gx, (V, B, I),
-    by the operator's reverse sweep, or the term gradient gz, (J, V, B, I),
-    with no sweep at all.
+    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one.  After a
+    signal, `backward` returns gx, (V, B, I), by the operator's reverse
+    sweep; after terms, which no parameter precedes, it only accumulates the
+    parameter gradients and returns None.
 
     The terms z_j = T_j(L) x come from one of two operator forms, picked
     once from the fill of L: `dense` when nnz >= V^2 / DENSE_FILL.
@@ -132,16 +133,16 @@ class ChebConv:
         y += self.bias
         return y.reshape(v, b, self.n_out)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray) -> np.ndarray | None:
         v, b, o = gy.shape
         gy2 = gy.reshape(v * b, o)
         self.g_theta += (self._z.T @ gy2).reshape(self.theta.shape)
         self.g_bias += np.ones(v * b) @ gy2
+        if not self._sweep:
+            return None
         # gz[j] = gy theta_j^T for every term at once, as (J, V, B, I).
         gz = gy2 @ self.theta.reshape(-1, o).T
         gz = np.ascontiguousarray(gz.reshape(v, b, self.order, self.n_in).transpose(2, 0, 1, 3))
-        if not self._sweep:
-            return gz
         if self.dense:
             flat = gz.reshape(self.order * v, -1)
             flat[:v] += self._p.T @ flat[v:]
@@ -388,7 +389,7 @@ class Model:
             x = layer.forward(x, train)
         return x
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray) -> np.ndarray | None:
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .groups import GroupElement, GroupKind, se2_matrices, so3_matrices
+from .groups import GroupKind, se2_matrices, so3_matrices
 
 
 class GridKind(Enum):
@@ -90,11 +90,6 @@ class VertexSet:
     def __len__(self) -> int:
         return self.params.shape[0]
 
-    def element(self, i: int) -> GroupElement:
-        p = self.params[i].copy()
-        m = self.matrices[i].copy()
-        return GroupElement(self.spec.group_kind, p, m)
-
     def orientation_index(self, ids) -> np.ndarray:
         """Orientation slice of vertex ids, read from original ids after
         vertex sub-sampling."""
@@ -102,9 +97,6 @@ class VertexSet:
         if self.kept is not None:
             ids = self.kept[ids]
         return ids // self.spec.n_spatial
-
-    def flat_index(self, spatial, orient) -> np.ndarray:
-        return np.asarray(orient) * self.spec.n_spatial + np.asarray(spatial)
 
 
 def _se2_like(spec: GridSpec) -> VertexSet:
@@ -123,10 +115,6 @@ def _se2_like(spec: GridSpec) -> VertexSet:
 
 def grid_se2(nx: int, ny: int, n_orient: int) -> VertexSet:
     return _se2_like(GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient))
-
-
-def grid_r2(nx: int, ny: int) -> VertexSet:
-    return _se2_like(GridSpec(GridKind.R2_GRID, nx=nx, ny=ny))
 
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -209,14 +197,6 @@ def _so3_like(spec: GridSpec) -> VertexSet:
         params[k * ns:(k + 1) * ns, 1] = beta
         params[k * ns:(k + 1) * ns, 2] = gamma
     return VertexSet(spec, params, so3_matrices(params))
-
-
-def grid_so3(level: int, n_orient: int) -> VertexSet:
-    return _so3_like(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=n_orient))
-
-
-def grid_s2(level: int) -> VertexSet:
-    return _so3_like(GridSpec(GridKind.S2_ICOSAHEDRAL, level=level))
 
 
 def build_vertices(spec: GridSpec) -> VertexSet:

@@ -55,8 +55,8 @@ def cheb_apply(lap: Laplacian, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def heat_coeffs(tau: float, lambda_max: float, order: int = HEAT_ORDER) -> np.ndarray:
     """Chebyshev coefficients of exp(-tau * (lambda_max / 2) (s + 1)) on [-1, 1]."""
-    if tau < 0.0:
-        raise ValueError("diffusion time must be non-negative")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"diffusion time must be non-negative and finite, got {tau}")
     if order < 1:
         raise ValueError("order must be at least 1")
     return npcheb.chebinterpolate(lambda s: np.exp(-tau * 0.5 * lambda_max * (s + 1.0)), order - 1)
@@ -78,11 +78,10 @@ def heat_diffuse(lap: Laplacian, x: np.ndarray, tau: float, order: int = HEAT_OR
 
 @dataclass
 class EigenSystem:
-    """Ascending eigenpairs of a Laplacian; full=True means all |V| of them."""
+    """Ascending eigenpairs of a Laplacian."""
 
     values: np.ndarray
     vectors: np.ndarray
-    full: bool
 
     @property
     def k(self) -> int:
@@ -126,40 +125,7 @@ def eigensystem(lap: Laplacian, k: int | None = None,
         vals, vecs = spla.eigsh(lap.matrix, k=k, which="SA", v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    return EigenSystem(vals, _fix_signs(vecs), k == n)
-
-
-def gft(eig: EigenSystem, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform Phi^T x (needs the full basis)."""
-    if not eig.full:
-        raise ValueError("graph Fourier transform needs the full eigenbasis")
-    return eig.vectors.T @ x
-
-
-def igft(eig: EigenSystem, xh: np.ndarray) -> np.ndarray:
-    if not eig.full:
-        raise ValueError("inverse transform needs the full eigenbasis")
-    return eig.vectors @ xh
-
-
-def eigenvalue_groups(values: np.ndarray, rel_tol: float = 0.05) -> list[np.ndarray]:
-    """Split ascending eigenvalues into near-degenerate groups.
-
-    Two consecutive values belong together when their gap is below rel_tol
-    relative to the running scale (or absolutely tiny near zero).
-    """
-    values = np.asarray(values)
-    groups = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size:
-            groups.append(np.arange(start, i))
-            break
-        scale = max(abs(values[i]), abs(values[i - 1]), 1e-12)
-        if (values[i] - values[i - 1]) / scale > rel_tol:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
+    return EigenSystem(vals, _fix_signs(vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +174,6 @@ def equivariance_error(matrix: sp.spmatrix, perm: np.ndarray) -> float:
     denom = np.linalg.norm(mat.data) if mat.nnz else 1.0
     diff = (conj - mat).tocsr()
     return float(np.linalg.norm(diff.data) / denom) if diff.nnz else 0.0
-
-
-def apply_permutation(perm: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Push a vertex signal through the permutation: out[perm[v]] = x[v]."""
-    out = np.empty_like(np.asarray(x))
-    out[perm] = x
-    return out
 
 
 def slice_anisotropy(vertices, values: np.ndarray) -> list[dict]:

@@ -9,13 +9,14 @@ from the trace and antisymmetric part instead of unit quaternions, and all
 three orientation branches of the SE(2) distance instead of the two that
 can win.  The one exception is `cheb_terms_reference`, the out-of-place
 Chebyshev recurrence, which the library's in-place one must match bit for
-bit.
+bit.  The last few functions are plain test helpers: SE(2) composition on
+parameters, vertex permutations and eigenvalue grouping.
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from liegraph.groups import _se2_c12, wrap_angle
+from liegraph.groups import _se2_c12, se2_matrices, wrap_angle
 
 
 def _batched_sqrtm(mats: np.ndarray, iters: int = 40) -> np.ndarray:
@@ -304,3 +305,29 @@ def so3_pair_sq_mp(mats_a, mats_b, weights, dps: int = 50) -> np.ndarray:
                 best = d2 if best is None else min(best, d2)
             out[p] = float(best)
     return out
+
+
+def se2_compose(params_a, params_b) -> np.ndarray:
+    """Parameters (x, y, theta) of the products g_a g_b, read off the product
+    of the homogeneous matrices, theta wrapped into [-pi, pi)."""
+    m = se2_matrices(params_a) @ se2_matrices(params_b)
+    theta = wrap_angle(np.arctan2(m[..., 1, 0], m[..., 0, 0]))
+    return np.stack([m[..., 0, 2], m[..., 1, 2], theta], axis=-1)
+
+
+def apply_permutation(perm: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Push a vertex signal through the permutation: out[perm[v]] = x[v]."""
+    out = np.empty_like(np.asarray(x))
+    out[perm] = x
+    return out
+
+
+def eigenvalue_groups(values: np.ndarray, rel_tol: float = 0.05) -> list[np.ndarray]:
+    """Split ascending eigenvalues into near-degenerate groups.
+
+    Two consecutive values belong together when their gap is below rel_tol
+    relative to the running scale (or absolutely tiny near zero).
+    """
+    values = np.asarray(values)
+    scale = np.maximum(np.maximum(np.abs(values[1:]), np.abs(values[:-1])), 1e-12)
+    return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) / scale > rel_tol) + 1)

@@ -91,12 +91,16 @@ def test_build_graph_usage_errors(tmp_path, capsys):
 
 
 def test_build_graph_rejects_infinite_metric(tmp_path, capsys):
-    """An infinite epsilon, xi or alpha would zero a weight term: exit 2, no file."""
+    """An infinite epsilon, xi or alpha would zero a weight term, and an
+    epsilon or xi whose weight epsilon^-2 or xi^2 overflows would make one
+    infinite: one error line, exit 2, no file."""
     out = tmp_path / "g.clgr"
-    for flag in ("--epsilon", "--xi", "--alpha"):
+    for flag, value in (("--epsilon", "inf"), ("--xi", "inf"), ("--alpha", "inf"),
+                        ("--epsilon", "1e-160"), ("--xi", "1e200")):
         assert main(["build-graph", "--kind", "se2", "--nx", "4", "--orient", "2",
-                     flag, "inf", "--out", str(out)]) == 2
-        assert "finite" in capsys.readouterr().err
+                     flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -180,7 +184,7 @@ def test_diffuse_signal_input(graph_path, tmp_path):
     assert io.read_signal(tmp_path / "d.clsg").shape == (32, 1)
 
 
-def test_diffuse_usage_errors(graph_path, tmp_path):
+def test_diffuse_usage_errors(graph_path, tmp_path, capsys):
     out = str(tmp_path / "d.csv")
     base = ["diffuse", "--graph", str(graph_path), "--tau", "0.1", "--out", out]
     assert main(base) == 2                                     # neither input
@@ -189,6 +193,12 @@ def test_diffuse_usage_errors(graph_path, tmp_path):
     short = tmp_path / "short.clsg"
     io.write_signal(short, np.ones(7))
     assert main(base + ["--signal", str(short)]) == 2          # length mismatch
+    capsys.readouterr()
+    for tau in ("nan", "inf"):                                 # the last --tau counts
+        assert main(base + ["--impulse", "0", "--tau", tau]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: diffusion time") and err.count("\n") == 1
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_check_equivariance_pass(graph_path, capsys):

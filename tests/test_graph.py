@@ -12,25 +12,23 @@ from hypothesis import strategies as st
 from liegraph import graph as graph_module
 from liegraph.graph import (
     Laplacian,
+    _keep_probabilities,
     alpha_from_xi,
     build_graph,
     default_knn,
-    edge_keep_probabilities,
     fixed_lambda_max,
     knn_pairs_bruteforce,
     laplacian,
     make_metric,
-    pair_distances,
     power_lambda_max,
     rescale,
     sample_edges,
     sample_vertices,
     xi_from_alpha,
 )
-from liegraph.groups import GroupKind, Metric, distance, se2_matrices, so3_matrices
+from liegraph.groups import GroupKind, Metric, se2_matrices, so3_matrices
 from liegraph.network import build_demo
-from liegraph.sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_r2,
-                               grid_se2, grid_s2)
+from liegraph.sampling import GridKind, GridSpec, VertexSet, build_vertices, grid_se2
 
 from conftest import EPS_ANISO, built
 from oracles import se2_pair_sq_three_branch, so3_pair_sq_matrix_log
@@ -93,15 +91,13 @@ def test_knn_rook_closure():
 
 
 def test_knn_against_bruteforce():
-    """Edge set matches a per-pair oracle built from the scalar distance."""
+    """Edge set matches a per-pair oracle built from the three-branch distance."""
     verts = grid_se2(3, 3, 2)
     metric = Metric(epsilon=EPS_ANISO, xi=0.4)
     g = build_graph(verts, metric, 4)
     n = len(verts)
-    d2 = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            d2[a, b] = distance(verts.element(a), verts.element(b), metric) ** 2
+    d2 = se2_pair_sq_three_branch(verts.params[:, None], verts.params[None],
+                                  metric.weights(GroupKind.SE2))
     np.fill_diagonal(d2, np.inf)
     expected = set()
     for a in range(n):
@@ -110,7 +106,7 @@ def test_knn_against_bruteforce():
             expected.add((min(a, b), max(a, b)))
     i, j, _, dist = g.edge_pairs()
     assert set(zip(i.tolist(), j.tolist())) == expected
-    # cached distances agree with the scalar path
+    # cached distances agree with the oracle
     np.testing.assert_allclose(dist ** 2, [d2[a, b] for a, b in zip(i, j)],
                                rtol=1e-12)
 
@@ -126,7 +122,8 @@ def assert_knn_exact(g):
     bi, bj = knn_pairs_bruteforce(g.vertices, g.metric, g.knn)
     np.testing.assert_array_equal(i, bi)
     np.testing.assert_array_equal(j, bj)
-    np.testing.assert_array_equal(d, pair_distances(g.vertices, g.metric, bi, bj))
+    data, fn, w = graph_module._kernel(g.vertices, g.metric)
+    np.testing.assert_array_equal(d, np.sqrt(fn(data[bi], data[bj], w)))
 
 
 LIBRARY_KERNEL = graph_module._kernel
@@ -190,7 +187,7 @@ def test_knn_tree_matches_bruteforce(name, block, request, monkeypatch):
 def test_knn_tree_near_duplicates(monkeypatch):
     """Sphere points 1e-8 rad apart and exact duplicates are still found."""
     monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK)
-    verts = grid_s2(1)
+    verts = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
     rng = np.random.Generator(np.random.Philox(70))
     tilt = np.stack([np.zeros(20), rng.choice([0.0, 1e-12, 1e-8, 3e-8], 20),
                      rng.uniform(-np.pi, np.pi, 20)], axis=1)
@@ -263,17 +260,6 @@ def test_adjacency_exactly_symmetric(se2_8x8x4):
     lap = laplacian(se2_8x8x4).matrix
     ldiff = (lap - lap.T).tocoo()
     assert ldiff.nnz == 0 or np.all(ldiff.data == 0.0)
-
-
-def test_pair_distances_match_elements():
-    verts = grid_se2(4, 4, 4)
-    metric = Metric(epsilon=EPS_ANISO, xi=0.5)
-    rng = np.random.Generator(np.random.Philox(3))
-    a = rng.integers(0, len(verts), 20)
-    b = rng.integers(0, len(verts), 20)
-    fast = pair_distances(verts, metric, a, b)
-    slow = [distance(verts.element(x), verts.element(y), metric) for x, y in zip(a, b)]
-    np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_four_cycle_spectrum():
@@ -386,8 +372,9 @@ def test_fixed_lambda_max(se2_8x8x4):
 
 def test_sample_edges_rate(se2_8x8x4):
     e = se2_8x8x4.n_edges
+    _, _, w, _ = se2_8x8x4.edge_pairs()
     for kappa in (0.5, 0.9):
-        p = edge_keep_probabilities(se2_8x8x4, kappa)
+        p, _ = _keep_probabilities(w, kappa)
         assert p.sum() == pytest.approx(kappa * e, abs=1e-6 * e)
         assert np.all(p <= 1.0) and np.all(p >= 0.0)
         sub = sample_edges(se2_8x8x4, kappa, seed=5)
@@ -406,23 +393,23 @@ def test_keep_probabilities_zero_weights(se2_8x8x4):
     g = dataclasses.replace(se2_8x8x4, weights=np.where(w >= np.quantile(w, 0.9), w, 0.0))
     _, _, w_pairs, _ = g.edge_pairs()
     n_pos = int(np.count_nonzero(w_pairs))
-    p = edge_keep_probabilities(g, 0.5)
+    p, _ = _keep_probabilities(w_pairs, 0.5)
     np.testing.assert_array_equal(p, (w_pairs > 0.0).astype(float))
     sub = sample_edges(g, 0.5, seed=0)
     assert sub.n_edges == n_pos
     assert f"(expected {n_pos:.1f}, c=inf)" in sub.notes[-1]
-    p = edge_keep_probabilities(g, 0.05)
+    p, _ = _keep_probabilities(w_pairs, 0.05)
     assert p.sum() == pytest.approx(0.05 * w_pairs.size, rel=1e-12)
     assert np.all(p[w_pairs == 0.0] == 0.0) and np.all(p <= 1.0)
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
-            edge_keep_probabilities(se2_8x8x4, bad)
+            _keep_probabilities(w_pairs, bad)
 
 
 def test_sample_edges_weight_bias(se2_8x8x4):
     """Keep probability is monotone in the edge weight."""
     _, _, w, _ = se2_8x8x4.edge_pairs()
-    p = edge_keep_probabilities(se2_8x8x4, 0.5)
+    p, _ = _keep_probabilities(w, 0.5)
     order = np.argsort(w)
     assert np.all(np.diff(p[order]) >= -1e-15)
 

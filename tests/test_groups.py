@@ -1,41 +1,33 @@
-"""Group elements, closed-form logarithms, and the anisotropic distance."""
+"""Closed-form logarithms and the anisotropic distance kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegraph import graph, sampling
+from liegraph import graph
 from liegraph.groups import (
     GroupKind,
     Metric,
-    compose,
-    distance,
-    from_matrix,
-    group_log,
-    identity,
-    inverse,
-    metric_norm,
+    _sphere_c13,
     se2_bound_points,
-    se2_element,
     se2_log_params,
     se2_matrices,
     se2_pair_sq,
-    so3_element,
     so3_log_matrices,
     so3_matrices,
     so3_pair_sq,
     so3_quaternions,
     sphere_bound_points,
-    sphere_distance,
-    sphere_log,
     sphere_pair_sq,
     wrap_angle,
 )
+from liegraph.sampling import GridKind, GridSpec, build_vertices
 from oracles import (
     matrix_exp_series,
     matrix_log_series,
     se2_algebra_matrix,
+    se2_compose,
     se2_pair_sq_three_branch,
     so3_algebra_matrix,
     so3_pair_sq_matrix_log,
@@ -44,13 +36,14 @@ from oracles import (
 
 
 def rand_se2(rng, n, max_abs_theta=0.9 * np.pi):
+    """(n, 3) parameters (x, y, theta)."""
     x, y = rng.uniform(-2.0, 2.0, size=(2, n))
     theta = rng.uniform(-max_abs_theta, max_abs_theta, size=n)
-    return [se2_element(*t) for t in zip(x, y, theta)]
+    return np.column_stack([x, y, theta])
 
 
 def rand_so3(rng, n, max_angle=0.9 * np.pi):
-    """Random rotations with total angle bounded away from pi."""
+    """(n, 3, 3) random rotations with total angle bounded away from pi."""
     out = []
     while len(out) < n:
         v = rng.standard_normal(3)
@@ -58,9 +51,13 @@ def rand_so3(rng, n, max_angle=0.9 * np.pi):
         v *= ang / np.linalg.norm(v)
         c, s = np.cos(ang), np.sin(ang)
         k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]) / max(ang, 1e-300)
-        m = np.eye(3) + s * k + (1 - c) * (k @ k)
-        out.append(from_matrix(GroupKind.SO3, m))
-    return out
+        out.append(np.eye(3) + s * k + (1 - c) * (k @ k))
+    return np.stack(out)
+
+
+def dist(pair_sq, a, b, metric, kind):
+    """Distances sqrt(pair_sq(a, b)) under the metric's weights for kind."""
+    return np.sqrt(pair_sq(a, b, metric.weights(kind)))
 
 
 def test_wrap_angle_halfopen():
@@ -73,59 +70,40 @@ def test_wrap_angle_halfopen():
 
 
 def test_compose_identity_and_translations():
-    g = se2_element(0.3, -1.2, 0.7)
-    e = identity(GroupKind.SE2)
-    assert np.allclose(compose(e, g).matrix, g.matrix, atol=1e-15)
-    t = compose(se2_element(1, 0, 0), se2_element(0, 1, 0))
-    assert np.allclose(t.params, [1.0, 1.0, 0.0], atol=1e-15)
+    g = np.array([0.3, -1.2, 0.7])
+    assert np.allclose(se2_matrices(np.zeros(3)) @ se2_matrices(g), se2_matrices(g), atol=1e-15)
+    assert np.allclose(se2_compose(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])),
+                       [1.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_compose_rotation_moves_translation():
-    out = compose(se2_element(0, 0, np.pi / 2), se2_element(1, 0, 0))
-    assert np.allclose(out.params, [0.0, 1.0, np.pi / 2], atol=1e-12)
-
-
-def test_compose_kind_mismatch():
-    with pytest.raises(ValueError):
-        compose(se2_element(0, 0, 0), so3_element(0, 0.3, 0))
-
-
-def test_inverse():
-    assert np.allclose(inverse(identity(GroupKind.SE2)).matrix, np.eye(3), atol=1e-15)
-    g = se2_element(0.4, -0.9, 0.0)
-    assert np.allclose(inverse(g).params, [-0.4, 0.9, 0.0], atol=1e-14)
-    r = so3_element(0.5, 1.1, -0.3)
-    assert np.allclose(inverse(r).matrix, r.matrix.T, atol=1e-14)
-    rng = np.random.default_rng(0)
-    for g in rand_se2(rng, 20) + rand_so3(rng, 20):
-        prod = compose(g, inverse(g)).matrix
-        assert np.abs(prod - np.eye(3)).max() <= 1e-12
+    out = se2_compose(np.array([0, 0, np.pi / 2]), np.array([1.0, 0, 0]))
+    assert np.allclose(out, [0.0, 1.0, np.pi / 2], atol=1e-12)
 
 
 def test_se2_log_trivial_cases():
-    assert np.allclose(group_log(se2_element(0, 0, 0)), [0, 0, 0], atol=1e-15)
+    assert np.allclose(se2_log_params(0.0, 0.0, 0.0), [0, 0, 0], atol=1e-15)
     # zero rotation leaves the translation untouched (Euclidean case)
-    assert np.allclose(group_log(se2_element(0.7, -2.1, 0.0)), [0.7, -2.1, 0.0], atol=1e-15)
+    assert np.allclose(se2_log_params(0.7, -2.1, 0.0), [0.7, -2.1, 0.0], atol=1e-15)
 
 
 def test_se2_log_against_series_oracle():
     rng = np.random.default_rng(1)
-    elems = [se2_element(1, 0, np.pi / 2)] + rand_se2(rng, 100)
-    mats = np.stack([g.matrix for g in elems])
-    oracle = matrix_log_series(mats)
-    mine = se2_algebra_matrix(np.stack([group_log(g) for g in elems]))
+    params = np.concatenate([[[1.0, 0.0, np.pi / 2]], rand_se2(rng, 100)])
+    oracle = matrix_log_series(se2_matrices(params))
+    mine = se2_algebra_matrix(se2_log_params(params[:, 0], params[:, 1], params[:, 2]))
     assert np.abs(mine - oracle).max() <= 1e-9
 
 
 def test_so3_log_z_rotation():
     for phi in (0.3, -1.0, 2.5):
-        g = so3_element(phi, 0.0, 0.0)
-        assert np.allclose(group_log(g), [0.0, phi, 0.0], atol=1e-12)
+        c = so3_log_matrices(so3_matrices(np.array([phi, 0.0, 0.0])))
+        assert np.allclose(c, [0.0, phi, 0.0], atol=1e-12)
 
 
 def test_so3_log_against_series_oracle():
     rng = np.random.default_rng(2)
-    mats = np.stack([g.matrix for g in rand_so3(rng, 100)])
+    mats = rand_so3(rng, 100)
     oracle = matrix_log_series(mats)
     mine = so3_algebra_matrix(so3_log_matrices(mats))
     assert np.abs(mine - oracle).max() <= 1e-9
@@ -133,11 +111,11 @@ def test_so3_log_against_series_oracle():
 
 def test_log_exp_roundtrip():
     rng = np.random.default_rng(3)
-    se2 = np.stack([g.matrix for g in rand_se2(rng, 50, max_abs_theta=np.pi - 1e-9)])
+    se2 = se2_matrices(rand_se2(rng, 50, max_abs_theta=np.pi - 1e-9))
     back = matrix_exp_series(se2_algebra_matrix(se2_log_params(
         se2[:, 0, 2], se2[:, 1, 2], np.arctan2(se2[:, 1, 0], se2[:, 0, 0]))))
     assert np.abs(back - se2).max() <= 1e-9
-    so3 = np.stack([g.matrix for g in rand_so3(rng, 50, max_angle=np.pi - 1e-9)])
+    so3 = rand_so3(rng, 50, max_angle=np.pi - 1e-9)
     back = matrix_exp_series(so3_algebra_matrix(so3_log_matrices(so3)))
     assert np.abs(back - so3).max() <= 1e-9
 
@@ -162,37 +140,42 @@ def test_small_angle_switch_continuity():
         assert np.abs(se2_algebra_matrix(a) - b).max() <= 1e-12
 
 
+def rand_zyz(rng, n):
+    """(n, 3) ZYZ angles (alpha, beta, gamma) covering all of SO(3)."""
+    return np.column_stack([rng.uniform(-np.pi, np.pi, n), rng.uniform(0.0, np.pi, n),
+                            rng.uniform(-np.pi, np.pi, n)])
+
+
 def test_sphere_log_orientation_slot_zero():
+    """The sphere log has no orientation component, so the sphere distance
+    is the same whatever weight the orientation slot gets."""
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        g = so3_element(rng.uniform(-np.pi, np.pi), rng.uniform(0.0, np.pi),
-                        rng.uniform(-np.pi, np.pi))
-        c = sphere_log(g)
-        assert c[1] == 0.0
-    assert np.allclose(sphere_log(identity(GroupKind.SO3)), [0, 0, 0], atol=1e-15)
+    g = so3_matrices(rand_zyz(rng, 50))
+    e = np.eye(3)
+    for w in ((1.0, 1.0, 1.0), (2.0, 0.5, 3.0)):
+        d2 = sphere_pair_sq(e, g, np.array(w))
+        for w1 in (0.0, 1e6):
+            assert sphere_pair_sq(e, g, np.array([w[0], w1, w[2]])).tobytes() == d2.tobytes()
+    assert sphere_pair_sq(e, e, np.ones(3)) == 0.0
 
 
 def test_sphere_log_matches_group_log_at_gauge():
     """With alpha = -gamma the full log and the torsion-free log agree."""
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        beta = rng.uniform(0.05, np.pi - 0.05)
-        gamma = rng.uniform(-np.pi, np.pi)
-        g = so3_element(-gamma, beta, gamma)
-        assert np.abs(sphere_log(g) - group_log(g)).max() <= 1e-9
-
-
-def test_metric_norm_unit_examples():
-    assert metric_norm(np.array([1.0, 0, 0]), Metric(), GroupKind.SE2) == 1.0
-    assert abs(metric_norm(np.array([0, 1.0, 0]), Metric(epsilon=0.5), GroupKind.SE2) - 2.0) < 1e-15
-    assert abs(metric_norm(np.array([0, 0, 1.0]), Metric(xi=2.0), GroupKind.SE2) - 2.0) < 1e-15
+    beta = rng.uniform(0.05, np.pi - 0.05, 50)
+    gamma = rng.uniform(-np.pi, np.pi, 50)
+    g = so3_matrices(np.column_stack([-gamma, beta, gamma]))
+    c1, c3 = _sphere_c13(g[:, :, 2])
+    sphere_log = np.column_stack([c1, np.zeros_like(c1), c3])
+    assert np.abs(sphere_log - so3_log_matrices(g)).max() <= 1e-9
 
 
 def test_metric_validation():
-    with pytest.raises(ValueError):
-        Metric(epsilon=0.0)
-    with pytest.raises(ValueError):
-        Metric(xi=-1.0)
+    """Non-positive parameters, and ones whose weights epsilon^-2 or xi^2
+    overflow, are rejected."""
+    for bad in (dict(epsilon=0.0), dict(xi=-1.0), dict(epsilon=1e-160), dict(xi=1e200)):
+        with pytest.raises(ValueError, match="metric parameters"):
+            Metric(**bad)
 
 
 def test_so3_metric_weight_assignment():
@@ -206,68 +189,45 @@ def test_so3_metric_weight_assignment():
 def test_distance_identity_and_symmetry():
     m = Metric(epsilon=0.4, xi=1.7)
     rng = np.random.default_rng(7)
-    for g, h in zip(rand_se2(rng, 25), rand_se2(rng, 25)):
-        assert distance(g, g, m) == 0.0
-        assert abs(distance(g, h, m) - distance(h, g, m)) <= 1e-12
-    for g, h in zip(rand_so3(rng, 25), rand_so3(rng, 25)):
-        assert distance(g, g, m) == 0.0
-        assert abs(distance(g, h, m) - distance(h, g, m)) <= 1e-12
+    for pair_sq, kind, sample in ((se2_pair_sq, GroupKind.SE2, rand_se2),
+                                  (so3_pair_sq, GroupKind.SO3, rand_so3)):
+        g, h = sample(rng, 25), sample(rng, 25)
+        np.testing.assert_array_equal(dist(pair_sq, g, g, m, kind), 0.0)
+        gh, hg = dist(pair_sq, g, h, m, kind), dist(pair_sq, h, g, m, kind)
+        assert np.abs(gh - hg).max() <= 1e-12
 
 
 def test_distance_euclidean_case():
-    m = Metric()
-    g = se2_element(0.2, 0.9, 0.0)
-    h = se2_element(-1.0, 0.3, 0.0)
-    assert abs(distance(g, h, m) - np.hypot(1.2, 0.6)) <= 1e-12
+    d = dist(se2_pair_sq, np.array([0.2, 0.9, 0.0]), np.array([-1.0, 0.3, 0.0]), Metric(),
+             GroupKind.SE2)
+    assert abs(d - np.hypot(1.2, 0.6)) <= 1e-12
 
 
 def test_distance_pi_periodic_orientation():
     m = Metric(epsilon=0.3, xi=2.0)
-    g = se2_element(0.4, -0.2, 0.3)
-    h = se2_element(0.4, -0.2, 0.3 - np.pi)
-    assert distance(g, h, m) <= 1e-12
-    r = so3_element(0.5, 1.0, -0.7)
-    flip = compose(r, so3_element(np.pi, 0.0, 0.0))
-    assert distance(r, flip, m) <= 1e-9
+    g = np.array([0.4, -0.2, 0.3])
+    h = np.array([0.4, -0.2, 0.3 - np.pi])
+    assert dist(se2_pair_sq, g, h, m, GroupKind.SE2) <= 1e-12
+    r = so3_matrices(np.array([0.5, 1.0, -0.7]))
+    flip = r @ so3_matrices(np.array([np.pi, 0.0, 0.0]))
+    assert dist(so3_pair_sq, r, flip, m, GroupKind.SO3) <= 1e-9
 
 
 def test_distance_left_invariance_sampled():
     m = Metric(epsilon=0.6, xi=1.3)
     rng = np.random.default_rng(8)
-    for group in (rand_se2, rand_so3):
-        a, g, h = group(rng, 3 * 40)[0::3], group(rng, 3 * 40)[1::3], group(rng, 3 * 40)[2::3]
-        for ai, gi, hi in zip(a, g, h):
-            lhs = distance(compose(ai, gi), compose(ai, hi), m)
-            rhs = distance(gi, hi, m)
-            assert abs(lhs - rhs) <= 1e-9
+    a, g, h = (rand_se2(rng, 40) for _ in range(3))
+    lhs = dist(se2_pair_sq, se2_compose(a, g), se2_compose(a, h), m, GroupKind.SE2)
+    assert np.abs(lhs - dist(se2_pair_sq, g, h, m, GroupKind.SE2)).max() <= 1e-9
+    a, g, h = (rand_so3(rng, 40) for _ in range(3))
+    lhs = dist(so3_pair_sq, a @ g, a @ h, m, GroupKind.SO3)
+    assert np.abs(lhs - dist(so3_pair_sq, g, h, m, GroupKind.SO3)).max() <= 1e-9
 
 
 def test_sphere_distance_ignores_alpha():
-    m = Metric()
-    g = so3_element(0.3, 1.0, 0.4)
-    h = so3_element(-2.0, 1.0, 0.4)
-    assert sphere_distance(g, h, m) <= 1e-12
-
-
-def test_from_matrix_validation():
-    with pytest.raises(ValueError):
-        from_matrix(GroupKind.SE2, np.eye(2))
-    bad = np.eye(3)
-    bad[2, 0] = 0.5
-    with pytest.raises(ValueError):
-        from_matrix(GroupKind.SE2, bad)
-    with pytest.raises(ValueError):
-        from_matrix(GroupKind.SO3, np.diag([1.0, 2.0, 0.5]))
-    with pytest.raises(ValueError):
-        so3_element(0.0, -0.1, 0.0)
-
-
-def test_elements_immutable():
-    g = se2_element(1.0, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        g.params[0] = 9.0
-    with pytest.raises(ValueError):
-        g.matrix[0, 0] = 9.0
+    g = so3_matrices(np.array([0.3, 1.0, 0.4]))
+    h = so3_matrices(np.array([-2.0, 1.0, 0.4]))
+    assert dist(sphere_pair_sq, g, h, Metric(), GroupKind.SO3) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,18 +236,18 @@ def test_elements_immutable():
        ax=st.floats(-3, 3), ay=st.floats(-3, 3), at=st.floats(-3.1, 3.1))
 def test_property_left_invariance_se2(x, y, theta, ax, ay, at):
     m = Metric(epsilon=0.5, xi=1.2)
-    g = se2_element(x, y, theta)
-    a = se2_element(ax, ay, at)
-    h = se2_element(y, x, -theta / 2.0)
-    assert abs(distance(compose(a, g), compose(a, h), m) - distance(g, h, m)) <= 1e-9
+    g = np.array([x, y, theta])
+    a = np.array([ax, ay, at])
+    h = np.array([y, x, -theta / 2.0])
+    lhs = dist(se2_pair_sq, se2_compose(a, g), se2_compose(a, h), m, GroupKind.SE2)
+    assert abs(lhs - dist(se2_pair_sq, g, h, m, GroupKind.SE2)) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(-3.1, 3.1), x=st.floats(-2, 2), y=st.floats(-2, 2))
 def test_property_log_exp_roundtrip_se2(theta, x, y):
-    g = se2_element(x, y, theta)
-    back = matrix_exp_series(se2_algebra_matrix(group_log(g)))
-    assert np.abs(back - g.matrix).max() <= 1e-9
+    back = matrix_exp_series(se2_algebra_matrix(se2_log_params(x, y, theta)))
+    assert np.abs(back - se2_matrices(np.array([x, y, theta]))).max() <= 1e-9
 
 
 # Rounding allowance for the bound tests: a tenth of the slack the K-NN
@@ -333,8 +293,7 @@ def test_sphere_bound_points():
     relative rotations near pi, near the identity and about the reference axis."""
     rng = np.random.Generator(np.random.Philox(61))
     n = 4000
-    a = so3_matrices(np.column_stack([rng.uniform(-np.pi, np.pi, n), rng.uniform(0.0, np.pi, n),
-                                      rng.uniform(-np.pi, np.pi, n)]))
+    a = so3_matrices(rand_zyz(rng, n))
     axes = rng.normal(size=(n, 3))
     axes[:500] = [0.0, 0.0, 1.0]
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -402,8 +361,7 @@ def test_so3_pair_sq_high_precision():
     n = 60
 
     def zyz(k):
-        return so3_matrices(np.column_stack([rng.uniform(-np.pi, np.pi, k), rng.uniform(0.0, np.pi, k),
-                                             rng.uniform(-np.pi, np.pi, k)]))
+        return so3_matrices(rand_zyz(rng, k))
 
     axes = rng.normal(size=(n, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -414,7 +372,7 @@ def test_so3_pair_sq_high_precision():
     turn = axis_rotations(np.tile([0.0, 0.0, 1.0], (n, 1)), rng.uniform(-np.pi, np.pi, n))
     psi = rng.uniform(-np.pi, np.pi, n)
     tilt = np.column_stack([np.cos(psi), np.sin(psi), np.zeros(n)])
-    level3 = sampling.grid_so3(3, 6)
+    level3 = build_vertices(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=3, n_orient=6))
     a = np.concatenate([zyz(n), near_pi, turn, level3.matrices[[167]]])
     b = np.concatenate([zyz(n), near_pi @ axis_rotations(axes, np.pi - 10.0 ** rng.uniform(-9.0, -3.0, n)),
                         turn @ axis_rotations(tilt, 10.0 ** rng.uniform(-8.0, -6.0, n)),

@@ -493,6 +493,17 @@ def test_bad_metric(tmp_path, graph_file, at, value):
     assert exc.value.offset == 25
 
 
+@pytest.mark.parametrize("at,value", [(25, 1e-160), (33, 1e200)])
+def test_bad_metric_weights(tmp_path, graph_file, at, value):
+    """An epsilon or xi whose weight epsilon^-2 or xi^2 overflows is a
+    header error at the metric's offset."""
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
+    with pytest.raises(io.FormatError, match="finite weights") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 25
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_bad_alpha(tmp_path, graph_file, value):
     _, data = graph_file
@@ -650,12 +661,3 @@ def test_field_csv_headers(tmp_path, se2_8x8x4, s2_level2):
     cells = lines[1].split(",")
     assert float(cells[1]) == s2_level2.vertices.params[0, 1]
     assert float(cells[3]) == s2_level2.vertices.params[0, 0]
-
-
-def test_signal_csv(tmp_path):
-    path = tmp_path / "s.csv"
-    io.write_signal_csv(path, np.array([[1.5, -2.0], [0.25, 3.0]]))
-    lines = open(path).read().split("\n")
-    assert lines[0] == "vertex,c0,c1"
-    assert lines[1] == "0,1.5,-2"
-    assert lines[2] == "1,0.25,3"

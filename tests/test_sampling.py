@@ -8,10 +8,7 @@ from liegraph.sampling import (
     GridKind,
     GridSpec,
     build_vertices,
-    grid_r2,
-    grid_s2,
     grid_se2,
-    grid_so3,
     icosphere,
     icosphere_parents,
     orientation_angles,
@@ -76,8 +73,7 @@ def test_se2_grid_layout():
                 assert v.params[i, 0] == ix / 4
                 assert v.params[i, 1] == iy / 2
                 assert v.params[i, 2] == -np.pi / 2 + k * np.pi / 2
-    # index maps agree with the layout
-    assert v.flat_index(iy * 4 + ix, 1) == ns + iy * 4 + ix
+    # the orientation map agrees with the layout
     assert v.orientation_index(ns + 3) == 1
     np.testing.assert_array_equal(v.orientation_index(np.arange(16)),
                                   np.repeat([0, 1], ns))
@@ -99,7 +95,7 @@ def test_se2_grid_matrices():
 
 
 def test_r2_single_slice():
-    v = grid_r2(3, 3)
+    v = build_vertices(GridSpec(GridKind.R2_GRID, nx=3, ny=3))
     assert len(v) == 9
     assert np.all(v.params[:, 2] == -np.pi / 2)
     assert v.spec.group_kind == GroupKind.SE2
@@ -154,7 +150,7 @@ def test_sphere_angles_roundtrip():
 
 
 def test_so3_grid_layout():
-    v = grid_so3(0, 3)
+    v = build_vertices(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=0, n_orient=3))
     assert len(v) == 36
     ns = 12
     alphas = orientation_angles(3)
@@ -167,14 +163,14 @@ def test_so3_grid_layout():
 
 def test_so3_matrices_project_to_sphere():
     """G e_z is the sphere point regardless of the orientation angle."""
-    v = grid_so3(1, 4)
+    v = build_vertices(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=4))
     pts, _ = icosphere(1)
     proj = v.matrices @ np.array([0.0, 0.0, 1.0])
     np.testing.assert_allclose(proj, np.tile(pts, (4, 1)), atol=1e-12)
 
 
 def test_s2_single_slice():
-    v = grid_s2(1)
+    v = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
     assert len(v) == 42
     assert np.all(v.params[:, 0] == -np.pi / 2)
 
@@ -183,16 +179,3 @@ def test_build_vertices_dispatch():
     a = build_vertices(GridSpec(GridKind.SE2_GRID, nx=3, ny=3, n_orient=2))
     b = grid_se2(3, 3, 2)
     np.testing.assert_array_equal(a.params, b.params)
-    c = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
-    np.testing.assert_array_equal(c.params, grid_s2(1).params)
-
-
-def test_element_copies():
-    v = grid_se2(2, 2, 2)
-    g = v.element(3)
-    assert g.kind == GroupKind.SE2
-    np.testing.assert_array_equal(g.matrix, v.matrices[3])
-    before = v.params[3].copy()
-    with pytest.raises(ValueError):
-        g.params[0] = 99.0  # frozen
-    np.testing.assert_array_equal(v.params[3], before)
