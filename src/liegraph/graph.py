@@ -3,7 +3,11 @@
 K-NN selection searches a cKDTree over a Euclidean embedding whose
 distances never exceed the anisotropic ones, then scores each vertex's
 candidates with the exact kernel; the all-pairs scan it replaces stays as
-the test reference, knn_pairs_bruteforce.  Every undirected edge's
+the sequential test reference, knn_pairs_bruteforce.  The search uses
+every CPU in the process's affinity mask: tree queries run with that many
+workers, and scoring blocks of CANDIDATE_BLOCK entries, small enough to
+stay in cache, go through a thread pool whose order-preserving map keeps
+the graph byte-identical for any worker count.  Every undirected edge's
 distance is computed once in (low id, high id) orientation and mirrored;
 weights and Laplacian entries are elementwise functions of the mirrored
 distances, so adjacency and Laplacian are symmetric at the bit level.
@@ -11,8 +15,10 @@ distances, so adjacency and Laplacian are symmetric at the bit level.
 
 from __future__ import annotations
 
+import os
 import warnings
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +32,12 @@ BANDWIDTH_FRACTION = 0.2
 DEFAULT_KNN_LIFTED = 16
 DEFAULT_KNN_BASE = 8
 ROW_CHUNK = 256
-# Entries (rows x candidates) of one K-NN scoring block.
-CANDIDATE_BLOCK = 1 << 17
+# Entries (rows x candidates) of one K-NN scoring block; one per worker is
+# in flight, and a block this size stays in cache.
+CANDIDATE_BLOCK = 1 << 14
+# Vertex sets with at most this many pairs skip the tree and are scored as
+# one block; that covers the demo network's graphs.
+WHOLE_SET_PAIRS = 1 << 17
 # Slack on the K-NN search's ball radius: relative, and absolute in units of
 # the largest embedded coordinate.  The absolute part covers rounding in the
 # embedding and in the kernels, which is absolute for near-coincident points.
@@ -178,45 +188,63 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     size, are scored in blocks of at most CANDIDATE_BLOCK entries against as
     many nearest embedded points as the block's largest ball holds; rows
     whose balls hold over half the vertices are scored against all of them.
-    A vertex set whose pairs fit in one block is scored as one block.
+    A vertex set of at most WHOLE_SET_PAIRS pairs is scored as one block.
+
+    Each stage runs on every CPU the process may use: the tree queries take
+    that many workers, and the scoring blocks, whose bounds are fixed before
+    any is scored, are mapped over a thread pool of that size.  The map
+    returns blocks in order and each row's selection depends only on its own
+    candidates, so the pairs do not depend on the worker count or the block
+    size.
     """
     n = len(vertices)
-    if n * n <= CANDIDATE_BLOCK:
+    if n * n <= WHOLE_SET_PAIRS:
         return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
     # Imported here: the scipy.spatial package import takes about 0.1 s and
     # 6 MB, which commands that build no large graph need not pay.
     from scipy.spatial import cKDTree
 
+    workers = len(os.sched_getaffinity(0))
     f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
          else sphere_bound_points(vertices.matrices, kern.w))
     tree = cKDTree(f)
-    _, near = tree.query(f, k=min(2 * (k + 1), n))
-    upper = np.empty(n)
+    _, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
     step = max(CANDIDATE_BLOCK // near.shape[1], 1)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        upper[rows] = np.partition(_row_sq(kern, rows, near[rows]),
-                                   k - 1, axis=1)[:, k - 1]
-    radius = (np.sqrt(upper * (1.0 + TIE_REL)) * (1.0 + BALL_REL)
-              + BALL_ABS * (1.0 + np.abs(f).max()))
-    counts = tree.query_ball_point(f, radius, return_length=True)
 
-    order = np.argsort(counts, kind="stable")
-    ranked = counts[order]
-    split = int(np.searchsorted(ranked, n // 2, side="right"))
-    picks = []
-    lo = 0
-    while lo < split:
-        # Size the block on its first ball, then shrink it to fit its last,
-        # the largest: balls grow along `order`.
-        hi = min(lo + max(CANDIDATE_BLOCK // ranked[lo], 1), split)
-        hi = min(lo + max(CANDIDATE_BLOCK // ranked[hi - 1], 1), split)
-        rows = order[lo:hi]
-        picks.append(_picks(kern, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1]))
-        lo = hi
-    # Balls holding over half the vertices: score those rows against all.
-    step = max(CANDIDATE_BLOCK // n, 1)
-    picks += [_picks(kern, order[lo:lo + step], k) for lo in range(split, n, step)]
+    def kth_near(lo: int) -> np.ndarray:
+        rows = np.arange(lo, min(lo + step, n))
+        return np.partition(_row_sq(kern, rows, near[rows]), k - 1, axis=1)[:, k - 1]
+
+    with ThreadPoolExecutor(workers) as pool:
+        upper = np.concatenate(list(pool.map(kth_near, range(0, n, step))))
+        radius = (np.sqrt(upper * (1.0 + TIE_REL)) * (1.0 + BALL_REL)
+                  + BALL_ABS * (1.0 + np.abs(f).max()))
+        counts = tree.query_ball_point(f, radius, return_length=True, workers=workers)
+
+        order = np.argsort(counts, kind="stable")
+        ranked = counts[order]
+        split = int(np.searchsorted(ranked, n // 2, side="right"))
+        blocks = []
+        lo = 0
+        while lo < split:
+            # Size the block on its first ball, then shrink it to fit its last,
+            # the largest: balls grow along `order`.
+            hi = min(lo + max(CANDIDATE_BLOCK // ranked[lo], 1), split)
+            hi = min(lo + max(CANDIDATE_BLOCK // ranked[hi - 1], 1), split)
+            blocks.append((lo, hi))
+            lo = hi
+
+        # The blocks run side by side, so each queries the tree on one thread.
+        def ball_picks(block: tuple[int, int]):
+            lo, hi = block
+            rows = order[lo:hi]
+            return _picks(kern, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1])
+
+        # Balls holding over half the vertices: score those rows against all.
+        all_step = max(CANDIDATE_BLOCK // n, 1)
+        picks = list(pool.map(ball_picks, blocks))
+        picks += pool.map(lambda lo: _picks(kern, order[lo:lo + all_step], k),
+                          range(split, n, all_step))
     return _unique_pairs(n, picks)
 
 
@@ -385,6 +413,11 @@ def rescale(lap: Laplacian) -> Laplacian:
 # sub-graph sampling
 
 
+def _require_finite(kappa: float) -> None:
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be a finite number, got {kappa}")
+
+
 def _keep_probabilities(w: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
     """Keep probabilities min(1, c w) whose sum is kappa * |E|, and c.
 
@@ -394,7 +427,8 @@ def _keep_probabilities(w: np.ndarray, kappa: float) -> tuple[np.ndarray, float]
     weight unsaturated.  When zero weights cap the count below the target,
     every positive-weight edge is kept (c = inf) and zero weights never are.
     """
-    if not 0.0 <= kappa:
+    _require_finite(kappa)
+    if kappa < 0.0:
         raise ValueError("kappa must be non-negative")
     if kappa >= 1.0:
         return np.ones(w.size), np.inf
@@ -433,6 +467,7 @@ def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGr
     sampling, lands in `vertices.kept`; distances and the bandwidth are
     inherited, hence the weights too.
     """
+    _require_finite(kappa)
     if not 0.0 < kappa <= 1.0:
         raise ValueError("kappa must lie in (0, 1]")
     n = graph.n_vertices

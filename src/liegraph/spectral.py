@@ -16,6 +16,9 @@ from .sampling import GridKind, GridSpec
 
 DENSE_EIGEN_CAP = 5000
 HEAT_ORDER = 30
+# Largest error bound heat_coeffs accepts, and the largest order it suggests.
+HEAT_TOL = 1e-8
+HEAT_MAX_ORDER = 1 << 16
 SIGN_TOL = 1e-12
 
 
@@ -53,13 +56,39 @@ def cheb_apply(lap: Laplacian, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, cheb_terms(lap.matrix, np.asarray(x, dtype=float), coeffs.size), 1)
 
 
+def _heat_tails(a: float, orders: int) -> np.ndarray:
+    """sum_{j >= m} 2 ive(j, a) for m = 1..orders, from sum_j ive(j, a) = 1
+    over all integers j; exact to rounding (about 1e-15), clipped to [0, 1]."""
+    # Imported here: scipy.special takes about 40 ms to import, which
+    # commands that never diffuse need not pay.
+    from scipy.special import ive
+
+    tails = 1.0 - np.cumsum(np.r_[ive(0, a), 2.0 * ive(np.arange(1, orders), a)])
+    return np.clip(np.nan_to_num(tails, nan=1.0), 0.0, 1.0)
+
+
 def heat_coeffs(tau: float, lambda_max: float, order: int = HEAT_ORDER) -> np.ndarray:
-    """Chebyshev coefficients of exp(-tau * (lambda_max / 2) (s + 1)) on [-1, 1]."""
+    """Chebyshev coefficients of exp(-tau * (lambda_max / 2) (s + 1)) on [-1, 1].
+
+    The exact expansion has coefficients 2 (-1)^j ive(j, a), a = tau
+    lambda_max / 2 (halved at j = 0), so an expansion of `order` terms errs
+    by at most sum_{j >= order} 2 ive(j, a).  A ValueError names the
+    smallest order that keeps this bound within HEAT_TOL when `order` does not.
+    """
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"diffusion time must be non-negative and finite, got {tau}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return npcheb.chebinterpolate(lambda s: np.exp(-tau * 0.5 * lambda_max * (s + 1.0)), order - 1)
+    a = 0.5 * tau * lambda_max
+    bound = _heat_tails(a, order)[-1]
+    if bound > HEAT_TOL:
+        ok = np.flatnonzero(_heat_tails(a, HEAT_MAX_ORDER) <= HEAT_TOL)
+        need = f"order {ok[0] + 1}" if ok.size else f"an order above {HEAT_MAX_ORDER}"
+        raise ValueError(f"diffusion time {tau:g} at lambda_max {lambda_max:.6g} needs {need} "
+                         f"or more: order {order} errs by up to {bound:.1e}, "
+                         f"above {HEAT_TOL:g}")
+    return npcheb.chebinterpolate(lambda s: np.exp(-tau * 0.5 * lambda_max * (s + 1.0)),
+                                  order - 1)
 
 
 def heat_diffuse(lap: Laplacian, x: np.ndarray, tau: float, order: int = HEAT_ORDER) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command line tests, run in-process through main(argv)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,15 @@ def test_diffuse_usage_errors(graph_path, tmp_path, capsys):
         assert main(base + ["--impulse", "0", "--tau", tau]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: diffusion time") and err.count("\n") == 1
+    # beyond the default order's accuracy: one line naming the order that suffices
+    for tau in ("1e6", "1000"):
+        assert main(base + ["--impulse", "0", "--tau", tau]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: diffusion time") and err.count("\n") == 1
+        assert "needs order" in err
     assert not (tmp_path / "d.csv").exists()
+    need = re.search(r"needs order (\d+) or more", err).group(1)
+    assert main(base + ["--impulse", "0", "--tau", "1000", "--order", need]) == 0
 
 
 def test_check_equivariance_pass(graph_path, capsys):
@@ -318,11 +328,15 @@ def test_os_errors_exit_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
-def test_sample_usage_errors(graph_path, tmp_path):
+def test_sample_usage_errors(graph_path, tmp_path, capsys):
     out = str(tmp_path / "x.clgr")
     assert main(["sample", "--graph", str(graph_path), "--out", out]) == 2
     assert main(["sample", "--graph", str(graph_path), "--edges", "0.5",
                  "--vertices", "0.5", "--out", out]) == 2
+    capsys.readouterr()
+    for flag in ("--edges", "--vertices"):
+        assert main(["sample", "--graph", str(graph_path), flag, "nan", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: kappa must be a finite number, got nan\n"
 
 
 def test_train_demo_epoch_zero(tmp_path, capsys):

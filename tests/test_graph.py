@@ -1,6 +1,11 @@
 """Graph construction tests: K-NN selection, weights, Laplacian, sampling."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -116,6 +121,14 @@ def test_knn_against_bruteforce():
 SMALL_BLOCK = 64
 
 
+def set_blocks(monkeypatch, whole_set_pairs):
+    """Score sets above whole_set_pairs pairs through the tree, in blocks no
+    larger than that; the default threshold keeps the default sizes."""
+    monkeypatch.setattr(graph_module, "WHOLE_SET_PAIRS", whole_set_pairs)
+    monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK",
+                        min(whole_set_pairs, graph_module.CANDIDATE_BLOCK))
+
+
 def assert_knn_exact(g):
     """The graph's edges and stored distances equal the brute-force reference's."""
     i, j, _, d = g.edge_pairs()
@@ -171,11 +184,11 @@ def test_so3_graph_matches_matrix_log_oracle(alpha, monkeypatch):
     np.testing.assert_allclose(g.distances, ref.distances, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("block", [graph_module.CANDIDATE_BLOCK, SMALL_BLOCK])
+@pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
 @pytest.mark.parametrize("name", ["se2_8x8x4", "se2_16x16x6", "r2_16x16", "s2_level2"])
-def test_knn_tree_matches_bruteforce(name, block, request, monkeypatch):
+def test_knn_tree_matches_bruteforce(name, whole_set_pairs, request, monkeypatch):
     g = request.getfixturevalue(name)
-    monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK", block)
+    set_blocks(monkeypatch, whole_set_pairs)
     assert_knn_exact(build_graph(g.vertices, g.metric, g.knn))
     assert_knn_exact(built(GridKind.R2_GRID, nx=3, ny=3, knn=2))
     # vertex-sampled subsets are non-grid vertex sets
@@ -186,7 +199,7 @@ def test_knn_tree_matches_bruteforce(name, block, request, monkeypatch):
 
 def test_knn_tree_near_duplicates(monkeypatch):
     """Sphere points 1e-8 rad apart and exact duplicates are still found."""
-    monkeypatch.setattr(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK)
+    set_blocks(monkeypatch, SMALL_BLOCK)
     verts = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
     rng = np.random.Generator(np.random.Philox(70))
     tilt = np.stack([np.zeros(20), rng.choice([0.0, 1e-12, 1e-8, 3e-8], 20),
@@ -235,10 +248,53 @@ def vertex_sets(draw):
 def test_knn_tree_matches_bruteforce_random(case):
     """Exact equality on random sets, K clamped to |V| - 1 included."""
     verts, metric, knn = case
-    with mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK):
+    with (mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK),
+          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK)):
         g = build_graph(verts, metric, knn)
     assert g.knn == min(knn, len(verts) - 1)
     assert_knn_exact(g)
+
+
+@pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
+def test_knn_same_graph_for_any_worker_count(whole_set_pairs, se2_16x16x6, s2_level2,
+                                             monkeypatch):
+    """One worker and three, more than this machine may have, build
+    byte-identical graphs, with threads switching as often as they can."""
+    set_blocks(monkeypatch, whole_set_pairs)
+    pools = []
+
+    def pool(workers):
+        pools.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(graph_module, "ThreadPoolExecutor", pool)
+    sub = sample_vertices(se2_16x16x6, 0.5, 1).vertices
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for verts, g in ((se2_16x16x6.vertices, se2_16x16x6), (s2_level2.vertices, s2_level2),
+                         (sub, se2_16x16x6)):
+            built_by = []
+            for workers in (1, 3):
+                monkeypatch.setattr(graph_module.os, "sched_getaffinity",
+                                    lambda pid, n=workers: set(range(n)))
+                built_by.append(build_graph(verts, g.metric, g.knn))
+            for attr in GRAPH_ARRAYS:
+                assert getattr(built_by[0], attr).tobytes() == getattr(built_by[1], attr).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(pools) == {1, 3}
+
+
+def test_demo_graphs_skip_the_tree():
+    """build_demo's graphs are scored as whole sets, so setting up training
+    never pays the scipy.spatial import."""
+    src = str(Path(graph_module.__file__).resolve().parents[1])
+    code = ("import sys; from liegraph.network import build_demo; build_demo(); "
+            "print('scipy.spatial' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_degree_bounds(se2_8x8x4):
@@ -404,6 +460,9 @@ def test_keep_probabilities_zero_weights(se2_8x8x4):
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
             _keep_probabilities(w_pairs, bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"kappa must be a finite number, got {bad}"):
+            _keep_probabilities(w_pairs, bad)
 
 
 def test_sample_edges_weight_bias(se2_8x8x4):
@@ -440,6 +499,8 @@ def test_sample_vertices(se2_8x8x4):
         sample_vertices(se2_8x8x4, 0.0, seed=0)
     with pytest.raises(ValueError):
         sample_vertices(se2_8x8x4, 1.5, seed=0)
+    with pytest.raises(ValueError, match="kappa must be a finite number, got nan"):
+        sample_vertices(se2_8x8x4, float("nan"), seed=0)
 
 
 def test_slice_fractions(se2_8x8x4, r2_16x16):

@@ -144,6 +144,15 @@ def test_heat_validation(small_lap):
             heat_coeffs(tau, 2.0)
     with pytest.raises(ValueError):
         heat_coeffs(1.0, 2.0, order=0)
+    # the truncation bound sum_{j >= order} 2 ive(j, tau lambda_max / 2) caps tau
+    heat_coeffs(30.0, 1.3)                                      # bound 3e-10
+    for tau, need in ((100.0, "order 48 "), (1e6, "order 4621 "),
+                      (1e300, "an order above 65536 ")):
+        with pytest.raises(ValueError, match=f"diffusion time .* needs {need}or more"):
+            heat_coeffs(tau, 1.3)
+    assert heat_coeffs(100.0, 1.3, order=48).size == 48
+    with pytest.raises(ValueError, match="order 47 errs by up to"):
+        heat_coeffs(100.0, 1.3, order=47)
 
 
 def test_eigensystem_invariants(se2_8x8x4_lap):
