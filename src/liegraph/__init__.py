@@ -2,8 +2,7 @@
 and SO(3), with the plane and sphere as single-slice degenerate cases."""
 
 from .groups import GroupKind, Metric
-from .sampling import (GridKind, GridSpec, VertexSet, build_vertices, grid_se2, icosphere,
-                       icosphere_parents)
+from .sampling import GridKind, GridSpec, VertexSet, build_vertices, grid_se2, icosphere
 from .graph import (Laplacian, ManifoldGraph, build_graph, default_knn,
                     edge_weights, fixed_lambda_max, laplacian, make_metric,
                     power_lambda_max, rescale, sample_edges, sample_vertices,

@@ -118,7 +118,7 @@ def cmd_build_graph(args) -> int:
     })
 
     vertices = build_vertices(spec)
-    graph = build_graph(vertices, metric, knn, alpha=alpha)
+    graph = build_graph(vertices, metric, knn)
     lap = laplacian(graph)
     lap = fixed_lambda_max(lap) if args.lambda_max == "fixed2" else power_lambda_max(lap)
     io.write_graph(args.out, graph, lap)

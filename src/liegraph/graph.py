@@ -19,7 +19,7 @@ import os
 import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,12 +102,16 @@ class ManifoldGraph:
     metric: Metric
     knn: int
     bandwidth: float
-    alpha: float
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
     distances: np.ndarray
     notes: tuple[str, ...] = ()
+
+    @property
+    def alpha(self) -> float:
+        """The grid-relative form of the metric's xi, alpha_from_xi(xi, spec)."""
+        return alpha_from_xi(self.metric.xi, self.vertices.spec)
 
     @property
     def n_vertices(self) -> int:
@@ -263,7 +267,8 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
 
     The bandwidth t is set to BANDWIDTH_FRACTION times the mean squared edge
     distance, and the weights are edge_weights(d, t).  K is clamped to
-    |V| - 1 with a note when the sampling is too small.
+    |V| - 1 with a note when the sampling is too small.  alpha, when given,
+    must be the metric's own, alpha_from_xi(metric.xi, spec); ValueError if not.
     """
     n = len(vertices)
     spec = vertices.spec
@@ -276,8 +281,8 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     if k > n - 1:
         k = max(n - 1, 0)
         notes.append(f"knn clamped to {k} on {n} vertices")
-    if alpha is None:
-        alpha = alpha_from_xi(metric.xi, spec)
+    if alpha is not None and alpha != (derived := alpha_from_xi(metric.xi, spec)):
+        raise ValueError(f"alpha {alpha!r} contradicts xi, which gives alpha {derived!r}")
 
     kern = _kernel(vertices, metric)
     if k == 0:
@@ -287,8 +292,8 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     dist = np.sqrt(kern.fn(kern.data[i], kern.data[j], kern.w)) if i.size else np.zeros(0)
     t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2)) if dist.size else 0.0
     indptr, indices, dist = _mirrored_csr(n, i, j, dist)
-    return ManifoldGraph(vertices, metric, k, t, alpha, indptr, indices,
-                         edge_weights(dist, t), dist, tuple(notes))
+    return ManifoldGraph(vertices, metric, k, t, indptr, indices, edge_weights(dist, t), dist,
+                         tuple(notes))
 
 
 def _mirrored_csr(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray):
@@ -329,8 +334,6 @@ class Laplacian:
     matrix: sp.csr_matrix
     lambda_max: float | None = None
     rescaled: bool = False
-    power_converged: bool = True
-    notes: tuple[str, ...] = field(default=())
 
     @property
     def n(self) -> int:
@@ -358,43 +361,38 @@ def power_lambda_max(lap: Laplacian, tol: float = 1e-6, max_iter: int = 1000,
     A deterministic start like the all-ones vector can sit in the orthogonal
     complement of the top eigenvector (it is the kernel of a single-edge
     Laplacian), hence the random draw.  The estimate is clamped into (0, 2];
-    non-convergence falls back to the upper bound 2.0 with a note.
+    non-convergence falls back to the upper bound 2.0 with a UserWarning.
     """
     a = lap.matrix
     n = a.shape[0]
     if n == 0 or a.nnz == 0:
-        return Laplacian(a, 2.0, False, True, lap.notes)
+        return Laplacian(a, 2.0)
     rng = np.random.Generator(np.random.Philox(seed))
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     lam = 0.0
-    converged = False
     for _ in range(max_iter):
         y = a @ x
         norm = np.linalg.norm(y)
         if norm == 0.0:
             lam = 0.0
-            converged = True
             break
         new_lam = float(x @ y)
         x = y / norm
         if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
             lam = new_lam
-            converged = True
             break
         lam = new_lam
-    notes = lap.notes
-    if not converged:
+    else:
         lam = 2.0
-        notes = notes + ("power iteration did not converge; using upper bound 2.0",)
         warnings.warn("power iteration did not converge within the cap; using 2.0")
     lam = min(max(lam, np.finfo(float).tiny), 2.0)
-    return Laplacian(a, lam, False, converged, notes)
+    return Laplacian(a, lam)
 
 
 def fixed_lambda_max(lap: Laplacian) -> Laplacian:
     """Skip estimation and take the spectral upper bound 2.0."""
-    return Laplacian(lap.matrix, 2.0, False, True, lap.notes)
+    return Laplacian(lap.matrix, 2.0)
 
 
 def rescale(lap: Laplacian) -> Laplacian:
@@ -406,7 +404,7 @@ def rescale(lap: Laplacian) -> Laplacian:
     n = lap.matrix.shape[0]
     mat = ((2.0 / lap.lambda_max) * lap.matrix - sp.identity(n, format="csr")).tocsr()
     mat.sort_indices()
-    return Laplacian(mat, lap.lambda_max, True, lap.power_converged, lap.notes)
+    return Laplacian(mat, lap.lambda_max, True)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +453,8 @@ def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph
     note = (f"edge sampling kappa={kappa} kept {int(keep.sum())} of {i.size} "
             f"(expected {p.sum():.1f}, c={c:.6g})",)
     indptr, indices, dist = _mirrored_csr(graph.n_vertices, i[keep], j[keep], dist[keep])
-    return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth, graph.alpha,
-                         indptr, indices, edge_weights(dist, graph.bandwidth), dist,
-                         graph.notes + note)
+    return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth, indptr,
+                         indices, edge_weights(dist, graph.bandwidth), dist, graph.notes + note)
 
 
 def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:
@@ -485,6 +482,5 @@ def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGr
     sub = VertexSet(verts.spec, verts.params[kept].copy(), verts.matrices[kept].copy(),
                     kept if verts.kept is None else verts.kept[kept])
     note = (f"vertex sampling kappa={kappa} kept {n_keep} of {n} vertices",)
-    return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, graph.alpha,
-                         indptr, indices, edge_weights(dist, graph.bandwidth), dist,
-                         graph.notes + note)
+    return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, indptr, indices,
+                         edge_weights(dist, graph.bandwidth), dist, graph.notes + note)

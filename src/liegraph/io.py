@@ -244,8 +244,8 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
         raise FormatError(f"bandwidth {t} is < 0, not finite, or 0 with a distance > 0", t_pos)
 
     matrices = se2_matrices(params) if spec.group_kind is GroupKind.SE2 else so3_matrices(params)
-    graph = ManifoldGraph(VertexSet(spec, params, matrices, kept), metric, knn, t, alpha,
-                          indptr, indices, edge_weights(distances, t), distances)
+    graph = ManifoldGraph(VertexSet(spec, params, matrices, kept), metric, knn, t, indptr,
+                          indices, edge_weights(distances, t), distances)
     lap = None
     if _flag(r, "Laplacian"):
         lam_pos, lam = r.pos, r.scalar("<d")

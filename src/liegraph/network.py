@@ -29,7 +29,7 @@ import numpy as np
 
 from .graph import Laplacian, ManifoldGraph, build_graph, laplacian, make_metric, \
     power_lambda_max, rescale
-from .sampling import GridKind, GridSpec, grid_se2, icosphere_parents
+from .sampling import GridKind, GridSpec, grid_se2, icosphere
 from .spectral import cheb_terms, rotation_permutation
 
 
@@ -193,7 +193,6 @@ class PoolPlan:
     order: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    notes: tuple[str, ...] = ()
 
 
 class PoolPlanError(ValueError):
@@ -205,7 +204,7 @@ class PoolPlanError(ValueError):
         self.entry = entry
 
 
-def pool_plan(cluster: np.ndarray, n_coarse: int, notes: tuple[str, ...] = ()) -> PoolPlan:
+def pool_plan(cluster: np.ndarray, n_coarse: int) -> PoolPlan:
     """The plan of a cluster map; PoolPlanError unless 1 <= n_coarse <=
     cluster.size, every id lies in [-1, n_coarse) and no cluster is empty."""
     cluster = np.asarray(cluster, dtype=np.int64)
@@ -222,25 +221,23 @@ def pool_plan(cluster: np.ndarray, n_coarse: int, notes: tuple[str, ...] = ()) -
         raise PoolPlanError(f"coarse vertex {int(np.argmin(sizes))} has no fine member", 0)
     starts = np.zeros(n_coarse, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
-    return PoolPlan(cluster, n_coarse, order, starts, sizes, notes)
+    return PoolPlan(cluster, n_coarse, order, starts, sizes)
 
 
 def r2_pool_plan(spec: GridSpec) -> PoolPlan:
-    """Non-overlapping 2x2 spatial blocks inside every orientation slice."""
+    """Non-overlapping 2x2 spatial blocks inside every orientation slice; an
+    odd grid's trailing row and column are dropped."""
     if spec.kind not in (GridKind.SE2_GRID, GridKind.R2_GRID):
         raise ValueError("r2 pooling applies to planar grids")
     cnx, cny = spec.nx // 2, spec.ny // 2
     if cnx < 1 or cny < 1:
         raise ValueError("grid too small to pool")
-    notes = ()
-    if spec.nx % 2 or spec.ny % 2:
-        notes = (f"odd grid {spec.nx}x{spec.ny}: trailing row/column dropped",)
     ids = np.arange(spec.n_vertices)
     ns = spec.n_spatial
     ix, iy, k = (ids % ns) % spec.nx, (ids % ns) // spec.nx, ids // ns
     inside = (ix < 2 * cnx) & (iy < 2 * cny)
     cluster = np.where(inside, k * (cnx * cny) + (iy // 2) * cnx + (ix // 2), -1)
-    return pool_plan(cluster, cnx * cny * spec.n_orient, notes)
+    return pool_plan(cluster, cnx * cny * spec.n_orient)
 
 
 def coarse_spec_r2(spec: GridSpec) -> GridSpec:
@@ -254,7 +251,7 @@ def s2_pool_plan(spec: GridSpec) -> PoolPlan:
         raise ValueError("s2 pooling applies to icosahedral samplings")
     if spec.level < 1:
         raise ValueError("level 0 cannot be pooled")
-    parents = icosphere_parents(spec.level)
+    _, parents = icosphere(spec.level)
     ns_f = spec.n_spatial
     ns_c = parents.max() + 1
     ids = np.arange(spec.n_vertices)
@@ -464,12 +461,12 @@ def lift_images(images: np.ndarray, n_orient: int) -> np.ndarray:
 
 @dataclass
 class DemoSetup:
+    """The demo's graphs, model and quarter-turn permutation; the model's
+    layers hold the rescaled Laplacians and the pool plan."""
+
     fine_graph: ManifoldGraph
     coarse_graph: ManifoldGraph
-    fine_lap: Laplacian
-    coarse_lap: Laplacian
     model: Model
-    plan: PoolPlan
     perm: np.ndarray
 
 
@@ -477,38 +474,28 @@ def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float 
                alpha: float = 1.0, knn: int = 16, order: int = 4,
                channels: tuple[int, int] = (8, 16)) -> DemoSetup:
     rng = np.random.Generator(np.random.Philox([seed, 1]))
-    fine = grid_se2(nx, nx, n_orient)
-    metric, _ = make_metric(fine.spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
-    fine_graph = build_graph(fine, metric, knn)
-    fine_lap = power_lambda_max(laplacian(fine_graph))
-
-    coarse = grid_se2(nx // 2, nx // 2, n_orient)
-    c_metric, _ = make_metric(coarse.spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
-    coarse_graph = build_graph(coarse, c_metric, knn)
-    coarse_lap = power_lambda_max(laplacian(coarse_graph))
-
-    plan = r2_pool_plan(fine.spec)
-    lf, lc = rescale(fine_lap), rescale(coarse_lap)
+    graphs = []
+    for n in (nx, nx // 2):
+        verts = grid_se2(n, n, n_orient)
+        metric, _ = make_metric(verts.spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
+        graphs.append(build_graph(verts, metric, knn))
+    fine_spec = graphs[0].vertices.spec
+    lf, lc = (rescale(power_lambda_max(laplacian(g))) for g in graphs)
     model = Model([
         ChebConv(lf, 1, channels[0], order, rng),
         ReLU(),
-        Pool(plan),
+        Pool(r2_pool_plan(fine_spec)),
         ChebConv(lc, channels[0], channels[1], order, rng),
         ReLU(),
         GlobalMaxPool(),
         Dense(channels[1], 4, rng),
         LogSoftmax(),
     ])
-    perm = rotation_permutation(fine.spec, 1)
-    return DemoSetup(fine_graph, coarse_graph, fine_lap, coarse_lap, model, plan, perm)
+    return DemoSetup(*graphs, model, rotation_permutation(fine_spec, 1))
 
 
 def _predict(model: Model, x: np.ndarray | ChebTerms) -> np.ndarray:
     return np.argmax(model.forward(x, train=False), axis=1)
-
-
-def rotation_consistency(model: Model, x: np.ndarray, perm: np.ndarray) -> float:
-    return float(np.mean(_predict(model, x) == _predict(model, x[perm])))
 
 
 def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 32,

@@ -170,14 +170,6 @@ def icosphere(level: int):
     return pts, (None if parents is None else np.array(parents))
 
 
-def icosphere_parents(level: int) -> np.ndarray:
-    """Cluster map from level to level-1 ids (level >= 1)."""
-    if level < 1:
-        raise ValueError("level 0 has no parent level")
-    _, parents = icosphere(level)
-    return parents
-
-
 def sphere_angles(points: np.ndarray) -> np.ndarray:
     """Colatitude/longitude (beta, gamma) of unit vectors, gamma = 0 at poles."""
     beta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))

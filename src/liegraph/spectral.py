@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.polynomial import chebyshev as npcheb
 from scipy.linalg import eigh
 
 from .graph import Laplacian, rescale
@@ -56,23 +55,25 @@ def cheb_apply(lap: Laplacian, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, cheb_terms(lap.matrix, np.asarray(x, dtype=float), coeffs.size), 1)
 
 
-def _heat_tails(a: float, orders: int) -> np.ndarray:
-    """sum_{j >= m} 2 ive(j, a) for m = 1..orders, from sum_j ive(j, a) = 1
-    over all integers j; exact to rounding (about 1e-15), clipped to [0, 1]."""
+def _heat_series(a: float, orders: int) -> tuple[np.ndarray, np.ndarray]:
+    """ive(0, a), then 2 ive(j, a) for j = 1..orders-1 (the Chebyshev
+    coefficients of exp(-a (s + 1)) up to sign), and their tails sum_{j >= m}
+    for m = 1..orders: exact to rounding (about 1e-15) from sum_j ive(j, a) = 1
+    over all integers j, clipped to [0, 1]."""
     # Imported here: scipy.special takes about 40 ms to import, which
     # commands that never diffuse need not pay.
     from scipy.special import ive
 
-    tails = 1.0 - np.cumsum(np.r_[ive(0, a), 2.0 * ive(np.arange(1, orders), a)])
-    return np.clip(np.nan_to_num(tails, nan=1.0), 0.0, 1.0)
+    series = np.r_[ive(0, a), 2.0 * ive(np.arange(1, orders), a)]
+    return series, np.clip(np.nan_to_num(1.0 - np.cumsum(series), nan=1.0), 0.0, 1.0)
 
 
 def heat_coeffs(tau: float, lambda_max: float, order: int = HEAT_ORDER) -> np.ndarray:
     """Chebyshev coefficients of exp(-tau * (lambda_max / 2) (s + 1)) on [-1, 1].
 
     The exact expansion has coefficients 2 (-1)^j ive(j, a), a = tau
-    lambda_max / 2 (halved at j = 0), so an expansion of `order` terms errs
-    by at most sum_{j >= order} 2 ive(j, a).  A ValueError names the
+    lambda_max / 2 (halved at j = 0); its first `order` are returned, which
+    err by at most sum_{j >= order} 2 ive(j, a).  A ValueError names the
     smallest order that keeps this bound within HEAT_TOL when `order` does not.
     """
     if not 0.0 <= tau < np.inf:
@@ -80,15 +81,15 @@ def heat_coeffs(tau: float, lambda_max: float, order: int = HEAT_ORDER) -> np.nd
     if order < 1:
         raise ValueError("order must be at least 1")
     a = 0.5 * tau * lambda_max
-    bound = _heat_tails(a, order)[-1]
-    if bound > HEAT_TOL:
-        ok = np.flatnonzero(_heat_tails(a, HEAT_MAX_ORDER) <= HEAT_TOL)
+    coeffs, tails = _heat_series(a, order)
+    if (bound := tails[-1]) > HEAT_TOL:
+        ok = np.flatnonzero(_heat_series(a, HEAT_MAX_ORDER)[1] <= HEAT_TOL)
         need = f"order {ok[0] + 1}" if ok.size else f"an order above {HEAT_MAX_ORDER}"
         raise ValueError(f"diffusion time {tau:g} at lambda_max {lambda_max:.6g} needs {need} "
                          f"or more: order {order} errs by up to {bound:.1e}, "
                          f"above {HEAT_TOL:g}")
-    return npcheb.chebinterpolate(lambda s: np.exp(-tau * 0.5 * lambda_max * (s + 1.0)),
-                                  order - 1)
+    coeffs[1::2] *= -1.0
+    return coeffs
 
 
 def heat_diffuse(lap: Laplacian, x: np.ndarray, tau: float, order: int = HEAT_ORDER) -> np.ndarray:
@@ -112,10 +113,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.values.size
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """First significant entry of every eigenvector made positive."""
@@ -135,7 +132,9 @@ def eigensystem(lap: Laplacian, k: int | None = None,
     restarted Lanczos (ARPACK, which="SA") on the CSR Laplacian itself, with
     k required to be well below |V|: only matrix-vector products, no
     factorization.  The start vector is a fixed seeded draw, so repeated
-    calls return identical bases, also inside degenerate eigenspaces.
+    calls return identical bases, also inside degenerate eigenspaces.  On a
+    zero Laplacian, where ARPACK cannot start, it gives the dense solve's
+    k zeros and first k unit vectors.
     """
     if lap.rescaled:
         raise ValueError("eigensystem expects the raw Laplacian")
@@ -147,6 +146,8 @@ def eigensystem(lap: Laplacian, k: int | None = None,
     if n <= dense_cap:
         vals, vecs = eigh(lap.matrix.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
+    elif not lap.matrix.data.any():
+        vals, vecs = np.zeros(k), np.eye(n, k)
     else:
         if k > n - 2:
             raise ValueError("iterative eigensolver needs k well below |V|")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liegraph.graph import build_graph, default_knn, laplacian, make_metric, power_lambda_max
+from liegraph.graph import build_graph, laplacian, make_metric, power_lambda_max
 from liegraph.sampling import GridKind, GridSpec, build_vertices
 
 EPS_ANISO = float(np.sqrt(0.1))
@@ -10,11 +10,8 @@ EPS_ANISO = float(np.sqrt(0.1))
 def built(kind, *, nx=None, ny=None, level=None, orient=1, epsilon=1.0, alpha=None, knn=None):
     fields = {k: v for k, v in dict(nx=nx, ny=ny, level=level).items() if v is not None}
     spec = GridSpec(kind=kind, n_orient=orient, **fields)
-    verts = build_vertices(spec)
-    metric, resolved = make_metric(spec, epsilon=epsilon, alpha=alpha)
-    graph = build_graph(verts, metric, knn if knn is not None else default_knn(spec),
-                        alpha=resolved)
-    return graph
+    metric, _ = make_metric(spec, epsilon=epsilon, alpha=alpha)
+    return build_graph(build_vertices(spec), metric, knn)
 
 
 @pytest.fixture(scope="session")

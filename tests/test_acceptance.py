@@ -459,7 +459,7 @@ def test_criterion_11_serialization(report, tmp_path, se2_8x8x4, se2_8x8x4_lap):
     setup = build_demo(seed=0)
     m1, m2 = tmp_path / "a.clmd", tmp_path / "b.clmd"
     io.write_model(m1, setup.model)
-    model = io.read_model(m1, [rescale(setup.fine_lap), rescale(setup.coarse_lap)])
+    model = io.read_model(m1, [layer.lap for layer in setup.model.layers if hasattr(layer, "lap")])
     io.write_model(m2, model)
     model_ok = m1.read_bytes() == m2.read_bytes()
 

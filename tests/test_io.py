@@ -8,6 +8,7 @@ import pytest
 from liegraph import io
 from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
                             sample_vertices)
+from liegraph.groups import Metric
 from liegraph.network import Model, Pool, Unpool, build_demo, r2_pool_plan, s2_pool_plan
 from liegraph.sampling import GridKind, GridSpec
 
@@ -36,7 +37,6 @@ def test_graph_roundtrip_bytes(tmp_path, se2_8x8x4, se2_8x8x4_lap):
     assert graph.metric.xi == se2_8x8x4.metric.xi
     assert graph.knn == se2_8x8x4.knn
     assert graph.bandwidth == se2_8x8x4.bandwidth
-    assert graph.alpha == se2_8x8x4.alpha
     assert lap.lambda_max == se2_8x8x4_lap.lambda_max
     diff = (lap.matrix - se2_8x8x4_lap.matrix).tocoo()
     assert diff.nnz == 0 or np.all(diff.data == 0.0)
@@ -72,9 +72,9 @@ def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8
     no_map = dataclasses.replace(verts, vertices=dataclasses.replace(verts.vertices, kept=None))
     with pytest.raises(ValueError, match="kept"):
         io.write_graph(path, no_map)
-    for bad_alpha in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="alpha"):
-            io.write_graph(path, dataclasses.replace(se2_8x8x4, alpha=bad_alpha))
+    for xi, alpha in ((1e154, "inf"), (1e-170, "0.0")):   # xi^2 n_spatial / n_orient
+        with pytest.raises(ValueError, match=f"alpha {alpha} is not finite and positive"):
+            io.write_graph(path, dataclasses.replace(se2_8x8x4, metric=Metric(EPS_ANISO, xi)))
     with pytest.raises(ValueError, match="knn 0"):
         io.write_graph(path, dataclasses.replace(se2_8x8x4, knn=0))
     assert not path.exists()
@@ -153,8 +153,7 @@ def test_model_roundtrip(tmp_path):
     setup = build_demo(seed=5)
     path = tmp_path / "m.clmd"
     io.write_model(path, setup.model)
-    laps = [rescale(setup.fine_lap), rescale(setup.coarse_lap)]
-    model = io.read_model(path, laps)
+    model = io.read_model(path, [layer.lap for layer in setup.model.layers if hasattr(layer, "lap")])
     rng = np.random.Generator(np.random.Philox(31))
     x = rng.standard_normal((256, 4, 1))
     np.testing.assert_array_equal(model.forward(x), setup.model.forward(x))
@@ -217,7 +216,7 @@ def model_file(tmp_path_factory):
     setup = build_demo(seed=5)
     path = tmp_path_factory.mktemp("io") / "m.clmd"
     io.write_model(path, setup.model)
-    return read_bytes(path), [rescale(setup.fine_lap), rescale(setup.coarse_lap)]
+    return read_bytes(path), [layer.lap for layer in setup.model.layers if hasattr(layer, "lap")]
 
 
 def test_model_version_1_rejected(tmp_path, model_file):
@@ -514,11 +513,9 @@ def test_bad_alpha(tmp_path, graph_file, value):
     assert exc.value.offset == at
 
 
-def test_alpha_must_match_xi(tmp_path, graph_file, se2_8x8x4):
+def test_alpha_must_match_xi(tmp_path, graph_file):
     """Every graph has alpha = alpha_from_xi(xi, spec), so another finite
-    positive alpha, one ulp off included, is refused on write and on read."""
-    with pytest.raises(ValueError, match="contradicts xi"):
-        io.write_graph(tmp_path / "x.clgr", dataclasses.replace(se2_8x8x4, alpha=7.5))
+    positive alpha, one ulp off included, is refused on read."""
     _, data = graph_file
     at = graph_layout(data)["alpha"]
     stored = np.frombuffer(data[at:at + 8], "<f8")[0]

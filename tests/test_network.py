@@ -31,7 +31,6 @@ from liegraph.network import (
     oriented_bars,
     pool_plan,
     r2_pool_plan,
-    rotation_consistency,
     s2_pool_plan,
     train_demo,
 )
@@ -293,17 +292,15 @@ def test_pool_plan_layout():
             assert splan.cluster[k * 42 + s] == k * 12 + s
     assert coarse_spec_s2(so3).level == 0
     # a plan from a cluster map: members by cluster then id, -1 dropped
-    plan = pool_plan(np.array([1, -1, 0, 1]), 2, ("note",))
+    plan = pool_plan(np.array([1, -1, 0, 1]), 2)
     np.testing.assert_array_equal(plan.order, [2, 0, 3])
     np.testing.assert_array_equal(plan.starts, [0, 1])
     np.testing.assert_array_equal(plan.sizes, [1, 2])
-    assert plan.notes == ("note",)
 
 
 def test_odd_grid_drops_trailing():
     spec = GridSpec(GridKind.R2_GRID, nx=5, ny=5)
     plan = r2_pool_plan(spec)
-    assert plan.notes and "dropped" in plan.notes[0]
     ids = np.arange(25)
     dropped = (ids % 5 == 4) | (ids // 5 == 4)
     assert np.all(plan.cluster[dropped] == -1)
@@ -407,7 +404,7 @@ def test_model_rotation_invariant_logits(demo_setup):
     base = demo_setup.model.forward(x)
     rotated = demo_setup.model.forward(apply_permutation(demo_setup.perm, x))
     assert np.max(np.abs(base - rotated)) <= 1e-10
-    assert rotation_consistency(demo_setup.model, x, demo_setup.perm) == 1.0
+    np.testing.assert_array_equal(np.argmax(base, axis=1), np.argmax(rotated, axis=1))
 
 
 def test_oriented_bars_dataset():

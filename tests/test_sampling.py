@@ -10,7 +10,6 @@ from liegraph.sampling import (
     build_vertices,
     grid_se2,
     icosphere,
-    icosphere_parents,
     orientation_angles,
     sphere_angles,
 )
@@ -131,9 +130,8 @@ def test_icosphere_parents():
         p = parents[i]
         assert p < 12
         assert np.dot(pts1[i], pts0[p]) > 0.85
-    assert icosphere_parents(2).shape == (162,)
-    with pytest.raises(ValueError):
-        icosphere_parents(0)
+    assert icosphere(2)[1].shape == (162,)
+    assert icosphere(0)[1] is None
 
 
 def test_sphere_angles_roundtrip():

@@ -1,9 +1,12 @@
 """Spectral operator tests: Chebyshev filters, heat kernel, eigenmaps, audits."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from liegraph.graph import Laplacian, laplacian, power_lambda_max, rescale
+from liegraph.graph import Laplacian, laplacian, power_lambda_max, rescale, sample_edges
 from liegraph.sampling import GridKind, GridSpec, grid_se2
 from liegraph.spectral import (
     cheb_apply,
@@ -155,9 +158,29 @@ def test_heat_validation(small_lap):
         heat_coeffs(100.0, 1.3, order=47)
 
 
+def test_heat_coeffs_memory():
+    """O(order) memory: interpolating through an order x order matrix took 32 MB."""
+    heat_coeffs(1.0, 1.3, order=2000)      # imports scipy.special outside the trace
+    tracemalloc.start()
+    coeffs = heat_coeffs(1.0, 1.3, order=2000)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert coeffs.size == 2000 and peak < 1 << 20
+
+
+def test_eigensystem_zero_laplacian(se2_8x8x4):
+    """No edges, or zero weights only: the sparse branch gives the dense answer."""
+    zero_w = dataclasses.replace(se2_8x8x4, weights=np.zeros_like(se2_8x8x4.weights))
+    for lap in (laplacian(sample_edges(se2_8x8x4, 0.0, seed=0)), laplacian(zero_w)):
+        for k in (1, 16, lap.n):
+            dense, sparse = eigensystem(lap, k), eigensystem(lap, k, dense_cap=0)
+            assert sparse.values.tobytes() == dense.values.tobytes() == np.zeros(k).tobytes()
+            assert sparse.vectors.tobytes() == dense.vectors.tobytes() == np.eye(lap.n, k).tobytes()
+
+
 def test_eigensystem_invariants(se2_8x8x4_lap):
     eig = eigensystem(se2_8x8x4_lap)
-    assert eig.k == 256
+    assert eig.values.size == 256
     assert np.all(np.diff(eig.values) >= -1e-12)
     gram = eig.vectors.T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(256))) <= 1e-8
