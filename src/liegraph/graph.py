@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_quat_pair_sq,
                      so3_quaternions, sphere_bound_points, sphere_pair_sq)
@@ -46,6 +47,8 @@ BALL_ABS = 1e-6
 # Relative slack for K-th-distance ties; far above rounding noise (~1e-15),
 # far below the gap between distinct squared distances on any sampling here.
 TIE_REL = 1e-9
+# Lanczos steps between convergence checks of the lambda_max estimate.
+LANCZOS_CHECK = 5
 
 
 def default_knn(spec: GridSpec) -> int:
@@ -146,12 +149,17 @@ def _row_sq(kern: _Kernel, rows: np.ndarray, cols: np.ndarray | None = None) -> 
     return d2
 
 
+def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's K-th smallest squared distance, and the mask of the entries
+    the K-nearest rule selects: those within TIE_REL of it."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    return kth, d2 <= kth[:, None] * (1.0 + TIE_REL)
+
+
 def _picks(kern: _Kernel, rows: np.ndarray, k: int, cols: np.ndarray | None = None):
     """(row, column) ids the K-nearest rule selects for `rows` among `cols`
     (as in _row_sq)."""
-    d2 = _row_sq(kern, rows, cols)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    r, c = np.nonzero(d2 <= kth[:, None] * (1.0 + TIE_REL))
+    r, c = np.nonzero(_select(_row_sq(kern, rows, cols), k)[1])
     return rows[r], (c if cols is None else cols[r, c])
 
 
@@ -188,10 +196,13 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     d^2(a, b).  The K-th smallest exact squared distance from vertex i to its
     2(K + 1) nearest embedded points bounds its true K-th from above by U, so
     every vertex the rule selects lies within sqrt(U (1 + TIE_REL)) of f(i),
-    widened by BALL_REL and BALL_ABS for rounding.  Rows, ordered by ball
-    size, are scored in blocks of at most CANDIDATE_BLOCK entries against as
-    many nearest embedded points as the block's largest ball holds; rows
-    whose balls hold over half the vertices are scored against all of them.
+    widened by BALL_REL and BALL_ABS for rounding.  A row whose ball radius
+    is below the embedded distance of its 2(K + 1)-th nearest point holds its
+    whole ball among those points, so it takes its picks from that first
+    scoring block and is settled.  The other rows, ordered by ball size, are
+    scored in blocks of at most CANDIDATE_BLOCK entries against as many
+    nearest embedded points as the block's largest ball holds; rows whose
+    balls hold over half the vertices are scored against all of them.
     A vertex set of at most WHOLE_SET_PAIRS pairs is scored as one block.
 
     Each stage runs on every CPU the process may use: the tree queries take
@@ -212,21 +223,27 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
          else sphere_bound_points(vertices.matrices, kern.w))
     tree = cKDTree(f)
-    _, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
+    dnear, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
     step = max(CANDIDATE_BLOCK // near.shape[1], 1)
+    slack = BALL_ABS * (1.0 + np.abs(f).max())
 
-    def kth_near(lo: int) -> np.ndarray:
+    def first_pass(lo: int):
         rows = np.arange(lo, min(lo + step, n))
-        return np.partition(_row_sq(kern, rows, near[rows]), k - 1, axis=1)[:, k - 1]
+        kth, chosen = _select(_row_sq(kern, rows, near[rows]), k)
+        radius = np.sqrt(kth * (1.0 + TIE_REL)) * (1.0 + BALL_REL) + slack
+        fits = radius < dnear[rows, -1]
+        r, c = np.nonzero(chosen & fits[:, None])
+        return radius, fits, (rows[r], near[rows[r], c])
 
     with ThreadPoolExecutor(workers) as pool:
-        upper = np.concatenate(list(pool.map(kth_near, range(0, n, step))))
-        radius = (np.sqrt(upper * (1.0 + TIE_REL)) * (1.0 + BALL_REL)
-                  + BALL_ABS * (1.0 + np.abs(f).max()))
-        counts = tree.query_ball_point(f, radius, return_length=True, workers=workers)
+        radius, fits, picks = zip(*pool.map(first_pass, range(0, n, step)))
+        picks = list(picks)
+        rest = np.flatnonzero(~np.concatenate(fits))
+        radius = np.concatenate(radius)[rest]
+        counts = tree.query_ball_point(f[rest], radius, return_length=True, workers=workers)
 
-        order = np.argsort(counts, kind="stable")
-        ranked = counts[order]
+        by_count = np.argsort(counts, kind="stable")
+        order, ranked = rest[by_count], counts[by_count]
         split = int(np.searchsorted(ranked, n // 2, side="right"))
         blocks = []
         lo = 0
@@ -246,9 +263,9 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
 
         # Balls holding over half the vertices: score those rows against all.
         all_step = max(CANDIDATE_BLOCK // n, 1)
-        picks = list(pool.map(ball_picks, blocks))
+        picks += pool.map(ball_picks, blocks)
         picks += pool.map(lambda lo: _picks(kern, order[lo:lo + all_step], k),
-                          range(split, n, all_step))
+                          range(split, rest.size, all_step))
     return _unique_pairs(n, picks)
 
 
@@ -354,40 +371,47 @@ def laplacian(graph: ManifoldGraph) -> Laplacian:
     return Laplacian(off + sp.csr_matrix(((deg > 0.0).astype(float), ids[:-1], ids), (n, n)))
 
 
-def power_lambda_max(lap: Laplacian, tol: float = 1e-6, max_iter: int = 1000,
+def power_lambda_max(lap: Laplacian, tol: float = 1e-4, max_iter: int = 1000,
                      seed: int = 0) -> Laplacian:
-    """Largest eigenvalue by power iteration with a seeded random start.
+    """Largest eigenvalue by a three-term Lanczos run from a seeded random start.
 
-    A deterministic start like the all-ones vector can sit in the orthogonal
-    complement of the top eigenvector (it is the kernel of a single-edge
-    Laplacian), hence the random draw.  The estimate is clamped into (0, 2];
-    non-convergence falls back to the upper bound 2.0 with a UserWarning.
+    The name stays from the power iteration this replaced, so callers and the
+    CLI's `power` choice keep it.  The start is random because a fixed one like
+    the all-ones vector can sit in the orthogonal complement of the top
+    eigenvector (it is the kernel of a single-edge Laplacian).  Every
+    LANCZOS_CHECK steps the top Ritz pair (theta, s) of the tridiagonal gives
+    the residual r = beta_k |s_k|; the run stops once r <= tol * theta, or at
+    beta = 0, and returns theta + r clamped into (0, 2].  Some eigenvalue lies
+    within r of theta, so that bounds lambda_max once theta has reached the
+    top, which is not certified.  max_iter steps (matrix-vector products)
+    without convergence give 2.0 with a UserWarning.
     """
     a = lap.matrix
     n = a.shape[0]
     if n == 0 or a.nnz == 0:
         return Laplacian(a, 2.0)
     rng = np.random.Generator(np.random.Philox(seed))
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = a @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            lam = 0.0
-            break
-        new_lam = float(x @ y)
-        x = y / norm
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
-            lam = new_lam
-            break
-        lam = new_lam
-    else:
-        lam = 2.0
-        warnings.warn("power iteration did not converge within the cap; using 2.0")
-    lam = min(max(lam, np.finfo(float).tiny), 2.0)
-    return Laplacian(a, lam)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = 0.0
+    for step in range(1, max_iter + 1):
+        w = a @ v
+        w -= beta * v_prev
+        alphas.append(float(v @ w))
+        w -= alphas[-1] * v
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0 or step % LANCZOS_CHECK == 0 or step == max_iter:
+            theta, s = eigh_tridiagonal(alphas, betas, select="i",
+                                        select_range=(step - 1, step - 1))
+            r = beta * abs(s[-1, 0])
+            if beta == 0.0 or r <= tol * theta[0]:
+                return Laplacian(a, float(min(max(theta[0] + r, np.finfo(float).tiny), 2.0)))
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    warnings.warn("Lanczos did not converge within the cap; using 2.0")
+    return Laplacian(a, 2.0)
 
 
 def fixed_lambda_max(lap: Laplacian) -> Laplacian:

@@ -140,34 +140,35 @@ def icosphere(level: int):
     coarser level as an id prefix; parents[i] is the parent cluster at the
     previous level (the vertex itself for prefix ids, the lower of the two
     edge endpoints for midpoints).  parents is None at level 0.
+
+    Each level walks the faces' edges ab, bc, ca face by face and gives every
+    edge's midpoint the next id the first time the edge is seen; each face
+    (a, b, c) becomes (a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca).
+    A midpoint is normalised by the square root of its dot product with
+    itself, the same float as np.linalg.norm of the single vector.
     """
     if level < 0:
         raise ValueError("subdivision level must be non-negative")
-    points = [tuple(p) for p in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    points = _ICO_VERTS.copy()
+    faces = np.array(_ICO_FACES, dtype=np.int64)
     parents = None
     for _ in range(level):
         n_prev = len(points)
-        parents = list(range(n_prev))
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = np.array(points[a]) + np.array(points[b])
-                p /= np.linalg.norm(p)
-                midpoint[key] = len(points)
-                points.append(tuple(p))
-                parents.append(key[0])
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        faces = new_faces
-    pts = np.array(points)
-    return pts, (None if parents is None else np.array(parents))
+        a, b, c = faces.T
+        ends = np.stack([a, b, b, c, c, a], 1).reshape(-1, 2)
+        lo, hi = ends.min(1), ends.max(1)
+        _, first, inverse = np.unique(lo * n_prev + hi, return_index=True, return_inverse=True)
+        seen = np.argsort(first)
+        rank = np.empty_like(seen)
+        rank[seen] = np.arange(seen.size)
+        edge = first[seen]                      # one per midpoint, in first-seen order
+        mid = points[lo[edge]] + points[hi[edge]]
+        mid /= np.sqrt(np.matmul(mid[:, None, :], mid[:, :, None]))[:, 0]
+        points = np.concatenate([points, mid])
+        parents = np.concatenate([np.arange(n_prev), lo[edge]])
+        ab, bc, ca = (n_prev + rank[inverse]).reshape(-1, 3).T
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], 1).reshape(-1, 3)
+    return points, parents
 
 
 def sphere_angles(points: np.ndarray) -> np.ndarray:

@@ -37,3 +37,8 @@ def r2_16x16():
 @pytest.fixture(scope="session")
 def s2_level2():
     return built(GridKind.S2_ICOSAHEDRAL, level=2)
+
+
+@pytest.fixture(scope="session")
+def so3_level2x6():
+    return built(GridKind.SO3_ICOSAHEDRAL, level=2, orient=6, epsilon=EPS_ANISO, alpha=1.0)

@@ -7,9 +7,10 @@ segment reductions instead of matrix products and slot-wise maxima, a
 shift-invert sparse-LU eigensolve instead of plain Lanczos, the SO(3) log
 from the trace and antisymmetric part instead of unit quaternions, and all
 three orientation branches of the SE(2) distance instead of the two that
-can win.  The one exception is `cheb_terms_reference`, the out-of-place
-Chebyshev recurrence, which the library's in-place one must match bit for
-bit.  The last few functions are plain test helpers: SE(2) composition on
+can win.  Two exceptions must match the library bit for bit:
+`cheb_terms_reference`, the out-of-place Chebyshev recurrence, and
+`icosphere_loop`, the per-edge subdivision loop that the array form of
+`icosphere` replaced.  The last few functions are plain test helpers: SE(2) composition on
 parameters, vertex permutations and eigenvalue grouping.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from liegraph.groups import _se2_c12, se2_matrices, wrap_angle
+from liegraph.sampling import _ICO_FACES, _ICO_VERTS
 
 
 def _batched_sqrtm(mats: np.ndarray, iters: int = 40) -> np.ndarray:
@@ -130,6 +132,35 @@ def cheb_terms_reference(matrix, x: np.ndarray, n_terms: int) -> np.ndarray:
     for _ in range(2, n_terms):
         terms.append(2.0 * (matrix @ terms[-1]) - terms[-2])
     return np.stack(terms).reshape((n_terms,) + x.shape)
+
+
+def icosphere_loop(level: int):
+    """icosphere(level) by a dictionary of edge midpoints, filled face by
+    face and normalised one vector at a time."""
+    points = [tuple(p) for p in _ICO_VERTS]
+    faces = list(_ICO_FACES)
+    parents = None
+    for _ in range(level):
+        n_prev = len(points)
+        parents = list(range(n_prev))
+        midpoint: dict[tuple[int, int], int] = {}
+
+        def mid(a: int, b: int) -> int:
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                p = np.array(points[a]) + np.array(points[b])
+                p /= np.linalg.norm(p)
+                midpoint[key] = len(points)
+                points.append(tuple(p))
+                parents.append(key[0])
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(points), (None if parents is None else np.array(parents))
 
 
 def chebconv_einsum(z: np.ndarray, theta: np.ndarray, bias: np.ndarray,

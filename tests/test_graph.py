@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -11,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,6 +228,25 @@ def test_knn_tree_near_duplicates(monkeypatch):
         assert_knn_exact(build_graph(near, Metric(), k))
 
 
+@pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
+def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
+    """On se2 16x16x2 at K=4 and epsilon=1 most balls fit inside the first
+    query's 2(K + 1) nearest points and a few do not: only those few are
+    ball-counted, and the graph still equals brute force."""
+    set_blocks(monkeypatch, whole_set_pairs)
+    counted = []
+
+    class Tree(scipy.spatial.cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            counted.append(len(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
+    g = built(GridKind.SE2_GRID, nx=16, ny=16, orient=2, alpha=1.0, knn=4)
+    assert len(counted) == 1 and 0 < counted[0] < g.n_vertices // 10
+    assert_knn_exact(g)
+
+
 @st.composite
 def vertex_sets(draw):
     """Non-grid SE(2), SO(3) or sphere vertex sets with duplicate and
@@ -412,6 +433,50 @@ def test_power_iteration_edgeless():
     assert lap.lambda_max == 2.0
 
 
+class CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingCSR.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("name", ["se2_8x8x4", "se2_16x16x6", "r2_16x16", "s2_level2",
+                                  "so3_level2x6"])
+def test_lambda_max_estimate_near_dense(name, request):
+    """The Lanczos estimate lies within 5e-4 of the dense top eigenvalue, and
+    at most 2, for seeds 0-9."""
+    lap = laplacian(request.getfixturevalue(name))
+    top = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
+    for seed in range(10):
+        est = power_lambda_max(lap, seed=seed).lambda_max
+        assert abs(est / top - 1.0) <= 5e-4, seed
+        assert est <= 2.0
+
+
+def test_lambda_max_matrix_products(se2_16x16x6):
+    """At the default tolerance the estimate takes at most 200 products with
+    the Laplacian on se2 16x16x6, for seeds 0-9."""
+    lap = Laplacian(CountingCSR(laplacian(se2_16x16x6).matrix))
+    for seed in range(10):
+        CountingCSR.products = 0
+        power_lambda_max(lap, seed=seed)
+        assert 0 < CountingCSR.products <= 200, seed
+
+
+def test_lambda_max_zero_beta_step():
+    """A Laplacian of stored zeros (every weight underflowed) ends the run at
+    its first step with beta = 0: no warning, and the estimate stays in (0, 2]."""
+    zeros = sp.csr_matrix((np.zeros(3), np.arange(3), np.arange(4)), shape=(3, 3))
+    assert zeros.nnz == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = power_lambda_max(Laplacian(zeros)).lambda_max
+    assert 0.0 < lam <= 2.0
+
+
 def test_power_iteration_cap(se2_8x8x4):
     with pytest.warns(UserWarning, match="did not converge"):
         lap = power_lambda_max(laplacian(se2_8x8x4), tol=0.0, max_iter=2)
@@ -419,8 +484,9 @@ def test_power_iteration_cap(se2_8x8x4):
 
 
 def test_rescale(se2_8x8x4_lap):
-    # pin lambda_max to the dense value: the power default tol leaves it
-    # short by ~3e-4, which would push the rescaled top past 1 by as much
+    # pin lambda_max to the dense value: the Lanczos estimate carries no
+    # certificate, and one that lands below the top (3.6e-4 low on r2 16x16
+    # at seed 6) pushes the rescaled top past 1 by twice as much
     dense_max = float(np.linalg.eigvalsh(se2_8x8x4_lap.matrix.toarray())[-1])
     r = rescale(Laplacian(se2_8x8x4_lap.matrix, dense_max))
     assert r.rescaled

@@ -676,10 +676,9 @@ def test_train_demo_releases_forward_caches():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_train_demo_trajectory_locked(seed):
     """train_demo trains as when the rows in data/train_demo_rows.json were
-    recorded (seeds 0 and 1 with the sparse recurrence on both layers and
-    np.where ReLU, seeds 2-4 with the dense coarse operator and caching
-    evaluation forwards): accuracy and rotation consistency exactly, losses
-    to 1e-12 relative, in every epoch."""
+    recorded, all five seeds with build_demo's lambda_max from the Lanczos
+    estimate of power_lambda_max at its default tol 1e-4: accuracy and
+    rotation consistency exactly, losses to 1e-12 relative, in every epoch."""
     with open(TRAIN_DEMO_ROWS) as fh:
         recorded = json.load(fh)
     rows, _ = train_demo(seed=seed, **recorded["call"])

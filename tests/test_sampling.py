@@ -14,6 +14,8 @@ from liegraph.sampling import (
     sphere_angles,
 )
 
+from oracles import icosphere_loop
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -132,6 +134,20 @@ def test_icosphere_parents():
         assert np.dot(pts1[i], pts0[p]) > 0.85
     assert icosphere(2)[1].shape == (162,)
     assert icosphere(0)[1] is None
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_matches_loop(level):
+    """The array subdivision gives the per-edge loop's points and parents
+    byte for byte."""
+    pts, parents = icosphere(level)
+    ref_pts, ref_parents = icosphere_loop(level)
+    assert pts.dtype == ref_pts.dtype and pts.tobytes() == ref_pts.tobytes()
+    if level == 0:
+        assert parents is None and ref_parents is None
+    else:
+        assert parents.dtype == ref_parents.dtype
+        assert parents.tobytes() == ref_parents.tobytes()
 
 
 def test_sphere_angles_roundtrip():
