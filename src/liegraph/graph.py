@@ -1,16 +1,26 @@
 """Anisotropic K-NN graphs, their Laplacians, and sub-graph sampling.
 
-K-NN selection searches a cKDTree over a Euclidean embedding whose
-distances never exceed the anisotropic ones, then scores each vertex's
-candidates with the exact kernel; the all-pairs scan it replaces stays as
-the sequential test reference, knn_pairs_bruteforce.  The search uses
-every CPU in the process's affinity mask: tree queries run with that many
-workers, and scoring blocks of CANDIDATE_BLOCK entries, small enough to
-stay in cache, go through a thread pool whose order-preserving map keeps
-the graph byte-identical for any worker count.  Every undirected edge's
-distance is computed once in (low id, high id) orientation and mirrored;
-weights and Laplacian entries are elementwise functions of the mirrored
-distances, so adjacency and Laplacian are symmetric at the bit level.
+K-NN selection scores each vertex's candidates with the exact kernel; the
+all-pairs scan it replaces on large sets stays as the sequential test
+reference, knn_pairs_bruteforce.  Lifted SE(2) grids, and vertex-sampled
+subsets that keep nearly all of them, find candidates once per spatial point
+in a 2-D cKDTree and screen them per pair of orientation slices with the exact
+squared distance: on each branch th of the relative angle, se2_pair_sq is
+|A u|^2 + w2 th^2 for the spatial offset u, with
+A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)) and
+rho = (th/2) / sin(th/2).  Shifted down and up by BALL_REL times a bound on
+every term, which dwarfs the few ulps by which the form and the kernel can
+differ, the form brackets the kernel, so only about K plus the ties per row
+reach the kernel (knn_pairs derives the form and the bound).  Other vertex
+sets search a cKDTree over a Euclidean embedding whose distances never
+exceed the anisotropic ones.  The search uses every CPU in the process's
+affinity mask: tree queries run with that many workers, and scoring blocks,
+sized from CANDIDATE_BLOCK to stay in cache, go through a thread pool whose
+order-preserving map keeps the graph byte-identical for any worker count.
+Every undirected edge's distance is computed once in (low id, high id)
+orientation and mirrored; weights and Laplacian entries are elementwise
+functions of the mirrored distances, so adjacency and Laplacian are
+symmetric at the bit level.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_quat_pair_sq,
-                     so3_quaternions, sphere_bound_points, sphere_pair_sq)
+                     so3_quaternions, sphere_bound_points, sphere_pair_sq, wrap_angle)
 from .sampling import GridKind, GridSpec, VertexSet
 
 BANDWIDTH_FRACTION = 0.2
@@ -39,6 +49,13 @@ CANDIDATE_BLOCK = 1 << 14
 # Vertex sets with at most this many pairs skip the tree and are scored as
 # one block; that covers the demo network's graphs.
 WHOLE_SET_PAIRS = 1 << 17
+# Screen values (offsets x slice-pair columns) per product-layout search block.
+SCREEN_BLOCK = 4 * CANDIDATE_BLOCK
+# Least share of a product layout's (spatial point, slice) slots holding a
+# vertex for the product-layout search.  The screen pays for empty slots too:
+# se2 32x32x6 sampled at kappa = 0.5 took 266 ms against the general search's
+# 128 ms at alpha = 100, and at 0.9 it still won (141 against 170 ms).
+PRODUCT_MIN_FILL = 0.9
 # Slack on the K-NN search's ball radius: relative, and absolute in units of
 # the largest embedded coordinate.  The absolute part covers rounding in the
 # embedding and in the kernels, which is absolute for near-coincident points.
@@ -168,7 +185,10 @@ def _unique_pairs(n: int, picks: list) -> tuple[np.ndarray, np.ndarray]:
     i = np.concatenate([p[0] for p in picks])
     j = np.concatenate([p[1] for p in picks])
     lo_id, hi_id = np.minimum(i, j), np.maximum(i, j)
-    packed = np.unique(lo_id.astype(np.uint64) * np.uint64(n) + hi_id.astype(np.uint64))
+    packed = np.sort(lo_id.astype(np.uint64) * np.uint64(n) + hi_id.astype(np.uint64))
+    first = np.ones(packed.size, dtype=bool)
+    first[1:] = packed[1:] != packed[:-1]
+    packed = packed[first]
     return (packed // np.uint64(n)).astype(np.int64), (packed % np.uint64(n)).astype(np.int64)
 
 
@@ -179,6 +199,205 @@ def knn_pairs_bruteforce(vertices: VertexSet, metric: Metric, k: int) -> tuple[n
     kern = _kernel(vertices, metric)
     return _unique_pairs(n, [_picks(kern, np.arange(lo, min(lo + ROW_CHUNK, n)), k)
                              for lo in range(0, n, ROW_CHUNK)])
+
+
+def _product_layout(vertices: VertexSet):
+    """(xy, slots, theta) of a lifted SE(2) vertex set in the canonical
+    product layout, or None for any other set.
+
+    The layout holds when the vertices at one spatial index share (x, y), and
+    those of one orientation slice share theta, bit for bit; full grids and
+    their vertex-sampled subsets do.  xy (m, 2) lists the spatial points that
+    hold a vertex, slots (m, S) the vertex id at each point and slice (-1
+    where there is none), and theta (S,) the slice angles.  O(V) to check.
+    Left out, as the general search serves them at less cost: single-slice
+    sets (r2), whose rows it settles in its first pass, and layouts with
+    fewer than PRODUCT_MIN_FILL of their m S slots filled.
+    """
+    spec = vertices.spec
+    if spec.group_kind is not GroupKind.SE2 or not spec.lifted:
+        return None
+    n = len(vertices)
+    ids = np.arange(n) if vertices.kept is None else np.asarray(vertices.kept)
+    if (ids.shape != (n,) or ids.min() < 0 or ids.max() >= spec.n_vertices
+            or np.bincount(ids).max() > 1):
+        return None
+    orient, spatial = np.divmod(ids, spec.n_spatial)
+    bits = np.ascontiguousarray(vertices.params, dtype=float).view(np.uint64)
+    xy = np.zeros((spec.n_spatial, 2), dtype=np.uint64)
+    xy[spatial] = bits[:, :2]
+    theta = np.zeros(spec.n_orient, dtype=np.uint64)
+    theta[orient] = bits[:, 2]
+    if (xy[spatial] != bits[:, :2]).any() or (theta[orient] != bits[:, 2]).any():
+        return None
+    slots = np.full((spec.n_spatial, spec.n_orient), -1)
+    slots[spatial, orient] = np.arange(n)
+    live = (slots >= 0).any(axis=1)
+    if n < PRODUCT_MIN_FILL * np.count_nonzero(live) * spec.n_orient:
+        return None
+    return xy[live].view(float), slots[live], theta.view(float)
+
+
+def _screen_tables(theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper screens of se2_pair_sq between orientation slices.
+
+    Each is a (4, S, S, 2) array: for row slice a, column slice b and branch
+    th in (dth, dth - copysign(pi, dth)), the coefficients of
+    (u_x^2, 2 u_x u_y, u_y^2, 1), u the spatial offset, in
+    |A u|^2 + w2 th^2 (the knn_pairs docstring derives A), shifted down and
+    up by BALL_REL (max(w0, w1) rho^2 |u|^2 + w2 th^2).
+    """
+    dth = wrap_angle(theta[None, :] - theta[:, None])
+    th = np.stack([dth, dth - np.copysign(np.pi, dth)], axis=-1)
+    half = 0.5 * th
+    with np.errstate(invalid="ignore"):
+        rho2 = np.where(half == 0.0, 1.0, half / np.sin(half)) ** 2
+    phi = theta[:, None, None] + half
+    c, s = np.cos(phi), np.sin(phi)
+    w0, w1, w2 = w
+    form = np.stack([rho2 * (w0 * c * c + w1 * s * s), rho2 * (w0 - w1) * c * s,
+                     rho2 * (w0 * s * s + w1 * c * c), w2 * th * th])
+    slack = BALL_REL * np.stack([rho2 * max(w0, w1), np.zeros_like(th), rho2 * max(w0, w1),
+                                 w2 * th * th])
+    return form - slack, form + slack
+
+
+def _screen(u: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Screen values of spatial offsets u (..., 2) against a (4, ..., 2)
+    table: the smaller branch, shape u.shape[:-1] + table.shape[1:-1]."""
+    ux, uy = u[..., 0], u[..., 1]
+    terms = np.stack([ux * ux, 2.0 * ux * uy, uy * uy, np.ones_like(ux)], axis=-1)
+    v = (terms.reshape(-1, 4) @ table.reshape(4, -1)).reshape(u.shape[:-1] + table.shape[1:])
+    return np.minimum(v[..., 0], v[..., 1])
+
+
+def _select_keyed(key: np.ndarray, n_keys: int, d2: np.ndarray, k: int) -> np.ndarray:
+    """_select on ragged rows: the mask of the entries the K-nearest rule
+    picks, given each entry's row key in [0, n_keys) and squared distance,
+    and at least k entries in every row that has any."""
+    # A stable argsort of 16-bit keys is a radix sort.
+    order = np.argsort(key.astype(np.int16) if n_keys <= 1 << 15 else key, kind="stable")
+    counts = np.bincount(key, minlength=n_keys)
+    pos = np.empty(key.size, dtype=np.int64)
+    pos[order] = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.full((n_keys, counts.max()), np.inf)
+    table[key, pos] = d2
+    return _select(table, k)[1][key, pos]
+
+
+def _product_knn_pairs(layout, kern: _Kernel, k: int, tree_type, pool, workers: int):
+    """knn_pairs on a vertex set in the product layout (_product_layout):
+    per-row bounds from the nearest spatial points, then one screened ball
+    per spatial point."""
+    xy, slots, theta = layout
+    m, n_slices = slots.shape
+    absent = slots < 0
+    lower, upper = _screen_tables(theta, kern.w)
+    w_min, w_max = min(kern.w[0], kern.w[1]), max(kern.w[0], kern.w[1])
+    tree = tree_type(xy)
+    # Own-slice neighbours fill an ellipse of axis ratio sqrt(w_max / w_min),
+    # whose long axis takes that many times the points.
+    k_all = min(k + 1, m)
+    k_own = min(int(np.ceil((k + 1) * np.sqrt(w_max / w_min))), m)
+    nearest = tree.query(xy, k=max(k_all, k_own), workers=workers)[1].reshape(m, -1)
+    own_table = upper[:, np.arange(n_slices), np.arange(n_slices)]
+    step = max(SCREEN_BLOCK // (k_all * n_slices * n_slices * 2), 1)
+
+    def kth_bound(lo: int):
+        # The (k + 1)-th smallest upper screen: each row meets itself, at 0.
+        pts = np.arange(lo, min(lo + step, m))
+        q = nearest[pts, :k_all]
+        v = _screen(xy[q] - xy[pts, None], upper)               # [point, j, a, b]
+        v = np.where(absent[q][:, :, None, :], np.inf, v).transpose(0, 2, 1, 3)
+        bound = np.partition(v.reshape(pts.size, n_slices, -1), k, axis=-1)[..., k]
+        if k_own > k_all:
+            q = nearest[pts]
+            v = np.where(absent[q], np.inf, _screen(xy[q] - xy[pts, None], own_table))
+            bound = np.minimum(bound, np.partition(v, k, axis=1)[:, k])
+        return bound
+
+    limit = np.concatenate(list(pool.map(kth_bound, range(0, m, step)))) * (1.0 + TIE_REL)
+    limit[absent] = -np.inf
+    radius = (np.sqrt(limit.max(axis=1) / w_min) * (1.0 + BALL_REL)
+              + BALL_ABS * (1.0 + np.abs(xy).max()))
+    balls = tree.query_ball_point(xy, radius, workers=workers)
+    counts = np.fromiter(map(len, balls), dtype=np.int64, count=m)
+    # A slice pair whose orientation term alone exceeds every limit of a
+    # block's rows holds none of their picks.
+    floor = lower[3].min(axis=-1)
+
+    def ball_picks(block: tuple[int, int]):
+        lo, hi = block
+        p = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        q = np.concatenate(balls[lo:hi]).astype(np.int64)
+        a, b = np.nonzero(floor <= limit[lo:hi].max(axis=0)[:, None])
+        pair, col = np.nonzero(_screen(xy[q] - xy[p], lower[:, a, b]) <= limit[p][:, a])
+        key = (p[pair] - lo) * n_slices + a[col]
+        rows, cols = slots[p[pair], a[col]], slots[q[pair], b[col]]
+        keep = (cols >= 0) & (rows != cols)
+        key, rows, cols = key[keep], rows[keep], cols[keep]
+        d2 = kern.fn(kern.data[rows], kern.data[cols], kern.w)
+        chosen = _select_keyed(key, (hi - lo) * n_slices, d2, k)
+        return rows[chosen], cols[chosen]
+
+    # Blocks of consecutive points, about SCREEN_BLOCK screen values each.
+    per_block = max(SCREEN_BLOCK // (n_slices * n_slices * 2), 1)
+    total = np.cumsum(counts)
+    cuts = np.searchsorted(total, np.arange(per_block, total[-1], per_block))
+    edges = np.unique(np.concatenate([[0], cuts, [m]]))
+    picks = pool.map(ball_picks, zip(edges[:-1], edges[1:]))
+    return _unique_pairs(np.count_nonzero(~absent), list(picks))
+
+
+def _tree_knn_pairs(vertices: VertexSet, kern: _Kernel, k: int, tree_type, pool, workers: int):
+    """knn_pairs on any vertex set, through its kernel's lower-bound embedding."""
+    n = len(vertices)
+    f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
+         else sphere_bound_points(vertices.matrices, kern.w))
+    tree = tree_type(f)
+    dnear, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
+    step = max(CANDIDATE_BLOCK // near.shape[1], 1)
+    slack = BALL_ABS * (1.0 + np.abs(f).max())
+
+    def first_pass(lo: int):
+        rows = np.arange(lo, min(lo + step, n))
+        kth, chosen = _select(_row_sq(kern, rows, near[rows]), k)
+        radius = np.sqrt(kth * (1.0 + TIE_REL)) * (1.0 + BALL_REL) + slack
+        fits = radius < dnear[rows, -1]
+        r, c = np.nonzero(chosen & fits[:, None])
+        return radius, fits, (rows[r], near[rows[r], c])
+
+    radius, fits, picks = zip(*pool.map(first_pass, range(0, n, step)))
+    picks = list(picks)
+    rest = np.flatnonzero(~np.concatenate(fits))
+    radius = np.concatenate(radius)[rest]
+    counts = tree.query_ball_point(f[rest], radius, return_length=True, workers=workers)
+
+    by_count = np.argsort(counts, kind="stable")
+    order, ranked = rest[by_count], counts[by_count]
+    split = int(np.searchsorted(ranked, n // 2, side="right"))
+    blocks = []
+    lo = 0
+    while lo < split:
+        # Size the block on its first ball, then shrink it to fit its last,
+        # the largest: balls grow along `order`.
+        hi = min(lo + max(CANDIDATE_BLOCK // ranked[lo], 1), split)
+        hi = min(lo + max(CANDIDATE_BLOCK // ranked[hi - 1], 1), split)
+        blocks.append((lo, hi))
+        lo = hi
+
+    # The blocks run side by side, so each queries the tree on one thread.
+    def ball_picks(block: tuple[int, int]):
+        lo, hi = block
+        rows = order[lo:hi]
+        return _picks(kern, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1])
+
+    # Balls holding over half the vertices: score those rows against all.
+    all_step = max(CANDIDATE_BLOCK // n, 1)
+    picks += pool.map(ball_picks, blocks)
+    picks += pool.map(lambda lo: _picks(kern, order[lo:lo + all_step], k),
+                      range(split, rest.size, all_step))
+    return _unique_pairs(n, picks)
 
 
 def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,23 +411,68 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     directions is kept.
 
     The selection is knn_pairs_bruteforce's without scoring all pairs.  A
-    cKDTree holds the kernel's lower-bound embedding f, |f(a) - f(b)|^2 <=
-    d^2(a, b).  The K-th smallest exact squared distance from vertex i to its
-    2(K + 1) nearest embedded points bounds its true K-th from above by U, so
-    every vertex the rule selects lies within sqrt(U (1 + TIE_REL)) of f(i),
-    widened by BALL_REL and BALL_ABS for rounding.  A row whose ball radius
-    is below the embedded distance of its 2(K + 1)-th nearest point holds its
-    whole ball among those points, so it takes its picks from that first
-    scoring block and is settled.  The other rows, ordered by ball size, are
-    scored in blocks of at most CANDIDATE_BLOCK entries against as many
-    nearest embedded points as the block's largest ball holds; rows whose
-    balls hold over half the vertices are scored against all of them.
-    A vertex set of at most WHOLE_SET_PAIRS pairs is scored as one block.
+    vertex set of at most WHOLE_SET_PAIRS pairs is scored as one block.  A
+    larger one is searched in one of two ways.  Each finds, for every row, a
+    bound U on its K-th smallest squared distance and scores with the kernel
+    a candidate set holding every vertex within U (1 + TIE_REL), so the K-th
+    smallest among the candidates is the row's K-th and the picks are brute
+    force's.
+
+    Lifted SE(2) sets in the product layout (_product_layout: full grids, and
+    vertex-sampled subsets that keep PRODUCT_MIN_FILL of the slots) are
+    screened per pair of orientation slices.  For a row in slice a at x_a, a
+    column in slice b at x_b and u = x_b - x_a, se2_pair_sq's branch th in
+    {dth, dth - copysign(pi, dth)} rotates u by -theta_a and applies
+    [[h, th/2], [-th/2, h]] with h = (th/2) cot(th/2), which is rho R(-th/2)
+    for rho = (th/2) / sin(th/2).  So (c1, c2) = rho R(-(theta_a + th/2)) u
+    and
+
+        d^2 = min over th of |A u|^2 + w2 th^2,
+        A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)).
+
+    With a, b and th fixed this is a quadratic form in u plus a constant, so
+    screening a block of offsets is one GEMM of (u_x^2, 2 u_x u_y, u_y^2, 1)
+    against a (4, 2 S^2) table (_screen_tables).  Rounding: the kernel and
+    the screen evaluate d^2 from the same u and th, and every term either
+    adds is at most M = max(w0, w1) rho^2 |u|^2 + w2 th^2 (|(c1, c2)| =
+    rho |u|), so they differ by a few dozen ulps of M.  The lower screen
+    subtracts BALL_REL M and the upper one adds it: lower <= kernel <= upper
+    for every pair, far beyond rounding.  One 2-D cKDTree holds the spatial
+    points and is queried once per point, not per vertex:
+
+    1. U is a row's (K + 1)-th smallest upper screen (it meets itself at 0)
+       over its point's K + 1 nearest points in every slice and, in its own
+       slice, over the ceil((K + 1) sqrt(w_max / w_min)) nearest: own-slice
+       neighbours fill an ellipse of that axis ratio.  K vertices lie within
+       U of the row.
+    2. d^2 >= w_min rho^2 |u|^2 >= w_min |u|^2 with rho >= 1, so every vertex
+       the row selects lies within sqrt(U (1 + TIE_REL) / w_min) of its
+       point, widened by BALL_REL and BALL_ABS for the tree's rounding.  One
+       ball per point takes the largest radius over its rows.  Each ball
+       point and slice pair is screened, and the candidates whose lower
+       screen is within U (1 + TIE_REL) are scored: about K plus the ties
+       per row on a grid.  Slice pairs whose orientation term alone exceeds
+       every U of a block's rows are skipped; the lower form's quadratic
+       part stays positive semi-definite because the path requires
+       w_min >= BALL_REL w_max.  Other metrics take the general search.
+
+    Any other set, and a single-slice one, searches a cKDTree of the
+    kernel's lower-bound embedding f, |f(a) - f(b)|^2 <= d^2(a, b).  The K-th
+    smallest exact squared distance from vertex i to its 2(K + 1) nearest
+    embedded points is U, so every vertex the rule selects lies within
+    sqrt(U (1 + TIE_REL)) of f(i), widened by BALL_REL and BALL_ABS for
+    rounding.  A row whose ball radius is below the embedded distance of its
+    2(K + 1)-th nearest point holds its whole ball among those points, so it
+    takes its picks from that first scoring block and is settled.  The
+    other rows, ordered by ball size, are scored in blocks of at most
+    CANDIDATE_BLOCK entries against as many nearest embedded points as the
+    block's largest ball holds; rows whose balls hold over half the vertices
+    are scored against all of them.
 
     Each stage runs on every CPU the process may use: the tree queries take
-    that many workers, and the scoring blocks, whose bounds are fixed before
-    any is scored, are mapped over a thread pool of that size.  The map
-    returns blocks in order and each row's selection depends only on its own
+    that many workers, and the blocks, whose bounds are fixed before any is
+    scored, are mapped over a thread pool of that size.  The map returns
+    blocks in order and each row's selection depends only on its own
     candidates, so the pairs do not depend on the worker count or the block
     size.
     """
@@ -220,53 +484,11 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     from scipy.spatial import cKDTree
 
     workers = len(os.sched_getaffinity(0))
-    f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
-         else sphere_bound_points(vertices.matrices, kern.w))
-    tree = cKDTree(f)
-    dnear, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
-    step = max(CANDIDATE_BLOCK // near.shape[1], 1)
-    slack = BALL_ABS * (1.0 + np.abs(f).max())
-
-    def first_pass(lo: int):
-        rows = np.arange(lo, min(lo + step, n))
-        kth, chosen = _select(_row_sq(kern, rows, near[rows]), k)
-        radius = np.sqrt(kth * (1.0 + TIE_REL)) * (1.0 + BALL_REL) + slack
-        fits = radius < dnear[rows, -1]
-        r, c = np.nonzero(chosen & fits[:, None])
-        return radius, fits, (rows[r], near[rows[r], c])
-
+    layout = _product_layout(vertices)
     with ThreadPoolExecutor(workers) as pool:
-        radius, fits, picks = zip(*pool.map(first_pass, range(0, n, step)))
-        picks = list(picks)
-        rest = np.flatnonzero(~np.concatenate(fits))
-        radius = np.concatenate(radius)[rest]
-        counts = tree.query_ball_point(f[rest], radius, return_length=True, workers=workers)
-
-        by_count = np.argsort(counts, kind="stable")
-        order, ranked = rest[by_count], counts[by_count]
-        split = int(np.searchsorted(ranked, n // 2, side="right"))
-        blocks = []
-        lo = 0
-        while lo < split:
-            # Size the block on its first ball, then shrink it to fit its last,
-            # the largest: balls grow along `order`.
-            hi = min(lo + max(CANDIDATE_BLOCK // ranked[lo], 1), split)
-            hi = min(lo + max(CANDIDATE_BLOCK // ranked[hi - 1], 1), split)
-            blocks.append((lo, hi))
-            lo = hi
-
-        # The blocks run side by side, so each queries the tree on one thread.
-        def ball_picks(block: tuple[int, int]):
-            lo, hi = block
-            rows = order[lo:hi]
-            return _picks(kern, rows, k, tree.query(f[rows], k=ranked[hi - 1])[1])
-
-        # Balls holding over half the vertices: score those rows against all.
-        all_step = max(CANDIDATE_BLOCK // n, 1)
-        picks += pool.map(ball_picks, blocks)
-        picks += pool.map(lambda lo: _picks(kern, order[lo:lo + all_step], k),
-                          range(split, rest.size, all_step))
-    return _unique_pairs(n, picks)
+        if layout is not None and BALL_REL * max(kern.w[:2]) <= min(kern.w[:2]):
+            return _product_knn_pairs(layout, kern, k, cKDTree, pool, workers)
+        return _tree_knn_pairs(vertices, kern, k, cKDTree, pool, workers)
 
 
 def edge_weights(distances: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -319,7 +541,8 @@ def _mirrored_csr(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray):
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     vals = np.concatenate([values, values])
-    order = np.lexsort((cols, rows))
+    # (row, col) order: the packed key's stable sort is lexsort's permutation.
+    order = np.argsort(rows * n + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
     counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)

@@ -1,10 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
 from liegraph.graph import build_graph, laplacian, make_metric, power_lambda_max
+from liegraph.network import train_demo
 from liegraph.sampling import GridKind, GridSpec, build_vertices
 
 EPS_ANISO = float(np.sqrt(0.1))
+# The demo training run that criterion 9 checks and data/train_demo_rows.json
+# records, on seeds 0-4.
+DEMO_CALL = {"epochs": 30, "lr": 0.2}
 
 
 def built(kind, *, nx=None, ny=None, level=None, orient=1, epsilon=1.0, alpha=None, knn=None):
@@ -42,3 +48,12 @@ def s2_level2():
 @pytest.fixture(scope="session")
 def so3_level2x6():
     return built(GridKind.SO3_ICOSAHEDRAL, level=2, orient=6, epsilon=EPS_ANISO, alpha=1.0)
+
+
+@pytest.fixture(scope="session")
+def demo_runs():
+    """train_demo(seed=seed, **DEMO_CALL) for seeds 0-4, trained once per
+    session: ({seed: (rows, trained setup)}, wall time of the runs in s)."""
+    start = time.perf_counter()
+    runs = {seed: train_demo(seed=seed, **DEMO_CALL) for seed in range(5)}
+    return runs, time.perf_counter() - start

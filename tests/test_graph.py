@@ -230,9 +230,10 @@ def test_knn_tree_near_duplicates(monkeypatch):
 
 @pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
 def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
-    """On se2 16x16x2 at K=4 and epsilon=1 most balls fit inside the first
-    query's 2(K + 1) nearest points and a few do not: only those few are
-    ball-counted, and the graph still equals brute force."""
+    """On se2 16x16x2 at K=4 and epsilon=1, in shuffled vertex order (no
+    product layout, so the general search runs), most balls fit inside the
+    first query's 2(K + 1) nearest points and a few do not: only those few
+    are ball-counted, and the graph still equals brute force."""
     set_blocks(monkeypatch, whole_set_pairs)
     counted = []
 
@@ -242,9 +243,160 @@ def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
             return super().query_ball_point(x, r, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
-    g = built(GridKind.SE2_GRID, nx=16, ny=16, orient=2, alpha=1.0, knn=4)
+    spec = GridSpec(GridKind.SE2_GRID, nx=16, ny=16, n_orient=2)
+    grid = build_vertices(spec)
+    order = np.random.Generator(np.random.Philox(5)).permutation(len(grid))
+    verts = VertexSet(spec, grid.params[order], grid.matrices[order])
+    assert graph_module._product_layout(verts) is None
+    g = build_graph(verts, make_metric(spec, alpha=1.0)[0], 4)
     assert len(counted) == 1 and 0 < counted[0] < g.n_vertices // 10
     assert_knn_exact(g)
+
+
+def spy_product_path(monkeypatch):
+    """Record the (spatial points, slices) shape and the thread pool of each
+    product-layout search knn_pairs runs."""
+    runs = []
+    product = graph_module._product_knn_pairs
+
+    def spy(layout, kern, k, tree_type, pool, workers):
+        runs.append((layout[1].shape, pool))
+        return product(layout, kern, k, tree_type, pool, workers)
+
+    monkeypatch.setattr(graph_module, "_product_knn_pairs", spy)
+    return runs
+
+
+# se2 grids with nx != ny, over 362 vertices so that the default block sizes
+# search them too, and metric settings (epsilon^2, alpha, K) covering each of
+# epsilon^2 in {0.01, 0.1, 1}, alpha in {0.1, 1, 100} and K in {1, 4, 16}.
+PRODUCT_GRIDS = {2: (16, 13), 3: (13, 11), 6: (9, 7), 8: (8, 6)}
+PRODUCT_METRICS = [(0.01, 0.1, 16), (0.1, 1.0, 4), (1.0, 100.0, 1), (0.1, 100.0, 16),
+                   (0.01, 1.0, 1), (1.0, 0.1, 4)]
+
+
+@pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
+@pytest.mark.parametrize("n_orient", sorted(PRODUCT_GRIDS))
+def test_knn_product_layout_matches_bruteforce(n_orient, whole_set_pairs, monkeypatch):
+    """Grids and their vertex-sampled subsets take the product-layout search,
+    the sparse subsets too once PRODUCT_MIN_FILL is 0, and give brute force's
+    edges and distances, bytes included."""
+    set_blocks(monkeypatch, whole_set_pairs)
+    monkeypatch.setattr(graph_module, "PRODUCT_MIN_FILL", 0.0)
+    runs = spy_product_path(monkeypatch)
+    nx, ny = PRODUCT_GRIDS[n_orient]
+    spec = GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient)
+    verts = build_vertices(spec)
+    searched = 0
+    for eps2, alpha, k in PRODUCT_METRICS:
+        metric, _ = make_metric(spec, epsilon=float(np.sqrt(eps2)), alpha=alpha)
+        g = build_graph(verts, metric, k)
+        subsets = [sample_vertices(g, kappa, seed).vertices
+                   for kappa, seed in ((0.5, 1), (0.2, 2)) if k == 16]
+        for sub in subsets:
+            assert_knn_exact(build_graph(sub, metric, k))
+        assert_knn_exact(g)
+        searched += sum(len(v) ** 2 > whole_set_pairs for v in [verts] + subsets)
+    assert len(runs) == searched > 0
+
+
+@st.composite
+def product_sets(draw):
+    """SE(2) vertex sets in the product layout, optionally vertex-sampled:
+    spatial points on a lattice (repeats allowed) and slice angles on
+    multiples of pi/8, so that many distances tie exactly."""
+    nx, ny, n_orient = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    spec = GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient)
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32 - 1))))
+    step = draw(st.sampled_from([0.25, 1.0 / 3.0, 1.0]))
+    xy = rng.integers(-3, 4, (spec.n_spatial, 2)) * step
+    theta = rng.integers(-8, 8, n_orient) * (np.pi / 8.0)
+    params = np.column_stack([np.tile(xy, (n_orient, 1)), np.repeat(theta, spec.n_spatial)])
+    kept = None
+    if draw(st.booleans()):
+        kept = np.flatnonzero(rng.random(spec.n_vertices) < draw(st.sampled_from([0.3, 0.7])))
+        if kept.size < 2:
+            kept = np.arange(2)
+        params = params[kept]
+    verts = VertexSet(spec, params, se2_matrices(params), kept)
+    metric, _ = make_metric(spec, epsilon=float(np.sqrt(draw(st.sampled_from([0.01, 0.1, 1.0])))),
+                            alpha=draw(st.sampled_from([0.1, 1.0, 100.0])))
+    return verts, metric, draw(st.integers(1, 24))
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_sets())
+def test_knn_product_layout_matches_bruteforce_random(case):
+    """Exact equality on random product-layout sets, which take the
+    product-layout search, at any fill, once they are past the whole-set
+    size."""
+    verts, metric, knn = case
+    with (mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK),
+          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK),
+          mock.patch.object(graph_module, "PRODUCT_MIN_FILL", 0.0)):
+        assert graph_module._product_layout(verts) is not None
+        g = build_graph(verts, metric, knn)
+    assert_knn_exact(g)
+
+
+def test_knn_product_layout_gate(monkeypatch):
+    """One slice angle off by 1e-12 at one vertex breaks the product layout,
+    and a subset keeping half the vertices fills too few of its slots: the
+    general search runs on both and still equals brute force."""
+    set_blocks(monkeypatch, SMALL_BLOCK)
+    runs = spy_product_path(monkeypatch)
+    spec = GridSpec(GridKind.SE2_GRID, nx=9, ny=7, n_orient=6)
+    grid = build_vertices(spec)
+    params = grid.params.copy()
+    params[100, 2] += 1e-12
+    verts = VertexSet(spec, params, se2_matrices(params))
+    metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=1.0)
+    g = build_graph(grid, metric, 16)
+    assert_knn_exact(g)
+    assert [shape for shape, _ in runs] == [(spec.n_spatial, 6)]
+    half = sample_vertices(g, 0.5, 1).vertices
+    assert graph_module._product_layout(grid) is not None
+    assert graph_module._product_layout(verts) is None
+    assert graph_module._product_layout(half) is None
+    assert_knn_exact(build_graph(verts, metric, 16))
+    assert_knn_exact(build_graph(half, metric, 16))
+    assert len(runs) == 1
+
+
+# Kernel pairs the product-layout search may score per row beyond those the
+# K-nearest rule selects (K plus the ties at the K-th distance).
+SCORED_MARGIN = 2
+
+
+@pytest.mark.parametrize("alpha", [1.0, 100.0])
+def test_knn_product_layout_scores_few_pairs(alpha):
+    """On se2 16x16x6 at epsilon^2 = 0.1 the search scores each row's
+    selected vertices and at most SCORED_MARGIN more with the kernel."""
+    spec = GridSpec(GridKind.SE2_GRID, nx=16, ny=16, n_orient=6)
+    verts = build_vertices(spec)
+    metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=alpha)
+    kern = graph_module._kernel(verts, metric)
+    n, k = len(verts), 16
+    scored = np.zeros(n, dtype=np.int64)
+
+    def row_ids(p):
+        ix, iy = np.rint(p[..., 0] * 16).astype(int), np.rint(p[..., 1] * 16).astype(int)
+        slice_ = np.rint((p[..., 2] + np.pi / 2) * 6 / np.pi).astype(int)
+        return slice_ * 256 + iy * 16 + ix
+
+    def counting(a, b, w):
+        rows = row_ids(np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)))
+        scored[:] += np.bincount(rows.ravel(), minlength=n)
+        return kern.fn(a, b, w)
+
+    np.testing.assert_array_equal(row_ids(verts.params), np.arange(n))
+    pairs = graph_module.knn_pairs(verts, kern._replace(fn=counting), k)
+    # knn_pairs_bruteforce's picks, row by row
+    picks = [graph_module._picks(kern, rows, k) for rows in np.array_split(np.arange(n), 6)]
+    np.testing.assert_array_equal(pairs, graph_module._unique_pairs(n, picks))
+    selected = np.bincount(np.concatenate([rows for rows, _ in picks]), minlength=n)
+    assert np.all(scored >= selected)
+    assert np.all(scored <= selected + SCORED_MARGIN)
 
 
 @st.composite
@@ -301,10 +453,11 @@ def test_knn_same_graph_for_any_worker_count(whole_set_pairs, se2_16x16x6, s2_le
     pools = []
 
     def pool(workers):
-        pools.append(workers)
-        return ThreadPoolExecutor(workers)
+        pools.append((workers, ThreadPoolExecutor(workers)))
+        return pools[-1][1]
 
     monkeypatch.setattr(graph_module, "ThreadPoolExecutor", pool)
+    runs = spy_product_path(monkeypatch)
     sub = sample_vertices(se2_16x16x6, 0.5, 1).vertices
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -320,7 +473,35 @@ def test_knn_same_graph_for_any_worker_count(whole_set_pairs, se2_16x16x6, s2_le
                 assert getattr(built_by[0], attr).tobytes() == getattr(built_by[1], attr).tobytes()
     finally:
         sys.setswitchinterval(interval)
-    assert set(pools) == {1, 3}
+    assert {workers for workers, _ in pools} == {1, 3}
+    # se2 16x16x6 ran the product-layout search in pools of one worker and of
+    # three; s2 and the half subset ran the general one.
+    workers_of = {id(executor): workers for workers, executor in pools}
+    assert [workers_of[id(pool)] for _, pool in runs] == [1, 3]
+
+
+@pytest.mark.parametrize("size", [0, 1, 500])
+def test_pair_assembly_matches_unique_and_lexsort(size):
+    """_unique_pairs equals np.unique over the packed pairs, and
+    _mirrored_csr orders entries as lexsort by (row, col) does, on inputs
+    with repeated pairs, both orientations of a pair, and empty input."""
+    rng = np.random.Generator(np.random.Philox(size))
+    n = 40
+    i, j = rng.integers(0, n, (2, size))
+    picks = [(i[:size // 2], j[:size // 2]), (j[size // 2:], i[size // 2:]), (i[:7], j[:7])]
+    lo_id, hi_id = graph_module._unique_pairs(n, picks)
+    packed = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    np.testing.assert_array_equal(lo_id, packed // n)
+    np.testing.assert_array_equal(hi_id, packed % n)
+    assert lo_id.dtype == hi_id.dtype == np.int64
+
+    values = rng.standard_normal(size)
+    indptr, indices, vals = graph_module._mirrored_csr(n, i, j, values)
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    np.testing.assert_array_equal(indptr, np.searchsorted(rows[order], np.arange(n + 1)))
+    np.testing.assert_array_equal(indices, cols[order])
+    np.testing.assert_array_equal(vals, np.concatenate([values, values])[order])
 
 
 def test_demo_graphs_skip_the_tree():

@@ -37,7 +37,7 @@ from liegraph.network import (
 from liegraph.sampling import GridKind, GridSpec
 from liegraph.spectral import cheb_terms, rotation_permutation
 
-from conftest import EPS_ANISO, built
+from conftest import DEMO_CALL, EPS_ANISO, built
 from oracles import apply_permutation, central_difference, chebconv_einsum, max_pool_reduceat
 
 TRAIN_DEMO_ROWS = Path(__file__).parent / "data" / "train_demo_rows.json"
@@ -674,14 +674,17 @@ def test_train_demo_releases_forward_caches():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_train_demo_trajectory_locked(seed):
+def test_train_demo_trajectory_locked(seed, demo_runs):
     """train_demo trains as when the rows in data/train_demo_rows.json were
     recorded, all five seeds with build_demo's lambda_max from the Lanczos
     estimate of power_lambda_max at its default tol 1e-4: accuracy and
-    rotation consistency exactly, losses to 1e-12 relative, in every epoch."""
+    rotation consistency exactly, losses to 1e-12 relative, in every epoch.
+    The rows come from the session's shared demo_runs, which make the
+    recorded call."""
     with open(TRAIN_DEMO_ROWS) as fh:
         recorded = json.load(fh)
-    rows, _ = train_demo(seed=seed, **recorded["call"])
+    assert recorded["call"] == DEMO_CALL
+    rows, _ = demo_runs[0][seed]
     expected = recorded["rows"][str(seed)]
     assert [r["epoch"] for r in rows] == [r["epoch"] for r in expected]
     for got, want in zip(rows, expected):
