@@ -2,12 +2,11 @@
 
 K-NN selection scores each vertex's candidates with the exact kernel; the
 all-pairs scan it replaces on large sets stays as the sequential test
-reference, knn_pairs_bruteforce.  Lifted SE(2) grids, and vertex-sampled
-subsets that keep nearly all of them, find candidates once per spatial point
-in a 2-D cKDTree and screen them per pair of orientation slices with the exact
-squared distance: on each branch th of the relative angle, se2_pair_sq is
-|A u|^2 + w2 th^2 for the spatial offset u, with
-A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)) and
+reference, knn_pairs_bruteforce.  Full lifted SE(2) grids find candidates
+once per spatial point in a 2-D cKDTree and screen them per pair of
+orientation slices with the exact squared distance: on each branch th of the
+relative angle, se2_pair_sq is |A u|^2 + w2 th^2 for the spatial offset u,
+with A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)) and
 rho = (th/2) / sin(th/2).  Shifted down and up by BALL_REL times a bound on
 every term, which dwarfs the few ulps by which the form and the kernel can
 differ, the form brackets the kernel, so only about K plus the ties per row
@@ -51,11 +50,6 @@ CANDIDATE_BLOCK = 1 << 14
 WHOLE_SET_PAIRS = 1 << 17
 # Screen values (offsets x slice-pair columns) per product-layout search block.
 SCREEN_BLOCK = 4 * CANDIDATE_BLOCK
-# Least share of a product layout's (spatial point, slice) slots holding a
-# vertex for the product-layout search.  The screen pays for empty slots too:
-# se2 32x32x6 sampled at kappa = 0.5 took 266 ms against the general search's
-# 128 ms at alpha = 100, and at 0.9 it still won (141 against 170 ms).
-PRODUCT_MIN_FILL = 0.9
 # Slack on the K-NN search's ball radius: relative, and absolute in units of
 # the largest embedded coordinate.  The absolute part covers rounding in the
 # embedding and in the kernels, which is absolute for near-coincident points.
@@ -202,40 +196,23 @@ def knn_pairs_bruteforce(vertices: VertexSet, metric: Metric, k: int) -> tuple[n
 
 
 def _product_layout(vertices: VertexSet):
-    """(xy, slots, theta) of a lifted SE(2) vertex set in the canonical
-    product layout, or None for any other set.
+    """(xy, theta) of a full lifted SE(2) grid in the canonical product
+    layout, or None for any other set.
 
-    The layout holds when the vertices at one spatial index share (x, y), and
-    those of one orientation slice share theta, bit for bit; full grids and
-    their vertex-sampled subsets do.  xy (m, 2) lists the spatial points that
-    hold a vertex, slots (m, S) the vertex id at each point and slice (-1
-    where there is none), and theta (S,) the slice angles.  O(V) to check.
-    Left out, as the general search serves them at less cost: single-slice
-    sets (r2), whose rows it settles in its first pass, and layouts with
-    fewer than PRODUCT_MIN_FILL of their m S slots filled.
+    The layout holds when vertex a m + p, for slice a and spatial index p of
+    m, sits at the point xy[p] and the angle theta[a], bit for bit; full
+    grids do.  O(V) to check.  Vertex-sampled subsets, non-grid sets and
+    single-slice ones (r2) take the general search.
     """
     spec = vertices.spec
-    if spec.group_kind is not GroupKind.SE2 or not spec.lifted:
+    if (spec.group_kind is not GroupKind.SE2 or not spec.lifted or vertices.kept is not None
+            or len(vertices) != spec.n_vertices):
         return None
-    n = len(vertices)
-    ids = np.arange(n) if vertices.kept is None else np.asarray(vertices.kept)
-    if (ids.shape != (n,) or ids.min() < 0 or ids.max() >= spec.n_vertices
-            or np.bincount(ids).max() > 1):
+    params = np.ascontiguousarray(vertices.params, dtype=float)
+    bits = params.view(np.uint64).reshape(spec.n_orient, spec.n_spatial, 3)
+    if (bits[:, :, :2] != bits[0, :, :2]).any() or (bits[:, :, 2] != bits[:, :1, 2]).any():
         return None
-    orient, spatial = np.divmod(ids, spec.n_spatial)
-    bits = np.ascontiguousarray(vertices.params, dtype=float).view(np.uint64)
-    xy = np.zeros((spec.n_spatial, 2), dtype=np.uint64)
-    xy[spatial] = bits[:, :2]
-    theta = np.zeros(spec.n_orient, dtype=np.uint64)
-    theta[orient] = bits[:, 2]
-    if (xy[spatial] != bits[:, :2]).any() or (theta[orient] != bits[:, 2]).any():
-        return None
-    slots = np.full((spec.n_spatial, spec.n_orient), -1)
-    slots[spatial, orient] = np.arange(n)
-    live = (slots >= 0).any(axis=1)
-    if n < PRODUCT_MIN_FILL * np.count_nonzero(live) * spec.n_orient:
-        return None
-    return xy[live].view(float), slots[live], theta.view(float)
+    return params[:spec.n_spatial, :2], params[::spec.n_spatial, 2]
 
 
 def _screen_tables(theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,57 +262,66 @@ def _select_keyed(key: np.ndarray, n_keys: int, d2: np.ndarray, k: int) -> np.nd
     return _select(table, k)[1][key, pos]
 
 
-def _product_knn_pairs(layout, kern: _Kernel, k: int, tree_type, pool, workers: int):
-    """knn_pairs on a vertex set in the product layout (_product_layout):
+def _product_knn_pairs(layout, kern: _Kernel, k: int, pool, workers: int):
+    """knn_pairs on a full grid in the product layout (_product_layout):
     per-row bounds from the nearest spatial points, then one screened ball
     per spatial point."""
-    xy, slots, theta = layout
-    m, n_slices = slots.shape
-    absent = slots < 0
+    # Imported here: the scipy.spatial package import takes about 0.1 s and
+    # 6 MB, which commands that build no large graph need not pay.
+    from scipy.spatial import cKDTree
+
+    xy, theta = layout
+    m, n_slices = xy.shape[0], theta.size
     lower, upper = _screen_tables(theta, kern.w)
     w_min, w_max = min(kern.w[0], kern.w[1]), max(kern.w[0], kern.w[1])
-    tree = tree_type(xy)
+    tree = cKDTree(xy)
+    k_all = min(k + 1, m)
+    nearest = tree.query(xy, k=k_all, workers=workers)[1].reshape(m, -1)
+    # The cheapest orientation term of each slice pair, and of each row
+    # slice towards the other slices.
+    floor = lower[3].min(axis=-1)
+    cross = np.where(np.eye(n_slices, dtype=bool), np.inf, floor).min(axis=1)
     # Own-slice neighbours fill an ellipse of axis ratio sqrt(w_max / w_min),
     # whose long axis takes that many times the points.
-    k_all = min(k + 1, m)
     k_own = min(int(np.ceil((k + 1) * np.sqrt(w_max / w_min))), m)
-    nearest = tree.query(xy, k=max(k_all, k_own), workers=workers)[1].reshape(m, -1)
     own_table = upper[:, np.arange(n_slices), np.arange(n_slices)]
-    step = max(SCREEN_BLOCK // (k_all * n_slices * n_slices * 2), 1)
+    step = max(SCREEN_BLOCK // (2 * n_slices * max(k_all * n_slices, k_own)), 1)
 
     def kth_bound(lo: int):
         # The (k + 1)-th smallest upper screen: each row meets itself, at 0.
         pts = np.arange(lo, min(lo + step, m))
-        q = nearest[pts, :k_all]
-        v = _screen(xy[q] - xy[pts, None], upper)               # [point, j, a, b]
-        v = np.where(absent[q][:, :, None, :], np.inf, v).transpose(0, 2, 1, 3)
+        q = nearest[pts]
+        v = _screen(xy[q] - xy[pts, None], upper).transpose(0, 2, 1, 3)   # [point, a, j, b]
         bound = np.partition(v.reshape(pts.size, n_slices, -1), k, axis=-1)[..., k]
-        if k_own > k_all:
-            q = nearest[pts]
-            v = np.where(absent[q], np.inf, _screen(xy[q] - xy[pts, None], own_table))
-            bound = np.minimum(bound, np.partition(v, k, axis=1)[:, k])
+        # A bound below every other slice's orientation term comes from the
+        # own slice's K + 1 isotropically nearest points alone, loose by up
+        # to w_max / w_min: take the own slice's k_own nearest too.
+        rows = np.flatnonzero((bound < cross).any(axis=1)) if k_own > k_all else []
+        if len(rows):
+            # The blocks run side by side, so each queries the tree on one thread.
+            q = tree.query(xy[pts[rows]], k=k_own)[1]
+            v = _screen(xy[q] - xy[pts[rows], None], own_table)           # [point, j, a]
+            bound[rows] = np.minimum(bound[rows], np.partition(v, k, axis=1)[:, k])
         return bound
 
     limit = np.concatenate(list(pool.map(kth_bound, range(0, m, step)))) * (1.0 + TIE_REL)
-    limit[absent] = -np.inf
     radius = (np.sqrt(limit.max(axis=1) / w_min) * (1.0 + BALL_REL)
               + BALL_ABS * (1.0 + np.abs(xy).max()))
     balls = tree.query_ball_point(xy, radius, workers=workers)
     counts = np.fromiter(map(len, balls), dtype=np.int64, count=m)
-    # A slice pair whose orientation term alone exceeds every limit of a
-    # block's rows holds none of their picks.
-    floor = lower[3].min(axis=-1)
 
     def ball_picks(block: tuple[int, int]):
         lo, hi = block
         p = np.repeat(np.arange(lo, hi), counts[lo:hi])
         q = np.concatenate(balls[lo:hi]).astype(np.int64)
+        # A slice pair whose orientation term alone exceeds every limit of
+        # the block's rows holds none of their picks.
         a, b = np.nonzero(floor <= limit[lo:hi].max(axis=0)[:, None])
         pair, col = np.nonzero(_screen(xy[q] - xy[p], lower[:, a, b]) <= limit[p][:, a])
-        key = (p[pair] - lo) * n_slices + a[col]
-        rows, cols = slots[p[pair], a[col]], slots[q[pair], b[col]]
-        keep = (cols >= 0) & (rows != cols)
-        key, rows, cols = key[keep], rows[keep], cols[keep]
+        p, q, a, b = p[pair], q[pair], a[col], b[col]
+        rows, cols = a * m + p, b * m + q
+        keep = rows != cols
+        key, rows, cols = ((p - lo) * n_slices + a)[keep], rows[keep], cols[keep]
         d2 = kern.fn(kern.data[rows], kern.data[cols], kern.w)
         chosen = _select_keyed(key, (hi - lo) * n_slices, d2, k)
         return rows[chosen], cols[chosen]
@@ -346,15 +332,17 @@ def _product_knn_pairs(layout, kern: _Kernel, k: int, tree_type, pool, workers: 
     cuts = np.searchsorted(total, np.arange(per_block, total[-1], per_block))
     edges = np.unique(np.concatenate([[0], cuts, [m]]))
     picks = pool.map(ball_picks, zip(edges[:-1], edges[1:]))
-    return _unique_pairs(np.count_nonzero(~absent), list(picks))
+    return _unique_pairs(m * n_slices, list(picks))
 
 
-def _tree_knn_pairs(vertices: VertexSet, kern: _Kernel, k: int, tree_type, pool, workers: int):
+def _tree_knn_pairs(vertices: VertexSet, kern: _Kernel, k: int, pool, workers: int):
     """knn_pairs on any vertex set, through its kernel's lower-bound embedding."""
+    from scipy.spatial import cKDTree  # deferred, as in _product_knn_pairs
+
     n = len(vertices)
     f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
          else sphere_bound_points(vertices.matrices, kern.w))
-    tree = tree_type(f)
+    tree = cKDTree(f)
     dnear, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
     step = max(CANDIDATE_BLOCK // near.shape[1], 1)
     slack = BALL_ABS * (1.0 + np.abs(f).max())
@@ -418,8 +406,7 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     smallest among the candidates is the row's K-th and the picks are brute
     force's.
 
-    Lifted SE(2) sets in the product layout (_product_layout: full grids, and
-    vertex-sampled subsets that keep PRODUCT_MIN_FILL of the slots) are
+    Full lifted SE(2) grids in the product layout (_product_layout) are
     screened per pair of orientation slices.  For a row in slice a at x_a, a
     column in slice b at x_b and u = x_b - x_a, se2_pair_sq's branch th in
     {dth, dth - copysign(pi, dth)} rotates u by -theta_a and applies
@@ -441,10 +428,12 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     points and is queried once per point, not per vertex:
 
     1. U is a row's (K + 1)-th smallest upper screen (it meets itself at 0)
-       over its point's K + 1 nearest points in every slice and, in its own
-       slice, over the ceil((K + 1) sqrt(w_max / w_min)) nearest: own-slice
-       neighbours fill an ellipse of that axis ratio.  K vertices lie within
-       U of the row.
+       over its point's K + 1 nearest points in every slice.  K vertices lie
+       within U of the row.  If U is below every other slice's orientation
+       term, it comes from the row's own slice alone, where an isotropic
+       neighbourhood makes it loose by up to w_max / w_min.  U is then also
+       taken over the ceil((K + 1) sqrt(w_max / w_min)) nearest points in
+       the own slice: its neighbours fill an ellipse of that axis ratio.
     2. d^2 >= w_min rho^2 |u|^2 >= w_min |u|^2 with rho >= 1, so every vertex
        the row selects lies within sqrt(U (1 + TIE_REL) / w_min) of its
        point, widened by BALL_REL and BALL_ABS for the tree's rounding.  One
@@ -479,16 +468,12 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     n = len(vertices)
     if n * n <= WHOLE_SET_PAIRS:
         return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
-    # Imported here: the scipy.spatial package import takes about 0.1 s and
-    # 6 MB, which commands that build no large graph need not pay.
-    from scipy.spatial import cKDTree
-
     workers = len(os.sched_getaffinity(0))
     layout = _product_layout(vertices)
     with ThreadPoolExecutor(workers) as pool:
         if layout is not None and BALL_REL * max(kern.w[:2]) <= min(kern.w[:2]):
-            return _product_knn_pairs(layout, kern, k, cKDTree, pool, workers)
-        return _tree_knn_pairs(vertices, kern, k, cKDTree, pool, workers)
+            return _product_knn_pairs(layout, kern, k, pool, workers)
+        return _tree_knn_pairs(vertices, kern, k, pool, workers)
 
 
 def edge_weights(distances: np.ndarray, bandwidth: float) -> np.ndarray:

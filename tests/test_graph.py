@@ -259,9 +259,10 @@ def spy_product_path(monkeypatch):
     runs = []
     product = graph_module._product_knn_pairs
 
-    def spy(layout, kern, k, tree_type, pool, workers):
-        runs.append((layout[1].shape, pool))
-        return product(layout, kern, k, tree_type, pool, workers)
+    def spy(layout, kern, k, pool, workers):
+        xy, theta = layout
+        runs.append(((len(xy), theta.size), pool))
+        return product(layout, kern, k, pool, workers)
 
     monkeypatch.setattr(graph_module, "_product_knn_pairs", spy)
     return runs
@@ -278,11 +279,10 @@ PRODUCT_METRICS = [(0.01, 0.1, 16), (0.1, 1.0, 4), (1.0, 100.0, 1), (0.1, 100.0,
 @pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
 @pytest.mark.parametrize("n_orient", sorted(PRODUCT_GRIDS))
 def test_knn_product_layout_matches_bruteforce(n_orient, whole_set_pairs, monkeypatch):
-    """Grids and their vertex-sampled subsets take the product-layout search,
-    the sparse subsets too once PRODUCT_MIN_FILL is 0, and give brute force's
-    edges and distances, bytes included."""
+    """Grids take the product-layout search and their vertex-sampled subsets
+    the general one; both give brute force's edges and distances, bytes
+    included."""
     set_blocks(monkeypatch, whole_set_pairs)
-    monkeypatch.setattr(graph_module, "PRODUCT_MIN_FILL", 0.0)
     runs = spy_product_path(monkeypatch)
     nx, ny = PRODUCT_GRIDS[n_orient]
     spec = GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient)
@@ -296,7 +296,7 @@ def test_knn_product_layout_matches_bruteforce(n_orient, whole_set_pairs, monkey
         for sub in subsets:
             assert_knn_exact(build_graph(sub, metric, k))
         assert_knn_exact(g)
-        searched += sum(len(v) ** 2 > whole_set_pairs for v in [verts] + subsets)
+        searched += len(verts) ** 2 > whole_set_pairs
     assert len(runs) == searched > 0
 
 
@@ -327,22 +327,21 @@ def product_sets(draw):
 @settings(max_examples=120, deadline=None)
 @given(product_sets())
 def test_knn_product_layout_matches_bruteforce_random(case):
-    """Exact equality on random product-layout sets, which take the
-    product-layout search, at any fill, once they are past the whole-set
-    size."""
+    """Exact equality on random product-layout sets: full ones take the
+    product-layout search once they are past the whole-set size, and
+    vertex-sampled ones the general search."""
     verts, metric, knn = case
     with (mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK),
-          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK),
-          mock.patch.object(graph_module, "PRODUCT_MIN_FILL", 0.0)):
-        assert graph_module._product_layout(verts) is not None
+          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK)):
+        assert (graph_module._product_layout(verts) is None) == (verts.kept is not None)
         g = build_graph(verts, metric, knn)
     assert_knn_exact(g)
 
 
 def test_knn_product_layout_gate(monkeypatch):
     """One slice angle off by 1e-12 at one vertex breaks the product layout,
-    and a subset keeping half the vertices fills too few of its slots: the
-    general search runs on both and still equals brute force."""
+    and a subset keeping half the vertices is no full grid: the general
+    search runs on both and still equals brute force."""
     set_blocks(monkeypatch, SMALL_BLOCK)
     runs = spy_product_path(monkeypatch)
     spec = GridSpec(GridKind.SE2_GRID, nx=9, ny=7, n_orient=6)
