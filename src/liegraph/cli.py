@@ -59,7 +59,7 @@ def _print_config(command: str, args: dict) -> None:
     print(f"config: command={command} {pairs}")
 
 
-def _graph_summary(graph: ManifoldGraph, lambda_max: float | None) -> None:
+def _graph_summary(graph: ManifoldGraph, lambda_max: float) -> None:
     spec = graph.vertices.spec
     print(f"kind: {spec.kind.value}")
     if spec.kind in (GridKind.SE2_GRID, GridKind.R2_GRID):
@@ -72,8 +72,7 @@ def _graph_summary(graph: ManifoldGraph, lambda_max: float | None) -> None:
     print(f"metric: epsilon={graph.metric.epsilon:.12g} xi={graph.metric.xi:.12g} "
           f"alpha={graph.alpha:.12g}")
     print(f"bandwidth: {graph.bandwidth:.12g}")
-    if lambda_max is not None:
-        print(f"lambda_max: {lambda_max:.12g}")
+    print(f"lambda_max: {lambda_max:.12g}")
     in_f, cross_f = slice_neighbor_fractions(graph)
     print(f"neighbors: {in_f:.3f} in-slice / {cross_f:.3f} cross-slice")
     for note in graph.notes:
@@ -130,17 +129,13 @@ def cmd_build_graph(args) -> int:
 def cmd_info(args) -> int:
     _print_config("info", {"graph": args.graph})
     graph, lap = io.read_graph(args.graph)
-    _graph_summary(graph, lap.lambda_max if lap is not None else None)
-    if lap is None:
-        print("laplacian: not stored")
+    _graph_summary(graph, lap.lambda_max)
     return 0
 
 
 def cmd_eigenmaps(args) -> int:
     _print_config("eigenmaps", {"graph": args.graph, "k": args.k, "out": args.out})
-    graph, lap = io.read_graph(args.graph)
-    if lap is None:
-        lap = laplacian(graph)
+    _, lap = io.read_graph(args.graph)
     eig = eigensystem(lap, args.k)
     io.write_eigenmaps_csv(args.out, eig.values, eig.vectors)
     sidecar = _sidecar(args.out)
@@ -161,8 +156,6 @@ def cmd_diffuse(args) -> int:
                               "order": args.order, "out": args.out})
     graph, lap = io.read_graph(args.graph)
     _require_full_sampling(graph, "diffuse")
-    if lap is None:
-        lap = power_lambda_max(laplacian(graph))
     if (args.impulse is None) == (args.signal is None):
         raise ValueError("give exactly one of --impulse or --signal")
     if args.impulse is not None:
@@ -192,8 +185,6 @@ def cmd_check_equivariance(args) -> int:
                   {"graph": args.graph, "quarter_turns": args.quarter_turns})
     graph, lap = io.read_graph(args.graph)
     _require_full_sampling(graph, "check-equivariance")
-    if lap is None:
-        lap = laplacian(graph)
     perm = rotation_permutation(graph.vertices.spec, args.quarter_turns)
     err = equivariance_error(lap.matrix, perm)
     print(f"equivariance error: {err:.6e} (tolerance {EQUIVARIANCE_TOL:.0e})")

@@ -60,6 +60,8 @@ BALL_ABS = 1e-6
 TIE_REL = 1e-9
 # Lanczos steps between convergence checks of the lambda_max estimate.
 LANCZOS_CHECK = 5
+# Samplings without an orientation axis, whose graphs use the isotropic metric.
+ISOTROPIC_KINDS = (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL)
 
 
 def default_knn(spec: GridSpec) -> int:
@@ -77,19 +79,29 @@ def alpha_from_xi(xi: float, spec: GridSpec) -> float:
     return float(xi ** 2 * spec.n_spatial / spec.n_orient)
 
 
+def check_metric(spec: GridSpec, metric: Metric) -> None:
+    """The one metric rule every graph obeys: r2 and s2 carry exactly the
+    isotropic Metric(), and alpha_from_xi(xi, spec) is finite and positive.
+    ValueError if not."""
+    if spec.kind in ISOTROPIC_KINDS and metric != Metric():
+        raise ValueError(f"{spec.kind.value} graphs use the isotropic metric, got epsilon "
+                         f"{metric.epsilon!r} and xi {metric.xi!r}")
+    if not 0.0 < (alpha := alpha_from_xi(metric.xi, spec)) < np.inf:
+        raise ValueError(f"xi {metric.xi!r} gives alpha {alpha}, which is not finite and positive")
+
+
 def make_metric(spec: GridSpec, epsilon: float = 1.0, alpha: float | None = None,
                 xi: float | None = None) -> tuple[Metric, float]:
-    """Resolve CLI-style metric parameters for a sampling; returns (metric, alpha)."""
+    """Resolve CLI-style metric parameters for a sampling; returns (metric, alpha).
+    Without alpha or xi, r2 and s2 get xi = 1 and the other kinds alpha = 1."""
     if alpha is not None and xi is not None:
         raise ValueError("give either alpha or xi, not both")
-    if spec.kind in (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL):
-        if epsilon != 1.0 or alpha is not None or xi is not None:
-            raise ValueError(f"{spec.kind.value} graphs use the isotropic metric")
-        return Metric(), alpha_from_xi(1.0, spec)
     if xi is None:
-        a = 1.0 if alpha is None else alpha
-        xi = xi_from_alpha(a, spec)
-    return Metric(epsilon=epsilon, xi=xi), alpha_from_xi(xi, spec)
+        isotropic = alpha is None and spec.kind in ISOTROPIC_KINDS
+        xi = 1.0 if isotropic else xi_from_alpha(1.0 if alpha is None else alpha, spec)
+    metric = Metric(epsilon=epsilon, xi=xi)
+    check_metric(spec, metric)
+    return metric, alpha_from_xi(xi, spec)
 
 
 # Per-vertex kernel operands, the squared-distance kernel on them, its weights.
@@ -491,11 +503,13 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
 
     The bandwidth t is set to BANDWIDTH_FRACTION times the mean squared edge
     distance, and the weights are edge_weights(d, t).  K is clamped to
-    |V| - 1 with a note when the sampling is too small.  alpha, when given,
-    must be the metric's own, alpha_from_xi(metric.xi, spec); ValueError if not.
+    |V| - 1 with a note when the sampling is too small.  ValueError if the
+    metric fails check_metric, or if alpha is given and is not the metric's
+    own, alpha_from_xi(metric.xi, spec).
     """
     n = len(vertices)
     spec = vertices.spec
+    check_metric(spec, metric)
     if knn is None:
         knn = default_knn(spec)
     if knn < 1:

@@ -1,11 +1,13 @@
 """Binary containers (CLGR graphs, CLSG signals, CLMD models) and CSV export.
 
 All integers and floats are little-endian; arrays are C-order.  Each
-container opens with a 4-byte magic and its own u32 version (CLGR 2, CLSG
+container opens with a 4-byte magic and its own u32 version (CLGR 3, CLSG
 1 and CLMD 2); other versions are rejected.  Readers validate as they go and
 raise FormatError carrying the byte offset of the first bad field, which
 the CLI maps to exit code 2.  Files hold primary data only: readers rebuild
-edge weights, Laplacians and pool plans from what is stored.
+edge weights, Laplacians and pool plans from what is stored, and derive
+alpha and the edge count.  A CLGR file has one fixed layout (see
+write_graph), ending in the lambda_max of its Laplacian.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Laplacian, ManifoldGraph, alpha_from_xi, edge_weights, laplacian
+from .graph import (ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, edge_weights,
+                    laplacian)
 from .groups import GroupKind, Metric, se2_matrices, so3_matrices
 from .sampling import GridKind, GridSpec, VertexSet
 from . import network
@@ -23,7 +26,7 @@ from . import network
 GRAPH_MAGIC = b"CLGR"
 SIGNAL_MAGIC = b"CLSG"
 MODEL_MAGIC = b"CLMD"
-GRAPH_VERSION = 2
+GRAPH_VERSION = 3
 SIGNAL_VERSION = 1
 MODEL_VERSION = 2
 
@@ -97,37 +100,38 @@ def _f64s(a) -> bytes:
 # CLGR graphs
 
 
-def write_graph(path, graph: ManifoldGraph, lap: Laplacian | None = None) -> None:
-    """Store a graph and, optionally, the lambda_max of its raw Laplacian.
+def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
+    """Store a graph and the lambda_max of its raw Laplacian.
 
     Layout after magic and version: kind u8; nx, ny, level, n_orient u32;
-    epsilon, xi, alpha f64 (offsets 25, 33, 41); knn u32 (offset 49);
-    bandwidth f64 (offset 53); n u64; params n x 3 f64; kept flag u8, then
-    n u64 original ids if set;
-    indptr (n + 1) u64, edge count u64, indices u64, distances f64;
-    Laplacian flag u8, then lambda_max f64 if set.  read_graph rebuilds
-    weights and Laplacian; ValueError if they would differ from the graph's
-    and lap's, if a vertex-sampled set has no kept-id map, or if alpha or
-    knn would not read back (see _header_error).
+    epsilon, xi f64 (offsets 25, 33); knn u32 (offset 41); bandwidth f64
+    (offset 45); n u64 (offset 53); params n x 3 f64 (offset 61); kept flag
+    u8, then n u64 original ids if set; indptr (n + 1) u64; indices u64 and
+    distances f64, indptr[-1] of each; lambda_max f64, the last 8 bytes.
+    read_graph rebuilds weights and Laplacian; ValueError if they would
+    differ from the graph's and lap's, if a vertex-sampled set has no
+    kept-id map, or if the metric or knn would not read back (check_metric,
+    _knn_error).
     """
-    if lap is not None and (lap.rescaled or lap.lambda_max is None):
+    if lap.rescaled or lap.lambda_max is None:
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
     verts, spec = graph.vertices, graph.vertices.spec
-    if (bad := _header_error(spec, graph.metric.xi, graph.alpha, graph.knn)) is not None:
-        raise ValueError(bad[0])
+    check_metric(spec, graph.metric)
+    if (bad := _knn_error(spec, graph.knn)) is not None:
+        raise ValueError(bad)
     if verts.kept is None and len(verts) < spec.n_vertices:
         raise ValueError("a vertex-sampled graph needs its kept-id map")
     if not _bit_equal(graph.weights, edge_weights(graph.distances, graph.bandwidth)):
         raise ValueError("weights are not edge_weights(distances, bandwidth)")
-    if lap is not None and not _bit_equal(lap.matrix, laplacian(graph).matrix):
+    if not _bit_equal(lap.matrix, laplacian(graph).matrix):
         raise ValueError("the Laplacian is not laplacian(graph)")
     parts = [GRAPH_MAGIC, _u32(GRAPH_VERSION), struct.pack("<B", KIND_CODES[spec.kind]),
              _u32(spec.nx), _u32(spec.ny), _u32(spec.level), _u32(spec.n_orient),
-             _f64(graph.metric.epsilon), _f64(graph.metric.xi), _f64(graph.alpha),
-             _u32(graph.knn), _f64(graph.bandwidth), _u64(len(verts)), _f64s(verts.params),
+             _f64(graph.metric.epsilon), _f64(graph.metric.xi), _u32(graph.knn),
+             _f64(graph.bandwidth), _u64(len(verts)), _f64s(verts.params),
              b"\x00" if verts.kept is None else b"\x01" + _u64s(verts.kept),
-             _u64s(graph.indptr), _u64(graph.indices.size), _u64s(graph.indices),
-             _f64s(graph.distances), b"\x00" if lap is None else b"\x01" + _f64(lap.lambda_max)]
+             _u64s(graph.indptr), _u64s(graph.indices), _f64s(graph.distances),
+             _f64(lap.lambda_max)]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -146,27 +150,14 @@ def _reject(bad: np.ndarray, message: str, pos: int) -> None:
         raise FormatError(f"{message} (entry {first})", pos + 8 * first)
 
 
-def _header_error(spec: GridSpec, xi: float, alpha: float, knn: int) -> tuple[str, int] | None:
-    """(message, offset) for an alpha that is not finite and positive or not
-    alpha_from_xi(xi, spec) bit for bit, or a knn of 0 on a sampling with at
-    least two vertices; None when all hold."""
-    if not 0.0 < alpha < np.inf:
-        return f"alpha {alpha} is not finite and positive", 41
-    if alpha != (derived := alpha_from_xi(xi, spec)):
-        return f"alpha {alpha!r} contradicts xi, which gives alpha {derived!r}", 41
+def _knn_error(spec: GridSpec, knn: int) -> str | None:
+    """Why knn cannot belong to a graph on spec (0 on two or more vertices)."""
     if knn == 0 and spec.n_vertices > 1:
-        return f"knn 0 on a sampling of {spec.n_vertices} vertices", 49
+        return f"knn 0 on a sampling of {spec.n_vertices} vertices"
     return None
 
 
-def _flag(r: _Reader, name: str) -> bool:
-    flag = r.scalar("<B")
-    if flag > 1:
-        raise FormatError(f"{name} flag must be 0 or 1, got {flag}", r.pos - 1)
-    return flag == 1
-
-
-def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
+def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
     """Read a CLGR file (layout in write_graph), rebuilding weights and Laplacian."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "graph file")
@@ -184,15 +175,20 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
         raise FormatError(f"inconsistent sampling fields: {exc}", kind_pos) from exc
 
     metric_pos = r.pos
-    eps, xi, alpha = r.scalar("<d"), r.scalar("<d"), r.scalar("<d")
+    eps, xi = r.scalar("<d"), r.scalar("<d")
     try:
         metric = Metric(epsilon=eps, xi=xi)
     except ValueError as exc:
         raise FormatError(str(exc), metric_pos) from exc
-    knn, t_pos = r.scalar("<I"), r.pos
-    if (bad := _header_error(spec, xi, alpha, knn)) is not None:
-        raise FormatError(*bad)
-    t = r.scalar("<d")
+    try:
+        check_metric(spec, metric)
+    except ValueError as exc:   # r2 and s2 fail on isotropy, the others on alpha(xi)
+        at = metric_pos if spec.kind in ISOTROPIC_KINDS else metric_pos + 8
+        raise FormatError(str(exc), at) from exc
+    knn_pos, knn = r.pos, r.scalar("<I")
+    if (bad := _knn_error(spec, knn)) is not None:
+        raise FormatError(bad, knn_pos)
+    t_pos, t = r.pos, r.scalar("<d")
 
     nv_pos = r.pos
     n = r.scalar("<Q")
@@ -201,7 +197,9 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
                           f"{spec.n_vertices}", nv_pos)
     params = r.array("<f8", n * 3).reshape(n, 3)
     kept_pos = r.pos
-    kept = r.array("<u8", n) if _flag(r, "kept-id map") else None
+    if (flag := r.scalar("<B")) > 1:
+        raise FormatError(f"kept-id map flag must be 0 or 1, got {flag}", kept_pos)
+    kept = r.array("<u8", n) if flag else None
     if kept is not None:
         _reject(np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept >= spec.n_vertices),
                 "kept ids are not strictly ascending ids of the sampling", kept_pos + 1)
@@ -213,11 +211,7 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
     indptr = r.array("<u8", n + 1).astype(np.int64)
     if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
         raise FormatError("adjacency row pointers are not monotone", indptr_pos)
-    nnz_pos = r.pos
-    nnz = r.scalar("<Q")
-    if nnz != indptr[-1]:
-        raise FormatError(f"edge count {nnz} contradicts row pointers "
-                          f"({indptr[-1]})", nnz_pos)
+    nnz = int(indptr[-1])
     idx_pos = r.pos
     indices = r.array("<u8", nnz)
     if nnz and indices.max() >= n:
@@ -242,19 +236,16 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian | None]:
             "edge distances are not symmetric", d_pos)
     if not 0.0 <= t < np.inf or (t == 0.0 and distances.any()):
         raise FormatError(f"bandwidth {t} is < 0, not finite, or 0 with a distance > 0", t_pos)
+    lam_pos, lam = r.pos, r.scalar("<d")
+    if not 0.0 < lam <= 2.0:
+        raise FormatError(f"lambda_max {lam} outside (0, 2]", lam_pos)
+    if r.pos != len(r.data):
+        raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
 
     matrices = se2_matrices(params) if spec.group_kind is GroupKind.SE2 else so3_matrices(params)
     graph = ManifoldGraph(VertexSet(spec, params, matrices, kept), metric, knn, t, indptr,
                           indices, edge_weights(distances, t), distances)
-    lap = None
-    if _flag(r, "Laplacian"):
-        lam_pos, lam = r.pos, r.scalar("<d")
-        if not 0.0 < lam <= 2.0:
-            raise FormatError(f"lambda_max {lam} outside (0, 2]", lam_pos)
-        lap = Laplacian(laplacian(graph).matrix, lam)
-    if r.pos != len(r.data):
-        raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
-    return graph, lap
+    return graph, Laplacian(laplacian(graph).matrix, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .sampling import GridKind, GridSpec
 
 DENSE_EIGEN_CAP = 5000
 HEAT_ORDER = 30
-# Largest error bound heat_coeffs accepts, and the largest order it suggests.
+# Largest error bound heat_coeffs accepts, and the largest order it takes.
 HEAT_TOL = 1e-8
 HEAT_MAX_ORDER = 1 << 16
 SIGN_TOL = 1e-12
@@ -73,13 +73,14 @@ def heat_coeffs(tau: float, lambda_max: float, order: int = HEAT_ORDER) -> np.nd
 
     The exact expansion has coefficients 2 (-1)^j ive(j, a), a = tau
     lambda_max / 2 (halved at j = 0); its first `order` are returned, which
-    err by at most sum_{j >= order} 2 ive(j, a).  A ValueError names the
-    smallest order that keeps this bound within HEAT_TOL when `order` does not.
+    err by at most sum_{j >= order} 2 ive(j, a).  `order` must lie in
+    [1, HEAT_MAX_ORDER]; a ValueError names the smallest order that keeps
+    this bound within HEAT_TOL when `order` does not.
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"diffusion time must be non-negative and finite, got {tau}")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    if not 1 <= order <= HEAT_MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {HEAT_MAX_ORDER}], got {order}")
     a = 0.5 * tau * lambda_max
     coeffs, tails = _heat_series(a, order)
     if (bound := tails[-1]) > HEAT_TOL:

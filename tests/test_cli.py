@@ -5,13 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from liegraph import cli, io
+from liegraph import io
 from liegraph.cli import main
-from liegraph.graph import laplacian
-from liegraph.sampling import GridKind
-from liegraph.spectral import eigensystem
-
-from conftest import EPS_ANISO, built
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +101,22 @@ def test_build_graph_rejects_infinite_metric(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_info_rejects_alpha_that_contradicts_xi(graph_path, tmp_path, capsys):
-    data = bytearray(graph_path.read_bytes())
-    data[41:49] = np.float64(7.5).tobytes()
-    bad = tmp_path / "alpha.clgr"
-    bad.write_bytes(bytes(data))
-    assert main(["info", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "contradicts xi" in err and "offset 41" in err
+def test_info_rejects_metric_the_sampling_forbids(graph_path, tmp_path, capsys):
+    """info refuses, with one error line and exit 2, an s2 file patched to
+    claim epsilon 0.25 (bytes 25-32) and an se2 file whose xi gives an
+    infinite alpha (bytes 33-40)."""
+    s2 = tmp_path / "s2.clgr"
+    assert main(["build-graph", "--kind", "s2", "--level", "1", "--out", str(s2)]) == 0
+    capsys.readouterr()
+    for path, at, value, message in ((s2, 25, 0.25, "isotropic metric"),
+                                     (graph_path, 33, 1e154, "gives alpha inf")):
+        data = bytearray(path.read_bytes())
+        data[at:at + 8] = np.float64(value).tobytes()
+        bad = tmp_path / "bad.clgr"
+        bad.write_bytes(bytes(data))
+        assert main(["info", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and f"offset {at})" in err
 
 
 def test_info_missing_and_corrupt(tmp_path, capsys):
@@ -138,24 +141,6 @@ def test_eigenmaps(graph_path, tmp_path, capsys):
     assert sidecar.shape == (32, 5)
     # first eigenvalue of a connected graph is numerically zero
     assert abs(float(lines[1].split(",")[1])) <= 1e-9
-
-
-def test_eigenmaps_without_stored_laplacian(tmp_path, capsys, monkeypatch):
-    """A file with no Laplacian needs no lambda_max estimate for eigenmaps."""
-    g = built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, epsilon=EPS_ANISO,
-              alpha=1.0, knn=6)
-    path = tmp_path / "bare.clgr"
-    io.write_graph(path, g)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigenmaps estimated lambda_max")
-
-    monkeypatch.setattr(cli, "power_lambda_max", refuse)
-    code = main(["eigenmaps", "--graph", str(path), "--k", "5",
-                 "--out", str(tmp_path / "eig.csv")])
-    assert code == 0
-    expected = eigensystem(laplacian(g), 5).values
-    assert f"eigenvalues: {' '.join(f'{v:.6g}' for v in expected)}" in capsys.readouterr().out
 
 
 def test_diffuse_impulse(graph_path, tmp_path, capsys):
@@ -209,6 +194,17 @@ def test_diffuse_usage_errors(graph_path, tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
     need = re.search(r"needs order (\d+) or more", err).group(1)
     assert main(base + ["--impulse", "0", "--tau", "1000", "--order", need]) == 0
+
+
+def test_diffuse_order_above_cap(graph_path, tmp_path, capsys):
+    """--order above HEAT_MAX_ORDER (65536) would stack that many terms of
+    the signal: one error line and exit 2, before any term is computed."""
+    out = tmp_path / "d.csv"
+    assert main(["diffuse", "--graph", str(graph_path), "--impulse", "0", "--tau", "0.5",
+                 "--order", "65537", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: order must lie in [1, 65536], got 65537\n"
+    assert not out.exists()
 
 
 def test_check_equivariance_pass(graph_path, capsys):

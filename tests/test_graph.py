@@ -77,10 +77,31 @@ def test_alpha_is_derived_from_xi(tmp_path, se2_8x8x4):
     for bad in (7.5, float(np.nextafter(derived, np.inf))):
         with pytest.raises(ValueError, match=f"alpha {bad!r} contradicts xi"):
             build_graph(verts, metric, 16, alpha=bad)
-    io.write_graph(tmp_path / "g.clgr", se2_8x8x4)
+    io.write_graph(tmp_path / "g.clgr", se2_8x8x4, power_lambda_max(laplacian(se2_8x8x4)))
     for g in (build_graph(verts, metric, 16, alpha=derived), sample_edges(se2_8x8x4, 0.5, seed=1),
               sample_vertices(se2_8x8x4, 0.5, seed=2), io.read_graph(tmp_path / "g.clgr")[0]):
         assert g.alpha == derived == pytest.approx(1.0)
+
+
+def test_one_metric_check(r2_16x16, s2_level2):
+    """make_metric and build_graph apply check_metric: r2 and s2 take exactly
+    Metric(), by kind (an se2 grid with one slice keeps its anisotropy), and
+    a xi whose alpha overflows or underflows is refused."""
+    for g in (r2_16x16, s2_level2):
+        for metric in (Metric(epsilon=0.5), Metric(xi=0.5)):
+            with pytest.raises(ValueError, match="graphs use the isotropic metric"):
+                build_graph(g.vertices, metric, 4)
+    s2 = s2_level2.vertices.spec
+    assert make_metric(s2, xi=1.0) == (Metric(), alpha_from_xi(1.0, s2))
+    one_slice = grid_se2(4, 4, 1)
+    metric, _ = make_metric(one_slice.spec, epsilon=EPS_ANISO, xi=0.3)
+    assert build_graph(one_slice, metric, 4).metric == Metric(EPS_ANISO, 0.3)
+    se2 = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
+    for xi, alpha in ((1e154, "inf"), (1e-170, "0.0")):   # xi^2 * 64 / 4
+        with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
+            make_metric(se2, epsilon=EPS_ANISO, xi=xi)
+        with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
+            build_graph(grid_se2(8, 8, 4), Metric(EPS_ANISO, xi), 4)
 
 
 def test_default_knn():

@@ -42,15 +42,6 @@ def test_graph_roundtrip_bytes(tmp_path, se2_8x8x4, se2_8x8x4_lap):
     assert diff.nnz == 0 or np.all(diff.data == 0.0)
 
 
-def test_graph_roundtrip_without_laplacian(tmp_path, s2_level2):
-    path = tmp_path / "s2.clgr"
-    io.write_graph(path, s2_level2)
-    graph, lap = io.read_graph(path)
-    assert lap is None
-    assert graph.vertices.spec.kind == GridKind.S2_ICOSAHEDRAL
-    np.testing.assert_array_equal(graph.weights, s2_level2.weights)
-
-
 def test_write_graph_validation(tmp_path, se2_8x8x4, se2_8x8x4_lap):
     with pytest.raises(ValueError):
         io.write_graph(tmp_path / "x.clgr", se2_8x8x4, rescale(se2_8x8x4_lap))
@@ -60,23 +51,36 @@ def test_write_graph_validation(tmp_path, se2_8x8x4, se2_8x8x4_lap):
 
 def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8x4_lap):
     """The file keeps distances and lambda_max only, so weights that are not
-    the kernel of the distances, or a Laplacian of another graph, raise."""
-    path = tmp_path / "x.clgr"
+    the kernel of the distances, or a Laplacian of another graph, raise; so
+    does a metric that check_metric refuses."""
+    path, lap = tmp_path / "x.clgr", se2_8x8x4_lap
     off = dataclasses.replace(se2_8x8x4, weights=np.nextafter(se2_8x8x4.weights, 2.0))
     with pytest.raises(ValueError, match="edge_weights"):
-        io.write_graph(path, off)
+        io.write_graph(path, off, lap)
     other = sample_edges(se2_8x8x4, 0.5, seed=1)
     with pytest.raises(ValueError, match="laplacian"):
         io.write_graph(path, se2_8x8x4, power_lambda_max(laplacian(other)))
     verts = sample_vertices(se2_8x8x4, 0.5, seed=3)
     no_map = dataclasses.replace(verts, vertices=dataclasses.replace(verts.vertices, kept=None))
     with pytest.raises(ValueError, match="kept"):
-        io.write_graph(path, no_map)
+        io.write_graph(path, no_map, lap)
     for xi, alpha in ((1e154, "inf"), (1e-170, "0.0")):   # xi^2 n_spatial / n_orient
-        with pytest.raises(ValueError, match=f"alpha {alpha} is not finite and positive"):
-            io.write_graph(path, dataclasses.replace(se2_8x8x4, metric=Metric(EPS_ANISO, xi)))
+        with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
+            io.write_graph(path, dataclasses.replace(se2_8x8x4, metric=Metric(EPS_ANISO, xi)), lap)
     with pytest.raises(ValueError, match="knn 0"):
-        io.write_graph(path, dataclasses.replace(se2_8x8x4, knn=0))
+        io.write_graph(path, dataclasses.replace(se2_8x8x4, knn=0), lap)
+    assert not path.exists()
+
+
+def test_write_graph_refuses_anisotropic_r2_and_s2(tmp_path, r2_16x16, s2_level2):
+    """r2 and s2 graphs carry exactly Metric(); whatever built them, another
+    metric is refused before a byte is written."""
+    path = tmp_path / "x.clgr"
+    for g, metric in ((r2_16x16, Metric(epsilon=0.5)), (s2_level2, Metric(epsilon=0.25)),
+                      (s2_level2, Metric(xi=2.0))):
+        with pytest.raises(ValueError, match="graphs use the isotropic metric"):
+            io.write_graph(path, dataclasses.replace(g, metric=metric),
+                           power_lambda_max(laplacian(g)))
     assert not path.exists()
 
 
@@ -84,7 +88,7 @@ def test_single_vertex_graph_keeps_knn_zero(tmp_path):
     """build_graph clamps K to 0 on one vertex, and that file reads back."""
     g = built(GridKind.R2_GRID, nx=1, ny=1)
     assert g.knn == 0
-    io.write_graph(tmp_path / "one.clgr", g)
+    io.write_graph(tmp_path / "one.clgr", g, power_lambda_max(laplacian(g)))
     back, _ = io.read_graph(tmp_path / "one.clgr")
     assert back.knn == 0 and back.n_vertices == 1
 
@@ -126,8 +130,9 @@ def test_graph_roundtrip_rebuilds_bit_identical(tmp_path, case):
         io.write_graph(second, back, back_lap)
         data = read_bytes(first)
         assert data == read_bytes(second), name
-        # after the distances come only the Laplacian flag and lambda_max
-        assert len(data) == graph_layout(data)["lap_flag"] + 1 + 8
+        # after the distances comes only lambda_max
+        lay = graph_layout(data)
+        assert len(data) == lay["distances"] + 8 * lay["nnz"] + 8 == lay["lambda_max"] + 8
 
 
 def test_signal_roundtrip(tmp_path):
@@ -318,10 +323,11 @@ def test_bad_version(tmp_path, graph_file):
 
 def test_unknown_kind(tmp_path, graph_file):
     _, data = graph_file
-    path = write_tmp(tmp_path, corrupt(data, 8, 250))
+    at = graph_layout(data)["kind"]
+    path = write_tmp(tmp_path, corrupt(data, at, 250))
     with pytest.raises(io.FormatError, match="unknown sampling kind") as exc:
         io.read_graph(path)
-    assert exc.value.offset == 8
+    assert exc.value.offset == at
 
 
 def test_truncated_file(tmp_path, graph_file):
@@ -347,6 +353,27 @@ def test_version_1_rejected(tmp_path, graph_file):
     assert exc.value.offset == 4
 
 
+def test_version_2_rejected(tmp_path, graph_file):
+    """CLGR 2 stored alpha, the edge count and a Laplacian flag; such files
+    are refused at the version field, not misread."""
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, 4, (2).to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="unsupported version 2") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 4
+
+
+def test_truncated_before_lambda_max(tmp_path, graph_file):
+    """lambda_max is required: a file that ends right after the distances
+    is truncated at the lambda_max offset."""
+    _, data = graph_file
+    at = graph_layout(data)["lambda_max"]
+    assert at == len(data) - 8
+    with pytest.raises(io.FormatError, match="truncated graph file") as exc:
+        io.read_graph(write_tmp(tmp_path, data[:at]))
+    assert exc.value.offset == at
+
+
 def test_non_monotone_indptr(tmp_path, graph_file):
     _, data = graph_file
     # the second indptr entry sits 8 bytes into the indptr block
@@ -360,19 +387,19 @@ def test_non_monotone_indptr(tmp_path, graph_file):
 
 
 def graph_layout(data: bytes) -> dict:
-    """Byte offsets of the fields of a CLGR file: alpha and knn inside the
-    fixed 61-byte header (which puts the metric at 25 and the bandwidth at
-    53), the rest after it."""
-    n = int.from_bytes(data[61:69], "little")
-    kept_flag = 69 + 24 * n
+    """Byte offsets of the fields of a CLGR 3 file, the one table the tests
+    patch by: the fixed 61-byte header (kind 8, the four sampling u32s from
+    9, epsilon 25, xi 33, knn 41, bandwidth 45, n 53), then the params, the
+    kept-id map, the CSR arrays (nnz is indptr[-1]) and lambda_max."""
+    n = int.from_bytes(data[53:61], "little")
+    kept_flag = 61 + 24 * n
     kept = kept_flag + 1 if data[kept_flag] == 1 else None
     indptr = kept_flag + 1 + (8 * n if kept is not None else 0)
-    nnz = int.from_bytes(data[indptr + 8 * (n + 1):indptr + 8 * (n + 2)], "little")
-    indices = indptr + 8 * (n + 2)
-    return {"alpha": 41, "knn": 49, "n": n, "nnz": nnz, "kept_flag": kept_flag, "kept": kept,
-            "indptr": indptr,
-            "indices": indices, "distances": indices + 8 * nnz,
-            "lap_flag": indices + 16 * nnz}
+    indices = indptr + 8 * (n + 1)
+    nnz = int.from_bytes(data[indices - 8:indices], "little")
+    return {"kind": 8, "epsilon": 25, "xi": 33, "knn": 41, "bandwidth": 45, "n": n,
+            "nnz": nnz, "kept_flag": kept_flag, "kept": kept, "indptr": indptr,
+            "indices": indices, "distances": indices + 8 * nnz, "lambda_max": indices + 16 * nnz}
 
 
 def model_layout(data: bytes) -> list[dict]:
@@ -476,10 +503,11 @@ def test_bad_bandwidth(tmp_path, graph_file, value):
     """Weights derive from the bandwidth: it must be finite and non-negative,
     and 0 only when every edge distance is 0."""
     _, data = graph_file
-    path = write_tmp(tmp_path, put(data, 53, np.float64(value).tobytes()))
+    at = graph_layout(data)["bandwidth"]
+    path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
     with pytest.raises(io.FormatError, match="bandwidth") as exc:
         io.read_graph(path)
-    assert exc.value.offset == 53
+    assert exc.value.offset == at
 
 
 @pytest.mark.parametrize("at", [25, 33])
@@ -489,7 +517,7 @@ def test_bad_metric(tmp_path, graph_file, at, value):
     path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
     with pytest.raises(io.FormatError, match="metric parameters must be positive") as exc:
         io.read_graph(path)
-    assert exc.value.offset == 25
+    assert exc.value.offset == graph_layout(data)["epsilon"]
 
 
 @pytest.mark.parametrize("at,value", [(25, 1e-160), (33, 1e200)])
@@ -500,30 +528,35 @@ def test_bad_metric_weights(tmp_path, graph_file, at, value):
     path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
     with pytest.raises(io.FormatError, match="finite weights") as exc:
         io.read_graph(path)
-    assert exc.value.offset == 25
+    assert exc.value.offset == graph_layout(data)["epsilon"]
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
-def test_bad_alpha(tmp_path, graph_file, value):
+@pytest.mark.parametrize("alpha", [np.inf, 0.0])
+def test_bad_alpha(tmp_path, graph_file, alpha):
+    """alpha is not stored but derived, xi^2 n_spatial / n_orient: a finite
+    positive xi whose alpha overflows (1e154 on 16 points and 2 slices) or
+    underflows (1e-170) is refused at the xi offset."""
     _, data = graph_file
-    at = graph_layout(data)["alpha"]
-    path = write_tmp(tmp_path, put(data, at, np.float64(value).tobytes()))
-    with pytest.raises(io.FormatError, match="alpha .* is not finite and positive") as exc:
+    at = graph_layout(data)["xi"]
+    xi = 1e154 if alpha == np.inf else 1e-170
+    path = write_tmp(tmp_path, put(data, at, np.float64(xi).tobytes()))
+    with pytest.raises(io.FormatError, match=f"gives alpha {alpha}, which is not finite") as exc:
         io.read_graph(path)
     assert exc.value.offset == at
 
 
-def test_alpha_must_match_xi(tmp_path, graph_file):
-    """Every graph has alpha = alpha_from_xi(xi, spec), so another finite
-    positive alpha, one ulp off included, is refused on read."""
-    _, data = graph_file
-    at = graph_layout(data)["alpha"]
-    stored = np.frombuffer(data[at:at + 8], "<f8")[0]
-    for alpha in (7.5, np.nextafter(stored, np.inf)):
-        path = write_tmp(tmp_path, put(data, at, np.float64(alpha).tobytes()))
-        with pytest.raises(io.FormatError, match="contradicts xi") as exc:
-            io.read_graph(path)
-        assert exc.value.offset == at
+@pytest.mark.parametrize("field, value", [("epsilon", 0.25), ("xi", 2.0)])
+def test_anisotropic_s2_file_rejected(tmp_path, field, value):
+    """An s2 file patched to claim epsilon 0.25 (or xi 2) contradicts the
+    isotropic metric every s2 graph carries: refused at the metric's offset."""
+    g = built(GridKind.S2_ICOSAHEDRAL, level=1)
+    path = tmp_path / "s2.clgr"
+    io.write_graph(path, g, power_lambda_max(laplacian(g)))
+    good = read_bytes(path)
+    data = put(good, graph_layout(good)[field], np.float64(value).tobytes())
+    with pytest.raises(io.FormatError, match="s2 graphs use the isotropic metric") as exc:
+        io.read_graph(write_tmp(tmp_path, data))
+    assert exc.value.offset == graph_layout(data)["epsilon"]
 
 
 def test_knn_zero(tmp_path, graph_file):
@@ -535,7 +568,7 @@ def test_knn_zero(tmp_path, graph_file):
     assert exc.value.offset == at
 
 
-@pytest.mark.parametrize("field", ["kept_flag", "lap_flag"])
+@pytest.mark.parametrize("field", ["kept_flag"])
 def test_bad_flag(tmp_path, graph_file, field):
     _, data = graph_file
     at = graph_layout(data)[field]

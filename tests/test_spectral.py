@@ -9,6 +9,7 @@ import pytest
 from liegraph.graph import Laplacian, laplacian, power_lambda_max, rescale, sample_edges
 from liegraph.sampling import GridKind, GridSpec, grid_se2
 from liegraph.spectral import (
+    HEAT_MAX_ORDER,
     cheb_apply,
     cheb_terms,
     eigensystem,
@@ -156,6 +157,11 @@ def test_heat_validation(small_lap):
     assert heat_coeffs(100.0, 1.3, order=48).size == 48
     with pytest.raises(ValueError, match="order 47 errs by up to"):
         heat_coeffs(100.0, 1.3, order=47)
+    # orders above HEAT_MAX_ORDER would make cheb_terms stack that many copies
+    assert heat_coeffs(1.0, 1.9, order=HEAT_MAX_ORDER).size == HEAT_MAX_ORDER
+    for order in (HEAT_MAX_ORDER + 1, 4 * HEAT_MAX_ORDER):
+        with pytest.raises(ValueError, match=f"order must lie in \\[1, {HEAT_MAX_ORDER}\\]"):
+            heat_coeffs(1.0, 1.9, order=order)
 
 
 def test_heat_coeffs_memory():
