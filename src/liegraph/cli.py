@@ -89,28 +89,22 @@ def _require_full_sampling(graph: ManifoldGraph, command: str) -> None:
 
 def cmd_build_graph(args) -> int:
     kind = _KIND_NAMES[args.kind]
-    if kind in (GridKind.SE2_GRID, GridKind.R2_GRID):
-        if args.nx is None:
-            raise ValueError("planar grids need --nx")
-        ny = args.ny if args.ny is not None else args.nx
-        n_orient = args.orient if kind is GridKind.SE2_GRID else 1
-        if kind is GridKind.SE2_GRID and args.orient is None:
-            raise ValueError("se2 grids need --orient")
-        spec = GridSpec(kind, nx=args.nx, ny=ny, n_orient=n_orient)
-    else:
-        if args.level is None:
-            raise ValueError("icosahedral samplings need --level")
-        n_orient = args.orient if kind is GridKind.SO3_ICOSAHEDRAL else 1
-        if kind is GridKind.SO3_ICOSAHEDRAL and args.orient is None:
-            raise ValueError("so3 samplings need --orient")
-        spec = GridSpec(kind, level=args.level, n_orient=n_orient)
+    planar = kind in (GridKind.SE2_GRID, GridKind.R2_GRID)
+    for flag, needed in (("nx", planar), ("level", not planar),
+                         ("orient", kind in (GridKind.SE2_GRID, GridKind.SO3_ICOSAHEDRAL))):
+        if needed and getattr(args, flag) is None:
+            raise ValueError(f"{args.kind} samplings need --{flag}")
+    # Every flag given reaches GridSpec, which refuses those the kind does not use.
+    nx = args.nx or 0
+    spec = GridSpec(kind, nx=nx, ny=nx if args.ny is None else args.ny, level=args.level or 0,
+                    n_orient=1 if args.orient is None else args.orient)
 
     metric, alpha = make_metric(spec, epsilon=args.epsilon, alpha=args.alpha, xi=args.xi)
     knn = args.knn if args.knn is not None else default_knn(spec)
 
     _print_config("build-graph", {
         "kind": args.kind, "nx": spec.nx or None, "ny": spec.ny or None,
-        "level": spec.level if not spec.kind in (GridKind.SE2_GRID, GridKind.R2_GRID) else None,
+        "level": None if planar else spec.level,
         "orient": spec.n_orient, "epsilon": f"{metric.epsilon:.12g}",
         "xi": f"{metric.xi:.12g}", "alpha": f"{alpha:.12g}", "knn": knn,
         "lambda_max": args.lambda_max, "out": args.out,

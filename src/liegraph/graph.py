@@ -76,7 +76,8 @@ def xi_from_alpha(alpha: float, spec: GridSpec) -> float:
 
 
 def alpha_from_xi(xi: float, spec: GridSpec) -> float:
-    return float(xi ** 2 * spec.n_spatial / spec.n_orient)
+    """In Python floats, so an alpha past the float range is inf, with no warning."""
+    return float(xi) * float(xi) * spec.n_spatial / spec.n_orient
 
 
 def check_metric(spec: GridSpec, metric: Metric) -> None:
@@ -725,8 +726,8 @@ def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGr
     indptr, indices, dist = _mirrored_csr(n_keep, new_id[i[alive]], new_id[j[alive]], dist[alive])
 
     verts = graph.vertices
-    sub = VertexSet(verts.spec, verts.params[kept].copy(), verts.matrices[kept].copy(),
-                    kept if verts.kept is None else verts.kept[kept])
+    sub = VertexSet(verts.spec, verts.params[kept],
+                    kept=kept if verts.kept is None else verts.kept[kept])
     note = (f"vertex sampling kappa={kappa} kept {n_keep} of {n} vertices",)
     return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, indptr, indices,
                          edge_weights(dist, graph.bandwidth), dist, graph.notes + note)

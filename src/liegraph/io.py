@@ -1,13 +1,13 @@
 """Binary containers (CLGR graphs, CLSG signals, CLMD models) and CSV export.
 
 All integers and floats are little-endian; arrays are C-order.  Each
-container opens with a 4-byte magic and its own u32 version (CLGR 3, CLSG
+container opens with a 4-byte magic and its own u32 version (CLGR 4, CLSG
 1 and CLMD 2); other versions are rejected.  Readers validate as they go and
 raise FormatError carrying the byte offset of the first bad field, which
 the CLI maps to exit code 2.  Files hold primary data only: readers rebuild
-edge weights, Laplacians and pool plans from what is stored, and derive
-alpha and the edge count.  A CLGR file has one fixed layout (see
-write_graph), ending in the lambda_max of its Laplacian.
+edge weights, Laplacians, pool plans and vertex coordinates from what is
+stored, and derive alpha and the edge and vertex counts.  A CLGR file has
+one fixed layout (see write_graph), ending in the lambda_max of its Laplacian.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import scipy.sparse as sp
 
 from .graph import (ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, edge_weights,
                     laplacian)
-from .groups import GroupKind, Metric, se2_matrices, so3_matrices
-from .sampling import GridKind, GridSpec, VertexSet
+from .groups import Metric
+from .sampling import GridKind, GridSpec, build_vertices
 from . import network
 
 GRAPH_MAGIC = b"CLGR"
 SIGNAL_MAGIC = b"CLSG"
 MODEL_MAGIC = b"CLMD"
-GRAPH_VERSION = 3
+GRAPH_VERSION = 4
 SIGNAL_VERSION = 1
 MODEL_VERSION = 2
 
@@ -105,13 +105,13 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
 
     Layout after magic and version: kind u8; nx, ny, level, n_orient u32;
     epsilon, xi f64 (offsets 25, 33); knn u32 (offset 41); bandwidth f64
-    (offset 45); n u64 (offset 53); params n x 3 f64 (offset 61); kept flag
-    u8, then n u64 original ids if set; indptr (n + 1) u64; indices u64 and
-    distances f64, indptr[-1] of each; lambda_max f64, the last 8 bytes.
-    read_graph rebuilds weights and Laplacian; ValueError if they would
-    differ from the graph's and lap's, if a vertex-sampled set has no
-    kept-id map, or if the metric or knn would not read back (check_metric,
-    _knn_error).
+    (offset 45); kept flag u8 (offset 53), then if set the kept count n u64
+    and n u64 original ids, else n is spec.n_vertices; indptr (n + 1) u64;
+    indices u64 and distances f64, indptr[-1] of each; lambda_max f64, the
+    last 8 bytes.  read_graph rebuilds vertices (build_vertices of spec and
+    kept), weights and Laplacian; ValueError if they would differ from the
+    graph's and lap's, or if the metric, knn or kept ids would not read back
+    (check_metric, _knn_error, _bad_kept).
     """
     if lap.rescaled or lap.lambda_max is None:
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
@@ -119,8 +119,10 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
     check_metric(spec, graph.metric)
     if (bad := _knn_error(spec, graph.knn)) is not None:
         raise ValueError(bad)
-    if verts.kept is None and len(verts) < spec.n_vertices:
-        raise ValueError("a vertex-sampled graph needs its kept-id map")
+    if verts.kept is not None and _bad_kept(spec, verts.kept).any():
+        raise ValueError("kept ids are not strictly ascending ids of the sampling")
+    if not _bit_equal(verts.params, build_vertices(spec, verts.kept).params):
+        raise ValueError("vertex params are not build_vertices(spec, kept)'s, which files store")
     if not _bit_equal(graph.weights, edge_weights(graph.distances, graph.bandwidth)):
         raise ValueError("weights are not edge_weights(distances, bandwidth)")
     if not _bit_equal(lap.matrix, laplacian(graph).matrix):
@@ -128,8 +130,8 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
     parts = [GRAPH_MAGIC, _u32(GRAPH_VERSION), struct.pack("<B", KIND_CODES[spec.kind]),
              _u32(spec.nx), _u32(spec.ny), _u32(spec.level), _u32(spec.n_orient),
              _f64(graph.metric.epsilon), _f64(graph.metric.xi), _u32(graph.knn),
-             _f64(graph.bandwidth), _u64(len(verts)), _f64s(verts.params),
-             b"\x00" if verts.kept is None else b"\x01" + _u64s(verts.kept),
+             _f64(graph.bandwidth),
+             b"\x00" if verts.kept is None else b"\x01" + _u64(len(verts)) + _u64s(verts.kept),
              _u64s(graph.indptr), _u64s(graph.indices), _f64s(graph.distances),
              _f64(lap.lambda_max)]
     with open(path, "wb") as fh:
@@ -151,10 +153,17 @@ def _reject(bad: np.ndarray, message: str, pos: int) -> None:
 
 
 def _knn_error(spec: GridSpec, knn: int) -> str | None:
-    """Why knn cannot belong to a graph on spec (0 on two or more vertices)."""
-    if knn == 0 and spec.n_vertices > 1:
-        return f"knn 0 on a sampling of {spec.n_vertices} vertices"
+    """Why knn cannot be a graph's on spec; build_graph keeps K in [min(1, N - 1), N - 1]."""
+    n = spec.n_vertices
+    if not min(1, n - 1) <= knn <= n - 1:
+        return f"knn {knn} on a sampling of {n} vertices, outside [{min(1, n - 1)}, {n - 1}]"
     return None
+
+
+def _bad_kept(spec: GridSpec, kept: np.ndarray) -> np.ndarray:
+    """Flags the entries of kept that break strictly ascending ids of spec's sampling."""
+    return (np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept < 0)
+            | (kept >= spec.n_vertices))
 
 
 def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
@@ -167,8 +176,7 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
     kind_code = r.scalar("<B")
     if kind_code not in KIND_FROM_CODE:
         raise FormatError(f"unknown sampling kind {kind_code}", kind_pos)
-    nx, ny = r.scalar("<I"), r.scalar("<I")
-    level, n_orient = r.scalar("<I"), r.scalar("<I")
+    nx, ny, level, n_orient = struct.unpack("<4I", r.take(16))
     try:
         spec = GridSpec(KIND_FROM_CODE[kind_code], nx=nx, ny=ny, level=level, n_orient=n_orient)
     except ValueError as exc:
@@ -190,22 +198,16 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         raise FormatError(bad, knn_pos)
     t_pos, t = r.pos, r.scalar("<d")
 
-    nv_pos = r.pos
-    n = r.scalar("<Q")
-    if n > spec.n_vertices:
-        raise FormatError(f"vertex count {n} exceeds the sampling size "
-                          f"{spec.n_vertices}", nv_pos)
-    params = r.array("<f8", n * 3).reshape(n, 3)
     kept_pos = r.pos
     if (flag := r.scalar("<B")) > 1:
         raise FormatError(f"kept-id map flag must be 0 or 1, got {flag}", kept_pos)
-    kept = r.array("<u8", n) if flag else None
-    if kept is not None:
-        _reject(np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept >= spec.n_vertices),
-                "kept ids are not strictly ascending ids of the sampling", kept_pos + 1)
+    n, kept = spec.n_vertices, None
+    if flag:
+        n = r.scalar("<Q")
+        kept = r.array("<u8", n)
+        _reject(_bad_kept(spec, kept), "kept ids are not strictly ascending ids of the sampling",
+                kept_pos + 9)
         kept = kept.astype(np.int64)
-    elif n < spec.n_vertices:
-        raise FormatError(f"{n} of {spec.n_vertices} vertices but no kept-id map", kept_pos)
 
     indptr_pos = r.pos
     indptr = r.array("<u8", n + 1).astype(np.int64)
@@ -242,9 +244,9 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
 
-    matrices = se2_matrices(params) if spec.group_kind is GroupKind.SE2 else so3_matrices(params)
-    graph = ManifoldGraph(VertexSet(spec, params, matrices, kept), metric, knn, t, indptr,
-                          indices, edge_weights(distances, t), distances)
+    # Built last: n is now backed by the file's arrays, the icosphere by MAX_LEVEL.
+    graph = ManifoldGraph(build_vertices(spec, kept), metric, knn, t, indptr, indices,
+                          edge_weights(distances, t), distances)
     return graph, Laplacian(laplacian(graph).matrix, lam)
 
 

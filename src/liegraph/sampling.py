@@ -11,7 +11,7 @@ single-slice degenerate cases sit at theta = -pi/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -27,11 +27,15 @@ class GridKind(Enum):
 
 
 PLANAR_KINDS = (GridKind.SE2_GRID, GridKind.R2_GRID)
+# Deeper icosahedral levels are refused before 4 ** level is evaluated.
+# icosphere(8) (655362 points) takes about 0.6 s and 230 MB: all a level in
+# a file header can make a reader build beyond what the file's bytes back.
+MAX_LEVEL = 8
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling descriptor; unused integer fields stay at zero."""
+    """Sampling descriptor; unused fields (level on grids, nx and ny on spheres) are 0."""
 
     kind: GridKind
     nx: int = 0
@@ -43,13 +47,20 @@ class GridSpec:
         if self.kind in PLANAR_KINDS:
             if self.nx < 1 or self.ny < 1:
                 raise ValueError("grid dimensions must be at least 1")
+            if self.level != 0:
+                raise ValueError(f"{self.kind.value} grids have no level, got {self.level}")
         else:
-            if self.level < 0:
-                raise ValueError("subdivision level must be non-negative")
+            if not 0 <= self.level <= MAX_LEVEL:
+                raise ValueError(f"subdivision level {self.level} outside [0, {MAX_LEVEL}]")
+            if self.nx != 0 or self.ny != 0:
+                raise ValueError(f"{self.kind.value} samplings have no nx or ny, "
+                                 f"got {self.nx} and {self.ny}")
         if self.n_orient < 1:
             raise ValueError("n_orient must be at least 1")
         if self.kind in (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL) and self.n_orient != 1:
             raise ValueError(f"{self.kind.value} sampling has a single orientation slice")
+        if self.n_vertices >= 2 ** 63:
+            raise ValueError(f"{self.n_vertices} vertices, more than int64 ids can number")
 
     @property
     def n_spatial(self) -> int:
@@ -70,13 +81,15 @@ class GridSpec:
         return self.n_orient > 1
 
 
-def orientation_angles(n_orient: int) -> np.ndarray:
-    return -0.5 * np.pi + np.arange(n_orient) * np.pi / n_orient
+def orientation_angles(n_orient: int, k=None) -> np.ndarray:
+    """theta_k = -pi/2 + k pi / n_orient of slices k, all n_orient by default."""
+    return -0.5 * np.pi + (np.arange(n_orient) if k is None else k) * np.pi / n_orient
 
 
 @dataclass
 class VertexSet:
-    """Sampled group elements with the flat id layout of their GridSpec.
+    """Sampled group elements (params, from which `matrices` derive) with
+    the flat id layout of their GridSpec.
 
     `kept` records original ids after vertex sub-sampling (None for a full
     sampling).
@@ -84,11 +97,17 @@ class VertexSet:
 
     spec: GridSpec
     params: np.ndarray
-    matrices: np.ndarray
-    kept: np.ndarray | None = None
+    kept: np.ndarray | None = field(default=None, kw_only=True)
 
     def __len__(self) -> int:
         return self.params.shape[0]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """(V, 3, 3) group matrices of params, computed on each access."""
+        if self.spec.group_kind is GroupKind.SE2:
+            return se2_matrices(self.params)
+        return so3_matrices(self.params)
 
     def orientation_index(self, ids) -> np.ndarray:
         """Orientation slice of vertex ids, read from original ids after
@@ -97,24 +116,6 @@ class VertexSet:
         if self.kept is not None:
             ids = self.kept[ids]
         return ids // self.spec.n_spatial
-
-
-def _se2_like(spec: GridSpec) -> VertexSet:
-    xs = np.arange(spec.nx) / spec.nx
-    ys = np.arange(spec.ny) / spec.ny
-    gx, gy = np.meshgrid(xs, ys)            # spatial index iy * nx + ix
-    thetas = orientation_angles(spec.n_orient)
-    params = np.empty((spec.n_vertices, 3))
-    ns = spec.n_spatial
-    for k, th in enumerate(thetas):
-        params[k * ns:(k + 1) * ns, 0] = gx.ravel()
-        params[k * ns:(k + 1) * ns, 1] = gy.ravel()
-        params[k * ns:(k + 1) * ns, 2] = th
-    return VertexSet(spec, params, se2_matrices(params))
-
-
-def grid_se2(nx: int, ny: int, n_orient: int) -> VertexSet:
-    return _se2_like(GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient))
 
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -179,20 +180,22 @@ def sphere_angles(points: np.ndarray) -> np.ndarray:
     return beta, np.where(polar, 0.0, gamma)
 
 
-def _so3_like(spec: GridSpec) -> VertexSet:
-    points, _ = icosphere(spec.level)
-    beta, gamma = sphere_angles(points)
-    alphas = orientation_angles(spec.n_orient)
-    params = np.empty((spec.n_vertices, 3))
-    ns = spec.n_spatial
-    for k, al in enumerate(alphas):
-        params[k * ns:(k + 1) * ns, 0] = al
-        params[k * ns:(k + 1) * ns, 1] = beta
-        params[k * ns:(k + 1) * ns, 2] = gamma
-    return VertexSet(spec, params, so3_matrices(params))
-
-
-def build_vertices(spec: GridSpec) -> VertexSet:
+def build_vertices(spec: GridSpec, kept: np.ndarray | None = None) -> VertexSet:
+    """spec's sampling, or its vertices at `kept` (strictly ascending ids):
+    (ix / nx, iy / ny, theta_k) on grids, (alpha_k, beta, gamma) of the
+    icosphere points on spheres.  The work grows with the vertices returned
+    (plus the icosphere); read_graph and write_graph rebuild params here."""
+    ids = np.arange(spec.n_vertices) if kept is None else np.asarray(kept)
+    k, p = np.divmod(ids, spec.n_spatial)
+    theta = orientation_angles(spec.n_orient, k)
     if spec.kind in PLANAR_KINDS:
-        return _se2_like(spec)
-    return _so3_like(spec)
+        iy, ix = np.divmod(p, spec.nx)
+        params = np.column_stack([ix / spec.nx, iy / spec.ny, theta])
+    else:
+        beta, gamma = sphere_angles(icosphere(spec.level)[0])
+        params = np.column_stack([theta, beta[p], gamma[p]])
+    return VertexSet(spec, params, kept=kept)
+
+
+def grid_se2(nx: int, ny: int, n_orient: int) -> VertexSet:
+    return build_vertices(GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient))

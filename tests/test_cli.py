@@ -87,6 +87,26 @@ def test_build_graph_usage_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_build_graph_refuses_flags_the_kind_does_not_use(tmp_path, capsys):
+    """Every sampling flag reaches GridSpec: a level or a second slice on r2,
+    nx or a second slice on s2, a level on se2 and levels above MAX_LEVEL
+    end in one error line and exit 2, with no file written."""
+    out = tmp_path / "g.clgr"
+    for argv in (["--kind", "r2", "--nx", "4", "--orient", "6", "--level", "3"],
+                 ["--kind", "r2", "--nx", "4", "--level", "3"],
+                 ["--kind", "r2", "--nx", "4", "--orient", "6"],
+                 ["--kind", "se2", "--nx", "4", "--orient", "2", "--level", "1"],
+                 ["--kind", "s2", "--level", "1", "--orient", "6", "--nx", "5"],
+                 ["--kind", "s2", "--level", "1", "--nx", "5"],
+                 ["--kind", "so3", "--level", "1", "--orient", "2", "--ny", "5"],
+                 ["--kind", "s2", "--level", "9"],
+                 ["--kind", "s2", "--level", "4294967295"]):
+        assert main(["build-graph", *argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_build_graph_rejects_infinite_metric(tmp_path, capsys):
     """An infinite epsilon, xi or alpha would zero a weight term, and an
     epsilon or xi whose weight epsilon^-2 or xi^2 overflows would make one

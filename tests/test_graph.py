@@ -23,6 +23,7 @@ from liegraph.graph import (
     _keep_probabilities,
     alpha_from_xi,
     build_graph,
+    check_metric,
     default_knn,
     fixed_lambda_max,
     knn_pairs_bruteforce,
@@ -34,7 +35,7 @@ from liegraph.graph import (
     sample_vertices,
     xi_from_alpha,
 )
-from liegraph.groups import GroupKind, Metric, se2_matrices, so3_matrices
+from liegraph.groups import GroupKind, Metric
 from liegraph.network import build_demo
 from liegraph.sampling import GridKind, GridSpec, VertexSet, build_vertices, grid_se2
 
@@ -102,6 +103,15 @@ def test_one_metric_check(r2_16x16, s2_level2):
             make_metric(se2, epsilon=EPS_ANISO, xi=xi)
         with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
             build_graph(grid_se2(8, 8, 4), Metric(EPS_ANISO, xi), 4)
+
+
+def test_check_metric_numpy_xi_overflow():
+    """alpha_from_xi computes in Python floats, so a numpy float64 xi whose
+    alpha overflows gets the ValueError, not an overflow RuntimeWarning
+    (an error under the suite's filterwarnings)."""
+    spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
+    with pytest.raises(ValueError, match="gives alpha inf, which is not finite"):
+        check_metric(spec, Metric(0.5, np.float64(1e154)))
 
 
 def test_default_knn():
@@ -241,10 +251,10 @@ def test_knn_tree_near_duplicates(monkeypatch):
     set_blocks(monkeypatch, SMALL_BLOCK)
     verts = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
     rng = np.random.Generator(np.random.Philox(70))
-    tilt = np.stack([np.zeros(20), rng.choice([0.0, 1e-12, 1e-8, 3e-8], 20),
-                     rng.uniform(-np.pi, np.pi, 20)], axis=1)
-    mats = np.concatenate([verts.matrices, verts.matrices[:20] @ so3_matrices(tilt)])
-    near = VertexSet(verts.spec, np.zeros((mats.shape[0], 3)), mats)
+    # colatitude offsets: each copy sits that many radians from its original
+    shift = np.stack([np.zeros(20), rng.choice([0.0, 1e-12, 1e-8, 3e-8], 20), np.zeros(20)],
+                     axis=1)
+    near = VertexSet(verts.spec, np.concatenate([verts.params, verts.params[:20] + shift]))
     for k in (1, 3, 8):
         assert_knn_exact(build_graph(near, Metric(), k))
 
@@ -267,7 +277,7 @@ def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
     spec = GridSpec(GridKind.SE2_GRID, nx=16, ny=16, n_orient=2)
     grid = build_vertices(spec)
     order = np.random.Generator(np.random.Philox(5)).permutation(len(grid))
-    verts = VertexSet(spec, grid.params[order], grid.matrices[order])
+    verts = VertexSet(spec, grid.params[order])
     assert graph_module._product_layout(verts) is None
     g = build_graph(verts, make_metric(spec, alpha=1.0)[0], 4)
     assert len(counted) == 1 and 0 < counted[0] < g.n_vertices // 10
@@ -339,7 +349,7 @@ def product_sets(draw):
         if kept.size < 2:
             kept = np.arange(2)
         params = params[kept]
-    verts = VertexSet(spec, params, se2_matrices(params), kept)
+    verts = VertexSet(spec, params, kept=kept)
     metric, _ = make_metric(spec, epsilon=float(np.sqrt(draw(st.sampled_from([0.01, 0.1, 1.0])))),
                             alpha=draw(st.sampled_from([0.1, 1.0, 100.0])))
     return verts, metric, draw(st.integers(1, 24))
@@ -369,7 +379,7 @@ def test_knn_product_layout_gate(monkeypatch):
     grid = build_vertices(spec)
     params = grid.params.copy()
     params[100, 2] += 1e-12
-    verts = VertexSet(spec, params, se2_matrices(params))
+    verts = VertexSet(spec, params)
     metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=1.0)
     g = build_graph(grid, metric, 16)
     assert_knn_exact(g)
@@ -439,12 +449,11 @@ def vertex_sets(draw):
     knn = draw(st.integers(1, 24))
     if kind == "se2":
         spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=4)
-        verts = VertexSet(spec, params, se2_matrices(params))
     else:
         spec = (GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=4) if kind == "so3"
                 else GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
         params[:, 1] = np.clip(params[:, 1], 0.0, np.pi)
-        verts = VertexSet(spec, params, so3_matrices(params))
+    verts = VertexSet(spec, params)
     if kind == "s2":
         return verts, Metric(), knn
     metric, _ = make_metric(spec, epsilon=draw(st.sampled_from([np.sqrt(0.1), 1.0])),

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from liegraph import io
+from liegraph.cli import main
 from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
                             sample_vertices)
 from liegraph.groups import Metric
 from liegraph.network import Model, Pool, Unpool, build_demo, r2_pool_plan, s2_pool_plan
-from liegraph.sampling import GridKind, GridSpec
+from liegraph.sampling import GridKind, GridSpec, VertexSet
 
 from conftest import EPS_ANISO, built
 
@@ -69,6 +70,30 @@ def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8
             io.write_graph(path, dataclasses.replace(se2_8x8x4, metric=Metric(EPS_ANISO, xi)), lap)
     with pytest.raises(ValueError, match="knn 0"):
         io.write_graph(path, dataclasses.replace(se2_8x8x4, knn=0), lap)
+    assert not path.exists()
+
+
+def test_write_graph_refuses_params_not_of_the_sampling(tmp_path, se2_8x8x4, se2_8x8x4_lap):
+    """A file stores the sampling and the kept ids, not the coordinates, so
+    params that build_vertices(spec, kept) would not give back are refused:
+    one theta nudged by 1e-12, a shuffled grid, and kept ids of another
+    sample; kept ids out of order are refused as such."""
+    path, g, verts = tmp_path / "x.clgr", se2_8x8x4, se2_8x8x4.vertices
+    nudged = verts.params.copy()
+    nudged[5, 2] += 1e-12
+    order = np.random.Generator(np.random.Philox(8)).permutation(len(verts))
+    sub = sample_vertices(g, 0.5, seed=3)
+    other_ids = sample_vertices(g, 0.5, seed=4).vertices.kept
+    assert not np.array_equal(other_ids, sub.vertices.kept)
+    for bad in (dataclasses.replace(g, vertices=VertexSet(verts.spec, nudged)),
+                dataclasses.replace(g, vertices=VertexSet(verts.spec, verts.params[order])),
+                dataclasses.replace(sub, vertices=dataclasses.replace(sub.vertices,
+                                                                      kept=other_ids))):
+        with pytest.raises(ValueError, match=r"params are not build_vertices\(spec, kept\)"):
+            io.write_graph(path, bad, se2_8x8x4_lap)
+    unsorted = dataclasses.replace(sub.vertices, kept=sub.vertices.kept[::-1])
+    with pytest.raises(ValueError, match="kept ids are not strictly ascending"):
+        io.write_graph(path, dataclasses.replace(sub, vertices=unsorted), se2_8x8x4_lap)
     assert not path.exists()
 
 
@@ -363,6 +388,16 @@ def test_version_2_rejected(tmp_path, graph_file):
     assert exc.value.offset == 4
 
 
+def test_version_3_rejected(tmp_path, graph_file):
+    """CLGR 3 stored the vertex count and every vertex's coordinates; such
+    files are refused at the version field, not misread."""
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, 4, (3).to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="unsupported version 3") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 4
+
+
 def test_truncated_before_lambda_max(tmp_path, graph_file):
     """lambda_max is required: a file that ends right after the distances
     is truncated at the lambda_max offset."""
@@ -386,20 +421,34 @@ def test_non_monotone_indptr(tmp_path, graph_file):
     assert exc.value.offset == indptr_pos
 
 
+# CLGR 4 header fields the tests patch: offset and size in bytes.  The kept
+# count is present only when the kept flag is set.
+HEADER_FIELDS = {"kind": (8, 1), "nx": (9, 4), "ny": (13, 4), "level": (17, 4),
+                 "n_orient": (21, 4), "epsilon": (25, 8), "xi": (33, 8), "knn": (41, 4),
+                 "bandwidth": (45, 8), "kept_flag": (53, 1), "kept_count": (54, 8)}
+
+
 def graph_layout(data: bytes) -> dict:
-    """Byte offsets of the fields of a CLGR 3 file, the one table the tests
-    patch by: the fixed 61-byte header (kind 8, the four sampling u32s from
-    9, epsilon 25, xi 33, knn 41, bandwidth 45, n 53), then the params, the
-    kept-id map, the CSR arrays (nnz is indptr[-1]) and lambda_max."""
-    n = int.from_bytes(data[53:61], "little")
-    kept_flag = 61 + 24 * n
-    kept = kept_flag + 1 if data[kept_flag] == 1 else None
-    indptr = kept_flag + 1 + (8 * n if kept is not None else 0)
+    """Byte offsets of the fields of a CLGR 4 file, the one table the tests
+    patch by: HEADER_FIELDS, then the kept ids if the kept flag is set, the
+    CSR arrays (nnz is indptr[-1]) and lambda_max.  The vertex count n is
+    the kept count, or else the size of the sampling the header describes."""
+    def uint(field):
+        at, size = HEADER_FIELDS[field]
+        return int.from_bytes(data[at:at + size], "little")
+
+    lay = {field: at for field, (at, _) in HEADER_FIELDS.items()}
+    if uint("kept_flag") == 1:
+        n, lay["kept"] = uint("kept_count"), 62
+        indptr = 62 + 8 * n
+    else:
+        spec = GridSpec(io.KIND_FROM_CODE[uint("kind")], nx=uint("nx"), ny=uint("ny"),
+                        level=uint("level"), n_orient=uint("n_orient"))
+        n, lay["kept"], lay["kept_count"], indptr = spec.n_vertices, None, None, 54
     indices = indptr + 8 * (n + 1)
     nnz = int.from_bytes(data[indices - 8:indices], "little")
-    return {"kind": 8, "epsilon": 25, "xi": 33, "knn": 41, "bandwidth": 45, "n": n,
-            "nnz": nnz, "kept_flag": kept_flag, "kept": kept, "indptr": indptr,
-            "indices": indices, "distances": indices + 8 * nnz, "lambda_max": indices + 16 * nnz}
+    return {**lay, "n": n, "nnz": nnz, "indptr": indptr, "indices": indices,
+            "distances": indices + 8 * nnz, "lambda_max": indices + 16 * nnz}
 
 
 def model_layout(data: bytes) -> list[dict]:
@@ -579,6 +628,54 @@ def test_bad_flag(tmp_path, graph_file, field):
 
 
 @pytest.fixture(scope="module")
+def s2_file(tmp_path_factory):
+    g = built(GridKind.S2_ICOSAHEDRAL, level=1)
+    path = tmp_path_factory.mktemp("io") / "s2.clgr"
+    io.write_graph(path, g, power_lambda_max(laplacian(g)))
+    return read_bytes(path)
+
+
+# The file each header field is patched in: one where neither 0 nor the
+# field's maximum is the stored value, and where the field exists.
+FIELD_BASES = {"kind": "s2", "nx": "se2", "ny": "se2", "level": "s2", "n_orient": "se2",
+               "knn": "se2", "kept_flag": "sampled", "kept_count": "sampled"}
+
+
+@pytest.mark.parametrize("extreme", ["zero", "max"])
+@pytest.mark.parametrize("field", list(FIELD_BASES))
+def test_header_field_extremes(tmp_path, graph_file, s2_file, sampled_file, capsys, field,
+                               extreme):
+    """Every integer header field at 0 and at its type's maximum ends in a
+    FormatError, no other exception, and info exits 2 with one error line."""
+    data = {"se2": graph_file[1], "s2": s2_file, "sampled": sampled_file[1]}[FIELD_BASES[field]]
+    at, size = HEADER_FIELDS[field]
+    raw = (0 if extreme == "zero" else 2 ** (8 * size) - 1).to_bytes(size, "little")
+    assert data[at:at + size] != raw
+    path = write_tmp(tmp_path, put(data, at, raw))
+    with pytest.raises(io.FormatError):
+        io.read_graph(path)
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("base,field,value", [("se2", "level", 5), ("s2", "nx", 7),
+                                              ("s2", "ny", 7), ("s2", "level", 2 ** 20),
+                                              ("s2", "level", 9)])
+def test_sampling_fields_the_kind_does_not_use(tmp_path, graph_file, s2_file, capsys, base,
+                                               field, value):
+    """A level on an se2 grid, nx or ny on a sphere, and a level above
+    MAX_LEVEL are refused at the kind's offset, 8, before the vertex count
+    10 * 4^level + 2 is evaluated; info exits 2."""
+    data = graph_file[1] if base == "se2" else s2_file
+    path = write_tmp(tmp_path, put(data, HEADER_FIELDS[field][0], value.to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="inconsistent sampling fields") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 8
+    assert main(["info", str(path)]) == 2
+
+
+@pytest.fixture(scope="module")
 def sampled_file(tmp_path_factory):
     g = sample_vertices(built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, knn=6), 0.5, seed=3)
     path = tmp_path_factory.mktemp("io") / "s.clgr"
@@ -613,12 +710,13 @@ def test_bad_kept_ids(tmp_path, sampled_file):
     with pytest.raises(io.FormatError, match="ascending ids of the sampling") as exc:
         io.read_graph(path)
     assert exc.value.offset == at
-    # a vertex-sampled file without the map
+    # a vertex-sampled file without the map is read as the full sampling, whose
+    # 33 row pointers run into the column indices
     stripped = (data[:lay["kept_flag"]] + b"\x00"
                 + data[lay["kept"] + 8 * lay["n"]:])
-    with pytest.raises(io.FormatError, match="no kept-id map") as exc:
+    with pytest.raises(io.FormatError, match="row pointers are not monotone") as exc:
         io.read_graph(write_tmp(tmp_path, stripped))
-    assert exc.value.offset == lay["kept_flag"]
+    assert exc.value.offset == graph_layout(stripped)["indptr"] == lay["kept_flag"] + 1
 
 
 def test_bad_lambda_max(tmp_path, graph_file):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from liegraph.groups import GroupKind
+from liegraph.groups import GroupKind, se2_matrices, so3_matrices
 from liegraph.sampling import (
+    MAX_LEVEL,
     GridKind,
     GridSpec,
+    VertexSet,
     build_vertices,
     grid_se2,
     icosphere,
@@ -31,6 +33,25 @@ def test_spec_validation():
         GridSpec(GridKind.R2_GRID, nx=4, ny=4, n_orient=2)
     with pytest.raises(ValueError):
         GridSpec(GridKind.S2_ICOSAHEDRAL, level=1, n_orient=3)
+
+
+def test_spec_refuses_unused_fields_and_deep_levels():
+    """Grids have no level and spheres no nx or ny; levels above MAX_LEVEL
+    are refused before 4 ** level is evaluated, and so is a sampling with
+    more vertices than int64 ids number."""
+    for kind in (GridKind.SE2_GRID, GridKind.R2_GRID):
+        with pytest.raises(ValueError, match="grids have no level"):
+            GridSpec(kind, nx=4, ny=4, level=3)
+    for fields in ({"nx": 5}, {"ny": 5}, {"nx": 5, "ny": 5}):
+        for kind in (GridKind.SO3_ICOSAHEDRAL, GridKind.S2_ICOSAHEDRAL):
+            with pytest.raises(ValueError, match="have no nx or ny"):
+                GridSpec(kind, level=1, **fields)
+    assert GridSpec(GridKind.S2_ICOSAHEDRAL, level=MAX_LEVEL).n_vertices == 10 * 4 ** 8 + 2
+    for level in (MAX_LEVEL + 1, 2 ** 20, 2 ** 32 - 1):
+        with pytest.raises(ValueError, match=f"level {level} outside"):
+            GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=2)
+    with pytest.raises(ValueError, match="int64"):
+        GridSpec(GridKind.SE2_GRID, nx=2 ** 32 - 1, ny=2 ** 32 - 1, n_orient=2)
 
 
 def test_spec_counts_and_kind():
@@ -193,3 +214,31 @@ def test_build_vertices_dispatch():
     a = build_vertices(GridSpec(GridKind.SE2_GRID, nx=3, ny=3, n_orient=2))
     b = grid_se2(3, 3, 2)
     np.testing.assert_array_equal(a.params, b.params)
+
+
+def test_vertex_set_derives_matrices():
+    """A VertexSet stores spec, params and kept only; its matrices are those
+    of its params, and kept is keyword-only, so a three-argument call that
+    passes matrices fails."""
+    for v in (grid_se2(4, 2, 2), build_vertices(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1,
+                                                         n_orient=3))):
+        assert sorted(vars(v)) == ["kept", "params", "spec"]
+        to_matrices = se2_matrices if v.spec.group_kind is GroupKind.SE2 else so3_matrices
+        assert v.matrices.tobytes() == to_matrices(v.params).tobytes()
+        with pytest.raises(TypeError):
+            VertexSet(v.spec, v.params, v.matrices)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(GridKind.SE2_GRID, nx=5, ny=3, n_orient=4),
+                                  GridSpec(GridKind.R2_GRID, nx=4, ny=6),
+                                  GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=3),
+                                  GridSpec(GridKind.S2_ICOSAHEDRAL, level=2)],
+                         ids=["se2", "r2", "so3", "s2"])
+def test_build_vertices_at_kept_ids(spec):
+    """The vertices at kept ids are the full sampling's rows, bit for bit."""
+    full = build_vertices(spec)
+    rng = np.random.Generator(np.random.Philox(11))
+    kept = np.sort(rng.choice(len(full), size=len(full) // 3, replace=False))
+    sub = build_vertices(spec, kept)
+    assert sub.params.tobytes() == full.params[kept].tobytes()
+    assert sub.kept is kept and full.kept is None
