@@ -16,10 +16,10 @@ exceed the anisotropic ones.  The search uses every CPU in the process's
 affinity mask: tree queries run with that many workers, and scoring blocks,
 sized from CANDIDATE_BLOCK to stay in cache, go through a thread pool whose
 order-preserving map keeps the graph byte-identical for any worker count.
-Every undirected edge's distance is computed once in (low id, high id)
-orientation and mirrored; weights and Laplacian entries are elementwise
-functions of the mirrored distances, so adjacency and Laplacian are
-symmetric at the bit level.
+A graph is its undirected edges, pairs i < j each with one distance;
+ManifoldGraph mirrors them by a transpose, and weights and Laplacian
+entries are elementwise functions of the mirrored distances, so adjacency
+and Laplacian are symmetric at the bit level.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,8 +105,8 @@ def make_metric(spec: GridSpec, epsilon: float = 1.0, alpha: float | None = None
     return metric, alpha_from_xi(xi, spec)
 
 
-# Per-vertex kernel operands, the squared-distance kernel on them, its weights.
-_Kernel = namedtuple("_Kernel", "data fn w")
+# Per-vertex kernel operands, the squared-distance kernel, its weights, the tree embedding.
+_Kernel = namedtuple("_Kernel", "data fn w points")
 
 
 def _kernel(vertices: VertexSet, metric: Metric) -> _Kernel:
@@ -114,26 +114,37 @@ def _kernel(vertices: VertexSet, metric: Metric) -> _Kernel:
     unit quaternions here, once, so scoring gathers 4 floats per candidate."""
     w = metric.weights(vertices.spec.group_kind)
     if vertices.spec.group_kind is GroupKind.SE2:
-        return _Kernel(vertices.params, se2_pair_sq, w)
+        return _Kernel(vertices.params, se2_pair_sq, w, se2_bound_points(vertices.params, w))
+    mats = vertices.matrices
     if vertices.spec.kind is GridKind.S2_ICOSAHEDRAL:
-        return _Kernel(vertices.matrices, sphere_pair_sq, w)
-    return _Kernel(so3_quaternions(vertices.matrices), so3_quat_pair_sq, w)
+        return _Kernel(mats, sphere_pair_sq, w, sphere_bound_points(mats, w))
+    return _Kernel(so3_quaternions(mats), so3_quat_pair_sq, w, sphere_bound_points(mats, w))
 
 
 @dataclass
 class ManifoldGraph:
-    """Weighted K-NN graph over a VertexSet, CSR adjacency with cached
-    per-edge distances laid out identically to the weights."""
+    """Weighted K-NN graph over a VertexSet, given by its undirected edges
+    (edge_i < edge_j, sorted by (i, j)) and their distances.  The CSR
+    adjacency (indptr, indices) of both orientations, its distances and
+    weights edge_weights(distances, bandwidth) are derived once, not passed."""
 
     vertices: VertexSet
     metric: Metric
     knn: int
     bandwidth: float
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-    distances: np.ndarray
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    edge_distances: np.ndarray
     notes: tuple[str, ...] = ()
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    distances: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.indptr, self.indices, self.distances, self.weights = _mirror(
+            len(self.vertices), self.edge_i, self.edge_j, self.edge_distances,
+            edge_weights(self.edge_distances, self.bandwidth))
 
     @property
     def alpha(self) -> float:
@@ -146,21 +157,36 @@ class ManifoldGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.indices.size // 2
+        return self.edge_i.size
 
     def adjacency(self) -> sp.csr_matrix:
         n = self.n_vertices
         return sp.csr_matrix((self.weights, self.indices, self.indptr), shape=(n, n))
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Undirected edges (i < j) with their weights and distances."""
-        rows = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
-        upper = rows < self.indices
-        return rows[upper], self.indices[upper], self.weights[upper], self.distances[upper]
+        """The undirected edges (i < j) with their weights and distances."""
+        return (self.edge_i, self.edge_j, edge_weights(self.edge_distances, self.bandwidth),
+                self.edge_distances)
 
     def degrees(self) -> np.ndarray:
         rows = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
         return np.bincount(rows, weights=self.weights, minlength=self.n_vertices)
+
+
+def _mirror(n: int, i: np.ndarray, j: np.ndarray, *values: np.ndarray):
+    """CSR (indptr, indices, *values) of pairs i < j sorted by (i, j), in both
+    orientations sharing the same floats: row r lists its lower entries,
+    then its upper ones.  The lower triangle is the upper one's transpose, a
+    CSR-to-CSC counting sort, O(n + nnz) (Gustavson, ACM TOMS 4(3), 1978)."""
+    upper_ptr = np.searchsorted(i, np.arange(n + 1))
+    by_col = sp.csr_matrix((np.arange(i.size), j, upper_ptr), shape=(n, n)).tocsc()
+    upper = np.repeat(np.tile([False, True], n),
+                      np.stack([np.diff(by_col.indptr), np.diff(upper_ptr)], axis=1).ravel())
+    out = [upper_ptr + by_col.indptr]
+    for up, low in ((j, by_col.indices), *((v, v[by_col.data]) for v in values)):
+        out.append(np.empty(2 * i.size, dtype=up.dtype))
+        out[-1][upper], out[-1][~upper] = up, low
+    return out
 
 
 def _row_sq(kern: _Kernel, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -348,13 +374,12 @@ def _product_knn_pairs(layout, kern: _Kernel, k: int, pool, workers: int):
     return _unique_pairs(m * n_slices, list(picks))
 
 
-def _tree_knn_pairs(vertices: VertexSet, kern: _Kernel, k: int, pool, workers: int):
+def _tree_knn_pairs(kern: _Kernel, k: int, pool, workers: int):
     """knn_pairs on any vertex set, through its kernel's lower-bound embedding."""
     from scipy.spatial import cKDTree  # deferred, as in _product_knn_pairs
 
-    n = len(vertices)
-    f = (se2_bound_points(vertices.params, kern.w) if vertices.spec.group_kind is GroupKind.SE2
-         else sphere_bound_points(vertices.matrices, kern.w))
+    f = kern.points
+    n = len(f)
     tree = cKDTree(f)
     dnear, near = tree.query(f, k=min(2 * (k + 1), n), workers=workers)
     step = max(CANDIDATE_BLOCK // near.shape[1], 1)
@@ -486,7 +511,7 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     with ThreadPoolExecutor(workers) as pool:
         if layout is not None and BALL_REL * max(kern.w[:2]) <= min(kern.w[:2]):
             return _product_knn_pairs(layout, kern, k, pool, workers)
-        return _tree_knn_pairs(vertices, kern, k, pool, workers)
+        return _tree_knn_pairs(kern, k, pool, workers)
 
 
 def edge_weights(distances: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -524,30 +549,10 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
         raise ValueError(f"alpha {alpha!r} contradicts xi, which gives alpha {derived!r}")
 
     kern = _kernel(vertices, metric)
-    if k == 0:
-        i = j = np.zeros(0, dtype=np.int64)
-    else:
-        i, j = knn_pairs(vertices, kern, k)
+    i, j = knn_pairs(vertices, kern, k) if k else (np.zeros(0, dtype=np.int64),) * 2
     dist = np.sqrt(kern.fn(kern.data[i], kern.data[j], kern.w)) if i.size else np.zeros(0)
     t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2)) if dist.size else 0.0
-    indptr, indices, dist = _mirrored_csr(n, i, j, dist)
-    return ManifoldGraph(vertices, metric, k, t, indptr, indices, edge_weights(dist, t), dist,
-                         tuple(notes))
-
-
-def _mirrored_csr(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray):
-    """CSR structure holding each undirected pair in both orientations; the
-    mirrored copies share the exact same floats."""
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    vals = np.concatenate([values, values])
-    # (row, col) order: the packed key's stable sort is lexsort's permutation.
-    order = np.argsort(rows * n + cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, cols.astype(np.int64), vals
+    return ManifoldGraph(vertices, metric, k, t, i, j, dist, tuple(notes))
 
 
 def slice_neighbor_fractions(graph: ManifoldGraph) -> tuple[float, float]:
@@ -699,9 +704,8 @@ def sample_edges(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph
     keep = rng.random(i.size) < p
     note = (f"edge sampling kappa={kappa} kept {int(keep.sum())} of {i.size} "
             f"(expected {p.sum():.1f}, c={c:.6g})",)
-    indptr, indices, dist = _mirrored_csr(graph.n_vertices, i[keep], j[keep], dist[keep])
-    return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth, indptr,
-                         indices, edge_weights(dist, graph.bandwidth), dist, graph.notes + note)
+    return ManifoldGraph(graph.vertices, graph.metric, graph.knn, graph.bandwidth, i[keep],
+                         j[keep], dist[keep], graph.notes + note)
 
 
 def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGraph:
@@ -721,13 +725,13 @@ def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGr
     new_id = np.full(n, -1, dtype=np.int64)
     new_id[kept] = np.arange(n_keep)
 
-    i, j, _, dist = graph.edge_pairs()
+    # The relabelling is monotone, so surviving pairs stay sorted.
+    i, j, dist = graph.edge_i, graph.edge_j, graph.edge_distances
     alive = (new_id[i] >= 0) & (new_id[j] >= 0)
-    indptr, indices, dist = _mirrored_csr(n_keep, new_id[i[alive]], new_id[j[alive]], dist[alive])
 
     verts = graph.vertices
     sub = VertexSet(verts.spec, verts.params[kept],
                     kept=kept if verts.kept is None else verts.kept[kept])
     note = (f"vertex sampling kappa={kappa} kept {n_keep} of {n} vertices",)
-    return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, indptr, indices,
-                         edge_weights(dist, graph.bandwidth), dist, graph.notes + note)
+    return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, new_id[i[alive]],
+                         new_id[j[alive]], dist[alive], graph.notes + note)

@@ -1,13 +1,14 @@
 """Binary containers (CLGR graphs, CLSG signals, CLMD models) and CSV export.
 
 All integers and floats are little-endian; arrays are C-order.  Each
-container opens with a 4-byte magic and its own u32 version (CLGR 4, CLSG
+container opens with a 4-byte magic and its own u32 version (CLGR 5, CLSG
 1 and CLMD 2); other versions are rejected.  Readers validate as they go and
 raise FormatError carrying the byte offset of the first bad field, which
 the CLI maps to exit code 2.  Files hold primary data only: readers rebuild
-edge weights, Laplacians, pool plans and vertex coordinates from what is
-stored, and derive alpha and the edge and vertex counts.  A CLGR file has
-one fixed layout (see write_graph), ending in the lambda_max of its Laplacian.
+the mirrored adjacency, edge weights, Laplacians, pool plans and vertex
+coordinates from what is stored, and derive alpha and the edge and vertex
+counts.  A CLGR file has one fixed layout (see write_graph): each edge once,
+in the upper triangle, and last the lambda_max of its Laplacian.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, edge_weights,
-                    laplacian)
+from .graph import ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, laplacian
 from .groups import Metric
 from .sampling import GridKind, GridSpec, build_vertices
 from . import network
@@ -26,7 +26,7 @@ from . import network
 GRAPH_MAGIC = b"CLGR"
 SIGNAL_MAGIC = b"CLSG"
 MODEL_MAGIC = b"CLMD"
-GRAPH_VERSION = 4
+GRAPH_VERSION = 5
 SIGNAL_VERSION = 1
 MODEL_VERSION = 2
 
@@ -105,13 +105,14 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
 
     Layout after magic and version: kind u8; nx, ny, level, n_orient u32;
     epsilon, xi f64 (offsets 25, 33); knn u32 (offset 41); bandwidth f64
-    (offset 45); kept flag u8 (offset 53), then if set the kept count n u64
-    and n u64 original ids, else n is spec.n_vertices; indptr (n + 1) u64;
-    indices u64 and distances f64, indptr[-1] of each; lambda_max f64, the
-    last 8 bytes.  read_graph rebuilds vertices (build_vertices of spec and
-    kept), weights and Laplacian; ValueError if they would differ from the
-    graph's and lap's, or if the metric, knn or kept ids would not read back
-    (check_metric, _knn_error, _bad_kept).
+    (offset 45); kept flag u8 (offset 53), then if set the kept count n >= 1
+    u64 and n u64 original ids, else n is spec.n_vertices; the upper
+    triangle: row pointers (n + 1) u64, column ids u64 and distances f64,
+    indptr[-1] (the edge count) of each; lambda_max f64, the last 8 bytes.
+    read_graph rebuilds vertices (build_vertices of spec and kept), the
+    mirrored adjacency, weights and Laplacian; ValueError if the metric,
+    knn or kept ids would not read back (check_metric, _knn_error,
+    _bad_kept), or the params or Laplacian would differ from the graph's.
     """
     if lap.rescaled or lap.lambda_max is None:
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
@@ -119,12 +120,12 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
     check_metric(spec, graph.metric)
     if (bad := _knn_error(spec, graph.knn)) is not None:
         raise ValueError(bad)
+    if verts.kept is not None and not verts.kept.size:
+        raise ValueError("the kept-id map is empty")
     if verts.kept is not None and _bad_kept(spec, verts.kept).any():
         raise ValueError("kept ids are not strictly ascending ids of the sampling")
     if not _bit_equal(verts.params, build_vertices(spec, verts.kept).params):
         raise ValueError("vertex params are not build_vertices(spec, kept)'s, which files store")
-    if not _bit_equal(graph.weights, edge_weights(graph.distances, graph.bandwidth)):
-        raise ValueError("weights are not edge_weights(distances, bandwidth)")
     if not _bit_equal(lap.matrix, laplacian(graph).matrix):
         raise ValueError("the Laplacian is not laplacian(graph)")
     parts = [GRAPH_MAGIC, _u32(GRAPH_VERSION), struct.pack("<B", KIND_CODES[spec.kind]),
@@ -132,8 +133,8 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
              _f64(graph.metric.epsilon), _f64(graph.metric.xi), _u32(graph.knn),
              _f64(graph.bandwidth),
              b"\x00" if verts.kept is None else b"\x01" + _u64(len(verts)) + _u64s(verts.kept),
-             _u64s(graph.indptr), _u64s(graph.indices), _f64s(graph.distances),
-             _f64(lap.lambda_max)]
+             _u64s(np.searchsorted(graph.edge_i, np.arange(len(verts) + 1))),
+             _u64s(graph.edge_j), _f64s(graph.edge_distances), _f64(lap.lambda_max)]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -167,7 +168,7 @@ def _bad_kept(spec: GridSpec, kept: np.ndarray) -> np.ndarray:
 
 
 def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
-    """Read a CLGR file (layout in write_graph), rebuilding weights and Laplacian."""
+    """Read a CLGR file (layout in write_graph), rebuilding adjacency, weights and Laplacian."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "graph file")
     r.expect_magic(GRAPH_MAGIC, GRAPH_VERSION)
@@ -203,7 +204,8 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         raise FormatError(f"kept-id map flag must be 0 or 1, got {flag}", kept_pos)
     n, kept = spec.n_vertices, None
     if flag:
-        n = r.scalar("<Q")
+        if (n := r.scalar("<Q")) == 0:
+            raise FormatError("the kept-id map is empty", kept_pos + 1)
         kept = r.array("<u8", n)
         _reject(_bad_kept(spec, kept), "kept ids are not strictly ascending ids of the sampling",
                 kept_pos + 9)
@@ -215,27 +217,17 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         raise FormatError("adjacency row pointers are not monotone", indptr_pos)
     nnz = int(indptr[-1])
     idx_pos = r.pos
-    indices = r.array("<u8", nnz)
-    if nnz and indices.max() >= n:
-        raise FormatError("adjacency column index out of range", idx_pos)
-    indices = indices.astype(np.int64)
+    cols = r.array("<u8", nnz)
+    _reject(cols >= n, "adjacency column index out of range", idx_pos)
+    cols = cols.astype(np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    _reject(rows == indices, "adjacency has a self-loop", idx_pos)
-    _reject(np.concatenate([[False], (np.diff(indices) <= 0) & (np.diff(rows) == 0)]),
+    _reject(cols <= rows, "adjacency entry is not above the diagonal", idx_pos)
+    _reject(np.concatenate([[False], (np.diff(cols) <= 0) & (np.diff(rows) == 0)]),
             "adjacency row is not strictly ascending", idx_pos)
     d_pos = r.pos
     distances = r.array("<f8", nnz)
-    # With strictly ascending rows, a symmetric adjacency has the same layout
-    # by columns as by rows, and the entry permutation one CSR-to-CSC
-    # conversion carries maps the distances onto themselves.
-    by_col = sp.csr_matrix((np.arange(nnz), indices, indptr), shape=(n, n)).tocsc()
-    _reject(by_col.indptr != indptr, "adjacency is not symmetric: row and column counts differ",
-            indptr_pos)
-    _reject(by_col.indices != indices, "adjacency is not symmetric", idx_pos)
     _reject(~np.isfinite(distances) | (distances < 0.0), "edge distance is negative or not finite",
             d_pos)
-    _reject(distances[by_col.data].view(np.uint64) != distances.view(np.uint64),
-            "edge distances are not symmetric", d_pos)
     if not 0.0 <= t < np.inf or (t == 0.0 and distances.any()):
         raise FormatError(f"bandwidth {t} is < 0, not finite, or 0 with a distance > 0", t_pos)
     lam_pos, lam = r.pos, r.scalar("<d")
@@ -245,8 +237,7 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
 
     # Built last: n is now backed by the file's arrays, the icosphere by MAX_LEVEL.
-    graph = ManifoldGraph(build_vertices(spec, kept), metric, knn, t, indptr, indices,
-                          edge_weights(distances, t), distances)
+    graph = ManifoldGraph(build_vertices(spec, kept), metric, knn, t, rows, cols, distances)
     return graph, Laplacian(laplacian(graph).matrix, lam)
 
 

@@ -11,6 +11,7 @@ single-slice degenerate cases sit at theta = -pi/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -134,8 +135,10 @@ _ICO_FACES = [
 ]
 
 
+@functools.lru_cache(maxsize=MAX_LEVEL + 1)
 def icosphere(level: int):
-    """Subdivided icosahedron on the unit sphere.
+    """Subdivided icosahedron on the unit sphere, built once per level: the
+    arrays are cached read-only and shared by every caller.
 
     Returns (points, parents): points is (10*4^level + 2, 3) with every
     coarser level as an id prefix; parents[i] is the parent cluster at the
@@ -169,6 +172,8 @@ def icosphere(level: int):
         parents = np.concatenate([np.arange(n_prev), lo[edge]])
         ab, bc, ca = (n_prev + rank[inverse]).reshape(-1, 3).T
         faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], 1).reshape(-1, 3)
+    for arr in (points, parents)[:1 if parents is None else 2]:
+        arr.flags.writeable = False
     return points, parents
 
 
@@ -184,7 +189,7 @@ def build_vertices(spec: GridSpec, kept: np.ndarray | None = None) -> VertexSet:
     """spec's sampling, or its vertices at `kept` (strictly ascending ids):
     (ix / nx, iy / ny, theta_k) on grids, (alpha_k, beta, gamma) of the
     icosphere points on spheres.  The work grows with the vertices returned
-    (plus the icosphere); read_graph and write_graph rebuild params here."""
+    (plus the icosphere, once per level); files' params are rebuilt here."""
     ids = np.arange(spec.n_vertices) if kept is None else np.asarray(kept)
     k, p = np.divmod(ids, spec.n_spatial)
     theta = orientation_angles(spec.n_orient, k)

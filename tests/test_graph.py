@@ -20,11 +20,13 @@ from liegraph import graph as graph_module
 from liegraph import io
 from liegraph.graph import (
     Laplacian,
+    ManifoldGraph,
     _keep_probabilities,
     alpha_from_xi,
     build_graph,
     check_metric,
     default_knn,
+    edge_weights,
     fixed_lambda_max,
     knn_pairs_bruteforce,
     laplacian,
@@ -184,8 +186,8 @@ def assert_knn_exact(g):
     bi, bj = knn_pairs_bruteforce(g.vertices, g.metric, g.knn)
     np.testing.assert_array_equal(i, bi)
     np.testing.assert_array_equal(j, bj)
-    data, fn, w = graph_module._kernel(g.vertices, g.metric)
-    np.testing.assert_array_equal(d, np.sqrt(fn(data[bi], data[bj], w)))
+    kern = graph_module._kernel(g.vertices, g.metric)
+    np.testing.assert_array_equal(d, np.sqrt(kern.fn(kern.data[bi], kern.data[bj], kern.w)))
 
 
 LIBRARY_KERNEL = graph_module._kernel
@@ -509,28 +511,81 @@ def test_knn_same_graph_for_any_worker_count(whole_set_pairs, se2_16x16x6, s2_le
     assert [workers_of[id(pool)] for _, pool in runs] == [1, 3]
 
 
-@pytest.mark.parametrize("size", [0, 1, 500])
-def test_pair_assembly_matches_unique_and_lexsort(size):
-    """_unique_pairs equals np.unique over the packed pairs, and
-    _mirrored_csr orders entries as lexsort by (row, col) does, on inputs
-    with repeated pairs, both orientations of a pair, and empty input."""
-    rng = np.random.Generator(np.random.Philox(size))
-    n = 40
-    i, j = rng.integers(0, n, (2, size))
-    picks = [(i[:size // 2], j[:size // 2]), (j[size // 2:], i[size // 2:]), (i[:7], j[:7])]
-    lo_id, hi_id = graph_module._unique_pairs(n, picks)
-    packed = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-    np.testing.assert_array_equal(lo_id, packed // n)
-    np.testing.assert_array_equal(hi_id, packed % n)
-    assert lo_id.dtype == hi_id.dtype == np.int64
-
-    values = rng.standard_normal(size)
-    indptr, indices, vals = graph_module._mirrored_csr(n, i, j, values)
+def lexsort_csr(n, i, j, *values):
+    """The mirrored CSR of pairs (i, j) by a lexsort of both orientations on
+    (row, col): the oracle of ManifoldGraph's mirror."""
     rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
     order = np.lexsort((cols, rows))
-    np.testing.assert_array_equal(indptr, np.searchsorted(rows[order], np.arange(n + 1)))
-    np.testing.assert_array_equal(indices, cols[order])
-    np.testing.assert_array_equal(vals, np.concatenate([values, values])[order])
+    return (np.searchsorted(rows[order], np.arange(n + 1)), cols[order],
+            *(np.concatenate([v, v])[order] for v in values))
+
+
+def assert_bits_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 500])
+def test_pair_assembly_matches_unique_and_lexsort(size):
+    """_unique_pairs equals np.unique over the packed pairs, on inputs with
+    repeated pairs, both orientations of a pair, and empty input.  _mirror
+    of those sorted unique pairs (self pairs dropped) gives lexsort_csr's
+    arrays bit for bit: on one vertex, with no edges, and with isolated
+    vertices inside and at the end of the id range (n = 90, even ids only)."""
+    rng = np.random.Generator(np.random.Philox(size))
+    for n, spread in ((1, 1), (40, 1), (90, 2)):
+        i, j = spread * rng.integers(0, min(n, 40), (2, size))
+        picks = [(i[:size // 2], j[:size // 2]), (j[size // 2:], i[size // 2:]), (i[:7], j[:7])]
+        lo_id, hi_id = graph_module._unique_pairs(n, picks)
+        packed = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+        np.testing.assert_array_equal(lo_id, packed // n)
+        np.testing.assert_array_equal(hi_id, packed % n)
+        assert lo_id.dtype == hi_id.dtype == np.int64
+
+        upper = lo_id < hi_id
+        lo_id, hi_id = lo_id[upper], hi_id[upper]
+        values = rng.standard_normal(lo_id.size)
+        assert_bits_equal(graph_module._mirror(n, lo_id, hi_id, values, -values),
+                          lexsort_csr(n, lo_id, hi_id, values, -values))
+
+
+def test_every_construction_mirrors_as_lexsort(tmp_path, se2_8x8x4, se2_16x16x6,
+                                               so3_level2x6):
+    """Whatever made a graph, its CSR arrays are lexsort_csr of its own pairs,
+    bit for bit, with weights edge_weights of the distances; edge_pairs()
+    gives the same weights as the CSR's upper entries."""
+    assert se2_8x8x4.n_vertices ** 2 <= graph_module.WHOLE_SET_PAIRS
+    assert graph_module._product_layout(se2_16x16x6.vertices) is not None
+    assert graph_module._product_layout(so3_level2x6.vertices) is None
+    edges = sample_edges(se2_16x16x6, 0.5, seed=2)
+    verts = sample_vertices(se2_16x16x6, 0.5, seed=3)
+    path = tmp_path / "g.clgr"
+    io.write_graph(path, verts, power_lambda_max(laplacian(verts)))
+    back, _ = io.read_graph(path)
+    # product-layout, tree and whole-set build_graph, both samplers, and a read
+    for g in (se2_16x16x6, so3_level2x6, se2_8x8x4, edges, verts, back):
+        i, j, w, d = g.edge_pairs()
+        assert np.all(i < j) and np.all(np.diff(i * g.n_vertices + j) > 0)
+        assert_bits_equal((g.indptr, g.indices, g.distances, g.weights),
+                          lexsort_csr(g.n_vertices, i, j, d, edge_weights(d, g.bandwidth)))
+        rows = np.repeat(np.arange(g.n_vertices), np.diff(g.indptr))
+        assert g.weights[rows < g.indices].tobytes() == w.tobytes()
+
+
+def test_graph_arrays_are_derived(se2_8x8x4):
+    """The CSR arrays and weights are derived from the pairs and cannot be
+    passed in; replace() rebuilds them from the new pairs."""
+    g = se2_8x8x4
+    for name in ("indptr", "indices", "distances", "weights"):
+        with pytest.raises(TypeError):
+            ManifoldGraph(g.vertices, g.metric, g.knn, g.bandwidth, g.edge_i, g.edge_j,
+                          g.edge_distances, **{name: getattr(g, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(g, **{name: getattr(g, name)})
+    half = dataclasses.replace(g, edge_i=g.edge_i[::2], edge_j=g.edge_j[::2],
+                               edge_distances=g.edge_distances[::2])
+    assert half.n_edges == half.indices.size // 2 == (g.n_edges + 1) // 2
 
 
 def test_demo_graphs_skip_the_tree():
@@ -602,11 +657,18 @@ def test_laplacian_assembly(se2_8x8x4):
         np.testing.assert_array_equal(mat.toarray()[np.ix_(live, live)], dense)
 
 
+def far_apart(g, q):
+    """g with every edge outside the top q quantile of weights moved 1e10
+    away, so its weight exp(-d^2 / 4t) underflows to exactly 0."""
+    _, _, w, d = g.edge_pairs()
+    return dataclasses.replace(g, edge_distances=np.where(w >= np.quantile(w, q), d, 1e10))
+
+
 def test_laplacian_zero_degree(se2_8x8x4):
     """A vertex whose edges all weigh 0 has degree 0: its row and column are
     empty, not 0/0, and rows with positive degree keep the dense formula."""
-    w = se2_8x8x4.weights
-    g = dataclasses.replace(se2_8x8x4, weights=np.where(w >= np.quantile(w, 0.99), w, 0.0))
+    g = far_apart(se2_8x8x4, 0.99)
+    assert np.all((g.weights == 0.0) | (g.weights == se2_8x8x4.weights))
     deg = g.degrees()
     dead = deg == 0.0
     assert dead.sum() > 100 and np.all(np.diff(g.indptr)[dead] > 0)
@@ -733,9 +795,9 @@ def test_sample_edges_rate(se2_8x8x4):
 def test_keep_probabilities_zero_weights(se2_8x8x4):
     """Zero weights are never kept; a target they put out of reach keeps
     every positive-weight edge, and the note reports the expected count."""
-    w = se2_8x8x4.weights
-    g = dataclasses.replace(se2_8x8x4, weights=np.where(w >= np.quantile(w, 0.9), w, 0.0))
+    g = far_apart(se2_8x8x4, 0.9)
     _, _, w_pairs, _ = g.edge_pairs()
+    assert 0 < np.count_nonzero(w_pairs) < w_pairs.size
     n_pos = int(np.count_nonzero(w_pairs))
     p, _ = _keep_probabilities(w_pairs, 0.5)
     np.testing.assert_array_equal(p, (w_pairs > 0.0).astype(float))

@@ -51,13 +51,10 @@ def test_write_graph_validation(tmp_path, se2_8x8x4, se2_8x8x4_lap):
 
 
 def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8x4_lap):
-    """The file keeps distances and lambda_max only, so weights that are not
-    the kernel of the distances, or a Laplacian of another graph, raise; so
-    does a metric that check_metric refuses."""
+    """The file keeps distances and lambda_max only, so a Laplacian of another
+    graph raises; so does a metric that check_metric refuses.  Weights are
+    derived from the distances and cannot disagree with them."""
     path, lap = tmp_path / "x.clgr", se2_8x8x4_lap
-    off = dataclasses.replace(se2_8x8x4, weights=np.nextafter(se2_8x8x4.weights, 2.0))
-    with pytest.raises(ValueError, match="edge_weights"):
-        io.write_graph(path, off, lap)
     other = sample_edges(se2_8x8x4, 0.5, seed=1)
     with pytest.raises(ValueError, match="laplacian"):
         io.write_graph(path, se2_8x8x4, power_lambda_max(laplacian(other)))
@@ -398,6 +395,16 @@ def test_version_3_rejected(tmp_path, graph_file):
     assert exc.value.offset == 4
 
 
+def test_version_4_rejected(tmp_path, graph_file):
+    """CLGR 4 stored both orientations of every edge; such files are refused
+    at the version field, not misread as an upper triangle."""
+    _, data = graph_file
+    path = write_tmp(tmp_path, put(data, 4, (4).to_bytes(4, "little")))
+    with pytest.raises(io.FormatError, match="unsupported version 4") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == 4
+
+
 def test_truncated_before_lambda_max(tmp_path, graph_file):
     """lambda_max is required: a file that ends right after the distances
     is truncated at the lambda_max offset."""
@@ -421,7 +428,7 @@ def test_non_monotone_indptr(tmp_path, graph_file):
     assert exc.value.offset == indptr_pos
 
 
-# CLGR 4 header fields the tests patch: offset and size in bytes.  The kept
+# CLGR 5 header fields the tests patch: offset and size in bytes.  The kept
 # count is present only when the kept flag is set.
 HEADER_FIELDS = {"kind": (8, 1), "nx": (9, 4), "ny": (13, 4), "level": (17, 4),
                  "n_orient": (21, 4), "epsilon": (25, 8), "xi": (33, 8), "knn": (41, 4),
@@ -429,10 +436,11 @@ HEADER_FIELDS = {"kind": (8, 1), "nx": (9, 4), "ny": (13, 4), "level": (17, 4),
 
 
 def graph_layout(data: bytes) -> dict:
-    """Byte offsets of the fields of a CLGR 4 file, the one table the tests
+    """Byte offsets of the fields of a CLGR 5 file, the one table the tests
     patch by: HEADER_FIELDS, then the kept ids if the kept flag is set, the
-    CSR arrays (nnz is indptr[-1]) and lambda_max.  The vertex count n is
-    the kept count, or else the size of the sampling the header describes."""
+    upper triangle's CSR arrays (nnz, the edge count, is indptr[-1]) and
+    lambda_max.  The vertex count n is the kept count, or else the size of
+    the sampling the header describes."""
     def uint(field):
         at, size = HEADER_FIELDS[field]
         return int.from_bytes(data[at:at + size], "little")
@@ -495,13 +503,18 @@ def test_bad_edge_values(tmp_path, graph_file, field, value):
 
 
 def test_self_loop(tmp_path, graph_file):
+    """The file holds the upper triangle: a self-loop (row 0's first entry
+    set to 0) and a lower-triangle entry (row 1's first entry set to 0) are
+    both entries not above the diagonal, reported at the entry."""
     _, data = graph_file
     lay = graph_layout(data)
-    # the first entry of row 0 points back at vertex 0
-    path = write_tmp(tmp_path, put(data, lay["indices"], (0).to_bytes(8, "little")))
-    with pytest.raises(io.FormatError, match="self-loop") as exc:
-        io.read_graph(path)
-    assert exc.value.offset == lay["indices"]
+    row1 = int.from_bytes(data[lay["indptr"] + 8:lay["indptr"] + 16], "little")
+    assert int.from_bytes(data[lay["indptr"] + 16:lay["indptr"] + 24], "little") > row1
+    for at in (lay["indices"], lay["indices"] + 8 * row1):
+        path = write_tmp(tmp_path, put(data, at, (0).to_bytes(8, "little")))
+        with pytest.raises(io.FormatError, match="not above the diagonal") as exc:
+            io.read_graph(path)
+        assert exc.value.offset == at
 
 
 @pytest.mark.parametrize("index", [32, 2 ** 64 - 1])
@@ -523,28 +536,6 @@ def test_unsorted_row(tmp_path, graph_file):
     with pytest.raises(io.FormatError, match="ascending") as exc:
         io.read_graph(path)
     assert exc.value.offset == lay["indices"] + 8
-
-
-def test_asymmetric_adjacency(tmp_path, graph_file):
-    _, data = graph_file
-    lay = graph_layout(data)
-    # a distance that differs from its mirror by one ulp
-    at = lay["distances"] + 8 * 3
-    d = np.frombuffer(data[at:at + 8], dtype="<f8")[0]
-    path = write_tmp(tmp_path, put(data, at, np.nextafter(d, 2.0).tobytes()))
-    with pytest.raises(io.FormatError, match="distances are not symmetric") as exc:
-        io.read_graph(path)
-    assert exc.value.offset == at      # row 0 comes before the mirror's row
-    # row 0's last column moved up: column counts no longer match row counts,
-    # first at the old column's pointer
-    g, _ = io.read_graph(graph_file[0])
-    last = int(g.indices[g.indptr[1] - 1])
-    free = int(np.setdiff1d(np.arange(last + 1, g.n_vertices), g.indices[:g.indptr[1]])[0])
-    path = write_tmp(tmp_path, put(data, lay["indices"] + 8 * (g.indptr[1] - 1),
-                                   free.to_bytes(8, "little")))
-    with pytest.raises(io.FormatError, match="row and column counts differ") as exc:
-        io.read_graph(path)
-    assert exc.value.offset == lay["indptr"] + 8 * (last + 1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3, 0.0])
@@ -717,6 +708,29 @@ def test_bad_kept_ids(tmp_path, sampled_file):
     with pytest.raises(io.FormatError, match="row pointers are not monotone") as exc:
         io.read_graph(write_tmp(tmp_path, stripped))
     assert exc.value.offset == graph_layout(stripped)["indptr"] == lay["kept_flag"] + 1
+
+
+def test_empty_kept_map(tmp_path, sampled_file, se2_8x8x4, se2_8x8x4_lap, capsys):
+    """A vertex-sampled graph keeps at least one vertex: a file whose kept
+    count is 0 (no ids, one row pointer, no edges) is refused at the count,
+    info exits 2 with one error line, and write_graph refuses such a graph."""
+    _, data = sampled_file
+    at = graph_layout(data)["kept_count"]
+    empty = data[:at] + (0).to_bytes(8, "little") * 2 + data[-8:]
+    path = write_tmp(tmp_path, empty)
+    with pytest.raises(io.FormatError, match="the kept-id map is empty") as exc:
+        io.read_graph(path)
+    assert exc.value.offset == at == 54
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    g, none = se2_8x8x4, np.zeros(0, dtype=np.int64)
+    verts = VertexSet(g.vertices.spec, g.vertices.params[:0], kept=none)
+    with pytest.raises(ValueError, match="the kept-id map is empty"):
+        io.write_graph(tmp_path / "x.clgr", dataclasses.replace(
+            g, vertices=verts, edge_i=none, edge_j=none, edge_distances=np.zeros(0)),
+            se2_8x8x4_lap)
+    assert not (tmp_path / "x.clgr").exists()
 
 
 def test_bad_lambda_max(tmp_path, graph_file):

@@ -171,6 +171,30 @@ def test_icosphere_matches_loop(level):
         assert parents.tobytes() == ref_parents.tobytes()
 
 
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_icosphere_cached_read_only(level):
+    """Each level is built once: later calls, build_vertices and s2_pool_plan
+    share the same read-only arrays, bit-equal to a fresh construction."""
+    from liegraph.network import s2_pool_plan
+
+    pts, parents = icosphere(level)
+    fresh_pts, fresh_parents = icosphere.__wrapped__(level)
+    assert pts.tobytes() == fresh_pts.tobytes() and pts is not fresh_pts
+    assert (parents is None) == (fresh_parents is None) == (level == 0)
+    for arr in (pts,) if parents is None else (pts, parents):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    if parents is not None:
+        assert parents.tobytes() == fresh_parents.tobytes()
+    misses = icosphere.cache_info().misses
+    build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=level))
+    if level:
+        s2_pool_plan(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=2))
+    assert icosphere(level)[0] is pts and icosphere.cache_info().misses == misses
+    assert icosphere.cache_info().maxsize == MAX_LEVEL + 1
+
+
 def test_sphere_angles_roundtrip():
     pts, _ = icosphere(2)
     beta, gamma = sphere_angles(pts)

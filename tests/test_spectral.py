@@ -176,7 +176,9 @@ def test_heat_coeffs_memory():
 
 def test_eigensystem_zero_laplacian(se2_8x8x4):
     """No edges, or zero weights only: the sparse branch gives the dense answer."""
-    zero_w = dataclasses.replace(se2_8x8x4, weights=np.zeros_like(se2_8x8x4.weights))
+    # every weight exp(-d^2 / 4t) underflows to exactly 0
+    zero_w = dataclasses.replace(se2_8x8x4, edge_distances=np.full(se2_8x8x4.n_edges, 1e10))
+    assert zero_w.weights.size and not zero_w.weights.any()
     for lap in (laplacian(sample_edges(se2_8x8x4, 0.0, seed=0)), laplacian(zero_w)):
         for k in (1, 16, lap.n):
             dense, sparse = eigensystem(lap, k), eigensystem(lap, k, dense_cap=0)
