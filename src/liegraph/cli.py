@@ -18,8 +18,8 @@ from .graph import (ManifoldGraph, build_graph, default_knn, fixed_lambda_max,
                     laplacian, make_metric, power_lambda_max, sample_edges,
                     sample_vertices, slice_neighbor_fractions)
 from .network import TrainingDiverged, train_demo
-from .sampling import GridKind, GridSpec, build_vertices
-from .spectral import (eigensystem, equivariance_error, heat_diffuse,
+from .sampling import PLANAR_KINDS, GridKind, GridSpec, build_vertices
+from .spectral import (eigensystem, equivariance_error, heat_diffuse, require_full_sampling,
                        rotation_permutation, slice_anisotropy)
 
 EQUIVARIANCE_TOL = 1e-9
@@ -62,7 +62,7 @@ def _print_config(command: str, args: dict) -> None:
 def _graph_summary(graph: ManifoldGraph, lambda_max: float) -> None:
     spec = graph.vertices.spec
     print(f"kind: {spec.kind.value}")
-    if spec.kind in (GridKind.SE2_GRID, GridKind.R2_GRID):
+    if spec.kind in PLANAR_KINDS:
         print(f"sampling: {spec.nx}x{spec.ny} grid, {spec.n_orient} orientation slice(s)")
     else:
         print(f"sampling: icosahedral level {spec.level}, {spec.n_orient} orientation slice(s)")
@@ -79,17 +79,9 @@ def _graph_summary(graph: ManifoldGraph, lambda_max: float) -> None:
         print(f"note: {note}")
 
 
-def _require_full_sampling(graph: ManifoldGraph, command: str) -> None:
-    """The slice layout and the rotation audit index the full sampling."""
-    full = graph.vertices.spec.n_vertices
-    if graph.n_vertices != full:
-        raise ValueError(f"{command} needs all {full} vertices of the sampling; "
-                         f"this graph has {graph.n_vertices} (vertex-sampled)")
-
-
 def cmd_build_graph(args) -> int:
     kind = _KIND_NAMES[args.kind]
-    planar = kind in (GridKind.SE2_GRID, GridKind.R2_GRID)
+    planar = kind in PLANAR_KINDS
     for flag, needed in (("nx", planar), ("level", not planar),
                          ("orient", kind in (GridKind.SE2_GRID, GridKind.SO3_ICOSAHEDRAL))):
         if needed and getattr(args, flag) is None:
@@ -149,7 +141,7 @@ def cmd_diffuse(args) -> int:
                               "signal": args.signal, "tau": args.tau,
                               "order": args.order, "out": args.out})
     graph, lap = io.read_graph(args.graph)
-    _require_full_sampling(graph, "diffuse")
+    require_full_sampling(graph.vertices, "diffuse")
     if (args.impulse is None) == (args.signal is None):
         raise ValueError("give exactly one of --impulse or --signal")
     if args.impulse is not None:
@@ -178,7 +170,7 @@ def cmd_check_equivariance(args) -> int:
     _print_config("check-equivariance",
                   {"graph": args.graph, "quarter_turns": args.quarter_turns})
     graph, lap = io.read_graph(args.graph)
-    _require_full_sampling(graph, "check-equivariance")
+    require_full_sampling(graph.vertices, "check-equivariance")
     perm = rotation_permutation(graph.vertices.spec, args.quarter_turns)
     err = equivariance_error(lap.matrix, perm)
     print(f"equivariance error: {err:.6e} (tolerance {EQUIVARIANCE_TOL:.0e})")

@@ -2,10 +2,11 @@
 
 K-NN selection scores each vertex's candidates with the exact kernel; the
 all-pairs scan it replaces on large sets stays as the sequential test
-reference, knn_pairs_bruteforce.  Full lifted SE(2) grids find candidates
-once per spatial point in a 2-D cKDTree and screen them per pair of
-orientation slices with the exact squared distance: on each branch th of the
-relative angle, se2_pair_sq is |A u|^2 + w2 th^2 for the spatial offset u,
+reference, knn_pairs_bruteforce; both take a kernel (_kernel of any points).
+Full lifted SE(2) grids, whose product layout follows from (spec, kept),
+find candidates once per spatial point in a 2-D cKDTree and screen them per
+pair of orientation slices with the exact squared distance: on each branch th
+of the relative angle, se2_pair_sq is |A u|^2 + w2 th^2 for the spatial offset u,
 with A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)) and
 rho = (th/2) / sin(th/2).  Shifted down and up by BALL_REL times a bound on
 every term, which dwarfs the few ulps by which the form and the kernel can
@@ -34,8 +35,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_quat_pair_sq,
-                     so3_quaternions, sphere_bound_points, sphere_pair_sq, wrap_angle)
+from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_matrices,
+                     so3_quat_pair_sq, so3_quaternions, sphere_bound_points, sphere_pair_sq,
+                     wrap_angle)
 from .sampling import GridKind, GridSpec, VertexSet
 
 BANDWIDTH_FRACTION = 0.2
@@ -109,14 +111,15 @@ def make_metric(spec: GridSpec, epsilon: float = 1.0, alpha: float | None = None
 _Kernel = namedtuple("_Kernel", "data fn w points")
 
 
-def _kernel(vertices: VertexSet, metric: Metric) -> _Kernel:
-    """The distance kernel of a vertex set.  SO(3) vertices are converted to
-    unit quaternions here, once, so scoring gathers 4 floats per candidate."""
-    w = metric.weights(vertices.spec.group_kind)
-    if vertices.spec.group_kind is GroupKind.SE2:
-        return _Kernel(vertices.params, se2_pair_sq, w, se2_bound_points(vertices.params, w))
-    mats = vertices.matrices
-    if vertices.spec.kind is GridKind.S2_ICOSAHEDRAL:
+def _kernel(spec: GridSpec, params: np.ndarray, metric: Metric) -> _Kernel:
+    """The distance kernel of points `params` of spec's group (a VertexSet's,
+    or any others).  SO(3) points are converted to unit quaternions here,
+    once, so scoring gathers 4 floats per candidate."""
+    w = metric.weights(spec.group_kind)
+    if spec.group_kind is GroupKind.SE2:
+        return _Kernel(params, se2_pair_sq, w, se2_bound_points(params, w))
+    mats = so3_matrices(params)
+    if spec.kind is GridKind.S2_ICOSAHEDRAL:
         return _Kernel(mats, sphere_pair_sq, w, sphere_bound_points(mats, w))
     return _Kernel(so3_quaternions(mats), so3_quat_pair_sq, w, sphere_bound_points(mats, w))
 
@@ -126,7 +129,8 @@ class ManifoldGraph:
     """Weighted K-NN graph over a VertexSet, given by its undirected edges
     (edge_i < edge_j, sorted by (i, j)) and their distances.  The CSR
     adjacency (indptr, indices) of both orientations, its distances and
-    weights edge_weights(distances, bandwidth) are derived once, not passed."""
+    weights edge_weights(distances, bandwidth) are derived once, not passed;
+    ValueError for pairs that break those rules (pair_flags)."""
 
     vertices: VertexSet
     metric: Metric
@@ -142,6 +146,8 @@ class ManifoldGraph:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if any(bad.any() for bad in pair_flags(len(self.vertices), self.edge_i, self.edge_j)):
+            raise ValueError("edge pairs are not 0 <= i < j < n, strictly ascending by (i, j)")
         self.indptr, self.indices, self.distances, self.weights = _mirror(
             len(self.vertices), self.edge_i, self.edge_j, self.edge_distances,
             edge_weights(self.edge_distances, self.bandwidth))
@@ -171,6 +177,14 @@ class ManifoldGraph:
     def degrees(self) -> np.ndarray:
         rows = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
         return np.bincount(rows, weights=self.weights, minlength=self.n_vertices)
+
+
+def pair_flags(n: int, i: np.ndarray, j: np.ndarray):
+    """Per-pair flags of the rules a graph's pairs obey: (i or j outside
+    [0, n), j not above i, pair not after the previous one by (i, j))."""
+    di = np.diff(i)
+    return ((i < 0) | (j < 0) | (j >= n), j <= i,
+            np.concatenate([[False], (di < 0) | ((di == 0) & (np.diff(j) <= 0))]))
 
 
 def _mirror(n: int, i: np.ndarray, j: np.ndarray, *values: np.ndarray):
@@ -225,31 +239,21 @@ def _unique_pairs(n: int, picks: list) -> tuple[np.ndarray, np.ndarray]:
     return (packed // np.uint64(n)).astype(np.int64), (packed % np.uint64(n)).astype(np.int64)
 
 
-def knn_pairs_bruteforce(vertices: VertexSet, metric: Metric, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The K-nearest selection scored over all vertex pairs, ROW_CHUNK rows at
-    a time: the reference that knn_pairs is tested against."""
-    n = len(vertices)
-    kern = _kernel(vertices, metric)
+def knn_pairs_bruteforce(kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The K-nearest selection scored over all pairs of the kernel's points,
+    ROW_CHUNK rows at a time: the reference that knn_pairs is tested against."""
+    n = len(kern.data)
     return _unique_pairs(n, [_picks(kern, np.arange(lo, min(lo + ROW_CHUNK, n)), k)
                              for lo in range(0, n, ROW_CHUNK)])
 
 
 def _product_layout(vertices: VertexSet):
-    """(xy, theta) of a full lifted SE(2) grid in the canonical product
-    layout, or None for any other set.
-
-    The layout holds when vertex a m + p, for slice a and spatial index p of
-    m, sits at the point xy[p] and the angle theta[a], bit for bit; full
-    grids do.  O(V) to check.  Vertex-sampled subsets, non-grid sets and
-    single-slice ones (r2) take the general search.
-    """
-    spec = vertices.spec
-    if (spec.group_kind is not GroupKind.SE2 or not spec.lifted or vertices.kept is not None
-            or len(vertices) != spec.n_vertices):
-        return None
-    params = np.ascontiguousarray(vertices.params, dtype=float)
-    bits = params.view(np.uint64).reshape(spec.n_orient, spec.n_spatial, 3)
-    if (bits[:, :, :2] != bits[0, :, :2]).any() or (bits[:, :, 2] != bits[:, :1, 2]).any():
+    """(xy, theta) of a full lifted SE(2) grid, or None for subsets, spheres
+    and single-slice grids (r2).  The layout follows from (spec, kept), with
+    nothing to check: vertex a m + p (slice a, spatial index p of m) sits at
+    xy[p] with angle theta[a], bit for bit."""
+    spec, params = vertices.spec, vertices.params
+    if spec.group_kind is not GroupKind.SE2 or not spec.lifted or vertices.kept is not None:
         return None
     return params[:spec.n_spatial, :2], params[::spec.n_spatial, 2]
 
@@ -426,8 +430,10 @@ def _tree_knn_pairs(kern: _Kernel, k: int, pool, workers: int):
     return _unique_pairs(n, picks)
 
 
-def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected pairs from per-vertex K-nearest selection under `kern`.
+def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unique undirected pairs from per-vertex K-nearest selection under
+    `kern`, whose points are in the (xy, theta) product layout of
+    _product_layout when `layout` is given.
 
     Ties at equal distance resolve to the lower vertex id (stable sort).  A
     tie class that straddles the K-th rank is kept whole: every vertex whose
@@ -444,8 +450,8 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     smallest among the candidates is the row's K-th and the picks are brute
     force's.
 
-    Full lifted SE(2) grids in the product layout (_product_layout) are
-    screened per pair of orientation slices.  For a row in slice a at x_a, a
+    Points in a product layout (full lifted SE(2) grids) are screened per
+    pair of orientation slices.  For a row in slice a at x_a, a
     column in slice b at x_b and u = x_b - x_a, se2_pair_sq's branch th in
     {dth, dth - copysign(pi, dth)} rotates u by -theta_a and applies
     [[h, th/2], [-th/2, h]] with h = (th/2) cot(th/2), which is rho R(-th/2)
@@ -483,7 +489,7 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
        part stays positive semi-definite because the path requires
        w_min >= BALL_REL w_max.  Other metrics take the general search.
 
-    Any other set, and a single-slice one, searches a cKDTree of the
+    Without a layout, a set (a single-slice one too) searches a cKDTree of the
     kernel's lower-bound embedding f, |f(a) - f(b)|^2 <= d^2(a, b).  The K-th
     smallest exact squared distance from vertex i to its 2(K + 1) nearest
     embedded points is U, so every vertex the rule selects lies within
@@ -503,11 +509,10 @@ def knn_pairs(vertices: VertexSet, kern: _Kernel, k: int) -> tuple[np.ndarray, n
     candidates, so the pairs do not depend on the worker count or the block
     size.
     """
-    n = len(vertices)
+    n = len(kern.data)
     if n * n <= WHOLE_SET_PAIRS:
         return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
     workers = len(os.sched_getaffinity(0))
-    layout = _product_layout(vertices)
     with ThreadPoolExecutor(workers) as pool:
         if layout is not None and BALL_REL * max(kern.w[:2]) <= min(kern.w[:2]):
             return _product_knn_pairs(layout, kern, k, pool, workers)
@@ -548,18 +553,16 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     if alpha is not None and alpha != (derived := alpha_from_xi(metric.xi, spec)):
         raise ValueError(f"alpha {alpha!r} contradicts xi, which gives alpha {derived!r}")
 
-    kern = _kernel(vertices, metric)
-    i, j = knn_pairs(vertices, kern, k) if k else (np.zeros(0, dtype=np.int64),) * 2
+    kern = _kernel(spec, vertices.params, metric)
+    layout = _product_layout(vertices)
+    i, j = knn_pairs(kern, k, layout) if k else (np.zeros(0, dtype=np.int64),) * 2
     dist = np.sqrt(kern.fn(kern.data[i], kern.data[j], kern.w)) if i.size else np.zeros(0)
     t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2)) if dist.size else 0.0
     return ManifoldGraph(vertices, metric, k, t, i, j, dist, tuple(notes))
 
 
 def slice_neighbor_fractions(graph: ManifoldGraph) -> tuple[float, float]:
-    """(in-slice, cross-slice) fractions of undirected edges; ValueError for
-    a vertex-sampled set without the `kept` map its slices are read from."""
-    if graph.vertices.kept is None and graph.n_vertices < graph.vertices.spec.n_vertices:
-        raise ValueError("vertex-sampled graph without a kept-id map")
+    """(in-slice, cross-slice) fractions of undirected edges."""
     i, j, _, _ = graph.edge_pairs()
     if i.size == 0:
         return 0.0, 0.0
@@ -730,8 +733,7 @@ def sample_vertices(graph: ManifoldGraph, kappa: float, seed: int) -> ManifoldGr
     alive = (new_id[i] >= 0) & (new_id[j] >= 0)
 
     verts = graph.vertices
-    sub = VertexSet(verts.spec, verts.params[kept],
-                    kept=kept if verts.kept is None else verts.kept[kept])
+    sub = VertexSet(verts.spec, kept=kept if verts.kept is None else verts.kept[kept])
     note = (f"vertex sampling kappa={kappa} kept {n_keep} of {n} vertices",)
     return ManifoldGraph(sub, graph.metric, graph.knn, graph.bandwidth, new_id[i[alive]],
                          new_id[j[alive]], dist[alive], graph.notes + note)

@@ -16,11 +16,10 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, laplacian
+from .graph import ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, laplacian, pair_flags
 from .groups import Metric
-from .sampling import GridKind, GridSpec, build_vertices
+from .sampling import PLANAR_KINDS, GridKind, GridSpec, VertexSet, bad_kept
 from . import network
 
 GRAPH_MAGIC = b"CLGR"
@@ -109,10 +108,10 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
     u64 and n u64 original ids, else n is spec.n_vertices; the upper
     triangle: row pointers (n + 1) u64, column ids u64 and distances f64,
     indptr[-1] (the edge count) of each; lambda_max f64, the last 8 bytes.
-    read_graph rebuilds vertices (build_vertices of spec and kept), the
-    mirrored adjacency, weights and Laplacian; ValueError if the metric,
-    knn or kept ids would not read back (check_metric, _knn_error,
-    _bad_kept), or the params or Laplacian would differ from the graph's.
+    read_graph rebuilds the vertices, whose coordinates follow from spec and
+    kept, the mirrored adjacency, weights and Laplacian; ValueError if the
+    metric or knn would not read back (check_metric, _knn_error), or the
+    Laplacian would differ from the graph's.
     """
     if lap.rescaled or lap.lambda_max is None:
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
@@ -120,13 +119,9 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
     check_metric(spec, graph.metric)
     if (bad := _knn_error(spec, graph.knn)) is not None:
         raise ValueError(bad)
-    if verts.kept is not None and not verts.kept.size:
-        raise ValueError("the kept-id map is empty")
-    if verts.kept is not None and _bad_kept(spec, verts.kept).any():
-        raise ValueError("kept ids are not strictly ascending ids of the sampling")
-    if not _bit_equal(verts.params, build_vertices(spec, verts.kept).params):
-        raise ValueError("vertex params are not build_vertices(spec, kept)'s, which files store")
-    if not _bit_equal(lap.matrix, laplacian(graph).matrix):
+    ref = laplacian(graph).matrix
+    if any(getattr(lap.matrix, f).tobytes() != getattr(ref, f).tobytes()
+           for f in ("indptr", "indices", "data")):
         raise ValueError("the Laplacian is not laplacian(graph)")
     parts = [GRAPH_MAGIC, _u32(GRAPH_VERSION), struct.pack("<B", KIND_CODES[spec.kind]),
              _u32(spec.nx), _u32(spec.ny), _u32(spec.level), _u32(spec.n_orient),
@@ -137,13 +132,6 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
              _u64s(graph.edge_j), _f64s(graph.edge_distances), _f64(lap.lambda_max)]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
-
-
-def _bit_equal(a, b) -> bool:
-    """True when two arrays, or the arrays of two CSR matrices, hold the same bits."""
-    if sp.issparse(a):
-        return all(_bit_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "indices", "data"))
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _reject(bad: np.ndarray, message: str, pos: int) -> None:
@@ -159,12 +147,6 @@ def _knn_error(spec: GridSpec, knn: int) -> str | None:
     if not min(1, n - 1) <= knn <= n - 1:
         return f"knn {knn} on a sampling of {n} vertices, outside [{min(1, n - 1)}, {n - 1}]"
     return None
-
-
-def _bad_kept(spec: GridSpec, kept: np.ndarray) -> np.ndarray:
-    """Flags the entries of kept that break strictly ascending ids of spec's sampling."""
-    return (np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept < 0)
-            | (kept >= spec.n_vertices))
 
 
 def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
@@ -207,9 +189,8 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         if (n := r.scalar("<Q")) == 0:
             raise FormatError("the kept-id map is empty", kept_pos + 1)
         kept = r.array("<u8", n)
-        _reject(_bad_kept(spec, kept), "kept ids are not strictly ascending ids of the sampling",
+        _reject(bad_kept(spec, kept), "kept ids are not strictly ascending ids of the sampling",
                 kept_pos + 9)
-        kept = kept.astype(np.int64)
 
     indptr_pos = r.pos
     indptr = r.array("<u8", n + 1).astype(np.int64)
@@ -217,13 +198,13 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         raise FormatError("adjacency row pointers are not monotone", indptr_pos)
     nnz = int(indptr[-1])
     idx_pos = r.pos
-    cols = r.array("<u8", nnz)
-    _reject(cols >= n, "adjacency column index out of range", idx_pos)
-    cols = cols.astype(np.int64)
+    # Ids from 2^63 wrap to negative ones, which are out of range too.
+    cols = r.array("<u8", nnz).astype(np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    _reject(cols <= rows, "adjacency entry is not above the diagonal", idx_pos)
-    _reject(np.concatenate([[False], (np.diff(cols) <= 0) & (np.diff(rows) == 0)]),
-            "adjacency row is not strictly ascending", idx_pos)
+    for bad, message in zip(pair_flags(n, rows, cols), (
+            "adjacency column index out of range", "adjacency entry is not above the diagonal",
+            "adjacency row is not strictly ascending")):
+        _reject(bad, message, idx_pos)
     d_pos = r.pos
     distances = r.array("<f8", nnz)
     _reject(~np.isfinite(distances) | (distances < 0.0), "edge distance is negative or not finite",
@@ -237,7 +218,7 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
 
     # Built last: n is now backed by the file's arrays, the icosphere by MAX_LEVEL.
-    graph = ManifoldGraph(build_vertices(spec, kept), metric, knn, t, rows, cols, distances)
+    graph = ManifoldGraph(VertexSet(spec, kept=kept), metric, knn, t, rows, cols, distances)
     return graph, Laplacian(laplacian(graph).matrix, lam)
 
 
@@ -410,17 +391,10 @@ def write_field_csv(path, vertices, values: np.ndarray) -> None:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    params = vertices.params
-    if vertices.spec.kind in (GridKind.SE2_GRID, GridKind.R2_GRID):
-        names = ("x", "y", "theta")
-        coords = params
-    else:
-        names = ("beta", "gamma", "alpha")
-        coords = params[:, (1, 2, 0)]
-    if arr.shape[1] == 1:
-        vals = "value"
-    else:
-        vals = ",".join(f"value{i}" for i in range(arr.shape[1]))
+    planar = vertices.spec.kind in PLANAR_KINDS
+    names = ("x", "y", "theta") if planar else ("beta", "gamma", "alpha")
+    coords = vertices.params if planar else vertices.params[:, (1, 2, 0)]
+    vals = "value" if arr.shape[1] == 1 else ",".join(f"value{i}" for i in range(arr.shape[1]))
     with open(path, "w", newline="\n") as fh:
         fh.write("vertex_id," + ",".join(names) + f",{vals}\n")
         for v in range(arr.shape[0]):

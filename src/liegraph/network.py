@@ -29,7 +29,7 @@ import numpy as np
 
 from .graph import Laplacian, ManifoldGraph, build_graph, laplacian, make_metric, \
     power_lambda_max, rescale
-from .sampling import GridKind, GridSpec, grid_se2, icosphere
+from .sampling import PLANAR_KINDS, GridKind, GridSpec, grid_se2, icosphere
 from .spectral import cheb_terms, rotation_permutation
 
 
@@ -227,7 +227,7 @@ def pool_plan(cluster: np.ndarray, n_coarse: int) -> PoolPlan:
 def r2_pool_plan(spec: GridSpec) -> PoolPlan:
     """Non-overlapping 2x2 spatial blocks inside every orientation slice; an
     odd grid's trailing row and column are dropped."""
-    if spec.kind not in (GridKind.SE2_GRID, GridKind.R2_GRID):
+    if spec.kind not in PLANAR_KINDS:
         raise ValueError("r2 pooling applies to planar grids")
     cnx, cny = spec.nx // 2, spec.ny // 2
     if cnx < 1 or cny < 1:

@@ -6,7 +6,9 @@ Flat vertex ids follow the canonical layout
 
 with spatial_index = iy * nx + ix on grids and the subdivision order on
 spheres.  Orientation samples are theta_k = -pi/2 + k pi / n_orient, so the
-single-slice degenerate cases sit at theta = -pi/2.
+single-slice degenerate cases sit at theta = -pi/2.  A VertexSet is a
+GridSpec and optionally the kept ids of a vertex sub-sample: its
+coordinates, and so the layout of its ids, follow from (spec, kept) alone.
 """
 
 from __future__ import annotations
@@ -87,18 +89,45 @@ def orientation_angles(n_orient: int, k=None) -> np.ndarray:
     return -0.5 * np.pi + (np.arange(n_orient) if k is None else k) * np.pi / n_orient
 
 
-@dataclass
-class VertexSet:
-    """Sampled group elements (params, from which `matrices` derive) with
-    the flat id layout of their GridSpec.
+def bad_kept(spec: GridSpec, kept: np.ndarray) -> np.ndarray:
+    """Flags the entries of kept that break strictly ascending ids of spec's sampling."""
+    return (np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept < 0)
+            | (kept >= spec.n_vertices))
 
-    `kept` records original ids after vertex sub-sampling (None for a full
-    sampling).
-    """
+
+@dataclass(frozen=True)
+class VertexSet:
+    """spec's sampling, or its vertices at `kept`, the original ids left by
+    vertex sub-sampling (None for the full sampling).  params, from which
+    `matrices` derive, is computed once from (spec, kept), not passed:
+    (ix / nx, iy / ny, theta_k) on grids, (alpha_k, beta, gamma) of the
+    icosphere points on spheres.  Both arrays are read-only, kept as int64;
+    ValueError unless kept is non-empty and strictly ascending in range."""
 
     spec: GridSpec
-    params: np.ndarray
     kept: np.ndarray | None = field(default=None, kw_only=True)
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        spec = self.spec
+        ids = np.arange(spec.n_vertices) if self.kept is None else np.array(self.kept)
+        if self.kept is not None:
+            if (ids.ndim != 1 or not ids.size or ids.dtype.kind not in "iu"
+                    or bad_kept(spec, ids).any()):
+                raise ValueError("kept must be one or more strictly ascending ids of the sampling")
+            ids = ids.astype(np.int64, copy=False)
+            ids.flags.writeable = False
+            object.__setattr__(self, "kept", ids)
+        k, p = np.divmod(ids, spec.n_spatial)
+        theta = orientation_angles(spec.n_orient, k)
+        if spec.kind in PLANAR_KINDS:
+            iy, ix = np.divmod(p, spec.nx)
+            params = np.column_stack([ix / spec.nx, iy / spec.ny, theta])
+        else:
+            beta, gamma = sphere_angles(icosphere(spec.level)[0])
+            params = np.column_stack([theta, beta[p], gamma[p]])
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
 
     def __len__(self) -> int:
         return self.params.shape[0]
@@ -114,9 +143,7 @@ class VertexSet:
         """Orientation slice of vertex ids, read from original ids after
         vertex sub-sampling."""
         ids = np.asarray(ids)
-        if self.kept is not None:
-            ids = self.kept[ids]
-        return ids // self.spec.n_spatial
+        return (ids if self.kept is None else self.kept[ids]) // self.spec.n_spatial
 
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -186,20 +213,9 @@ def sphere_angles(points: np.ndarray) -> np.ndarray:
 
 
 def build_vertices(spec: GridSpec, kept: np.ndarray | None = None) -> VertexSet:
-    """spec's sampling, or its vertices at `kept` (strictly ascending ids):
-    (ix / nx, iy / ny, theta_k) on grids, (alpha_k, beta, gamma) of the
-    icosphere points on spheres.  The work grows with the vertices returned
-    (plus the icosphere, once per level); files' params are rebuilt here."""
-    ids = np.arange(spec.n_vertices) if kept is None else np.asarray(kept)
-    k, p = np.divmod(ids, spec.n_spatial)
-    theta = orientation_angles(spec.n_orient, k)
-    if spec.kind in PLANAR_KINDS:
-        iy, ix = np.divmod(p, spec.nx)
-        params = np.column_stack([ix / spec.nx, iy / spec.ny, theta])
-    else:
-        beta, gamma = sphere_angles(icosphere(spec.level)[0])
-        params = np.column_stack([theta, beta[p], gamma[p]])
-    return VertexSet(spec, params, kept=kept)
+    """VertexSet(spec, kept=kept): the work grows with the vertices returned
+    (plus the icosphere, once per level)."""
+    return VertexSet(spec, kept=kept)
 
 
 def grid_se2(nx: int, ny: int, n_orient: int) -> VertexSet:

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .graph import Laplacian, rescale
-from .sampling import GridKind, GridSpec
+from .sampling import PLANAR_KINDS, GridSpec
 
 DENSE_EIGEN_CAP = 5000
 HEAT_ORDER = 30
@@ -171,7 +171,7 @@ def rotation_permutation(spec: GridSpec, quarter_turns: int = 1) -> np.ndarray:
     roll by n_orient/2 per turn.  Rectangular grids and (for lifted grids)
     odd orientation counts have no such automorphism and are rejected.
     """
-    if spec.kind not in (GridKind.SE2_GRID, GridKind.R2_GRID):
+    if spec.kind not in PLANAR_KINDS:
         raise ValueError("rotation audit applies to planar grids")
     if spec.nx != spec.ny:
         raise ValueError("rotation audit needs a square grid")
@@ -195,6 +195,14 @@ def rotation_permutation(spec: GridSpec, quarter_turns: int = 1) -> np.ndarray:
     return perm
 
 
+def require_full_sampling(vertices, command: str) -> None:
+    """Slice layouts and the rotation audit index the full sampling: ValueError
+    for a vertex-sampled set."""
+    if len(vertices) != (full := vertices.spec.n_vertices):
+        raise ValueError(f"{command} needs all {full} vertices of the sampling; "
+                         f"this set has {len(vertices)} (vertex-sampled)")
+
+
 def equivariance_error(matrix: sp.spmatrix, perm: np.ndarray) -> float:
     """Relative Frobenius error || P^T L P - L || / || L ||.
 
@@ -214,7 +222,9 @@ def slice_anisotropy(vertices, values: np.ndarray) -> list[dict]:
     split along the slice direction (cos theta, sin theta) and its normal;
     the ratio is > 1 when the signal has spread further along the slice
     direction.  Tiny negative values (Chebyshev ringing) are clipped.
+    Slices are id ranges of the full sampling (require_full_sampling).
     """
+    require_full_sampling(vertices, "slice anisotropy")
     spec = vertices.spec
     ns = spec.n_spatial
     vals = np.clip(np.asarray(values, dtype=float).reshape(-1), 0.0, None)

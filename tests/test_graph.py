@@ -37,9 +37,9 @@ from liegraph.graph import (
     sample_vertices,
     xi_from_alpha,
 )
-from liegraph.groups import GroupKind, Metric
+from liegraph.groups import GroupKind, Metric, so3_matrices
 from liegraph.network import build_demo
-from liegraph.sampling import GridKind, GridSpec, VertexSet, build_vertices, grid_se2
+from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
 
 from conftest import EPS_ANISO, built
 from oracles import se2_pair_sq_three_branch, so3_pair_sq_matrix_log
@@ -183,24 +183,35 @@ def set_blocks(monkeypatch, whole_set_pairs):
 def assert_knn_exact(g):
     """The graph's edges and stored distances equal the brute-force reference's."""
     i, j, _, d = g.edge_pairs()
-    bi, bj = knn_pairs_bruteforce(g.vertices, g.metric, g.knn)
+    kern = graph_module._kernel(g.vertices.spec, g.vertices.params, g.metric)
+    bi, bj = knn_pairs_bruteforce(kern, g.knn)
     np.testing.assert_array_equal(i, bi)
     np.testing.assert_array_equal(j, bj)
-    kern = graph_module._kernel(g.vertices, g.metric)
     np.testing.assert_array_equal(d, np.sqrt(kern.fn(kern.data[bi], kern.data[bj], kern.w)))
+
+
+def assert_pairs_exact(spec, params, metric, k, layout=None):
+    """knn_pairs on the kernel of any points of spec's group, in the product
+    layout `layout` if given, picks brute force's pairs, bytes included; K is
+    clamped to |V| - 1 as build_graph clamps it."""
+    kern = graph_module._kernel(spec, params, metric)
+    k = min(k, len(params) - 1)
+    got, want = graph_module.knn_pairs(kern, k, layout), knn_pairs_bruteforce(kern, k)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 LIBRARY_KERNEL = graph_module._kernel
 
 
-def oracle_kernel(vertices, metric):
+def oracle_kernel(spec, params, metric):
     """The library's kernel with the oracles swapped in: all three SE(2)
     branches, and the trace log on SO(3) matrices."""
-    kern = LIBRARY_KERNEL(vertices, metric)
-    if vertices.spec.group_kind is GroupKind.SE2:
+    kern = LIBRARY_KERNEL(spec, params, metric)
+    if spec.group_kind is GroupKind.SE2:
         return kern._replace(fn=se2_pair_sq_three_branch)
-    if vertices.spec.kind is GridKind.SO3_ICOSAHEDRAL:
-        return kern._replace(data=vertices.matrices, fn=so3_pair_sq_matrix_log)
+    if spec.kind is GridKind.SO3_ICOSAHEDRAL:
+        return kern._replace(data=so3_matrices(params), fn=so3_pair_sq_matrix_log)
     return kern
 
 
@@ -242,6 +253,9 @@ def test_knn_tree_matches_bruteforce(name, whole_set_pairs, request, monkeypatch
     set_blocks(monkeypatch, whole_set_pairs)
     assert_knn_exact(build_graph(g.vertices, g.metric, g.knn))
     assert_knn_exact(built(GridKind.R2_GRID, nx=3, ny=3, knn=2))
+    clamped = built(GridKind.R2_GRID, nx=3, ny=3, knn=24)
+    assert clamped.knn == 8
+    assert_knn_exact(clamped)
     # vertex-sampled subsets are non-grid vertex sets
     for kappa, seed in ((0.5, 1), (0.2, 2)):
         sub = sample_vertices(g, kappa, seed).vertices
@@ -251,22 +265,23 @@ def test_knn_tree_matches_bruteforce(name, whole_set_pairs, request, monkeypatch
 def test_knn_tree_near_duplicates(monkeypatch):
     """Sphere points 1e-8 rad apart and exact duplicates are still found."""
     set_blocks(monkeypatch, SMALL_BLOCK)
-    verts = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
+    spec = GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)
+    params = build_vertices(spec).params
     rng = np.random.Generator(np.random.Philox(70))
     # colatitude offsets: each copy sits that many radians from its original
     shift = np.stack([np.zeros(20), rng.choice([0.0, 1e-12, 1e-8, 3e-8], 20), np.zeros(20)],
                      axis=1)
-    near = VertexSet(verts.spec, np.concatenate([verts.params, verts.params[:20] + shift]))
+    near = np.concatenate([params, params[:20] + shift])
     for k in (1, 3, 8):
-        assert_knn_exact(build_graph(near, Metric(), k))
+        assert_pairs_exact(spec, near, Metric(), k)
 
 
 @pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
 def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
-    """On se2 16x16x2 at K=4 and epsilon=1, in shuffled vertex order (no
-    product layout, so the general search runs), most balls fit inside the
-    first query's 2(K + 1) nearest points and a few do not: only those few
-    are ball-counted, and the graph still equals brute force."""
+    """On se2 16x16x2 at K=4 and epsilon=1, in shuffled vertex order (passed
+    without a product layout, so the general search runs), most balls fit
+    inside the first query's 2(K + 1) nearest points and a few do not: only
+    those few are ball-counted, and the pairs still equal brute force's."""
     set_blocks(monkeypatch, whole_set_pairs)
     counted = []
 
@@ -277,13 +292,10 @@ def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
     spec = GridSpec(GridKind.SE2_GRID, nx=16, ny=16, n_orient=2)
-    grid = build_vertices(spec)
-    order = np.random.Generator(np.random.Philox(5)).permutation(len(grid))
-    verts = VertexSet(spec, grid.params[order])
-    assert graph_module._product_layout(verts) is None
-    g = build_graph(verts, make_metric(spec, alpha=1.0)[0], 4)
-    assert len(counted) == 1 and 0 < counted[0] < g.n_vertices // 10
-    assert_knn_exact(g)
+    order = np.random.Generator(np.random.Philox(5)).permutation(spec.n_vertices)
+    metric = make_metric(spec, alpha=1.0)[0]
+    assert_pairs_exact(spec, build_vertices(spec).params[order], metric, 4)
+    assert len(counted) == 1 and 0 < counted[0] < spec.n_vertices // 10
 
 
 def spy_product_path(monkeypatch):
@@ -335,9 +347,10 @@ def test_knn_product_layout_matches_bruteforce(n_orient, whole_set_pairs, monkey
 
 @st.composite
 def product_sets(draw):
-    """SE(2) vertex sets in the product layout, optionally vertex-sampled:
-    spatial points on a lattice (repeats allowed) and slice angles on
-    multiples of pi/8, so that many distances tie exactly."""
+    """SE(2) point sets in a product layout (xy, theta), returned with it, or
+    a random subset of one, returned without: spatial points on a lattice
+    (repeats allowed) and slice angles on multiples of pi/8, so that many
+    distances tie exactly."""
     nx, ny, n_orient = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(2, 6))
     spec = GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient)
     rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32 - 1))))
@@ -345,16 +358,15 @@ def product_sets(draw):
     xy = rng.integers(-3, 4, (spec.n_spatial, 2)) * step
     theta = rng.integers(-8, 8, n_orient) * (np.pi / 8.0)
     params = np.column_stack([np.tile(xy, (n_orient, 1)), np.repeat(theta, spec.n_spatial)])
-    kept = None
+    layout = (xy, theta)
     if draw(st.booleans()):
         kept = np.flatnonzero(rng.random(spec.n_vertices) < draw(st.sampled_from([0.3, 0.7])))
         if kept.size < 2:
             kept = np.arange(2)
-        params = params[kept]
-    verts = VertexSet(spec, params, kept=kept)
+        params, layout = params[kept], None
     metric, _ = make_metric(spec, epsilon=float(np.sqrt(draw(st.sampled_from([0.01, 0.1, 1.0])))),
                             alpha=draw(st.sampled_from([0.1, 1.0, 100.0])))
-    return verts, metric, draw(st.integers(1, 24))
+    return spec, params, layout, metric, draw(st.integers(1, 24))
 
 
 @settings(max_examples=120, deadline=None)
@@ -362,35 +374,34 @@ def product_sets(draw):
 def test_knn_product_layout_matches_bruteforce_random(case):
     """Exact equality on random product-layout sets: full ones take the
     product-layout search once they are past the whole-set size, and
-    vertex-sampled ones the general search."""
-    verts, metric, knn = case
+    subsets the general search."""
+    spec, params, layout, metric, knn = case
     with (mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK),
-          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK)):
-        assert (graph_module._product_layout(verts) is None) == (verts.kept is not None)
-        g = build_graph(verts, metric, knn)
-    assert_knn_exact(g)
+          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK),
+          mock.patch.object(graph_module, "_product_knn_pairs",
+                            wraps=graph_module._product_knn_pairs) as product):
+        assert_pairs_exact(spec, params, metric, knn, layout)
+    assert product.call_count == (layout is not None and len(params) ** 2 > SMALL_BLOCK)
 
 
 def test_knn_product_layout_gate(monkeypatch):
-    """One slice angle off by 1e-12 at one vertex breaks the product layout,
-    and a subset keeping half the vertices is no full grid: the general
-    search runs on both and still equals brute force."""
+    """A subset keeping half the vertices is no full grid, and points with
+    one slice angle off by 1e-12 at one vertex are passed without a layout:
+    the general search runs on both and still equals brute force."""
     set_blocks(monkeypatch, SMALL_BLOCK)
     runs = spy_product_path(monkeypatch)
     spec = GridSpec(GridKind.SE2_GRID, nx=9, ny=7, n_orient=6)
     grid = build_vertices(spec)
     params = grid.params.copy()
     params[100, 2] += 1e-12
-    verts = VertexSet(spec, params)
     metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=1.0)
     g = build_graph(grid, metric, 16)
     assert_knn_exact(g)
     assert [shape for shape, _ in runs] == [(spec.n_spatial, 6)]
     half = sample_vertices(g, 0.5, 1).vertices
     assert graph_module._product_layout(grid) is not None
-    assert graph_module._product_layout(verts) is None
     assert graph_module._product_layout(half) is None
-    assert_knn_exact(build_graph(verts, metric, 16))
+    assert_pairs_exact(spec, params, metric, 16)
     assert_knn_exact(build_graph(half, metric, 16))
     assert len(runs) == 1
 
@@ -407,7 +418,7 @@ def test_knn_product_layout_scores_few_pairs(alpha):
     spec = GridSpec(GridKind.SE2_GRID, nx=16, ny=16, n_orient=6)
     verts = build_vertices(spec)
     metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=alpha)
-    kern = graph_module._kernel(verts, metric)
+    kern = graph_module._kernel(spec, verts.params, metric)
     n, k = len(verts), 16
     scored = np.zeros(n, dtype=np.int64)
 
@@ -422,7 +433,8 @@ def test_knn_product_layout_scores_few_pairs(alpha):
         return kern.fn(a, b, w)
 
     np.testing.assert_array_equal(row_ids(verts.params), np.arange(n))
-    pairs = graph_module.knn_pairs(verts, kern._replace(fn=counting), k)
+    pairs = graph_module.knn_pairs(kern._replace(fn=counting), k,
+                                   graph_module._product_layout(verts))
     # knn_pairs_bruteforce's picks, row by row
     picks = [graph_module._picks(kern, rows, k) for rows in np.array_split(np.arange(n), 6)]
     np.testing.assert_array_equal(pairs, graph_module._unique_pairs(n, picks))
@@ -433,7 +445,7 @@ def test_knn_product_layout_scores_few_pairs(alpha):
 
 @st.composite
 def vertex_sets(draw):
-    """Non-grid SE(2), SO(3) or sphere vertex sets with duplicate and
+    """Non-grid SE(2), SO(3) or sphere point sets with duplicate and
     near-duplicate points, and optionally lattice coordinates (exact ties)."""
     kind = draw(st.sampled_from(["se2", "so3", "s2"]))
     n = draw(st.integers(2, 48))
@@ -455,24 +467,21 @@ def vertex_sets(draw):
         spec = (GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=4) if kind == "so3"
                 else GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
         params[:, 1] = np.clip(params[:, 1], 0.0, np.pi)
-    verts = VertexSet(spec, params)
     if kind == "s2":
-        return verts, Metric(), knn
+        return spec, params, Metric(), knn
     metric, _ = make_metric(spec, epsilon=draw(st.sampled_from([np.sqrt(0.1), 1.0])),
                             alpha=draw(st.sampled_from([0.1, 1.0, 100.0])))
-    return verts, metric, knn
+    return spec, params, metric, knn
 
 
 @settings(max_examples=120, deadline=None)
 @given(vertex_sets())
 def test_knn_tree_matches_bruteforce_random(case):
     """Exact equality on random sets, K clamped to |V| - 1 included."""
-    verts, metric, knn = case
+    spec, params, metric, knn = case
     with (mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK),
           mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK)):
-        g = build_graph(verts, metric, knn)
-    assert g.knn == min(knn, len(verts) - 1)
-    assert_knn_exact(g)
+        assert_pairs_exact(spec, params, metric, knn)
 
 
 @pytest.mark.parametrize("whole_set_pairs", [graph_module.WHOLE_SET_PAIRS, SMALL_BLOCK])
@@ -586,6 +595,25 @@ def test_graph_arrays_are_derived(se2_8x8x4):
     half = dataclasses.replace(g, edge_i=g.edge_i[::2], edge_j=g.edge_j[::2],
                                edge_distances=g.edge_distances[::2])
     assert half.n_edges == half.indices.size // 2 == (g.n_edges + 1) // 2
+
+
+def test_graph_refuses_pairs_a_file_cannot_hold(tmp_path):
+    """A graph's pairs obey read_graph's rules, 0 <= i < j < n strictly
+    ascending by (i, j), or it is not made: on se2 4x4x2, swapped ends, a
+    duplicated pair, reversed order, a column past n and a negative row all
+    fail at construction, so write_graph never writes a file that
+    read_graph refuses.  The valid pairs write and read back."""
+    g = built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, knn=6)
+    i, j, d = g.edge_i, g.edge_j, g.edge_distances
+    dup = np.insert(np.arange(i.size), 3, 3)
+    past, negative = j.copy(), i.copy()
+    past[-1], negative[0] = g.n_vertices, -1
+    for bad in ((j, i, d), (i[dup], j[dup], d[dup]), (i[::-1], j[::-1], d[::-1]), (i, past, d),
+                (negative, j, d)):
+        with pytest.raises(ValueError, match="edge pairs are not 0 <= i < j < n"):
+            dataclasses.replace(g, edge_i=bad[0], edge_j=bad[1], edge_distances=bad[2])
+    io.write_graph(tmp_path / "g.clgr", g, power_lambda_max(laplacian(g)))
+    assert io.read_graph(tmp_path / "g.clgr")[0].edge_j.tobytes() == j.tobytes()
 
 
 def test_demo_graphs_skip_the_tree():
@@ -879,7 +907,3 @@ def test_slice_fractions_vertex_sampled(se2_8x8x4):
         _, by_angle = np.unique(theta, return_inverse=True)
         np.testing.assert_array_equal(sub.vertices.orientation_index(np.arange(len(orig))),
                                       by_angle)
-    # a vertex subset built without the kept-id map has unknown slices
-    sub.vertices.kept = None
-    with pytest.raises(ValueError):
-        slice_neighbor_fractions(sub)

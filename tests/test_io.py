@@ -58,10 +58,6 @@ def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8
     other = sample_edges(se2_8x8x4, 0.5, seed=1)
     with pytest.raises(ValueError, match="laplacian"):
         io.write_graph(path, se2_8x8x4, power_lambda_max(laplacian(other)))
-    verts = sample_vertices(se2_8x8x4, 0.5, seed=3)
-    no_map = dataclasses.replace(verts, vertices=dataclasses.replace(verts.vertices, kept=None))
-    with pytest.raises(ValueError, match="kept"):
-        io.write_graph(path, no_map, lap)
     for xi, alpha in ((1e154, "inf"), (1e-170, "0.0")):   # xi^2 n_spatial / n_orient
         with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
             io.write_graph(path, dataclasses.replace(se2_8x8x4, metric=Metric(EPS_ANISO, xi)), lap)
@@ -70,28 +66,22 @@ def test_write_graph_rejects_what_it_cannot_rebuild(tmp_path, se2_8x8x4, se2_8x8
     assert not path.exists()
 
 
-def test_write_graph_refuses_params_not_of_the_sampling(tmp_path, se2_8x8x4, se2_8x8x4_lap):
-    """A file stores the sampling and the kept ids, not the coordinates, so
-    params that build_vertices(spec, kept) would not give back are refused:
-    one theta nudged by 1e-12, a shuffled grid, and kept ids of another
-    sample; kept ids out of order are refused as such."""
-    path, g, verts = tmp_path / "x.clgr", se2_8x8x4, se2_8x8x4.vertices
-    nudged = verts.params.copy()
-    nudged[5, 2] += 1e-12
-    order = np.random.Generator(np.random.Philox(8)).permutation(len(verts))
+def test_write_graph_refuses_params_not_of_the_sampling(tmp_path, se2_8x8x4):
+    """A file stores the sampling and the kept ids, not the coordinates, and
+    a VertexSet derives its params from those two, so every graph holds the
+    params a read gives back: with another sample's kept ids swapped in, the
+    params follow them and survive write -> read bit for bit.  Kept ids out
+    of order are refused when the vertex set is made, before any write."""
+    path, g = tmp_path / "x.clgr", se2_8x8x4
     sub = sample_vertices(g, 0.5, seed=3)
     other_ids = sample_vertices(g, 0.5, seed=4).vertices.kept
     assert not np.array_equal(other_ids, sub.vertices.kept)
-    for bad in (dataclasses.replace(g, vertices=VertexSet(verts.spec, nudged)),
-                dataclasses.replace(g, vertices=VertexSet(verts.spec, verts.params[order])),
-                dataclasses.replace(sub, vertices=dataclasses.replace(sub.vertices,
-                                                                      kept=other_ids))):
-        with pytest.raises(ValueError, match=r"params are not build_vertices\(spec, kept\)"):
-            io.write_graph(path, bad, se2_8x8x4_lap)
-    unsorted = dataclasses.replace(sub.vertices, kept=sub.vertices.kept[::-1])
-    with pytest.raises(ValueError, match="kept ids are not strictly ascending"):
-        io.write_graph(path, dataclasses.replace(sub, vertices=unsorted), se2_8x8x4_lap)
-    assert not path.exists()
+    other = dataclasses.replace(sub, vertices=dataclasses.replace(sub.vertices, kept=other_ids))
+    assert other.vertices.params.tobytes() == g.vertices.params[other_ids].tobytes()
+    io.write_graph(path, other, power_lambda_max(laplacian(other)))
+    assert io.read_graph(path)[0].vertices.params.tobytes() == other.vertices.params.tobytes()
+    with pytest.raises(ValueError, match="kept must be one or more strictly ascending ids"):
+        dataclasses.replace(sub.vertices, kept=sub.vertices.kept[::-1])
 
 
 def test_write_graph_refuses_anisotropic_r2_and_s2(tmp_path, r2_16x16, s2_level2):
@@ -710,10 +700,11 @@ def test_bad_kept_ids(tmp_path, sampled_file):
     assert exc.value.offset == graph_layout(stripped)["indptr"] == lay["kept_flag"] + 1
 
 
-def test_empty_kept_map(tmp_path, sampled_file, se2_8x8x4, se2_8x8x4_lap, capsys):
+def test_empty_kept_map(tmp_path, sampled_file, se2_8x8x4, capsys):
     """A vertex-sampled graph keeps at least one vertex: a file whose kept
     count is 0 (no ids, one row pointer, no edges) is refused at the count,
-    info exits 2 with one error line, and write_graph refuses such a graph."""
+    info exits 2 with one error line, and no such vertex set can be made for
+    write_graph to store."""
     _, data = sampled_file
     at = graph_layout(data)["kept_count"]
     empty = data[:at] + (0).to_bytes(8, "little") * 2 + data[-8:]
@@ -724,13 +715,8 @@ def test_empty_kept_map(tmp_path, sampled_file, se2_8x8x4, se2_8x8x4_lap, capsys
     assert main(["info", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    g, none = se2_8x8x4, np.zeros(0, dtype=np.int64)
-    verts = VertexSet(g.vertices.spec, g.vertices.params[:0], kept=none)
-    with pytest.raises(ValueError, match="the kept-id map is empty"):
-        io.write_graph(tmp_path / "x.clgr", dataclasses.replace(
-            g, vertices=verts, edge_i=none, edge_j=none, edge_distances=np.zeros(0)),
-            se2_8x8x4_lap)
-    assert not (tmp_path / "x.clgr").exists()
+    with pytest.raises(ValueError, match="kept must be one or more strictly ascending ids"):
+        VertexSet(se2_8x8x4.vertices.spec, kept=np.zeros(0, dtype=np.int64))
 
 
 def test_bad_lambda_max(tmp_path, graph_file):

@@ -1,5 +1,7 @@
 """Vertex sampling tests: grid layout, icosphere construction, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -265,4 +267,31 @@ def test_build_vertices_at_kept_ids(spec):
     kept = np.sort(rng.choice(len(full), size=len(full) // 3, replace=False))
     sub = build_vertices(spec, kept)
     assert sub.params.tobytes() == full.params[kept].tobytes()
-    assert sub.kept is kept and full.kept is None
+    assert sub.kept.tobytes() == kept.tobytes() and full.kept is None
+
+
+def test_vertex_set_is_its_spec_and_kept():
+    """A VertexSet is (spec, kept): params are derived, never passed, and
+    neither they nor kept can change afterwards.  A kept map that is empty,
+    not strictly ascending, or outside the sampling is refused, and
+    dataclasses.replace with other kept ids derives their params anew."""
+    spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=3)
+    full = build_vertices(spec)
+    with pytest.raises(TypeError):
+        VertexSet(spec, full.params)
+    with pytest.raises(TypeError):
+        VertexSet(spec, params=full.params)
+    v = build_vertices(spec, np.array([1, 4, 9]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.kept = None
+    for arr in (v.params, v.kept, full.params):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    for bad in ([], [4, 1], [1, 1, 2], [-1, 2], [0, spec.n_vertices]):
+        with pytest.raises(ValueError, match="kept must be one or more strictly ascending ids"):
+            VertexSet(spec, kept=np.array(bad, dtype=np.int64))
+    ids = np.array([0, 2, 7, spec.n_vertices - 1])
+    moved = dataclasses.replace(v, kept=ids)
+    assert moved.params.tobytes() == build_vertices(spec, ids).params.tobytes()
+    assert moved.params.tobytes() == full.params[ids].tobytes()

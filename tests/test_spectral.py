@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liegraph.graph import Laplacian, laplacian, power_lambda_max, rescale, sample_edges
+from liegraph.graph import (Laplacian, laplacian, power_lambda_max, rescale, sample_edges,
+                           sample_vertices)
 from liegraph.sampling import GridKind, GridSpec, grid_se2
 from liegraph.spectral import (
     HEAT_MAX_ORDER,
@@ -325,6 +326,21 @@ def test_heat_commutes_with_rotation(se2_8x8x4, se2_8x8x4_lap):
     a = heat_diffuse(se2_8x8x4_lap, apply_permutation(perm, x), 1.0)
     b = apply_permutation(perm, heat_diffuse(se2_8x8x4_lap, x, 1.0))
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kappa, counts", [(0.9, [15, 16, 11, 16]), (0.5, [9, 7, 6, 10])])
+def test_slice_anisotropy_needs_the_full_sampling(kappa, counts):
+    """Slices are id ranges of the full sampling, so a vertex-sampled set is
+    refused: on se2 4x4x4 at K=8 a kappa 0.9 sample (slice counts
+    15/16/11/16) would read masses 16/16/16/10 from the wrong rows, and a
+    kappa 0.5 one would index past its end."""
+    g = built(GridKind.SE2_GRID, nx=4, ny=4, orient=4, knn=8)
+    sub = sample_vertices(g, kappa, 1)
+    slices = sub.vertices.orientation_index(np.arange(sub.n_vertices))
+    assert np.bincount(slices).tolist() == counts
+    with pytest.raises(ValueError, match="needs all 64 vertices of the sampling"):
+        slice_anisotropy(sub.vertices, np.ones(sub.n_vertices))
+    assert [r["mass"] for r in slice_anisotropy(g.vertices, np.ones(64))] == [16.0] * 4
 
 
 def test_slice_anisotropy_directions(se2_8x8x4):
