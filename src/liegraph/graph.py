@@ -3,24 +3,22 @@
 K-NN selection scores each vertex's candidates with the exact kernel; the
 all-pairs scan it replaces on large sets stays as the sequential test
 reference, knn_pairs_bruteforce; both take a kernel (_kernel of any points).
-Full lifted SE(2) grids, whose product layout follows from (spec, kept),
-find candidates once per spatial point in a 2-D cKDTree and screen them per
-pair of orientation slices with the exact squared distance: on each branch th
-of the relative angle, se2_pair_sq is |A u|^2 + w2 th^2 for the spatial offset u,
-with A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)) and
-rho = (th/2) / sin(th/2).  Shifted down and up by BALL_REL times a bound on
-every term, which dwarfs the few ulps by which the form and the kernel can
-differ, the form brackets the kernel, so only about K plus the ties per row
-reach the kernel (knn_pairs derives the form and the bound).  Other vertex
-sets search a cKDTree over a Euclidean embedding whose distances never
-exceed the anisotropic ones.  The search uses every CPU in the process's
-affinity mask: tree queries run with that many workers, and scoring blocks,
-sized from CANDIDATE_BLOCK to stay in cache, go through a thread pool whose
-order-preserving map keeps the graph byte-identical for any worker count.
-A graph is its undirected edges, pairs i < j each with one distance;
-ManifoldGraph mirrors them by a transpose, and weights and Laplacian
-entries are elementwise functions of the mirrored distances, so adjacency
-and Laplacian are symmetric at the bit level.
+Full lifts (SE(2) grids, SO(3) spheres), whose product layout follows from
+(spec, kept), find candidates once per point in a cKDTree and bracket them
+per pair of orientation slices by quadratic forms of the two points: the
+offset on SE(2), whose squared distance is such a form, and the relative
+quaternion on SO(3), where 4 Q (1 + s^2/3) <= d^2 <= 4 Q / c^2.  Widened by
+BALL_REL times a bound on every term, the brackets hold for every pair, so
+few beyond K plus the ties per row reach the kernel (knn_pairs derives them).
+Other vertex sets search a cKDTree over a Euclidean embedding whose
+distances never exceed the anisotropic ones.  The search uses every CPU in
+the process's affinity mask: tree queries run with that many workers, and
+scoring blocks go through a thread pool whose order-preserving map keeps
+the graph byte-identical for any worker count.  A graph is its undirected
+edges, pairs i < j each with one distance; ManifoldGraph mirrors them by a
+transpose, and weights and Laplacian entries are elementwise functions of
+the mirrored distances, so adjacency and Laplacian are symmetric at the bit
+level.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .groups import (GroupKind, Metric, se2_bound_points, se2_pair_sq, so3_matrices,
-                     so3_quat_pair_sq, so3_quaternions, sphere_bound_points, sphere_pair_sq,
-                     wrap_angle)
-from .sampling import GridKind, GridSpec, VertexSet
+from .groups import (GroupKind, Metric, _quat_relative, se2_bound_points, se2_pair_sq,
+                     so3_matrices, so3_quat_pair_sq, so3_quaternions, sphere_bound_points,
+                     sphere_pair_sq, wrap_angle)
+from .sampling import GridKind, GridSpec, VertexSet, orientation_angles
 
 BANDWIDTH_FRACTION = 0.2
 DEFAULT_KNN_LIFTED = 16
@@ -50,8 +48,9 @@ CANDIDATE_BLOCK = 1 << 14
 # Vertex sets with at most this many pairs skip the tree and are scored as
 # one block; that covers the demo network's graphs.
 WHOLE_SET_PAIRS = 1 << 17
-# Screen values (offsets x slice-pair columns) per product-layout search block.
-SCREEN_BLOCK = 4 * CANDIDATE_BLOCK
+# Bracket values (point pairs x slice-pair columns) per product-layout search
+# block: fewer blocks pay less per-call overhead, larger ones leave the cache.
+SCREEN_BLOCK = 8 * CANDIDATE_BLOCK
 # Slack on the K-NN search's ball radius: relative, and absolute in units of
 # the largest embedded coordinate.  The absolute part covers rounding in the
 # embedding and in the kernels, which is absolute for near-coincident points.
@@ -124,13 +123,14 @@ def _kernel(spec: GridSpec, params: np.ndarray, metric: Metric) -> _Kernel:
     return _Kernel(so3_quaternions(mats), so3_quat_pair_sq, w, sphere_bound_points(mats, w))
 
 
-@dataclass
+@dataclass(eq=False)
 class ManifoldGraph:
     """Weighted K-NN graph over a VertexSet, given by its undirected edges
     (edge_i < edge_j, sorted by (i, j)) and their distances.  The CSR
     adjacency (indptr, indices) of both orientations, its distances and
     weights edge_weights(distances, bandwidth) are derived once, not passed;
-    ValueError for pairs that break those rules (pair_flags)."""
+    ValueError for pairs that break those rules (pair_flags).  A graph
+    equals only itself."""
 
     vertices: VertexSet
     metric: Metric
@@ -248,47 +248,109 @@ def knn_pairs_bruteforce(kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _product_layout(vertices: VertexSet):
-    """(xy, theta) of a full lifted SE(2) grid, or None for subsets, spheres
-    and single-slice grids (r2).  The layout follows from (spec, kept), with
-    nothing to check: vertex a m + p (slice a, spatial index p of m) sits at
-    xy[p] with angle theta[a], bit for bit."""
-    spec, params = vertices.spec, vertices.params
-    if spec.group_kind is not GroupKind.SE2 or not spec.lifted or vertices.kept is not None:
+    """(points, theta) of a full lift, which (spec, kept) implies, or None for
+    subsets and single slices (r2, s2): vertex a m + p (slice a, point p of
+    m) sits at points[p] = (x, y) with angle theta[a], or has slice 0's
+    frame at point p, of quaternion points[p], times R_z(theta[a] - theta[0])."""
+    spec = vertices.spec
+    if not spec.lifted or vertices.kept is not None:
         return None
-    return params[:spec.n_spatial, :2], params[::spec.n_spatial, 2]
+    base, theta = vertices.params[:spec.n_spatial], orientation_angles(spec.n_orient)
+    if spec.group_kind is GroupKind.SE2:
+        return base[:, :2], theta
+    return so3_quaternions(so3_matrices(base)), theta
 
 
-def _screen_tables(theta: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper screens of se2_pair_sq between orientation slices.
+# A product-layout search's group-specific parts: tree points, whose squared
+# distances times scale lie below d^2; terms(p, q), the (..., F) features of
+# point pairs; lower and upper brackets, each a table (F, ..., S, S) and the
+# reduction of its middle axes; floor (S, S), below d^2; aniso, w_max / w_min.
+_Product = namedtuple("_Product", "points scale terms lower upper floor aniso")
 
-    Each is a (4, S, S, 2) array: for row slice a, column slice b and branch
-    th in (dth, dth - copysign(pi, dth)), the coefficients of
-    (u_x^2, 2 u_x u_y, u_y^2, 1), u the spatial offset, in
-    |A u|^2 + w2 th^2 (the knn_pairs docstring derives A), shifted down and
-    up by BALL_REL (max(w0, w1) rho^2 |u|^2 + w2 th^2).
-    """
+
+def _min_branch(v: np.ndarray) -> np.ndarray:
+    return np.minimum(v[:, 0], v[:, 1])
+
+
+def _se2_product(kern: _Kernel, xy: np.ndarray, theta: np.ndarray) -> _Product | None:
+    """Offsets u = x_q - x_p against brackets of se2_pair_sq, (4, 2, S, S):
+    per branch th in (dth, dth - copysign(pi, dth)) and slices a, b, the
+    coefficients of (u_x^2, 2 u_x u_y, u_y^2, 1) in |A u|^2 + w2 th^2 (knn_pairs
+    derives A) -+ BALL_REL (max(w0, w1) rho^2 |u|^2 + w2 th^2); None unless
+    w_min >= BALL_REL w_max keeps the lower form positive semi-definite."""
+    w0, w1, w2 = kern.w
+    w_min, w_max = min(w0, w1), max(w0, w1)
+    if BALL_REL * w_max > w_min:
+        return None
+
+    def terms(p, q):
+        ux, uy = np.moveaxis(xy[q] - xy[p], -1, 0)
+        return np.stack([ux * ux, 2.0 * ux * uy, uy * uy, np.ones_like(ux)], axis=-1)
+
     dth = wrap_angle(theta[None, :] - theta[:, None])
-    th = np.stack([dth, dth - np.copysign(np.pi, dth)], axis=-1)
+    th = np.stack([dth, dth - np.copysign(np.pi, dth)])
     half = 0.5 * th
     with np.errstate(invalid="ignore"):
         rho2 = np.where(half == 0.0, 1.0, half / np.sin(half)) ** 2
-    phi = theta[:, None, None] + half
+    phi = theta[:, None] + half
     c, s = np.cos(phi), np.sin(phi)
-    w0, w1, w2 = w
     form = np.stack([rho2 * (w0 * c * c + w1 * s * s), rho2 * (w0 - w1) * c * s,
                      rho2 * (w0 * s * s + w1 * c * c), w2 * th * th])
-    slack = BALL_REL * np.stack([rho2 * max(w0, w1), np.zeros_like(th), rho2 * max(w0, w1),
-                                 w2 * th * th])
-    return form - slack, form + slack
+    slack = BALL_REL * np.stack([rho2 * w_max, np.zeros_like(th), rho2 * w_max, w2 * th * th])
+    return _Product(xy, w_min, terms, (form - slack, _min_branch), (form + slack, _min_branch),
+                    (form - slack)[3].min(axis=0), w_max / w_min)
 
 
-def _screen(u: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Screen values of spatial offsets u (..., 2) against a (4, ..., 2)
-    table: the smaller branch, shape u.shape[:-1] + table.shape[1:-1]."""
-    ux, uy = u[..., 0], u[..., 1]
-    terms = np.stack([ux * ux, 2.0 * ux * uy, uy * uy, np.ones_like(ux)], axis=-1)
-    v = (terms.reshape(-1, 4) @ table.reshape(4, -1)).reshape(u.shape[:-1] + table.shape[1:])
-    return np.minimum(v[..., 0], v[..., 1])
+def _so3_product(kern: _Kernel, q0: np.ndarray, theta: np.ndarray) -> _Product:
+    """Relative quaternions m = conj(q_p) q_q against brackets of
+    so3_quat_pair_sq, each (6, 2, 2, S, S): the coefficients on
+    (m0^2, m3^2, 2 m0 m3, m1^2, m2^2, 2 m1 m2) of 4/3 Q (lower) or 4 Q
+    (upper) and c^2 per branch and slice pair (knn_pairs derives them),
+    Q -+ BALL_REL (w0 + w1 + w2) and c^2 +- BALL_REL through
+    m0^2 + m1^2 + m2^2 + m3^2 = 1.  The floor is 0: near the poles the
+    frames' gauge brings slices together."""
+
+    def terms(p, q):
+        m0, m1, m2, m3 = _quat_relative(np.take(q0, p, axis=0), np.take(q0, q, axis=0))
+        return np.stack([m0 * m0, m3 * m3, 2.0 * m0 * m3, m1 * m1, m2 * m2, 2.0 * m1 * m2], -1)
+
+    def upper(v):
+        with np.errstate(divide="ignore"):
+            return _min_branch(v[:, 0] / np.maximum(v[:, 1], 0.0))
+
+    half = 0.5 * (theta[None, :] - theta[:, None])
+    mean = 0.5 * (theta[None, :] + theta[:, None]) - theta[0]
+    c, s, cm, sm = np.cos(half), np.sin(half), np.cos(mean), np.sin(mean)
+    zero = np.zeros_like(c)
+    # The coefficients of (r0^2, r1^2, r2^2, r3^2) on each monomial, [monomial, a, b, r]
+    squares = np.stack([np.stack(col, axis=-1) for col in (
+        (c * c, zero, zero, s * s), (s * s, zero, zero, c * c), (-c * s, zero, zero, c * s),
+        (zero, cm * cm, sm * sm, zero), (zero, sm * sm, cm * cm, zero),
+        (zero, cm * sm, -cm * sm, zero))])
+    w0, w1, w2 = kern.w
+    # Q, then c^2, of each branch on (r0^2, r1^2, r2^2, r3^2), [form, branch, r];
+    # the second branch, r R_z(pi), has the components (-r3, r2, -r1, r0).
+    weights = np.array([[[0.0, w0, w2, w1], [w1, w2, w0, 0.0]], [[1.0, 0, 0, 0], [0, 0, 0, 1.0]]])
+    forms = np.einsum("iabr,fxr->ifxab", squares, weights)
+    slack = BALL_REL * np.multiply.outer([1.0, 1, 0, 1, 1, 0], [w0 + w1 + w2, -1.0])
+    low, high = forms - slack[..., None, None, None], forms + slack[..., None, None, None]
+    low[:, 0] *= 4.0 / 3.0
+    high[:, 0] *= 4.0
+    return _Product(kern.points[:len(q0)], 1.0, terms,
+                    (low, lambda v: _min_branch(v[:, 0] * (4.0 - v[:, 1]))), (high, upper),
+                    np.zeros((theta.size, theta.size)), 1.0)
+
+
+def _bracket(t: np.ndarray, bound, *cols) -> np.ndarray:
+    """Values of a bracket (table, reduce) on pair features t (..., F), one
+    GEMM against the table's slice-pair columns `cols` (all by default),
+    reduced over the forms and branches: shape t.shape[:-1] plus the shape
+    of the slice pairs."""
+    table, reduce = bound
+    table = table[(..., *cols)]
+    v = t.reshape(-1, t.shape[-1]) @ table.reshape(table.shape[0], -1)
+    v = reduce(v.reshape((-1,) + table.shape[1:]))
+    return v.reshape(t.shape[:-1] + v.shape[1:])
 
 
 def _select_keyed(key: np.ndarray, n_keys: int, d2: np.ndarray, k: int) -> np.ndarray:
@@ -305,72 +367,68 @@ def _select_keyed(key: np.ndarray, n_keys: int, d2: np.ndarray, k: int) -> np.nd
     return _select(table, k)[1][key, pos]
 
 
-def _product_knn_pairs(layout, kern: _Kernel, k: int, pool, workers: int):
-    """knn_pairs on a full grid in the product layout (_product_layout):
-    per-row bounds from the nearest spatial points, then one screened ball
-    per spatial point."""
+def _product_knn_pairs(prod: _Product, kern: _Kernel, k: int, pool, workers: int):
+    """knn_pairs on a full lift in the product layout (_product_layout):
+    per-row bounds from the nearest points, then one bracketed ball per
+    point."""
     # Imported here: the scipy.spatial package import takes about 0.1 s and
     # 6 MB, which commands that build no large graph need not pay.
     from scipy.spatial import cKDTree
 
-    xy, theta = layout
-    m, n_slices = xy.shape[0], theta.size
-    lower, upper = _screen_tables(theta, kern.w)
-    w_min, w_max = min(kern.w[0], kern.w[1]), max(kern.w[0], kern.w[1])
-    tree = cKDTree(xy)
+    points, terms = prod.points, prod.terms
+    m, n_slices = len(points), prod.floor.shape[0]
+    per_pair = int(np.prod(prod.lower[0].shape[1:-2]))
+    tree = cKDTree(points)
     k_all = min(k + 1, m)
-    nearest = tree.query(xy, k=k_all, workers=workers)[1].reshape(m, -1)
-    # The cheapest orientation term of each slice pair, and of each row
-    # slice towards the other slices.
-    floor = lower[3].min(axis=-1)
-    cross = np.where(np.eye(n_slices, dtype=bool), np.inf, floor).min(axis=1)
-    # Own-slice neighbours fill an ellipse of axis ratio sqrt(w_max / w_min),
-    # whose long axis takes that many times the points.
-    k_own = min(int(np.ceil((k + 1) * np.sqrt(w_max / w_min))), m)
-    own_table = upper[:, np.arange(n_slices), np.arange(n_slices)]
-    step = max(SCREEN_BLOCK // (2 * n_slices * max(k_all * n_slices, k_own)), 1)
+    nearest = tree.query(points, k=k_all, workers=workers)[1].reshape(m, -1)
+    # The lowest floor from each row slice to the other slices.
+    cross = np.where(np.eye(n_slices, dtype=bool), np.inf, prod.floor).min(axis=1)
+    # Own-slice neighbours fill an ellipse of axis ratio sqrt(aniso), whose
+    # long axis takes that many times the points.
+    k_own = min(int(np.ceil((k + 1) * np.sqrt(prod.aniso))), m)
+    step = max(SCREEN_BLOCK // (per_pair * n_slices * max(k_all * n_slices, k_own)), 1)
 
     def kth_bound(lo: int):
-        # The (k + 1)-th smallest upper screen: each row meets itself, at 0.
+        # The (k + 1)-th smallest upper bracket: each row meets itself.
         pts = np.arange(lo, min(lo + step, m))
-        q = nearest[pts]
-        v = _screen(xy[q] - xy[pts, None], upper).transpose(0, 2, 1, 3)   # [point, a, j, b]
+        v = _bracket(terms(pts[:, None], nearest[pts]), prod.upper).transpose(0, 2, 1, 3)
         bound = np.partition(v.reshape(pts.size, n_slices, -1), k, axis=-1)[..., k]
-        # A bound below every other slice's orientation term comes from the
-        # own slice's K + 1 isotropically nearest points alone, loose by up
-        # to w_max / w_min: take the own slice's k_own nearest too.
+        # A bound below every other slice's floor comes from the own slice's
+        # K + 1 isotropically nearest points alone, loose by up to aniso:
+        # take the own slice's k_own nearest too.
         rows = np.flatnonzero((bound < cross).any(axis=1)) if k_own > k_all else []
         if len(rows):
             # The blocks run side by side, so each queries the tree on one thread.
-            q = tree.query(xy[pts[rows]], k=k_own)[1]
-            v = _screen(xy[q] - xy[pts[rows], None], own_table)           # [point, j, a]
+            q = tree.query(points[pts[rows]], k=k_own)[1]
+            v = _bracket(terms(pts[rows, None], q), prod.upper, *np.diag_indices(n_slices))
             bound[rows] = np.minimum(bound[rows], np.partition(v, k, axis=1)[:, k])
         return bound
 
     limit = np.concatenate(list(pool.map(kth_bound, range(0, m, step)))) * (1.0 + TIE_REL)
-    radius = (np.sqrt(limit.max(axis=1) / w_min) * (1.0 + BALL_REL)
-              + BALL_ABS * (1.0 + np.abs(xy).max()))
-    balls = tree.query_ball_point(xy, radius, workers=workers)
+    radius = (np.sqrt(limit.max(axis=1) / prod.scale) * (1.0 + BALL_REL)
+              + BALL_ABS * (1.0 + np.abs(points).max()))
+    balls = tree.query_ball_point(points, radius, workers=workers)
     counts = np.fromiter(map(len, balls), dtype=np.int64, count=m)
 
     def ball_picks(block: tuple[int, int]):
         lo, hi = block
         p = np.repeat(np.arange(lo, hi), counts[lo:hi])
         q = np.concatenate(balls[lo:hi]).astype(np.int64)
-        # A slice pair whose orientation term alone exceeds every limit of
-        # the block's rows holds none of their picks.
-        a, b = np.nonzero(floor <= limit[lo:hi].max(axis=0)[:, None])
-        pair, col = np.nonzero(_screen(xy[q] - xy[p], lower[:, a, b]) <= limit[p][:, a])
-        p, q, a, b = p[pair], q[pair], a[col], b[col]
-        rows, cols = a * m + p, b * m + q
+        # A slice pair whose floor exceeds every limit of the block's rows
+        # holds none of their picks.
+        a, b = np.nonzero(prod.floor <= limit[lo:hi].max(axis=0)[:, None])
+        pair, col = np.nonzero(_bracket(terms(p, q), prod.lower, a, b)
+                               <= np.take(limit, p, axis=0)[:, a])
+        p, a = p[pair], a[col]
+        rows, cols = a * m + p, b[col] * m + q[pair]
         keep = rows != cols
         key, rows, cols = ((p - lo) * n_slices + a)[keep], rows[keep], cols[keep]
-        d2 = kern.fn(kern.data[rows], kern.data[cols], kern.w)
+        d2 = kern.fn(np.take(kern.data, rows, axis=0), np.take(kern.data, cols, axis=0), kern.w)
         chosen = _select_keyed(key, (hi - lo) * n_slices, d2, k)
         return rows[chosen], cols[chosen]
 
-    # Blocks of consecutive points, about SCREEN_BLOCK screen values each.
-    per_block = max(SCREEN_BLOCK // (n_slices * n_slices * 2), 1)
+    # Blocks of consecutive points, about SCREEN_BLOCK bracket values each.
+    per_block = max(SCREEN_BLOCK // (n_slices * n_slices * per_pair), 1)
     total = np.cumsum(counts)
     cuts = np.searchsorted(total, np.arange(per_block, total[-1], per_block))
     edges = np.unique(np.concatenate([[0], cuts, [m]]))
@@ -432,7 +490,7 @@ def _tree_knn_pairs(kern: _Kernel, k: int, pool, workers: int):
 
 def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarray]:
     """Unique undirected pairs from per-vertex K-nearest selection under
-    `kern`, whose points are in the (xy, theta) product layout of
+    `kern`, whose points are in the (points, theta) product layout of
     _product_layout when `layout` is given.
 
     Ties at equal distance resolve to the lower vertex id (stable sort).  A
@@ -450,44 +508,63 @@ def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarra
     smallest among the candidates is the row's K-th and the picks are brute
     force's.
 
-    Points in a product layout (full lifted SE(2) grids) are screened per
-    pair of orientation slices.  For a row in slice a at x_a, a
-    column in slice b at x_b and u = x_b - x_a, se2_pair_sq's branch th in
+    Points in a product layout (full lifts: SE(2) grids and SO(3) spheres
+    with two or more slices) are bracketed per pair of orientation slices
+    (a, b) and branch by quadratic forms in features of the pair's points p
+    and q: one GEMM per block of point pairs, no transcendental function.
+
+    SE(2): for u = x_q - x_p, se2_pair_sq's branch th in
     {dth, dth - copysign(pi, dth)} rotates u by -theta_a and applies
-    [[h, th/2], [-th/2, h]] with h = (th/2) cot(th/2), which is rho R(-th/2)
-    for rho = (th/2) / sin(th/2).  So (c1, c2) = rho R(-(theta_a + th/2)) u
-    and
+    [[h, th/2], [-th/2, h]], h = (th/2) cot(th/2), which is rho R(-th/2) for
+    rho = (th/2) / sin(th/2).  So (c1, c2) = rho R(-(theta_a + th/2)) u and
+    d^2 = min over th of |A u|^2 + w2 th^2 with
+    A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)), a form in
+    (u_x^2, 2 u_x u_y, u_y^2, 1).  The kernel and the form evaluate d^2 from
+    the same u and th, and every term either adds is at most
+    M = max(w0, w1) rho^2 |u|^2 + w2 th^2, so they differ by a few dozen ulps
+    of M; the brackets are the form -+ BALL_REL M.  The tree holds the
+    points: d^2 >= w_min |u|^2 (rho >= 1, w_min = min(w0, w1)).
 
-        d^2 = min over th of |A u|^2 + w2 th^2,
-        A = rho diag(sqrt(w0), sqrt(w1)) R(-(theta_a + th/2)).
+    SO(3): vertex a m + p has the frame G_p R_z(theta_a), so its quaternion
+    is +-q_p z_a, z_a = (cos(theta_a/2), 0, 0, sin(theta_a/2)) (angles from
+    slice 0, whose frames the layout holds), and a row (a, p) and a column
+    (b, q) have the relative quaternion r = conj(z_a) m z_b, m = conj(q_p) q_q:
+    r0 + i r3 = e^(i (theta_b - theta_a)/2) (m0 + i m3) and
+    (r1, r2) = R(-(theta_a + theta_b)/2) (m1, m2).  A branch of
+    so3_quat_pair_sq with scalar part c and vector part v, (r0, (r1, r2, r3))
+    or, times R_z(pi), (r3, (r2, -r1, r0)), is 4 Q asin^2(s) / s^2 for
+    Q = w0 v_x^2 + w1 v_z^2 + w2 v_y^2 and s = |v|, s^2 = 1 - c^2.  The
+    series of asin^2(s) / s^2 starts 1 + s^2/3 with positive terms, and
+    asin(s) = atan(s/c) <= s/c, so 4 Q (1 + s^2/3) <= d^2 <= 4 Q / c^2, with
+    Q and c^2 forms, even in r, in (m0^2, m3^2, 2 m0 m3, m1^2, m2^2, 2 m1 m2).
+    Rounding: each vertex's kernel quaternion is +-q_p z_a within 4 ulps of 1
+    per component (tested at levels 0-4 with 1-8 slices), m and r are short
+    sums of products of unit-sized numbers, and with |m| = 1 every term the
+    forms add is at most w0 + w1 + w2 in Q and 1 in c^2.  An error e in r
+    moves Q by at most 2 |e| sqrt(Q (w0 + w1 + w2)) + (w0 + w1 + w2) |e|^2,
+    and atan2 and division add ulps of d^2 <= pi^2 Q, so brackets and kernel
+    differ by a few dozen ulps of w0 + w1 + w2.  The brackets shift Q by
+    -+ BALL_REL (w0 + w1 + w2) and c^2 by +- BALL_REL; c^2 reaching 0 makes
+    the upper one inf.  The tree holds sphere_bound_points.
 
-    With a, b and th fixed this is a quadratic form in u plus a constant, so
-    screening a block of offsets is one GEMM of (u_x^2, 2 u_x u_y, u_y^2, 1)
-    against a (4, 2 S^2) table (_screen_tables).  Rounding: the kernel and
-    the screen evaluate d^2 from the same u and th, and every term either
-    adds is at most M = max(w0, w1) rho^2 |u|^2 + w2 th^2 (|(c1, c2)| =
-    rho |u|), so they differ by a few dozen ulps of M.  The lower screen
-    subtracts BALL_REL M and the upper one adds it: lower <= kernel <= upper
-    for every pair, far beyond rounding.  One 2-D cKDTree holds the spatial
-    points and is queried once per point, not per vertex:
+    Both search one cKDTree of the m points, queried per point:
 
-    1. U is a row's (K + 1)-th smallest upper screen (it meets itself at 0)
-       over its point's K + 1 nearest points in every slice.  K vertices lie
-       within U of the row.  If U is below every other slice's orientation
-       term, it comes from the row's own slice alone, where an isotropic
-       neighbourhood makes it loose by up to w_max / w_min.  U is then also
-       taken over the ceil((K + 1) sqrt(w_max / w_min)) nearest points in
-       the own slice: its neighbours fill an ellipse of that axis ratio.
-    2. d^2 >= w_min rho^2 |u|^2 >= w_min |u|^2 with rho >= 1, so every vertex
-       the row selects lies within sqrt(U (1 + TIE_REL) / w_min) of its
-       point, widened by BALL_REL and BALL_ABS for the tree's rounding.  One
-       ball per point takes the largest radius over its rows.  Each ball
-       point and slice pair is screened, and the candidates whose lower
-       screen is within U (1 + TIE_REL) are scored: about K plus the ties
-       per row on a grid.  Slice pairs whose orientation term alone exceeds
-       every U of a block's rows are skipped; the lower form's quadratic
-       part stays positive semi-definite because the path requires
-       w_min >= BALL_REL w_max.  Other metrics take the general search.
+    1. U is a row's (K + 1)-th smallest upper bracket (counting the row
+       itself) over its point's K + 1 nearest points in every slice, so K
+       vertices lie within U.  On SE(2), a U below every other slice's
+       orientation term comes from the own slice alone, loose by up to
+       w_max / w_min: U is then also taken over the own slice's
+       ceil((K + 1) sqrt(w_max / w_min)) nearest points, as its neighbours
+       fill an ellipse of that axis ratio.  SO(3) slices have no such floor.
+    2. Every vertex the row selects lies within sqrt(U (1 + TIE_REL)) of its
+       point in the tree (scaled by its lower bound), widened by BALL_REL
+       and BALL_ABS for rounding; one ball per point takes the largest
+       radius over its rows.  The candidates whose lower bracket is within
+       U (1 + TIE_REL) are scored: K plus the ties per row, and on SO(3),
+       whose U is looser, 6-10 more.  On SE(2), slice pairs whose
+       orientation term alone exceeds every U of a block's rows are
+       skipped, and w_min >= BALL_REL w_max keeps the lower form positive
+       semi-definite.
 
     Without a layout, a set (a single-slice one too) searches a cKDTree of the
     kernel's lower-bound embedding f, |f(a) - f(b)|^2 <= d^2(a, b).  The K-th
@@ -514,8 +591,11 @@ def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarra
         return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
     workers = len(os.sched_getaffinity(0))
     with ThreadPoolExecutor(workers) as pool:
-        if layout is not None and BALL_REL * max(kern.w[:2]) <= min(kern.w[:2]):
-            return _product_knn_pairs(layout, kern, k, pool, workers)
+        if layout is not None:
+            # Points (x, y) are an SE(2) grid's, unit quaternions an SO(3) lift's.
+            prod = (_se2_product if layout[0].shape[1] == 2 else _so3_product)(kern, *layout)
+            if prod is not None:
+                return _product_knn_pairs(prod, kern, k, pool, workers)
         return _tree_knn_pairs(kern, k, pool, workers)
 
 
@@ -556,7 +636,11 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
     kern = _kernel(spec, vertices.params, metric)
     layout = _product_layout(vertices)
     i, j = knn_pairs(kern, k, layout) if k else (np.zeros(0, dtype=np.int64),) * 2
-    dist = np.sqrt(kern.fn(kern.data[i], kern.data[j], kern.w)) if i.size else np.zeros(0)
+    # Scored in blocks whose temporaries stay in cache.
+    d2 = [kern.fn(np.take(kern.data, i[lo:lo + CANDIDATE_BLOCK], axis=0),
+                  np.take(kern.data, j[lo:lo + CANDIDATE_BLOCK], axis=0), kern.w)
+          for lo in range(0, i.size, CANDIDATE_BLOCK)]
+    dist = np.sqrt(np.concatenate(d2 or [np.zeros(0)]))
     t = BANDWIDTH_FRACTION * float(np.mean(dist ** 2)) if dist.size else 0.0
     return ManifoldGraph(vertices, metric, k, t, i, j, dist, tuple(notes))
 

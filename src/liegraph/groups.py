@@ -228,21 +228,25 @@ def se2_pair_sq(params_a, params_b, weights) -> np.ndarray:
     return best
 
 
+def _quat_relative(quats_a, quats_b):
+    """The components (w, x, y, z) of conj(q_a) q_b, each vector component
+    summed as antisymmetric pairs, so equal inputs give exactly (|q|^2, 0, 0, 0)."""
+    a0, a1, a2, a3 = np.moveaxis(np.asarray(quats_a, dtype=float), -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(np.asarray(quats_b, dtype=float), -1, 0)
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3, (a0 * b1 - a1 * b0) + (a3 * b2 - a2 * b3),
+            (a0 * b2 - a2 * b0) + (a1 * b3 - a3 * b1), (a0 * b3 - a3 * b0) + (a2 * b1 - a1 * b2))
+
+
 def so3_quat_pair_sq(quats_a, quats_b, weights) -> np.ndarray:
     """Squared distances between unit-quaternion arrays (..., 4), broadcast
     like se2_pair_sq.  The relative rotation conj(q_a) q_b = (w, x, y, z)
-    sums each vector component as antisymmetric pairs, so equal inputs give
-    exactly 0; its squared log norm is theta^2 (w0 x^2 + w1 z^2 + w2 y^2) /
-    |v|^2 with theta = 2 atan2(|v|, |w|), 0 at |v| = 0.  The +/- pi shifts of
-    the relative alpha are both the right factor R_z(pi) = (0, 0, 0, 1), which
-    maps (w, x, y, z) to (-z, y, -x, w); the smaller branch counts.
+    (_quat_relative, 0 between equal inputs) has the squared log norm
+    theta^2 (w0 x^2 + w1 z^2 + w2 y^2) / |v|^2 with theta = 2 atan2(|v|, |w|),
+    0 at |v| = 0.  The +/- pi shifts of the relative alpha are both the right
+    factor R_z(pi) = (0, 0, 0, 1), which maps (w, x, y, z) to (-z, y, -x, w);
+    the smaller branch counts.
     """
-    a0, a1, a2, a3 = np.moveaxis(np.asarray(quats_a, dtype=float), -1, 0)
-    b0, b1, b2, b3 = np.moveaxis(np.asarray(quats_b, dtype=float), -1, 0)
-    w = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-    x = (a0 * b1 - a1 * b0) + (a3 * b2 - a2 * b3)
-    y = (a0 * b2 - a2 * b0) + (a1 * b3 - a3 * b1)
-    z = (a0 * b3 - a3 * b0) + (a2 * b1 - a1 * b2)
+    w, x, y, z = _quat_relative(quats_a, quats_b)
     sw, sx, sy, sz = w * w, x * x, y * y, z * z
     w0, w1, w2 = weights
     best = None

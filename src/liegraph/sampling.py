@@ -102,7 +102,8 @@ class VertexSet:
     `matrices` derive, is computed once from (spec, kept), not passed:
     (ix / nx, iy / ny, theta_k) on grids, (alpha_k, beta, gamma) of the
     icosphere points on spheres.  Both arrays are read-only, kept as int64;
-    ValueError unless kept is non-empty and strictly ascending in range."""
+    ValueError unless kept is non-empty and strictly ascending in range.
+    Equality and hash follow (spec, kept ids)."""
 
     spec: GridSpec
     kept: np.ndarray | None = field(default=None, kw_only=True)
@@ -128,6 +129,15 @@ class VertexSet:
             params = np.column_stack([theta, beta[p], gamma[p]])
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, VertexSet) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self):
+        return self.spec, None if self.kept is None else self.kept.tobytes()
 
     def __len__(self) -> int:
         return self.params.shape[0]

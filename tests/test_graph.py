@@ -37,7 +37,7 @@ from liegraph.graph import (
     sample_vertices,
     xi_from_alpha,
 )
-from liegraph.groups import GroupKind, Metric, so3_matrices
+from liegraph.groups import GroupKind, Metric, so3_matrices, so3_quaternions
 from liegraph.network import build_demo
 from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
 
@@ -299,18 +299,27 @@ def test_knn_settles_fitting_rows_in_first_pass(whole_set_pairs, monkeypatch):
 
 
 def spy_product_path(monkeypatch):
-    """Record the (spatial points, slices) shape and the thread pool of each
-    product-layout search knn_pairs runs."""
+    """Record each search knn_pairs runs past the whole-set size with its
+    thread pool: ("product", points, slices) for the product-layout search,
+    ("tree", vertices) for the general one."""
     runs = []
-    product = graph_module._product_knn_pairs
+    product, tree = graph_module._product_knn_pairs, graph_module._tree_knn_pairs
 
-    def spy(layout, kern, k, pool, workers):
-        xy, theta = layout
-        runs.append(((len(xy), theta.size), pool))
-        return product(layout, kern, k, pool, workers)
+    def spy_product(prod, kern, k, pool, workers):
+        runs.append((("product", len(prod.points), prod.floor.shape[0]), pool))
+        return product(prod, kern, k, pool, workers)
 
-    monkeypatch.setattr(graph_module, "_product_knn_pairs", spy)
+    def spy_tree(kern, k, pool, workers):
+        runs.append((("tree", len(kern.data)), pool))
+        return tree(kern, k, pool, workers)
+
+    monkeypatch.setattr(graph_module, "_product_knn_pairs", spy_product)
+    monkeypatch.setattr(graph_module, "_tree_knn_pairs", spy_tree)
     return runs
+
+
+def product_runs(runs):
+    return [(path, pool) for path, pool in runs if path[0] == "product"]
 
 
 # se2 grids with nx != ny, over 362 vertices so that the default block sizes
@@ -342,7 +351,7 @@ def test_knn_product_layout_matches_bruteforce(n_orient, whole_set_pairs, monkey
             assert_knn_exact(build_graph(sub, metric, k))
         assert_knn_exact(g)
         searched += len(verts) ** 2 > whole_set_pairs
-    assert len(runs) == searched > 0
+    assert len(product_runs(runs)) == searched > 0
 
 
 @st.composite
@@ -385,25 +394,32 @@ def test_knn_product_layout_matches_bruteforce_random(case):
 
 
 def test_knn_product_layout_gate(monkeypatch):
-    """A subset keeping half the vertices is no full grid, and points with
-    one slice angle off by 1e-12 at one vertex are passed without a layout:
-    the general search runs on both and still equals brute force."""
+    """A subset keeping half the vertices is no full lift, points with one
+    slice angle off by 1e-12 at one vertex are passed without a layout, and
+    s2 has a single slice: the general search runs on each and still equals
+    brute force, while the full se2 grid and so3 lift take the product
+    layout."""
     set_blocks(monkeypatch, SMALL_BLOCK)
     runs = spy_product_path(monkeypatch)
-    spec = GridSpec(GridKind.SE2_GRID, nx=9, ny=7, n_orient=6)
-    grid = build_vertices(spec)
-    params = grid.params.copy()
-    params[100, 2] += 1e-12
-    metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=1.0)
-    g = build_graph(grid, metric, 16)
-    assert_knn_exact(g)
-    assert [shape for shape, _ in runs] == [(spec.n_spatial, 6)]
-    half = sample_vertices(g, 0.5, 1).vertices
-    assert graph_module._product_layout(grid) is not None
-    assert graph_module._product_layout(half) is None
-    assert_pairs_exact(spec, params, metric, 16)
-    assert_knn_exact(build_graph(half, metric, 16))
-    assert len(runs) == 1
+    for spec in (GridSpec(GridKind.SE2_GRID, nx=9, ny=7, n_orient=6),
+                 GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=6)):
+        grid = build_vertices(spec)
+        params = grid.params.copy()
+        params[100, 2 if spec.group_kind is GroupKind.SE2 else 0] += 1e-12
+        metric, _ = make_metric(spec, epsilon=EPS_ANISO, alpha=1.0)
+        g = build_graph(grid, metric, 16)
+        assert_knn_exact(g)
+        half = sample_vertices(g, 0.5, 1).vertices
+        assert graph_module._product_layout(grid) is not None
+        assert graph_module._product_layout(half) is None
+        assert_pairs_exact(spec, params, metric, 16)
+        assert_knn_exact(build_graph(half, metric, 16))
+    s2 = build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=2))
+    assert graph_module._product_layout(s2) is None
+    assert_knn_exact(build_graph(s2, Metric(), 8))
+    assert [path for path, _ in runs] == [("product", 63, 6), ("tree", 378), ("tree", 189),
+                                          ("product", 42, 6), ("tree", 252), ("tree", 126),
+                                          ("tree", 162)]
 
 
 # Kernel pairs the product-layout search may score per row beyond those the
@@ -441,6 +457,166 @@ def test_knn_product_layout_scores_few_pairs(alpha):
     selected = np.bincount(np.concatenate([rows for rows, _ in picks]), minlength=n)
     assert np.all(scored >= selected)
     assert np.all(scored <= selected + SCORED_MARGIN)
+
+
+def quat_mul(a, b):
+    """Hamilton products of quaternion arrays (..., 4), (w, x, y, z) order."""
+    a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(b, -1, 0)
+    return np.stack([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3, a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1],
+                    axis=-1)
+
+
+def z_rotations(angles):
+    """Unit quaternions of R_z(angle)."""
+    zero = np.zeros_like(angles)
+    return np.stack([np.cos(0.5 * angles), zero, zero, np.sin(0.5 * angles)], axis=-1)
+
+
+# The bound, in ulps of 1 per component, on how far the kernel's quaternion
+# of an so3 vertex lies from the product form the SO(3) brackets assume
+# (the knn_pairs docstring); 1.5 ulps is the largest seen.
+QUAT_ULPS = 4
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_so3_vertex_quaternions_factor(level):
+    """Vertex a m + p of an so3 lift has the frame G_p R_z(theta_a): the
+    kernel's Shepperd quaternion of each vertex is +-(q_p z_a) for the
+    closed-form q_p = R_z(gamma) R_y(beta) and z_a = R_z(theta_a), and
+    +-(points[p] R_z(theta_a - theta_0)) for the product layout's slice-0
+    quaternions, within QUAT_ULPS ulps of 1 per component."""
+    for n_orient in range(1, 9):
+        spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=n_orient)
+        verts = build_vertices(spec)
+        q = graph_module._kernel(spec, verts.params, make_metric(spec)[0]).data
+        alpha, beta, gamma = verts.params.T
+        tilt = np.stack([np.cos(0.5 * beta), np.zeros_like(beta), np.sin(0.5 * beta),
+                         np.zeros_like(beta)], axis=-1)                         # R_y(beta)
+        closed = quat_mul(quat_mul(z_rotations(gamma), tilt), z_rotations(alpha))
+        m, theta = spec.n_spatial, verts.params[::spec.n_spatial, 0]
+        base = so3_quaternions(so3_matrices(verts.params[:m]))
+        if spec.lifted:
+            layout = graph_module._product_layout(verts)
+            assert layout[0].tobytes() == base.tobytes() and layout[1].tobytes() == theta.tobytes()
+        product = quat_mul(base[None], z_rotations(theta - theta[0])[:, None]).reshape(-1, 4)
+        for want in (closed, product):
+            err = np.minimum(np.abs(q - want).max(axis=1), np.abs(q + want).max(axis=1))
+            assert err.max() <= QUAT_ULPS * 2.0 ** -52, (n_orient, err.max())
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 100.0])
+def test_so3_brackets_hold(alpha):
+    """On every pair of so3 level 1 x 6 the product layout's lower and
+    upper brackets enclose the kernel's squared distance, and the slack
+    leaves the lower one positive on every pair of distinct vertices."""
+    spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=6)
+    verts = build_vertices(spec)
+    kern = graph_module._kernel(spec, verts.params, make_metric(spec, EPS_ANISO, alpha)[0])
+    prod = graph_module._so3_product(kern, *graph_module._product_layout(verts))
+    m, n_slices = spec.n_spatial, spec.n_orient
+    t = prod.terms(*np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+    lower = graph_module._bracket(t, prod.lower)                          # [p, q, a, b]
+    upper = graph_module._bracket(t, prod.upper)
+    d2 = kern.fn(kern.data[:, None], kern.data[None], kern.w)
+    d2 = d2.reshape(n_slices, m, n_slices, m).transpose(1, 3, 0, 2)
+    assert np.all(lower <= d2) and np.all(d2 <= upper)
+    assert np.all((lower > 0.0) == (d2 > 0.0))
+
+
+# so3 lifts and the (alpha, K) settings they are searched at: level 1 with
+# every n_orient from 2 to 8 at all nine settings, level 2 x 3 at three that
+# take each alpha and each K once, and the largest lifts at the two extremes.
+SO3_SETTINGS = [(alpha, k) for alpha in (0.1, 1.0, 100.0) for k in (1, 4, 16)]
+SO3_LIFTS = {**{(1, n): SO3_SETTINGS for n in range(2, 9)}, (2, 3): SO3_SETTINGS[::4],
+             **{lift: SO3_SETTINGS[::8] for lift in ((2, 8), (3, 2))}}
+
+
+@pytest.mark.parametrize("level, n_orient", sorted(SO3_LIFTS))
+def test_knn_so3_product_layout_matches_bruteforce(level, n_orient, monkeypatch):
+    """Full so3 lifts take the product-layout search at epsilon^2 = 0.1 and
+    give brute force's edges and distances, bytes included."""
+    set_blocks(monkeypatch, SMALL_BLOCK)
+    runs = spy_product_path(monkeypatch)
+    spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=n_orient)
+    verts, cases = build_vertices(spec), SO3_LIFTS[level, n_orient]
+    for alpha, k in cases:
+        assert_knn_exact(build_graph(verts, make_metric(spec, EPS_ANISO, alpha)[0], k))
+    assert [path for path, _ in runs] == [("product", spec.n_spatial, n_orient)] * len(cases)
+
+
+@st.composite
+def so3_product_sets(draw):
+    """SO(3) point sets in a product layout (slice-0 quaternions, theta),
+    returned with it, or a random subset of one, returned without: sphere
+    and slice angles on multiples of pi/8 (poles and repeats allowed), so
+    that many distances tie exactly."""
+    m, n_orient = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=n_orient)
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32 - 1))))
+    beta, gamma = rng.integers(0, 9, m) * (np.pi / 8.0), rng.integers(-8, 8, m) * (np.pi / 8.0)
+    theta = rng.integers(-8, 8, n_orient) * (np.pi / 8.0)
+    params = np.column_stack([np.repeat(theta, m), np.tile(beta, n_orient),
+                              np.tile(gamma, n_orient)])
+    layout = (so3_quaternions(so3_matrices(params[:m])), theta)
+    if draw(st.booleans()):
+        kept = np.flatnonzero(rng.random(len(params)) < draw(st.sampled_from([0.3, 0.7])))
+        params, layout = params[kept if kept.size >= 2 else np.arange(2)], None
+    metric, _ = make_metric(spec, epsilon=float(np.sqrt(draw(st.sampled_from([0.01, 0.1, 1.0])))),
+                            alpha=draw(st.sampled_from([0.1, 1.0, 100.0])))
+    return spec, params, layout, metric, draw(st.integers(1, 24))
+
+
+@settings(max_examples=120, deadline=None)
+@given(so3_product_sets())
+def test_knn_so3_product_layout_matches_bruteforce_random(case):
+    """Exact equality on random SO(3) product-layout sets: full ones take the
+    product-layout search once they are past the whole-set size, and
+    subsets the general search."""
+    spec, params, layout, metric, knn = case
+    with (mock.patch.object(graph_module, "CANDIDATE_BLOCK", SMALL_BLOCK),
+          mock.patch.object(graph_module, "WHOLE_SET_PAIRS", SMALL_BLOCK),
+          mock.patch.object(graph_module, "_product_knn_pairs",
+                            wraps=graph_module._product_knn_pairs) as product):
+        assert_pairs_exact(spec, params, metric, knn, layout)
+    assert product.call_count == (layout is not None and len(params) ** 2 > SMALL_BLOCK)
+
+
+# Kernel pairs the SO(3) product-layout search may score per row beyond
+# those the K-nearest rule selects, at most and on average (measured on
+# so3 level 2 x 6: at most 23 and 20, on average 9.4 and 5.8, at alpha 1
+# and 100).
+SO3_SCORED_MARGIN = 24
+SO3_SCORED_MEAN_MARGIN = 10
+
+
+@pytest.mark.parametrize("alpha", [1.0, 100.0])
+def test_knn_so3_product_layout_scores_few_pairs(alpha):
+    """On so3 level 2 x 6 at epsilon^2 = 0.1 the search scores each row's
+    selected vertices and at most SO3_SCORED_MARGIN more with the kernel
+    (the general search scored about 113 per row on level 3 x 6)."""
+    spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=2, n_orient=6)
+    verts = build_vertices(spec)
+    kern = graph_module._kernel(spec, verts.params, make_metric(spec, EPS_ANISO, alpha)[0])
+    n, k = len(verts), 16
+    scored = np.zeros(n, dtype=np.int64)
+
+    def counting(a, b, w):
+        # The fifth column carries the row's vertex id.
+        rows = np.broadcast_to(a[..., 4], np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        scored[:] += np.bincount(rows.ravel().astype(np.int64), minlength=n)
+        return kern.fn(a[..., :4], b[..., :4], w)
+
+    tagged = kern._replace(data=np.column_stack([kern.data, np.arange(n)]), fn=counting)
+    pairs = graph_module.knn_pairs(tagged, k, graph_module._product_layout(verts))
+    # knn_pairs_bruteforce's picks, row by row
+    picks = [graph_module._picks(kern, rows, k) for rows in np.array_split(np.arange(n), 6)]
+    np.testing.assert_array_equal(pairs, graph_module._unique_pairs(n, picks))
+    selected = np.bincount(np.concatenate([rows for rows, _ in picks]), minlength=n)
+    assert np.all(scored >= selected)
+    assert np.all(scored <= selected + SO3_SCORED_MARGIN)
+    assert scored.mean() <= selected.mean() + SO3_SCORED_MEAN_MARGIN
 
 
 @st.composite
@@ -517,7 +693,7 @@ def test_knn_same_graph_for_any_worker_count(whole_set_pairs, se2_16x16x6, s2_le
     # se2 16x16x6 ran the product-layout search in pools of one worker and of
     # three; s2 and the half subset ran the general one.
     workers_of = {id(executor): workers for workers, executor in pools}
-    assert [workers_of[id(pool)] for _, pool in runs] == [1, 3]
+    assert [workers_of[id(pool)] for _, pool in product_runs(runs)] == [1, 3]
 
 
 def lexsort_csr(n, i, j, *values):
@@ -566,20 +742,30 @@ def test_every_construction_mirrors_as_lexsort(tmp_path, se2_8x8x4, se2_16x16x6,
     gives the same weights as the CSR's upper entries."""
     assert se2_8x8x4.n_vertices ** 2 <= graph_module.WHOLE_SET_PAIRS
     assert graph_module._product_layout(se2_16x16x6.vertices) is not None
-    assert graph_module._product_layout(so3_level2x6.vertices) is None
+    assert graph_module._product_layout(so3_level2x6.vertices) is not None
     edges = sample_edges(se2_16x16x6, 0.5, seed=2)
     verts = sample_vertices(se2_16x16x6, 0.5, seed=3)
+    tree = build_graph(verts.vertices, verts.metric, verts.knn)
     path = tmp_path / "g.clgr"
     io.write_graph(path, verts, power_lambda_max(laplacian(verts)))
     back, _ = io.read_graph(path)
     # product-layout, tree and whole-set build_graph, both samplers, and a read
-    for g in (se2_16x16x6, so3_level2x6, se2_8x8x4, edges, verts, back):
+    for g in (se2_16x16x6, so3_level2x6, tree, se2_8x8x4, edges, verts, back):
         i, j, w, d = g.edge_pairs()
         assert np.all(i < j) and np.all(np.diff(i * g.n_vertices + j) > 0)
         assert_bits_equal((g.indptr, g.indices, g.distances, g.weights),
                           lexsort_csr(g.n_vertices, i, j, d, edge_weights(d, g.bandwidth)))
         rows = np.repeat(np.arange(g.n_vertices), np.diff(g.indptr))
         assert g.weights[rows < g.indices].tobytes() == w.tobytes()
+
+
+def test_graph_equals_only_itself(se2_8x8x4):
+    """Graph equality is identity: a rebuilt graph is another object, and
+    comparing or hashing either raises nothing."""
+    again = build_graph(se2_8x8x4.vertices, se2_8x8x4.metric, se2_8x8x4.knn)
+    assert again.vertices == se2_8x8x4.vertices
+    assert se2_8x8x4 == se2_8x8x4 and again != se2_8x8x4
+    assert len({se2_8x8x4, again, se2_8x8x4}) == 2
 
 
 def test_graph_arrays_are_derived(se2_8x8x4):

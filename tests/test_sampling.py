@@ -295,3 +295,20 @@ def test_vertex_set_is_its_spec_and_kept():
     moved = dataclasses.replace(v, kept=ids)
     assert moved.params.tobytes() == build_vertices(spec, ids).params.tobytes()
     assert moved.params.tobytes() == full.params[ids].tobytes()
+
+
+def test_vertex_set_equality_is_spec_and_kept():
+    """Vertex sets compare and hash by (spec, kept ids): two builds of one
+    sampling are equal, and so are subsets keeping the same ids in any
+    integer dtype; another spec or other kept ids are not."""
+    spec = GridSpec(GridKind.SE2_GRID, nx=2, ny=2, n_orient=2)
+    full, sub = build_vertices(spec), build_vertices(spec, np.array([1, 3]))
+    assert full == build_vertices(spec) and hash(full) == hash(build_vertices(spec))
+    same = build_vertices(spec, np.array([1, 3], dtype=np.int32))
+    assert sub == same and hash(sub) == hash(same)
+    others = [build_vertices(spec, np.array([1, 2])), build_vertices(spec, np.arange(8)),
+              grid_se2(2, 2, 4), "vertices"]
+    for other in [sub] + others:
+        assert full != other
+    assert sub not in others
+    assert len({full, build_vertices(spec), sub, same}) == 2
