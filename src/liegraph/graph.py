@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import warnings
+import weakref
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from scipy.linalg import eigh_tridiagonal
 from .groups import (GroupKind, Metric, _quat_relative, se2_bound_points, se2_pair_sq,
                      so3_matrices, so3_quat_pair_sq, so3_quaternions, sphere_bound_points,
                      sphere_pair_sq, wrap_angle)
-from .sampling import GridKind, GridSpec, VertexSet, orientation_angles
+from .sampling import GridKind, GridSpec, RuleError, VertexSet, orientation_angles, refuse_flagged
 
 BANDWIDTH_FRACTION = 0.2
 DEFAULT_KNN_LIFTED = 16
@@ -84,12 +85,13 @@ def alpha_from_xi(xi: float, spec: GridSpec) -> float:
 def check_metric(spec: GridSpec, metric: Metric) -> None:
     """The one metric rule every graph obeys: r2 and s2 carry exactly the
     isotropic Metric(), and alpha_from_xi(xi, spec) is finite and positive.
-    ValueError if not."""
+    RuleError (field "metric", or "xi" for alpha) if not."""
     if spec.kind in ISOTROPIC_KINDS and metric != Metric():
-        raise ValueError(f"{spec.kind.value} graphs use the isotropic metric, got epsilon "
-                         f"{metric.epsilon!r} and xi {metric.xi!r}")
+        raise RuleError(f"{spec.kind.value} graphs use the isotropic metric, got epsilon "
+                        f"{metric.epsilon!r} and xi {metric.xi!r}", "metric")
     if not 0.0 < (alpha := alpha_from_xi(metric.xi, spec)) < np.inf:
-        raise ValueError(f"xi {metric.xi!r} gives alpha {alpha}, which is not finite and positive")
+        raise RuleError(f"xi {metric.xi!r} gives alpha {alpha}, which is not finite and positive",
+                        "xi")
 
 
 def make_metric(spec: GridSpec, epsilon: float = 1.0, alpha: float | None = None,
@@ -128,9 +130,14 @@ class ManifoldGraph:
     """Weighted K-NN graph over a VertexSet, given by its undirected edges
     (edge_i < edge_j, sorted by (i, j)) and their distances.  The CSR
     adjacency (indptr, indices) of both orientations, its distances and
-    weights edge_weights(distances, bandwidth) are derived once, not passed;
-    ValueError for pairs that break those rules (pair_flags).  A graph
-    equals only itself."""
+    weights edge_weights(distances, bandwidth) are derived once, not passed.
+    The constructor holds the rules every graph obeys, each a RuleError
+    naming its field: the metric passes check_metric; knn lies in
+    [min(1, N - 1), N - 1] for the N vertices of the sampling, as
+    build_graph keeps it; pairs are 0 <= i < j < n, strictly ascending by
+    (i, j); distances are finite and non-negative; the bandwidth is finite,
+    at least 0, and 0 only when every distance is.  A graph equals only
+    itself."""
 
     vertices: VertexSet
     metric: Metric
@@ -144,13 +151,30 @@ class ManifoldGraph:
     indices: np.ndarray = field(init=False, repr=False)
     distances: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
+    # The matrix laplacian(graph) assembled, for as long as a caller holds it.
+    _laplacian: weakref.ref | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if any(bad.any() for bad in pair_flags(len(self.vertices), self.edge_i, self.edge_j)):
-            raise ValueError("edge pairs are not 0 <= i < j < n, strictly ascending by (i, j)")
+        i, j, d, t = self.edge_i, self.edge_j, self.edge_distances, self.bandwidth
+        check_metric(self.vertices.spec, self.metric)
+        if not min(1, (n := self.vertices.spec.n_vertices) - 1) <= self.knn <= n - 1:
+            raise RuleError(f"knn {self.knn} on a sampling of {n} vertices, outside "
+                            f"[{min(1, n - 1)}, {n - 1}]", "knn")
+        di = np.diff(i)
+        for bad, what in (((i < 0) | (j < 0) | (j >= len(self.vertices)),
+                           "row or column index out of range"),
+                          (j <= i, "pair not above the diagonal"),
+                          (np.concatenate([[False], (di < 0) | ((di == 0) & (np.diff(j) <= 0))]),
+                           "pair out of order")):
+            refuse_flagged(bad, "edge pairs are not 0 <= i < j < n, strictly ascending by "
+                           f"(i, j): {what}", "edge_j")
+        refuse_flagged(~np.isfinite(d) | (d < 0.0), "edge distance is negative or not finite",
+                       "edge_distances")
+        if not 0.0 <= t < np.inf or (t == 0.0 and d.any()):
+            raise RuleError(f"bandwidth {t} is < 0, not finite, or 0 with a distance > 0",
+                            "bandwidth")
         self.indptr, self.indices, self.distances, self.weights = _mirror(
-            len(self.vertices), self.edge_i, self.edge_j, self.edge_distances,
-            edge_weights(self.edge_distances, self.bandwidth))
+            len(self.vertices), i, j, d, edge_weights(d, t))
 
     @property
     def alpha(self) -> float:
@@ -177,14 +201,6 @@ class ManifoldGraph:
     def degrees(self) -> np.ndarray:
         rows = np.repeat(np.arange(self.n_vertices), np.diff(self.indptr))
         return np.bincount(rows, weights=self.weights, minlength=self.n_vertices)
-
-
-def pair_flags(n: int, i: np.ndarray, j: np.ndarray):
-    """Per-pair flags of the rules a graph's pairs obey: (i or j outside
-    [0, n), j not above i, pair not after the previous one by (i, j))."""
-    di = np.diff(i)
-    return ((i < 0) | (j < 0) | (j >= n), j <= i,
-            np.concatenate([[False], (di < 0) | ((di == 0) & (np.diff(j) <= 0))]))
 
 
 def _mirror(n: int, i: np.ndarray, j: np.ndarray, *values: np.ndarray):
@@ -659,13 +675,20 @@ def slice_neighbor_fractions(graph: ManifoldGraph) -> tuple[float, float]:
 # Laplacian
 
 
-@dataclass
+@dataclass(frozen=True)
 class Laplacian:
-    """Symmetric normalized Laplacian; isolated vertices keep zero rows."""
+    """Symmetric normalized Laplacian; isolated vertices keep zero rows.
+    lambda_max, its estimated largest eigenvalue, is None or lies in (0, 2],
+    the spectrum's bound; RuleError (field "lambda_max") if not.  Frozen, so
+    no assignment gets round that rule."""
 
     matrix: sp.csr_matrix
     lambda_max: float | None = None
     rescaled: bool = False
+
+    def __post_init__(self):
+        if self.lambda_max is not None and not 0.0 < self.lambda_max <= 2.0:
+            raise RuleError(f"lambda_max {self.lambda_max} outside (0, 2]", "lambda_max")
 
     @property
     def n(self) -> int:
@@ -673,8 +696,20 @@ class Laplacian:
 
 
 def laplacian(graph: ManifoldGraph) -> Laplacian:
-    """Assemble I - D^(-1/2) W D^(-1/2) on the graph's mirrored CSR layout,
-    so mirrored entries share the same floats.  A vertex of degree 0, with no
+    """The graph's raw Laplacian.  Its matrix is assembled once for as long
+    as a caller holds it (the graph keeps only a weak reference), so
+    write_graph compares the Laplacian it is given instead of assembling it
+    again; the matrix is not to be changed in place."""
+    matrix = graph._laplacian and graph._laplacian()
+    if matrix is None:
+        matrix = _assemble_laplacian(graph)
+        graph._laplacian = weakref.ref(matrix)
+    return Laplacian(matrix)
+
+
+def _assemble_laplacian(graph: ManifoldGraph) -> sp.csr_matrix:
+    """I - D^(-1/2) W D^(-1/2) on the graph's mirrored CSR layout, so
+    mirrored entries share the same floats.  A vertex of degree 0, with no
     edges or with only zero-weight ones, gets an empty row and column."""
     n = graph.n_vertices
     rows = np.repeat(np.arange(n), np.diff(graph.indptr))
@@ -683,7 +718,7 @@ def laplacian(graph: ManifoldGraph) -> Laplacian:
     vals = np.divide(-graph.weights, scale, out=np.zeros(scale.size), where=scale > 0.0)
     off = sp.csr_matrix((vals, graph.indices, graph.indptr), shape=(n, n))
     ids = np.arange(n + 1)
-    return Laplacian(off + sp.csr_matrix(((deg > 0.0).astype(float), ids[:-1], ids), (n, n)))
+    return off + sp.csr_matrix(((deg > 0.0).astype(float), ids[:-1], ids), (n, n))
 
 
 def power_lambda_max(lap: Laplacian, tol: float = 1e-4, max_iter: int = 1000,

@@ -1,14 +1,17 @@
 """Binary containers (CLGR graphs, CLSG signals, CLMD models) and CSV export.
 
 All integers and floats are little-endian; arrays are C-order.  Each
-container opens with a 4-byte magic and its own u32 version (CLGR 5, CLSG
-1 and CLMD 2); other versions are rejected.  Readers validate as they go and
-raise FormatError carrying the byte offset of the first bad field, which
-the CLI maps to exit code 2.  Files hold primary data only: readers rebuild
-the mirrored adjacency, edge weights, Laplacians, pool plans and vertex
-coordinates from what is stored, and derive alpha and the edge and vertex
-counts.  A CLGR file has one fixed layout (see write_graph): each edge once,
-in the upper triangle, and last the lambda_max of its Laplacian.
+container opens with a 4-byte magic and its own u32 version (CLGR 5, CLSG 1
+and CLMD 2); other versions are rejected.  Readers check the layout (magic,
+version, sizes, truncation, trailing bytes) as they go; the rules of the
+data live in the constructors (VertexSet, ManifoldGraph, Laplacian,
+network.pool_plan), and a reader maps a refusal to its field.  Either way the
+error is a FormatError carrying the byte offset of the first bad field,
+which the CLI maps to exit code 2.  Files hold primary data only: readers
+rebuild the mirrored adjacency, edge weights, Laplacians, pool plans and
+vertex coordinates from what is stored, and derive alpha and the edge and
+vertex counts.  A CLGR file has one fixed layout (see write_graph): each edge
+once, in the upper triangle, and last the lambda_max of its Laplacian.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import struct
 
 import numpy as np
 
-from .graph import ISOTROPIC_KINDS, Laplacian, ManifoldGraph, check_metric, laplacian, pair_flags
+from .graph import Laplacian, ManifoldGraph, laplacian
 from .groups import Metric
-from .sampling import PLANAR_KINDS, GridKind, GridSpec, VertexSet, bad_kept
+from .sampling import PLANAR_KINDS, GridKind, GridSpec, RuleError, VertexSet
 from . import network
 
 GRAPH_MAGIC = b"CLGR"
@@ -109,16 +112,15 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
     triangle: row pointers (n + 1) u64, column ids u64 and distances f64,
     indptr[-1] (the edge count) of each; lambda_max f64, the last 8 bytes.
     read_graph rebuilds the vertices, whose coordinates follow from spec and
-    kept, the mirrored adjacency, weights and Laplacian; ValueError if the
-    metric or knn would not read back (check_metric, _knn_error), or the
-    Laplacian would differ from the graph's.
+    kept, the mirrored adjacency, weights and Laplacian.  Every rule a file
+    obeys beyond its layout is one the constructors of VertexSet,
+    ManifoldGraph and Laplacian hold, so any graph and Laplacian that exist
+    read back; ValueError only if the Laplacian is not this graph's, raw,
+    with lambda_max set.
     """
     if lap.rescaled or lap.lambda_max is None:
         raise ValueError("store the raw Laplacian with its estimated lambda_max")
     verts, spec = graph.vertices, graph.vertices.spec
-    check_metric(spec, graph.metric)
-    if (bad := _knn_error(spec, graph.knn)) is not None:
-        raise ValueError(bad)
     ref = laplacian(graph).matrix
     if any(getattr(lap.matrix, f).tobytes() != getattr(ref, f).tobytes()
            for f in ("indptr", "indices", "data")):
@@ -134,23 +136,13 @@ def write_graph(path, graph: ManifoldGraph, lap: Laplacian) -> None:
         fh.write(b"".join(parts))
 
 
-def _reject(bad: np.ndarray, message: str, pos: int) -> None:
-    """Raise at the first flagged 8-byte entry of the array stored at pos."""
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise FormatError(f"{message} (entry {first})", pos + 8 * first)
-
-
-def _knn_error(spec: GridSpec, knn: int) -> str | None:
-    """Why knn cannot be a graph's on spec; build_graph keeps K in [min(1, N - 1), N - 1]."""
-    n = spec.n_vertices
-    if not min(1, n - 1) <= knn <= n - 1:
-        return f"knn {knn} on a sampling of {n} vertices, outside [{min(1, n - 1)}, {n - 1}]"
-    return None
-
-
 def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
-    """Read a CLGR file (layout in write_graph), rebuilding adjacency, weights and Laplacian."""
+    """Read a CLGR file (layout in write_graph), rebuilding adjacency, weights
+    and Laplacian.  The reader checks the layout: magic, version, sampling
+    fields, truncation, monotone row pointers, the kept flag and a non-empty
+    kept count, and trailing bytes.  The other rules are the constructors'
+    (see ManifoldGraph, VertexSet and Laplacian), each run once; a RuleError
+    becomes a FormatError at its field's offset, at the entry for arrays."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "graph file")
     r.expect_magic(GRAPH_MAGIC, GRAPH_VERSION)
@@ -171,14 +163,7 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         metric = Metric(epsilon=eps, xi=xi)
     except ValueError as exc:
         raise FormatError(str(exc), metric_pos) from exc
-    try:
-        check_metric(spec, metric)
-    except ValueError as exc:   # r2 and s2 fail on isotropy, the others on alpha(xi)
-        at = metric_pos if spec.kind in ISOTROPIC_KINDS else metric_pos + 8
-        raise FormatError(str(exc), at) from exc
     knn_pos, knn = r.pos, r.scalar("<I")
-    if (bad := _knn_error(spec, knn)) is not None:
-        raise FormatError(bad, knn_pos)
     t_pos, t = r.pos, r.scalar("<d")
 
     kept_pos = r.pos
@@ -189,8 +174,6 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
         if (n := r.scalar("<Q")) == 0:
             raise FormatError("the kept-id map is empty", kept_pos + 1)
         kept = r.array("<u8", n)
-        _reject(bad_kept(spec, kept), "kept ids are not strictly ascending ids of the sampling",
-                kept_pos + 9)
 
     indptr_pos = r.pos
     indptr = r.array("<u8", n + 1).astype(np.int64)
@@ -201,25 +184,20 @@ def read_graph(path) -> tuple[ManifoldGraph, Laplacian]:
     # Ids from 2^63 wrap to negative ones, which are out of range too.
     cols = r.array("<u8", nnz).astype(np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    for bad, message in zip(pair_flags(n, rows, cols), (
-            "adjacency column index out of range", "adjacency entry is not above the diagonal",
-            "adjacency row is not strictly ascending")):
-        _reject(bad, message, idx_pos)
     d_pos = r.pos
     distances = r.array("<f8", nnz)
-    _reject(~np.isfinite(distances) | (distances < 0.0), "edge distance is negative or not finite",
-            d_pos)
-    if not 0.0 <= t < np.inf or (t == 0.0 and distances.any()):
-        raise FormatError(f"bandwidth {t} is < 0, not finite, or 0 with a distance > 0", t_pos)
     lam_pos, lam = r.pos, r.scalar("<d")
-    if not 0.0 < lam <= 2.0:
-        raise FormatError(f"lambda_max {lam} outside (0, 2]", lam_pos)
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
 
     # Built last: n is now backed by the file's arrays, the icosphere by MAX_LEVEL.
-    graph = ManifoldGraph(VertexSet(spec, kept=kept), metric, knn, t, rows, cols, distances)
-    return graph, Laplacian(laplacian(graph).matrix, lam)
+    at = {"metric": metric_pos, "xi": metric_pos + 8, "knn": knn_pos, "bandwidth": t_pos,
+          "kept": kept_pos + 9, "edge_j": idx_pos, "edge_distances": d_pos, "lambda_max": lam_pos}
+    try:
+        graph = ManifoldGraph(VertexSet(spec, kept=kept), metric, knn, t, rows, cols, distances)
+        return graph, Laplacian(laplacian(graph).matrix, lam)
+    except RuleError as exc:
+        raise FormatError(str(exc), at[exc.field] + 8 * (exc.entry or 0)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,20 @@ def orientation_angles(n_orient: int, k=None) -> np.ndarray:
     return -0.5 * np.pi + (np.arange(n_orient) if k is None else k) * np.pi / n_orient
 
 
-def bad_kept(spec: GridSpec, kept: np.ndarray) -> np.ndarray:
-    """Flags the entries of kept that break strictly ascending ids of spec's sampling."""
-    return (np.concatenate([[False], kept[1:] <= kept[:-1]]) | (kept < 0)
-            | (kept >= spec.n_vertices))
+class RuleError(ValueError):
+    """A value that breaks a rule of the object being made, which is where
+    each rule lives: `field` names the argument at fault, `entry` the index of
+    its first bad entry when it is an array, else None."""
+
+    def __init__(self, message: str, field: str, entry: int | None = None):
+        super().__init__(message if entry is None else f"{message} (entry {entry})")
+        self.field, self.entry = field, entry
+
+
+def refuse_flagged(bad: np.ndarray, message: str, field: str) -> None:
+    """RuleError at the first flagged entry of an array argument, if any."""
+    if bad.any():
+        raise RuleError(message, field, int(np.argmax(bad)))
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,9 @@ class VertexSet:
     `matrices` derive, is computed once from (spec, kept), not passed:
     (ix / nx, iy / ny, theta_k) on grids, (alpha_k, beta, gamma) of the
     icosphere points on spheres.  Both arrays are read-only, kept as int64;
-    ValueError unless kept is non-empty and strictly ascending in range.
-    Equality and hash follow (spec, kept ids)."""
+    RuleError (field "kept") unless kept is a non-empty integer vector of
+    strictly ascending ids of the sampling.  Equality and hash follow
+    (spec, kept ids)."""
 
     spec: GridSpec
     kept: np.ndarray | None = field(default=None, kw_only=True)
@@ -113,9 +124,11 @@ class VertexSet:
         spec = self.spec
         ids = np.arange(spec.n_vertices) if self.kept is None else np.array(self.kept)
         if self.kept is not None:
-            if (ids.ndim != 1 or not ids.size or ids.dtype.kind not in "iu"
-                    or bad_kept(spec, ids).any()):
-                raise ValueError("kept must be one or more strictly ascending ids of the sampling")
+            rule = "kept must be one or more strictly ascending ids of the sampling"
+            if ids.ndim != 1 or not ids.size or ids.dtype.kind not in "iu":
+                raise RuleError(rule, "kept")
+            refuse_flagged(np.concatenate([[False], ids[1:] <= ids[:-1]]) | (ids < 0)
+                           | (ids >= spec.n_vertices), rule, "kept")
             ids = ids.astype(np.int64, copy=False)
             ids.flags.writeable = False
             object.__setattr__(self, "kept", ids)

@@ -129,13 +129,22 @@ def eigensystem(lap: Laplacian, k: int | None = None,
                 dense_cap: int = DENSE_EIGEN_CAP) -> EigenSystem:
     """Smallest-k eigenpairs (all of them by default, when dense is feasible).
 
-    Dense symmetric solve up to dense_cap vertices.  Beyond that, plain
-    restarted Lanczos (ARPACK, which="SA") on the CSR Laplacian itself, with
-    k required to be well below |V|: only matrix-vector products, no
-    factorization.  The start vector is a fixed seeded draw, so repeated
-    calls return identical bases, also inside degenerate eigenspaces.  On a
-    zero Laplacian, where ARPACK cannot start, it gives the dense solve's
-    k zeros and first k unit vectors.
+    Dense symmetric solve up to dense_cap vertices.  Beyond that, a
+    connected graph takes plain restarted Lanczos (ARPACK, which="SA") on
+    the CSR Laplacian itself, with k required to be well below |V|: only
+    matrix-vector products, no factorization.  The start vector is a fixed
+    seeded draw, so repeated calls return identical bases, also inside
+    degenerate eigenspaces.
+
+    Eigenvalue 0 has one copy per connected component (von Luxburg, Stat.
+    Comput. 17(4), 2007), which one Lanczos run does not resolve, so a graph
+    of several components (by the Laplacian's nonzero entries) is solved per
+    component: an isolated vertex gives its diagonal entry and unit vector,
+    a component of at most DENSE_EIGEN_CAP vertices a dense solve, and a
+    larger one Lanczos on its submatrix from the start vector restricted to
+    it.  The k smallest pairs are kept, ties in order of each component's
+    lowest vertex, with vectors zero outside their component; a zero
+    Laplacian gives k zeros and the first k unit vectors.
     """
     if lap.rescaled:
         raise ValueError("eigensystem expects the raw Laplacian")
@@ -147,16 +156,50 @@ def eigensystem(lap: Laplacian, k: int | None = None,
     if n <= dense_cap:
         vals, vecs = eigh(lap.matrix.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
-    elif not lap.matrix.data.any():
-        vals, vecs = np.zeros(k), np.eye(n, k)
     else:
-        if k > n - 2:
-            raise ValueError("iterative eigensolver needs k well below |V|")
+        # Imported here: about 1 MB that commands without a Lanczos solve need not map.
+        from scipy.sparse.csgraph import connected_components
+
         v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
-        vals, vecs = spla.eigsh(lap.matrix, k=k, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        n_parts, labels = connected_components(lap.matrix != 0.0, directed=False)
+        if n_parts == 1:
+            vals, vecs = _lanczos(lap.matrix, k, v0)
+        else:
+            vals, vecs = _per_component(lap.matrix, labels, k, v0)
     return EigenSystem(vals, _fix_signs(vecs))
+
+
+def _lanczos(matrix: sp.csr_matrix, k: int, v0: np.ndarray):
+    """Ascending k smallest eigenpairs by ARPACK from the start vector v0."""
+    if k > matrix.shape[0] - 2:
+        raise ValueError("iterative eigensolver needs k well below |V|")
+    vals, vecs = spla.eigsh(matrix, k=k, which="SA", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _per_component(matrix: sp.csr_matrix, labels: np.ndarray, k: int, v0: np.ndarray):
+    """The k smallest eigenpairs of a Laplacian whose connected components
+    are `labels`, solved component by component (see eigensystem)."""
+    diag, ids_of, vals, vecs = matrix.diagonal(), [], [], []
+    for ids in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
+        if ids.size == 1:
+            w, v = diag[ids], np.ones((1, 1))
+        elif ids.size <= DENSE_EIGEN_CAP:
+            w, v = eigh(matrix[ids][:, ids].toarray())
+        else:
+            w, v = _lanczos(matrix[ids][:, ids], k, v0[ids])
+        ids_of.append(ids)
+        vals.append(w[:k])
+        vecs.append(v[:, :k])
+    sizes = [w.size for w in vals]
+    owner = np.repeat(np.arange(len(vals)), sizes)
+    pick = np.argsort(np.concatenate(vals), kind="stable")[:k]
+    column = pick - (np.cumsum(sizes) - sizes)[owner[pick]]
+    out = np.zeros((matrix.shape[0], k))
+    for j, (p, c) in enumerate(zip(owner[pick], column)):
+        out[ids_of[p], j] = vecs[p][:, c]
+    return np.concatenate(vals)[pick], out
 
 
 # ---------------------------------------------------------------------------

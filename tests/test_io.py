@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from liegraph import graph as graph_module
 from liegraph import io
 from liegraph.cli import main
 from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
                             sample_vertices)
 from liegraph.groups import Metric
 from liegraph.network import Model, Pool, Unpool, build_demo, r2_pool_plan, s2_pool_plan
-from liegraph.sampling import GridKind, GridSpec, VertexSet
+from liegraph.sampling import GridKind, GridSpec, RuleError, VertexSet
 
 from conftest import EPS_ANISO, built
 
@@ -94,6 +95,68 @@ def test_write_graph_refuses_anisotropic_r2_and_s2(tmp_path, r2_16x16, s2_level2
             io.write_graph(path, dataclasses.replace(g, metric=metric),
                            power_lambda_max(laplacian(g)))
     assert not path.exists()
+
+
+def test_unreadable_graphs_are_refused_at_construction(tmp_path):
+    """A bandwidth of -1 or NaN, a negative or NaN distance, and a lambda_max
+    of 5, 0, -1 or NaN break rules read_graph applies: each is refused when
+    the graph or Laplacian is made, naming its rule, and no file appears.
+    A Laplacian is frozen, so its lambda_max cannot be set afterwards."""
+    g = built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, knn=6)
+    lap, path = power_lambda_max(laplacian(g)), tmp_path / "x.clgr"
+    for t in (-1.0, np.nan):
+        with pytest.raises(RuleError, match="bandwidth .* is < 0, not finite") as exc:
+            io.write_graph(path, dataclasses.replace(g, bandwidth=t), lap)
+        assert exc.value.field == "bandwidth"
+    for value in (-0.5, np.nan):
+        d = g.edge_distances.copy()
+        d[3] = value
+        with pytest.raises(RuleError, match=r"distance is negative or not finite \(entry 3\)"):
+            io.write_graph(path, dataclasses.replace(g, edge_distances=d), lap)
+    for lam in (5.0, 0.0, -1.0, np.nan):
+        with pytest.raises(RuleError, match=r"lambda_max \S+ outside \(0, 2\]") as exc:
+            io.write_graph(path, g, dataclasses.replace(lap, lambda_max=lam))
+        assert exc.value.field == "lambda_max"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lap.lambda_max = 5.0
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, fields", [
+    (GridKind.SE2_GRID, dict(nx=8, ny=8, orient=4, epsilon=EPS_ANISO, alpha=1.0)),
+    (GridKind.SO3_ICOSAHEDRAL, dict(level=1, orient=4, epsilon=EPS_ANISO, alpha=1.0)),
+    (GridKind.R2_GRID, dict(nx=8, ny=8)),
+    (GridKind.S2_ICOSAHEDRAL, dict(level=2))])
+def test_constructed_graphs_round_trip(tmp_path, kind, fields):
+    """Built, edge-sampled (kappa 0.3) and vertex-sampled (kappa 0.5) graphs
+    write, read back and rewrite to the same bytes."""
+    g = built(kind, **fields)
+    for name, graph in (("full", g), ("edges", sample_edges(g, 0.3, seed=1)),
+                        ("vertices", sample_vertices(g, 0.5, seed=1))):
+        first, second = tmp_path / f"{name}.clgr", tmp_path / f"{name}2.clgr"
+        io.write_graph(first, graph, power_lambda_max(laplacian(graph)))
+        io.write_graph(second, *io.read_graph(first))
+        assert read_bytes(first) == read_bytes(second), name
+
+
+def test_laplacian_assembled_once_per_graph(tmp_path, monkeypatch):
+    """laplacian(graph) assembles the matrix once while a caller holds it:
+    the Laplacian, its lambda_max and the write take one assembly, and so do
+    a read and a rewrite.  The graph does not keep the matrix alive."""
+    calls = []
+    assemble = graph_module._assemble_laplacian
+    monkeypatch.setattr(graph_module, "_assemble_laplacian",
+                        lambda graph: calls.append(graph) or assemble(graph))
+    g = built(GridKind.SE2_GRID, nx=4, ny=4, orient=2, knn=6)
+    lap = laplacian(g)
+    io.write_graph(tmp_path / "g.clgr", g, power_lambda_max(laplacian(g)))
+    assert calls == [g] and laplacian(g).matrix is lap.matrix
+    back, back_lap = io.read_graph(tmp_path / "g.clgr")
+    io.write_graph(tmp_path / "h.clgr", back, back_lap)
+    assert calls == [g, back]
+    del lap
+    laplacian(g)
+    assert calls == [g, back, g]
 
 
 def test_single_vertex_graph_keeps_knn_zero(tmp_path):

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liegraph.graph import (Laplacian, laplacian, power_lambda_max, rescale, sample_edges,
-                           sample_vertices)
-from liegraph.sampling import GridKind, GridSpec, grid_se2
+from scipy.sparse.csgraph import connected_components
+
+from liegraph.graph import (Laplacian, build_graph, laplacian, make_metric, power_lambda_max,
+                            rescale, sample_edges, sample_vertices)
+from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
 from liegraph.spectral import (
     HEAT_MAX_ORDER,
     cheb_apply,
@@ -245,6 +247,58 @@ def test_lanczos_matches_dense_and_shift_invert(dense_case):
         for vecs in (eig.vectors, si_vecs):
             proj = vecs[:, group] @ vecs[:, group].T
             assert np.max(np.abs(proj - dense_proj)) <= 1e-8
+
+
+# Edge- and vertex-sampled graphs of every kind that fall apart into
+# several connected components: (kind, fields, sampler, kappa).
+DISCONNECTED_CASES = {
+    "se2_edges": (GridKind.SE2_GRID, dict(nx=8, ny=8, orient=4, epsilon=EPS_ANISO, alpha=1.0),
+                  sample_edges, 0.1),
+    "so3_edges": (GridKind.SO3_ICOSAHEDRAL, dict(level=1, orient=4, epsilon=EPS_ANISO, alpha=1.0),
+                  sample_edges, 0.1),
+    "r2_edges": (GridKind.R2_GRID, dict(nx=16, ny=16), sample_edges, 0.3),
+    "r2_vertices": (GridKind.R2_GRID, dict(nx=16, ny=16), sample_vertices, 0.3),
+    "s2_edges": (GridKind.S2_ICOSAHEDRAL, dict(level=2), sample_edges, 0.3),
+    "s2_vertices": (GridKind.S2_ICOSAHEDRAL, dict(level=2), sample_vertices, 0.3),
+}
+
+
+def _check_eigenpairs(lap, eig, atol):
+    resid = np.linalg.norm(lap.matrix @ eig.vectors - eig.vectors * eig.values, axis=0)
+    assert resid.max() <= atol
+    gram = eig.vectors.T @ eig.vectors
+    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= atol
+
+
+@pytest.mark.parametrize("case", sorted(DISCONNECTED_CASES))
+def test_eigensystem_on_disconnected_graphs(case):
+    """Eigenvalue 0 has one copy per connected component: forced past the
+    dense cap, a graph of several components is solved per component and
+    matches the dense solve, with a zero for every component."""
+    kind, fields, sampler, kappa = DISCONNECTED_CASES[case]
+    lap = laplacian(sampler(built(kind, **fields), kappa, seed=0))
+    n_parts = connected_components(lap.matrix != 0.0, directed=False)[0]
+    assert n_parts > 1
+    dense_vals = np.linalg.eigvalsh(lap.matrix.toarray())
+    for k in (n_parts + 8, lap.n):
+        eig = eigensystem(lap, k, dense_cap=0)
+        np.testing.assert_allclose(eig.values, dense_vals[:k], rtol=0, atol=1e-10)
+        assert np.count_nonzero(eig.values < 1e-10) == n_parts
+        _check_eigenpairs(lap, eig, 1e-8)
+
+
+def test_eigensystem_lanczos_per_component():
+    """se2 32x32x6 at epsilon 0.316, edge-sampled at kappa 0.3 (seed 0), has
+    a component of 6140 vertices and four isolated ones: Lanczos on the large
+    one's submatrix and the four unit vectors give five zeros."""
+    spec = GridSpec(GridKind.SE2_GRID, nx=32, ny=32, n_orient=6)
+    g = build_graph(build_vertices(spec), make_metric(spec, epsilon=0.316)[0], 16)
+    lap = laplacian(sample_edges(g, 0.3, seed=0))
+    labels = connected_components(lap.matrix != 0.0, directed=False)[1]
+    assert sorted(np.bincount(labels)) == [1] * 4 + [6140]
+    eig = eigensystem(lap, 8)
+    assert np.all(np.abs(eig.values[:5]) <= 1e-12) and eig.values[5] > 1e-3
+    _check_eigenpairs(lap, eig, 1e-8)
 
 
 def test_lanczos_is_reproducible(se2_8x8x4_lap):
