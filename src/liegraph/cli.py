@@ -24,14 +24,6 @@ from .spectral import (eigensystem, equivariance_error, heat_diffuse, require_fu
 
 EQUIVARIANCE_TOL = 1e-9
 
-_KIND_NAMES = {
-    "se2": GridKind.SE2_GRID,
-    "so3": GridKind.SO3_ICOSAHEDRAL,
-    "r2": GridKind.R2_GRID,
-    "s2": GridKind.S2_ICOSAHEDRAL,
-}
-
-
 def _seed(text: str) -> int:
     """argparse type of --seed: a non-negative integer."""
     try:
@@ -80,7 +72,7 @@ def _graph_summary(graph: ManifoldGraph, lambda_max: float) -> None:
 
 
 def cmd_build_graph(args) -> int:
-    kind = _KIND_NAMES[args.kind]
+    kind = GridKind(args.kind)
     planar = kind in PLANAR_KINDS
     for flag, needed in (("nx", planar), ("level", not planar),
                          ("orient", kind in (GridKind.SE2_GRID, GridKind.SO3_ICOSAHEDRAL))):
@@ -157,11 +149,11 @@ def cmd_diffuse(args) -> int:
     io.write_field_csv(args.out, graph.vertices, y)
     sidecar = _sidecar(args.out)
     io.write_signal(sidecar, y)
-    flat = y if y.ndim == 1 else y[:, 0]
-    for entry in slice_anisotropy(graph.vertices, flat):
-        print(f"slice {entry['slice']} (theta={entry['theta']:.4f}): "
-              f"mass={entry['mass']:.6g} along={entry['var_along']:.6g} "
-              f"across={entry['var_across']:.6g} ratio={entry['ratio']:.4f}")
+    if graph.vertices.spec.kind in PLANAR_KINDS:
+        for entry in slice_anisotropy(graph.vertices, y if y.ndim == 1 else y[:, 0]):
+            print(f"slice {entry['slice']} (theta={entry['theta']:.4f}): "
+                  f"mass={entry['mass']:.6g} along={entry['var_along']:.6g} "
+                  f"across={entry['var_across']:.6g} ratio={entry['ratio']:.4f}")
     print(f"wrote {args.out} and {sidecar}")
     return 0
 
@@ -225,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-graph", help="sample a grid and build its K-NN graph")
-    b.add_argument("--kind", choices=sorted(_KIND_NAMES), required=True)
+    b.add_argument("--kind", choices=sorted(k.value for k in GridKind), required=True)
     b.add_argument("--nx", type=int)
     b.add_argument("--ny", type=int)
     b.add_argument("--level", type=int)

@@ -1,5 +1,8 @@
 """Spectral operations: Chebyshev filters, heat diffusion, eigenmaps and the
-rotation equivariance audit."""
+rotation equivariance audit.
+
+Eigenmaps are solved per connected component: Lanczos on every component
+larger than ARPACK's basis, a dense solve on the smaller ones."""
 
 from __future__ import annotations
 
@@ -13,6 +16,9 @@ from scipy.linalg import eigh
 from .graph import Laplacian, rescale
 from .sampling import PLANAR_KINDS, GridSpec
 
+# Largest component a dense eigensolve may take.  A bound on memory (a
+# 5000^2 float64 matrix is 200 MB), not a speed crossover: a component larger
+# than ARPACK's basis takes Lanczos at any size.
 DENSE_EIGEN_CAP = 5000
 HEAT_ORDER = 30
 # Largest error bound heat_coeffs accepts, and the largest order it takes.
@@ -127,24 +133,24 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def eigensystem(lap: Laplacian, k: int | None = None,
                 dense_cap: int = DENSE_EIGEN_CAP) -> EigenSystem:
-    """Smallest-k eigenpairs (all of them by default, when dense is feasible).
-
-    Dense symmetric solve up to dense_cap vertices.  Beyond that, a
-    connected graph takes plain restarted Lanczos (ARPACK, which="SA") on
-    the CSR Laplacian itself, with k required to be well below |V|: only
-    matrix-vector products, no factorization.  The start vector is a fixed
-    seeded draw, so repeated calls return identical bases, also inside
-    degenerate eigenspaces.
+    """Smallest-k eigenpairs (all of them by default).
 
     Eigenvalue 0 has one copy per connected component (von Luxburg, Stat.
-    Comput. 17(4), 2007), which one Lanczos run does not resolve, so a graph
-    of several components (by the Laplacian's nonzero entries) is solved per
-    component: an isolated vertex gives its diagonal entry and unit vector,
-    a component of at most DENSE_EIGEN_CAP vertices a dense solve, and a
-    larger one Lanczos on its submatrix from the start vector restricted to
-    it.  The k smallest pairs are kept, ties in order of each component's
-    lowest vertex, with vectors zero outside their component; a zero
-    Laplacian gives k zeros and the first k unit vectors.
+    Comput. 17(4), 2007), which one Lanczos run does not resolve, so the
+    graph is solved component by component (by the Laplacian's nonzero
+    entries); a connected graph is the one-component case.  A component of
+    m vertices takes:
+    - m = 1: its diagonal entry and unit vector;
+    - m > max(2k + 1, 20), larger than ARPACK's default basis: restarted
+      Lanczos (ARPACK, which="SA") on its CSR submatrix, only matrix-vector
+      products and no factorization, from a fixed seeded start vector
+      restricted to it, so repeated calls return identical bases, also
+      inside degenerate eigenspaces;
+    - otherwise a dense symmetric solve, which needs m <= dense_cap:
+      ValueError past it.
+    The k smallest pairs are kept, ties in order of each component's lowest
+    vertex, with vectors zero outside their component; a zero Laplacian
+    gives k zeros and the first k unit vectors.
     """
     if lap.rescaled:
         raise ValueError("eigensystem expects the raw Laplacian")
@@ -153,42 +159,25 @@ def eigensystem(lap: Laplacian, k: int | None = None,
         k = n
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    if n <= dense_cap:
-        vals, vecs = eigh(lap.matrix.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        # Imported here: about 1 MB that commands without a Lanczos solve need not map.
-        from scipy.sparse.csgraph import connected_components
+    # Imported here: about 1 MB that commands without an eigensolve need not map.
+    from scipy.sparse.csgraph import connected_components
 
-        v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
-        n_parts, labels = connected_components(lap.matrix != 0.0, directed=False)
-        if n_parts == 1:
-            vals, vecs = _lanczos(lap.matrix, k, v0)
-        else:
-            vals, vecs = _per_component(lap.matrix, labels, k, v0)
-    return EigenSystem(vals, _fix_signs(vecs))
-
-
-def _lanczos(matrix: sp.csr_matrix, k: int, v0: np.ndarray):
-    """Ascending k smallest eigenpairs by ARPACK from the start vector v0."""
-    if k > matrix.shape[0] - 2:
-        raise ValueError("iterative eigensolver needs k well below |V|")
-    vals, vecs = spla.eigsh(matrix, k=k, which="SA", v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
-
-
-def _per_component(matrix: sp.csr_matrix, labels: np.ndarray, k: int, v0: np.ndarray):
-    """The k smallest eigenpairs of a Laplacian whose connected components
-    are `labels`, solved component by component (see eigensystem)."""
+    matrix = lap.matrix
+    v0 = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, n)
+    labels = connected_components(matrix != 0.0, directed=False)[1]
     diag, ids_of, vals, vecs = matrix.diagonal(), [], [], []
     for ids in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
         if ids.size == 1:
             w, v = diag[ids], np.ones((1, 1))
-        elif ids.size <= DENSE_EIGEN_CAP:
+        elif ids.size > max(2 * k + 1, 20):
+            w, v = spla.eigsh(matrix[ids][:, ids], k=k, which="SA", v0=v0[ids])
+            order = np.argsort(w)
+            w, v = w[order], v[:, order]
+        elif ids.size <= dense_cap:
             w, v = eigh(matrix[ids][:, ids].toarray())
         else:
-            w, v = _lanczos(matrix[ids][:, ids], k, v0[ids])
+            raise ValueError(f"k={k} needs a dense solve of a {ids.size}-vertex component, "
+                             f"above the dense cap of {dense_cap} vertices")
         ids_of.append(ids)
         vals.append(w[:k])
         vecs.append(v[:, :k])
@@ -196,10 +185,11 @@ def _per_component(matrix: sp.csr_matrix, labels: np.ndarray, k: int, v0: np.nda
     owner = np.repeat(np.arange(len(vals)), sizes)
     pick = np.argsort(np.concatenate(vals), kind="stable")[:k]
     column = pick - (np.cumsum(sizes) - sizes)[owner[pick]]
-    out = np.zeros((matrix.shape[0], k))
+    # Column-major: the eigenvectors are written, and sign-fixed, column by column.
+    out = np.zeros((n, k), order="F")
     for j, (p, c) in enumerate(zip(owner[pick], column)):
         out[ids_of[p], j] = vecs[p][:, c]
-    return np.concatenate(vals)[pick], out
+    return EigenSystem(np.concatenate(vals)[pick], _fix_signs(out))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +255,13 @@ def slice_anisotropy(vertices, values: np.ndarray) -> list[dict]:
     split along the slice direction (cos theta, sin theta) and its normal;
     the ratio is > 1 when the signal has spread further along the slice
     direction.  Tiny negative values (Chebyshev ringing) are clipped.
-    Slices are id ranges of the full sampling (require_full_sampling).
+    Slices are id ranges of the full sampling (require_full_sampling), and
+    params hold (x, y, theta) only on planar samplings: ValueError otherwise.
     """
-    require_full_sampling(vertices, "slice anisotropy")
     spec = vertices.spec
+    if spec.kind not in PLANAR_KINDS:
+        raise ValueError("slice anisotropy applies to planar grids")
+    require_full_sampling(vertices, "slice anisotropy")
     ns = spec.n_spatial
     vals = np.clip(np.asarray(values, dtype=float).reshape(-1), 0.0, None)
     out = []

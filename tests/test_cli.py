@@ -1,12 +1,14 @@
 """Command line tests, run in-process through main(argv)."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
-from liegraph import io
+from liegraph import cli, io
 from liegraph.cli import main
+from liegraph.spectral import eigensystem
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,33 @@ def test_eigenmaps(graph_path, tmp_path, capsys):
     assert abs(float(lines[1].split(",")[1])) <= 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 30, 31, 32])
+def test_eigenmaps_every_k(graph_path, tmp_path, k):
+    """k from 1 (Lanczos on the V=32 graph) to all 32 (dense) eigenpairs."""
+    out = tmp_path / "eig.csv"
+    assert main(["eigenmaps", "--graph", str(graph_path), "--k", str(k),
+                 "--out", str(out)]) == 0
+    lap = io.read_graph(graph_path)[1]
+    values = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+    vectors = io.read_signal(tmp_path / "eig.clsg")
+    np.testing.assert_allclose(values, np.linalg.eigvalsh(lap.matrix.toarray())[:k],
+                               rtol=0, atol=1e-10)
+    assert np.abs(lap.matrix @ vectors - vectors * values).max() <= 1e-10
+    assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-8
+
+
+def test_eigenmaps_above_the_dense_cap(graph_path, tmp_path, capsys, monkeypatch):
+    """k near the size of a component past the dense cap: one error line and
+    exit 2, never a dense solve; small k still takes Lanczos."""
+    monkeypatch.setattr(cli, "eigensystem", functools.partial(eigensystem, dense_cap=16))
+    argv = ["eigenmaps", "--graph", str(graph_path), "--out", str(tmp_path / "eig.csv")]
+    assert main(argv + ["--k", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: k=30 needs a dense solve of a 32-vertex component, "
+                   "above the dense cap of 16 vertices\n")
+    assert main(argv + ["--k", "5"]) == 0
+
+
 def test_diffuse_impulse(graph_path, tmp_path, capsys):
     out = tmp_path / "d.csv"
     code = main(["diffuse", "--graph", str(graph_path), "--impulse", "5",
@@ -178,6 +207,23 @@ def test_diffuse_impulse(graph_path, tmp_path, capsys):
     np.testing.assert_allclose(np.delete(values, 5), 0.0, atol=1e-12)
     side = io.read_signal(tmp_path / "d.clsg")
     np.testing.assert_allclose(side[:, 0], values, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [["so3", "--orient", "2"], ["s2"]])
+def test_diffuse_on_sphere_samplings(kind, tmp_path, capsys):
+    """Slice ratios read (x, y, theta) params, which sphere samplings lack:
+    the field and sidecar are written and no slice line is printed."""
+    path = str(tmp_path / "g.clgr")
+    assert main(["build-graph", "--kind", *kind, "--level", "1", "--out", path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "d.csv"
+    assert main(["diffuse", "--graph", path, "--impulse", "3", "--tau", "1",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "slice" not in printed and f"wrote {out}" in printed
+    values = io.read_signal(tmp_path / "d.clsg")[:, 0]
+    assert len(out.read_text().splitlines()) == values.size + 1
+    assert values[3] > 0.0
 
 
 def test_diffuse_signal_input(graph_path, tmp_path):

@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scipy.sparse.csgraph import connected_components
 
+from liegraph import spectral
 from liegraph.graph import (Laplacian, build_graph, laplacian, make_metric, power_lambda_max,
                             rescale, sample_edges, sample_vertices)
 from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
@@ -272,19 +274,90 @@ def _check_eigenpairs(lap, eig, atol):
 
 @pytest.mark.parametrize("case", sorted(DISCONNECTED_CASES))
 def test_eigensystem_on_disconnected_graphs(case):
-    """Eigenvalue 0 has one copy per connected component: forced past the
-    dense cap, a graph of several components is solved per component and
-    matches the dense solve, with a zero for every component."""
+    """Eigenvalue 0 has one copy per connected component: a graph of several
+    components is solved per component and matches the dense solve, with a
+    zero for every component."""
     kind, fields, sampler, kappa = DISCONNECTED_CASES[case]
     lap = laplacian(sampler(built(kind, **fields), kappa, seed=0))
     n_parts = connected_components(lap.matrix != 0.0, directed=False)[0]
     assert n_parts > 1
     dense_vals = np.linalg.eigvalsh(lap.matrix.toarray())
     for k in (n_parts + 8, lap.n):
-        eig = eigensystem(lap, k, dense_cap=0)
+        eig = eigensystem(lap, k)
         np.testing.assert_allclose(eig.values, dense_vals[:k], rtol=0, atol=1e-10)
         assert np.count_nonzero(eig.values < 1e-10) == n_parts
         _check_eigenpairs(lap, eig, 1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 4, LANCZOS_K])
+@pytest.mark.parametrize("case", sorted(DISCONNECTED_CASES))
+def test_eigensystem_small_k_on_disconnected_graphs(case, k):
+    """With k well below every large component, those take Lanczos and the
+    small ones dense solves; the merged pairs match the dense solve."""
+    kind, fields, sampler, kappa = DISCONNECTED_CASES[case]
+    lap = laplacian(sampler(built(kind, **fields), kappa, seed=0))
+    _matches_eigvalsh(lap, eigensystem(lap, k), np.linalg.eigvalsh(lap.matrix.toarray()))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_eigensystem_small_k_on_fixture_graphs(dense_case, k):
+    """k far below |V| on connected graphs: one Lanczos run."""
+    lap, (dense_vals, _) = dense_case
+    _matches_eigvalsh(lap, eigensystem(lap, k), dense_vals)
+
+
+def _matches_eigvalsh(lap, eig, dense_vals):
+    k = eig.values.size
+    np.testing.assert_allclose(eig.values, dense_vals[:k], rtol=0, atol=1e-10)
+    resid = np.linalg.norm(lap.matrix @ eig.vectors - eig.vectors * eig.values, axis=0)
+    assert resid.max() <= 1e-10
+    assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(k))) <= 1e-8
+
+
+def _cycle_blocks(sizes) -> Laplacian:
+    """Block-diagonal Laplacian of unit-weight cycles, one per size of at
+    least 3; a size-1 block is an isolated vertex (a zero block)."""
+    blocks = []
+    for m in sizes:
+        if m == 1:
+            blocks.append(sp.csr_matrix((1, 1)))
+        else:
+            ring = sp.eye(m, k=1) + sp.eye(m, k=1 - m)
+            blocks.append(sp.eye(m) - 0.5 * (ring + ring.T))
+    return Laplacian(sp.csr_matrix(sp.block_diag(blocks)))
+
+
+@pytest.mark.parametrize("k, sizes", [
+    (1, (1, 3, 4)), (4, (1, 9, 10)), (16, (1, 33, 34)),
+    (1, (1, 21, 40)), (4, (1, 21, 40)), (16, (1, 21, 40)),
+])
+def test_eigensystem_dense_or_lanczos_per_component(k, sizes, monkeypatch):
+    """A component takes Lanczos exactly when it has more than max(2k + 1, 20)
+    vertices, ARPACK's default basis; a smaller one a dense solve, an
+    isolated vertex neither.  Each way matches eigvalsh."""
+    lanczos, dense = [], []
+    eigsh, eigh = spectral.spla.eigsh, spectral.eigh
+    monkeypatch.setattr(spectral.spla, "eigsh",
+                        lambda a, **kw: lanczos.append(a.shape[0]) or eigsh(a, **kw))
+    monkeypatch.setattr(spectral, "eigh", lambda a: dense.append(a.shape[0]) or eigh(a))
+    lap = _cycle_blocks(sizes)
+    eig = eigensystem(lap, k)
+    basis = max(2 * k + 1, 20)
+    assert lanczos == [m for m in sizes if m > basis]
+    assert dense == [m for m in sizes if 1 < m <= basis]
+    np.testing.assert_allclose(eig.values, np.linalg.eigvalsh(lap.matrix.toarray())[:k],
+                               rtol=0, atol=1e-10)
+    _check_eigenpairs(lap, eig, 1e-8)
+
+
+def test_eigensystem_refuses_dense_solves_above_the_cap(se2_8x8x4_lap):
+    """k near the size of a component larger than dense_cap needs a dense
+    solve the cap forbids: ValueError, whatever the Lanczos cases allow."""
+    n = se2_8x8x4_lap.n
+    for k in (n // 2, n - 2, n):
+        with pytest.raises(ValueError, match="256-vertex component, above the dense cap of 100"):
+            eigensystem(se2_8x8x4_lap, k, dense_cap=100)
+    assert eigensystem(se2_8x8x4_lap, n // 2 - 1, dense_cap=100).values.size == n // 2 - 1
 
 
 def test_eigensystem_lanczos_per_component():
@@ -395,6 +468,17 @@ def test_slice_anisotropy_needs_the_full_sampling(kappa, counts):
     with pytest.raises(ValueError, match="needs all 64 vertices of the sampling"):
         slice_anisotropy(sub.vertices, np.ones(sub.n_vertices))
     assert [r["mass"] for r in slice_anisotropy(g.vertices, np.ones(64))] == [16.0] * 4
+
+
+@pytest.mark.parametrize("kind, fields", [(GridKind.SO3_ICOSAHEDRAL, dict(level=1, orient=2)),
+                                          (GridKind.S2_ICOSAHEDRAL, dict(level=1))])
+def test_slice_anisotropy_refuses_sphere_samplings(kind, fields):
+    """Sphere params are (alpha, beta, gamma), not (x, y, theta): read as
+    planar, both slices of so3 level 1x2 claimed theta 2.1244 and ratio
+    2.6180."""
+    g = built(kind, **fields)
+    with pytest.raises(ValueError, match="slice anisotropy applies to planar grids"):
+        slice_anisotropy(g.vertices, np.ones(g.n_vertices))
 
 
 def test_slice_anisotropy_directions(se2_8x8x4):
