@@ -12,8 +12,7 @@ from .spectral import (EigenSystem, cheb_apply, cheb_terms, eigensystem,
                        rotation_permutation, slice_anisotropy)
 from .network import (ChebConv, ChebTerms, Dense, GlobalMaxPool, LogSoftmax,
                       Model, Pool, PoolPlan, ReLU, TrainingDiverged, Unpool,
-                      build_demo, nll_loss, oriented_bars, pool_plan,
-                      r2_pool_plan, s2_pool_plan, train_demo)
+                      build_demo, coarsen, nll_loss, oriented_bars, train_demo)
 from .io import (FormatError, read_graph, read_model, read_signal, write_graph,
                  write_model, write_signal)
 

@@ -12,13 +12,13 @@ BALL_REL times a bound on every term, the brackets hold for every pair, so
 few beyond K plus the ties per row reach the kernel (knn_pairs derives them).
 Other vertex sets search a cKDTree over a Euclidean embedding whose
 distances never exceed the anisotropic ones.  The search uses every CPU in
-the process's affinity mask: tree queries run with that many workers, and
-scoring blocks go through a thread pool whose order-preserving map keeps
-the graph byte-identical for any worker count.  A graph is its undirected
-edges, pairs i < j each with one distance; ManifoldGraph mirrors them by a
-transpose, and weights and Laplacian entries are elementwise functions of
-the mirrored distances, so adjacency and Laplacian are symmetric at the bit
-level.
+the process's affinity mask (every CPU on platforms without one): tree
+queries run with that many workers, and scoring blocks go through a thread
+pool whose order-preserving map keeps the graph byte-identical for any
+worker count.  A graph is its undirected edges, pairs i < j each with one
+distance; ManifoldGraph mirrors them by a transpose, and weights and
+Laplacian entries are elementwise functions of the mirrored distances, so
+adjacency and Laplacian are symmetric at the bit level.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from scipy.linalg import eigh_tridiagonal
 from .groups import (GroupKind, Metric, _quat_relative, se2_bound_points, se2_pair_sq,
                      so3_matrices, so3_quat_pair_sq, so3_quaternions, sphere_bound_points,
                      sphere_pair_sq, wrap_angle)
-from .sampling import GridKind, GridSpec, RuleError, VertexSet, orientation_angles, refuse_flagged
+from .sampling import (ISOTROPIC_KINDS, GridKind, GridSpec, RuleError, VertexSet,
+                       orientation_angles, refuse_flagged)
 
 BANDWIDTH_FRACTION = 0.2
 DEFAULT_KNN_LIFTED = 16
@@ -47,7 +48,11 @@ ROW_CHUNK = 256
 # in flight, and a block this size stays in cache.
 CANDIDATE_BLOCK = 1 << 14
 # Vertex sets with at most this many pairs skip the tree and are scored as
-# one block; that covers the demo network's graphs.
+# one block, which covers both of the demo network's graphs.  Timed warm on a
+# 2-CPU Xeon, that is slower than the product-layout search on se2 8x8x4 (the
+# demo's fine graph: 7.3-8.0 ms against 3.5-4.2 ms) and faster on 4x4x4 (its
+# coarse graph: 0.3-0.6 ms against 2.1-2.8 ms).  What it buys is that setting
+# up training never imports scipy.spatial, 80-110 ms and 6 MB per process.
 WHOLE_SET_PAIRS = 1 << 17
 # Bracket values (point pairs x slice-pair columns) per product-layout search
 # block: fewer blocks pay less per-call overhead, larger ones leave the cache.
@@ -62,8 +67,6 @@ BALL_ABS = 1e-6
 TIE_REL = 1e-9
 # Lanczos steps between convergence checks of the lambda_max estimate.
 LANCZOS_CHECK = 5
-# Samplings without an orientation axis, whose graphs use the isotropic metric.
-ISOTROPIC_KINDS = (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL)
 
 
 def default_knn(spec: GridSpec) -> int:
@@ -605,7 +608,9 @@ def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarra
     n = len(kern.data)
     if n * n <= WHOLE_SET_PAIRS:
         return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
-    workers = len(os.sched_getaffinity(0))
+    # CPython has no sched_getaffinity on macOS or Windows.
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
     with ThreadPoolExecutor(workers) as pool:
         if layout is not None:
             # Points (x, y) are an SE(2) grid's, unit quaternions an SO(3) lift's.

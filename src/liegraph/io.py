@@ -5,7 +5,7 @@ container opens with a 4-byte magic and its own u32 version (CLGR 5, CLSG 1
 and CLMD 2); other versions are rejected.  Readers check the layout (magic,
 version, sizes, truncation, trailing bytes) as they go; the rules of the
 data live in the constructors (VertexSet, ManifoldGraph, Laplacian,
-network.pool_plan), and a reader maps a refusal to its field.  Either way the
+network.PoolPlan), and a reader maps a refusal to its field.  Either way the
 error is a FormatError carrying the byte offset of the first bad field,
 which the CLI maps to exit code 2.  Files hold primary data only: readers
 rebuild the mirrored adjacency, edge weights, Laplacians, pool plans and
@@ -273,10 +273,11 @@ def _read_plan(r: _Reader) -> network.PoolPlan:
     v_fine, n_pos = r.scalar("<Q"), r.pos
     n_coarse, cluster_pos = r.scalar("<Q"), r.pos
     try:
-        return network.pool_plan(r.array("<i8", v_fine), n_coarse)
-    except network.PoolPlanError as exc:
-        at = n_pos if exc.entry is None else cluster_pos + 8 * exc.entry
-        raise FormatError(str(exc), at) from exc
+        return network.PoolPlan(r.array("<i8", v_fine), n_coarse)
+    except RuleError as exc:
+        at = n_pos if exc.field == "n_coarse" else cluster_pos + 8 * exc.entry
+        # A plan's messages name their vertex already.
+        raise FormatError(str(exc).removesuffix(f" (entry {exc.entry})"), at) from exc
 
 
 def read_model(path, laplacians: list | None = None) -> network.Model:
@@ -287,7 +288,7 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
     bias f64.  Dense (5): n_in, n_out u32, weight f64, bias f64.  Pool (2)
     and Unpool (3): v_fine u64, n_coarse u64, cluster i64 x v_fine.  ReLU
     (1), GlobalMaxPool (4) and LogSoftmax (6) have no fields.  A size below
-    1, or a cluster map that network.pool_plan refuses, is a FormatError at
+    1, or a cluster map that network.PoolPlan refuses, is a FormatError at
     its field; a size the file cannot back fails as truncation before any
     layer is built.
 

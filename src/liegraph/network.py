@@ -16,20 +16,21 @@ once per dataset (`ChebConv.terms`) and feeds batches of them as `ChebTerms`,
 which skips the recurrence forward and the input gradient backward
 (`Model.backward` then returns None).
 
-A `PoolPlan` is only a clustering of fine vertices (checked by `pool_plan`,
-derived from a sampling by `r2_pool_plan` and `s2_pool_plan`).  `Pool` takes
-each cluster's maximum; `Unpool` copies each coarse value back to its members.
+A `PoolPlan` is a cluster map of fine vertices, which derives its segment
+layout.  `coarsen(spec)` gives a sampling's next coarser level and the plan
+onto it, on grids and spheres alike.  `Pool` takes each cluster's maximum;
+`Unpool` copies each coarse value back to its members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import Laplacian, ManifoldGraph, build_graph, laplacian, make_metric, \
     power_lambda_max, rescale
-from .sampling import PLANAR_KINDS, GridKind, GridSpec, grid_se2, icosphere
+from .sampling import PLANAR_KINDS, GridKind, GridSpec, RuleError, build_vertices, icosphere
 from .spectral import cheb_terms, rotation_permutation
 
 
@@ -179,89 +180,69 @@ class ReLU:
         return []
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PoolPlan:
-    """Fine-to-coarse cluster assignment with a precomputed segment layout.
+    """A fine-to-coarse cluster map and the segment layout derived from it.
 
     cluster[v] is the coarse id of fine vertex v (-1 drops the vertex, which
     happens for the trailing row/column of odd grids).  order lists the kept
-    fine ids sorted by cluster then id; starts are the segment offsets.
+    fine ids sorted by cluster then id; starts are the segment offsets and
+    sizes the cluster sizes.  All four arrays are read-only.  RuleError
+    unless 1 <= n_coarse <= cluster.size (field "n_coarse"), every id lies in
+    [-1, n_coarse) (field "cluster", entry the first bad vertex) and no
+    cluster is empty (field "cluster", entry 0).
     """
 
     cluster: np.ndarray
     n_coarse: int
-    order: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
+    order: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cluster, n_coarse = np.array(self.cluster, dtype=np.int64), self.n_coarse
+        if not 1 <= n_coarse <= cluster.size:
+            raise RuleError(f"{n_coarse} coarse vertices for {cluster.size} fine ones", "n_coarse")
+        bad = (cluster < -1) | (cluster >= n_coarse)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise RuleError(f"cluster id {cluster[v]} of vertex {v} outside [-1, {n_coarse})",
+                            "cluster", v)
+        kept = np.flatnonzero(cluster >= 0)
+        sizes = np.bincount(cluster[kept], minlength=n_coarse)
+        if not sizes.all():
+            raise RuleError(f"coarse vertex {int(np.argmin(sizes))} has no fine member",
+                            "cluster", 0)
+        arrays = {"cluster": cluster, "order": kept[np.argsort(cluster[kept], kind="stable")],
+                  "starts": np.concatenate([[0], np.cumsum(sizes[:-1])]), "sizes": sizes}
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
-class PoolPlanError(ValueError):
-    """A cluster map that makes no pool plan; entry is the index of the first
-    bad cluster id (0 for an empty cluster), None when n_coarse is at fault."""
+def coarsen(spec: GridSpec) -> tuple[GridSpec, PoolPlan]:
+    """The next coarser level of a sampling and the plan that pools onto it.
 
-    def __init__(self, message: str, entry: int | None = None):
-        super().__init__(message)
-        self.entry = entry
-
-
-def pool_plan(cluster: np.ndarray, n_coarse: int) -> PoolPlan:
-    """The plan of a cluster map; PoolPlanError unless 1 <= n_coarse <=
-    cluster.size, every id lies in [-1, n_coarse) and no cluster is empty."""
-    cluster = np.asarray(cluster, dtype=np.int64)
-    if not 1 <= n_coarse <= cluster.size:
-        raise PoolPlanError(f"{n_coarse} coarse vertices for {cluster.size} fine ones")
-    bad = (cluster < -1) | (cluster >= n_coarse)
-    if bad.any():
-        v = int(np.argmax(bad))
-        raise PoolPlanError(f"cluster id {cluster[v]} of vertex {v} outside [-1, {n_coarse})", v)
-    kept = np.flatnonzero(cluster >= 0)
-    order = kept[np.argsort(cluster[kept], kind="stable")]
-    sizes = np.bincount(cluster[kept], minlength=n_coarse)
-    if not sizes.all():
-        raise PoolPlanError(f"coarse vertex {int(np.argmin(sizes))} has no fine member", 0)
-    starts = np.zeros(n_coarse, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return PoolPlan(cluster, n_coarse, order, starts, sizes)
-
-
-def r2_pool_plan(spec: GridSpec) -> PoolPlan:
-    """Non-overlapping 2x2 spatial blocks inside every orientation slice; an
-    odd grid's trailing row and column are dropped."""
-    if spec.kind not in PLANAR_KINDS:
-        raise ValueError("r2 pooling applies to planar grids")
-    cnx, cny = spec.nx // 2, spec.ny // 2
-    if cnx < 1 or cny < 1:
-        raise ValueError("grid too small to pool")
-    ids = np.arange(spec.n_vertices)
-    ns = spec.n_spatial
-    ix, iy, k = (ids % ns) % spec.nx, (ids % ns) // spec.nx, ids // ns
-    inside = (ix < 2 * cnx) & (iy < 2 * cny)
-    cluster = np.where(inside, k * (cnx * cny) + (iy // 2) * cnx + (ix // 2), -1)
-    return pool_plan(cluster, cnx * cny * spec.n_orient)
-
-
-def coarse_spec_r2(spec: GridSpec) -> GridSpec:
-    return GridSpec(spec.kind, nx=spec.nx // 2, ny=spec.ny // 2, n_orient=spec.n_orient)
-
-
-def s2_pool_plan(spec: GridSpec) -> PoolPlan:
-    """Icosahedral level drop: prefix vertices keep themselves, midpoints fold
-    into the lower endpoint of their parent edge."""
-    if spec.kind not in (GridKind.SO3_ICOSAHEDRAL, GridKind.S2_ICOSAHEDRAL):
-        raise ValueError("s2 pooling applies to icosahedral samplings")
-    if spec.level < 1:
-        raise ValueError("level 0 cannot be pooled")
-    _, parents = icosphere(spec.level)
-    ns_f = spec.n_spatial
-    ns_c = parents.max() + 1
-    ids = np.arange(spec.n_vertices)
-    s, k = ids % ns_f, ids // ns_f
-    cluster = k * ns_c + parents[s]
-    return pool_plan(cluster, ns_c * spec.n_orient)
-
-
-def coarse_spec_s2(spec: GridSpec) -> GridSpec:
-    return GridSpec(spec.kind, level=spec.level - 1, n_orient=spec.n_orient)
+    The spatial map pools non-overlapping 2x2 blocks of a grid (an odd
+    grid's trailing row and column are dropped) or folds an icosphere's
+    midpoints into the lower endpoint of their parent edge (prefix points
+    keep themselves); every orientation slice k maps onto coarse slice k.
+    ValueError for a grid under 2x2 or a level-0 sphere."""
+    if spec.kind in PLANAR_KINDS:
+        if spec.nx < 2 or spec.ny < 2:
+            raise ValueError("grid too small to pool")
+        coarse = replace(spec, nx=spec.nx // 2, ny=spec.ny // 2)
+        iy, ix = np.divmod(np.arange(spec.n_spatial), spec.nx)
+        inside = (ix < 2 * coarse.nx) & (iy < 2 * coarse.ny)
+        spatial = np.where(inside, (iy // 2) * coarse.nx + ix // 2, -1)
+    else:
+        if spec.level < 1:
+            raise ValueError("level 0 cannot be pooled")
+        coarse = replace(spec, level=spec.level - 1)
+        spatial = icosphere(spec.level)[1]
+    slices = np.arange(spec.n_orient)[:, None] * coarse.n_spatial
+    cluster = np.where(spatial >= 0, slices + spatial, -1).ravel()
+    return coarse, PoolPlan(cluster, coarse.n_vertices)
 
 
 class Pool:
@@ -474,17 +455,17 @@ def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float 
                alpha: float = 1.0, knn: int = 16, order: int = 4,
                channels: tuple[int, int] = (8, 16)) -> DemoSetup:
     rng = np.random.Generator(np.random.Philox([seed, 1]))
+    fine_spec = GridSpec(GridKind.SE2_GRID, nx=nx, ny=nx, n_orient=n_orient)
+    coarse_spec, plan = coarsen(fine_spec)
     graphs = []
-    for n in (nx, nx // 2):
-        verts = grid_se2(n, n, n_orient)
-        metric, _ = make_metric(verts.spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
-        graphs.append(build_graph(verts, metric, knn))
-    fine_spec = graphs[0].vertices.spec
+    for spec in (fine_spec, coarse_spec):
+        metric, _ = make_metric(spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
+        graphs.append(build_graph(build_vertices(spec), metric, knn))
     lf, lc = (rescale(power_lambda_max(laplacian(g))) for g in graphs)
     model = Model([
         ChebConv(lf, 1, channels[0], order, rng),
         ReLU(),
-        Pool(r2_pool_plan(fine_spec)),
+        Pool(plan),
         ChebConv(lc, channels[0], channels[1], order, rng),
         ReLU(),
         GlobalMaxPool(),

@@ -30,6 +30,8 @@ class GridKind(Enum):
 
 
 PLANAR_KINDS = (GridKind.SE2_GRID, GridKind.R2_GRID)
+# Samplings without an orientation axis: one slice, and the isotropic metric.
+ISOTROPIC_KINDS = (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL)
 # Deeper icosahedral levels are refused before 4 ** level is evaluated.
 # icosphere(8) (655362 points) takes about 0.6 s and 230 MB: all a level in
 # a file header can make a reader build beyond what the file's bytes back.
@@ -60,7 +62,7 @@ class GridSpec:
                                  f"got {self.nx} and {self.ny}")
         if self.n_orient < 1:
             raise ValueError("n_orient must be at least 1")
-        if self.kind in (GridKind.R2_GRID, GridKind.S2_ICOSAHEDRAL) and self.n_orient != 1:
+        if self.kind in ISOTROPIC_KINDS and self.n_orient != 1:
             raise ValueError(f"{self.kind.value} sampling has a single orientation slice")
         if self.n_vertices >= 2 ** 63:
             raise ValueError(f"{self.n_vertices} vertices, more than int64 ids can number")

@@ -36,9 +36,8 @@ from liegraph.network import (
     ReLU,
     Unpool,
     build_demo,
+    coarsen,
     nll_loss,
-    r2_pool_plan,
-    s2_pool_plan,
 )
 from liegraph.sampling import GridKind, GridSpec
 from liegraph.spectral import (
@@ -314,7 +313,7 @@ def test_criterion_06_gradient_suite(report, se2_8x8x4_lap):
 
     se2_spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
     s2_spec = GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)
-    for plan in (r2_pool_plan(se2_spec), s2_pool_plan(s2_spec)):
+    for plan in (coarsen(se2_spec)[1], coarsen(s2_spec)[1]):
         x = smooth_pool_input(rng, plan, (plan.cluster.size, 2, 2))
         worst = max(worst, fd_max_rel_err(Pool(plan), x, rng))
         y = rng.standard_normal((plan.n_coarse, 2, 2))

@@ -696,6 +696,19 @@ def test_knn_same_graph_for_any_worker_count(whole_set_pairs, se2_16x16x6, s2_le
     assert [workers_of[id(pool)] for _, pool in product_runs(runs)] == [1, 3]
 
 
+def test_knn_without_sched_getaffinity(se2_16x16x6, so3_level2x6, monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows), the search runs on
+    os.cpu_count() workers and builds the same graphs."""
+    monkeypatch.delattr(graph_module.os, "sched_getaffinity")
+    counted = []
+    monkeypatch.setattr(graph_module.os, "cpu_count", lambda: counted.append(2) or 2)
+    for g in (se2_16x16x6, so3_level2x6):
+        again = build_graph(g.vertices, g.metric, g.knn)
+        for attr in GRAPH_ARRAYS:
+            assert getattr(again, attr).tobytes() == getattr(g, attr).tobytes()
+    assert counted == [2, 2]
+
+
 def lexsort_csr(n, i, j, *values):
     """The mirrored CSR of pairs (i, j) by a lexsort of both orientations on
     (row, col): the oracle of ManifoldGraph's mirror."""
@@ -803,14 +816,18 @@ def test_graph_refuses_pairs_a_file_cannot_hold(tmp_path):
 
 
 def test_demo_graphs_skip_the_tree():
-    """build_demo's graphs are scored as whole sets, so setting up training
-    never pays the scipy.spatial import."""
+    """Importing liegraph loads none of scipy.spatial, scipy.special or
+    scipy.sparse.csgraph, and build_demo's graphs are scored as whole sets,
+    so a training run never pays those imports either."""
     src = str(Path(graph_module.__file__).resolve().parents[1])
-    code = ("import sys; from liegraph.network import build_demo; build_demo(); "
-            "print('scipy.spatial' in sys.modules)")
+    code = ("import sys; import liegraph; from liegraph.network import train_demo\n"
+            "lazy = ('scipy.spatial', 'scipy.special', 'scipy.sparse.csgraph')\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "train_demo(epochs=1, lr=0.2)\n"
+            "print([m for m in lazy if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n"
+    assert run.stdout == "[]\n[]\n"
 
 
 def test_degree_bounds(se2_8x8x4):

@@ -11,7 +11,7 @@ from liegraph.cli import main
 from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
                             sample_vertices)
 from liegraph.groups import Metric
-from liegraph.network import Model, Pool, Unpool, build_demo, r2_pool_plan, s2_pool_plan
+from liegraph.network import Model, Pool, Unpool, build_demo, coarsen
 from liegraph.sampling import GridKind, GridSpec, RuleError, VertexSet
 
 from conftest import EPS_ANISO, built
@@ -247,8 +247,8 @@ def test_model_roundtrip_with_unpool(tmp_path):
     icosahedral plan and an odd planar one (with dropped vertices) come back
     bit for bit."""
     rng = np.random.Generator(np.random.Philox(32))
-    for plan in (s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)),
-                 r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=5, ny=5))):
+    for plan in (coarsen(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))[1],
+                 coarsen(GridSpec(GridKind.R2_GRID, nx=5, ny=5))[1]):
         model = Model([Unpool(plan), Pool(plan)])
         path, again = tmp_path / "u.clmd", tmp_path / "u2.clmd"
         io.write_model(path, model)

@@ -3,6 +3,7 @@
 Every layer's backward pass is checked against central differences through
 its own forward, and the linear layers against exact adjointness."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,22 +20,18 @@ from liegraph.network import (
     LogSoftmax,
     Model,
     Pool,
-    PoolPlanError,
+    PoolPlan,
     ReLU,
     TrainingDiverged,
     Unpool,
     build_demo,
-    coarse_spec_r2,
-    coarse_spec_s2,
+    coarsen,
     lift_images,
     nll_loss,
     oriented_bars,
-    pool_plan,
-    r2_pool_plan,
-    s2_pool_plan,
     train_demo,
 )
-from liegraph.sampling import GridKind, GridSpec
+from liegraph.sampling import GridKind, GridSpec, RuleError, icosphere
 from liegraph.spectral import cheb_terms, rotation_permutation
 
 from conftest import DEMO_CALL, EPS_ANISO, built
@@ -185,7 +182,7 @@ def test_nll_loss_gradient():
 def test_r2_pool_gradients():
     rng = np.random.Generator(np.random.Philox(16))
     spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
-    plan = r2_pool_plan(spec)
+    plan = coarsen(spec)[1]
     pool = Pool(plan)
     x = rng.standard_normal((spec.n_vertices, 3, 2))
     # strict winners so the finite-difference step cannot flip them
@@ -198,7 +195,7 @@ def test_r2_pool_gradients():
 def test_s2_pool_gradients():
     rng = np.random.Generator(np.random.Philox(17))
     spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=2)
-    plan = s2_pool_plan(spec)
+    plan = coarsen(spec)[1]
     pool = Pool(plan)
     x = rng.standard_normal((spec.n_vertices, 2, 3))
     check_input_gradient(pool, x, rng)
@@ -207,7 +204,7 @@ def test_s2_pool_gradients():
 def test_unpool_gradients():
     rng = np.random.Generator(np.random.Philox(18))
     spec = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
-    plan = r2_pool_plan(spec)
+    plan = coarsen(spec)[1]
     layer = Unpool(plan)
     y = rng.standard_normal((plan.n_coarse, 3, 2))
     check_input_gradient(layer, y, rng)
@@ -241,8 +238,8 @@ def test_pool_backward_is_adjoint():
     """<layer(x), y> = <x, backward(y)> at a base point, for max pooling on
     both plan kinds and for unpooling (which is linear)."""
     rng = np.random.Generator(np.random.Philox(21))
-    s2_plan = s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
-    cases = [(Pool(r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2))), 32),
+    s2_plan = coarsen(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))[1]
+    cases = [(Pool(coarsen(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2))[1]), 32),
              (Pool(s2_plan), 42),
              (Unpool(s2_plan), 12)]
     for layer, n in cases:
@@ -255,7 +252,7 @@ def test_pool_backward_is_adjoint():
 
 
 def test_max_pool_tie_routes_lowest_id():
-    plan = r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=4, ny=4))
+    plan = coarsen(GridSpec(GridKind.R2_GRID, nx=4, ny=4))[1]
     x = np.zeros((16, 1, 1))
     # cluster 0 holds fine ids {0, 1, 4, 5}; tie the max between 0 and 5
     x[0] = x[5] = 3.0
@@ -269,7 +266,7 @@ def test_max_pool_tie_routes_lowest_id():
 def test_icosahedral_parent_keeps_value():
     """A level-1 parent vertex that holds the cluster max pools to itself."""
     spec = GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)
-    plan = s2_pool_plan(spec)
+    plan = coarsen(spec)[1]
     x = np.full((42, 1, 1), -1.0)
     x[:12, 0, 0] = np.arange(12) + 10.0
     out = Pool(plan).forward(x)
@@ -278,21 +275,21 @@ def test_icosahedral_parent_keeps_value():
 
 def test_pool_plan_layout():
     spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
-    plan = r2_pool_plan(spec)
+    plan = coarsen(spec)[1]
     assert plan.n_coarse == 64
     assert np.all(plan.sizes == 4)
     assert np.all(plan.cluster >= 0)
-    assert coarse_spec_r2(spec).nx == 4
+    assert coarsen(spec)[0].nx == 4
     # icosahedral: prefix vertices stay in their own cluster
     so3 = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=2)
-    splan = s2_pool_plan(so3)
+    splan = coarsen(so3)[1]
     assert splan.n_coarse == 24
     for k in range(2):
         for s in range(12):
             assert splan.cluster[k * 42 + s] == k * 12 + s
-    assert coarse_spec_s2(so3).level == 0
+    assert coarsen(so3)[0].level == 0
     # a plan from a cluster map: members by cluster then id, -1 dropped
-    plan = pool_plan(np.array([1, -1, 0, 1]), 2)
+    plan = PoolPlan(np.array([1, -1, 0, 1]), 2)
     np.testing.assert_array_equal(plan.order, [2, 0, 3])
     np.testing.assert_array_equal(plan.starts, [0, 1])
     np.testing.assert_array_equal(plan.sizes, [1, 2])
@@ -300,7 +297,7 @@ def test_pool_plan_layout():
 
 def test_odd_grid_drops_trailing():
     spec = GridSpec(GridKind.R2_GRID, nx=5, ny=5)
-    plan = r2_pool_plan(spec)
+    plan = coarsen(spec)[1]
     ids = np.arange(25)
     dropped = (ids % 5 == 4) | (ids // 5 == 4)
     assert np.all(plan.cluster[dropped] == -1)
@@ -313,14 +310,10 @@ def test_odd_grid_drops_trailing():
 
 
 def test_pool_plan_validation():
-    with pytest.raises(ValueError):
-        r2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1))
-    with pytest.raises(ValueError):
-        r2_pool_plan(GridSpec(GridKind.R2_GRID, nx=1, ny=1))
-    with pytest.raises(ValueError):
-        s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=0))
-    with pytest.raises(ValueError):
-        s2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2))
+    with pytest.raises(ValueError, match="grid too small to pool"):
+        coarsen(GridSpec(GridKind.R2_GRID, nx=1, ny=1))
+    with pytest.raises(ValueError, match="level 0 cannot be pooled"):
+        coarsen(GridSpec(GridKind.S2_ICOSAHEDRAL, level=0))
 
 
 @pytest.mark.parametrize("cluster, n_coarse, entry, message", [
@@ -331,11 +324,89 @@ def test_pool_plan_validation():
     ([0, -1, 0], 2, 0, "coarse vertex 1 has no fine member"),
 ], ids=["n_coarse_0", "n_coarse_above_v_fine", "id_n_coarse", "id_minus_5", "empty_cluster"])
 def test_pool_plan_checks(cluster, n_coarse, entry, message):
-    """pool_plan checks the count, then every id, then that no cluster is
+    """PoolPlan checks the count, then every id, then that no cluster is
     empty, and names the first cluster entry at fault (None for the count)."""
-    with pytest.raises(PoolPlanError, match=message) as exc:
-        pool_plan(np.array(cluster), n_coarse)
+    with pytest.raises(RuleError, match=message) as exc:
+        PoolPlan(np.array(cluster), n_coarse)
     assert exc.value.entry == entry
+    assert exc.value.field == ("n_coarse" if entry is None else "cluster")
+
+
+@pytest.mark.parametrize("kind, nx, ny, n_orient", [
+    (GridKind.R2_GRID, 2, 3, 1), (GridKind.R2_GRID, 5, 5, 1), (GridKind.R2_GRID, 16, 16, 1),
+    (GridKind.SE2_GRID, 2, 2, 1), (GridKind.SE2_GRID, 4, 4, 2), (GridKind.SE2_GRID, 5, 6, 3),
+    (GridKind.SE2_GRID, 9, 7, 4), (GridKind.SE2_GRID, 8, 8, 5), (GridKind.SE2_GRID, 7, 3, 6),
+])
+def test_coarsen_grid_matches_loop(kind, nx, ny, n_orient):
+    """Every grid cluster id, by a loop over (ix, iy, slice): 2x2 blocks per
+    slice, an odd trailing row or column dropped."""
+    spec = GridSpec(kind, nx=nx, ny=ny, n_orient=n_orient)
+    coarse, plan = coarsen(spec)
+    cnx, cny = nx // 2, ny // 2
+    assert coarse == GridSpec(kind, nx=cnx, ny=cny, n_orient=n_orient)
+    assert plan.n_coarse == coarse.n_vertices == cnx * cny * n_orient
+    expected = []
+    for k in range(n_orient):
+        for iy in range(ny):
+            for ix in range(nx):
+                inside = ix < 2 * cnx and iy < 2 * cny
+                expected.append(k * cnx * cny + (iy // 2) * cnx + ix // 2 if inside else -1)
+    assert plan.cluster.tolist() == expected
+
+
+@pytest.mark.parametrize("kind, n_orient", [(GridKind.S2_ICOSAHEDRAL, 1),
+                                            (GridKind.SO3_ICOSAHEDRAL, 2)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_coarsen_sphere_matches_midpoints(kind, n_orient, level):
+    """A midpoint folds into the lower id of the two level-(l-1) points whose
+    normalised sum it is (the closest such pair, the edge it splits), a
+    prefix point into itself, on every slice."""
+    coarse, plan = coarsen(GridSpec(kind, level=level, n_orient=n_orient))
+    assert coarse == GridSpec(kind, level=level - 1, n_orient=n_orient)
+    fine_pts, coarse_pts = icosphere(level)[0], icosphere(level - 1)[0]
+    ns_c = len(coarse_pts)
+    assert plan.n_coarse == coarse.n_vertices == ns_c * n_orient
+    np.testing.assert_array_equal(fine_pts[:ns_c], coarse_pts)
+    a, b = np.triu_indices(ns_c, 1)
+    sums = coarse_pts[a] + coarse_pts[b]
+    norms = np.linalg.norm(sums, axis=1)
+    a, b, sums = a[norms > 0], b[norms > 0], sums[norms > 0] / norms[norms > 0, None]
+    chord = np.linalg.norm(coarse_pts[a] - coarse_pts[b], axis=1)
+    spatial = list(range(ns_c))
+    for m in fine_pts[ns_c:]:
+        hits = np.flatnonzero(np.abs(sums - m).max(axis=1) <= 1e-12)
+        edge = hits[np.argmin(chord[hits])]
+        spatial.append(min(a[edge], b[edge]))
+    expected = [k * ns_c + s for k in range(n_orient) for s in spatial]
+    assert plan.cluster.tolist() == expected
+
+
+def test_coarsen_twice():
+    """so3 level 3 x 6 coarsens to level 2, then level 1, every plan's
+    n_coarse the next level's vertex count."""
+    spec = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=3, n_orient=6)
+    mid, first = coarsen(spec)
+    last, second = coarsen(mid)
+    assert last == GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=6)
+    assert first.cluster.size == spec.n_vertices
+    assert first.n_coarse == second.cluster.size == mid.n_vertices
+    assert second.n_coarse == last.n_vertices == 42 * 6
+
+
+def test_pool_plan_frozen():
+    """A plan is its cluster map: the layout is derived, never passed, and
+    neither the fields nor the arrays can change."""
+    plan = PoolPlan(np.array([1, -1, 0, 1]), 2)
+    with pytest.raises(TypeError):
+        PoolPlan(np.array([0, 1]), 2, order=np.array([1, 0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.n_coarse = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.order = np.array([0, 2, 3])
+    for name in ("cluster", "order", "starts", "sizes"):
+        arr = getattr(plan, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_chebconv_equivariance(operator_laps):
@@ -366,9 +437,9 @@ def check_chebconv_equivariance(operator_laps, form):
 def test_pool_equivariance():
     """Max pooling commutes with the quarter turn via the coarse-grid turn."""
     spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
-    plan = r2_pool_plan(spec)
+    coarse_spec, plan = coarsen(spec)
     fine_perm = rotation_permutation(spec)
-    coarse_perm = rotation_permutation(coarse_spec_r2(spec))
+    coarse_perm = rotation_permutation(coarse_spec)
     rng = np.random.Generator(np.random.Philox(24))
     x = rng.standard_normal((spec.n_vertices, 3, 2))
     a = Pool(plan).forward(apply_permutation(fine_perm, x))
@@ -504,8 +575,8 @@ def test_chebconv_terms_input_matches_signal(demo_setup, k, batch):
 def max_plans():
     """An odd planar grid (trailing column dropped) and so3 level 2 x 2,
     whose icosahedral clusters have unequal sizes."""
-    return [r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=5, ny=6, n_orient=3)),
-            s2_pool_plan(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=2, n_orient=2))]
+    return [coarsen(GridSpec(GridKind.SE2_GRID, nx=5, ny=6, n_orient=3))[1],
+            coarsen(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=2, n_orient=2))[1]]
 
 
 def test_max_pool_matches_reduceat_oracle():
@@ -517,7 +588,7 @@ def test_max_pool_matches_reduceat_oracle():
     cases = [(plan, np.round(2.0 * rng.standard_normal((plan.cluster.size, 4, 3))))
              for plan in plans]
     # the demo's fine pool at its batch sizes on post-ReLU input, tied at 0
-    demo = r2_pool_plan(GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4))
+    demo = coarsen(GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4))[1]
     cases += [(demo, np.maximum(rng.standard_normal((256, batch, 8)), 0.0))
               for batch in (32, 128)]
     for plan, x in cases:
@@ -532,7 +603,7 @@ def test_max_pool_nan_stays_in_cluster():
     cluster's last member, wherever the NaN sits (singleton clusters keep
     themselves), so backward never writes into another cluster."""
     rng = np.random.Generator(np.random.Philox(29))
-    for plan in max_plans() + [pool_plan(np.arange(6), 6)]:
+    for plan in max_plans() + [PoolPlan(np.arange(6), 6)]:
         pool = Pool(plan)
         x = rng.standard_normal((plan.cluster.size, 4, 3))
         x[rng.random(x.shape) < 0.2] = np.nan
@@ -582,7 +653,7 @@ def test_eval_forward_matches_training_forward():
         assert_same_bits(model.forward(x), first)
         assert_same_bits(model.forward(x, train=False), first)
         model.release()
-    plan = s2_pool_plan(GridSpec(GridKind.S2_ICOSAHEDRAL, level=2))
+    plan = coarsen(GridSpec(GridKind.S2_ICOSAHEDRAL, level=2))[1]
     stack = Model([Pool(plan), Unpool(plan)])
     x = np.round(rng.standard_normal((plan.cluster.size, 5, 2)))
     x[rng.random(x.shape) < 0.05] = np.nan

@@ -175,9 +175,9 @@ def test_icosphere_matches_loop(level):
 
 @pytest.mark.parametrize("level", [0, 1, 3])
 def test_icosphere_cached_read_only(level):
-    """Each level is built once: later calls, build_vertices and s2_pool_plan
+    """Each level is built once: later calls, build_vertices and coarsen
     share the same read-only arrays, bit-equal to a fresh construction."""
-    from liegraph.network import s2_pool_plan
+    from liegraph.network import coarsen
 
     pts, parents = icosphere(level)
     fresh_pts, fresh_parents = icosphere.__wrapped__(level)
@@ -192,7 +192,7 @@ def test_icosphere_cached_read_only(level):
     misses = icosphere.cache_info().misses
     build_vertices(GridSpec(GridKind.S2_ICOSAHEDRAL, level=level))
     if level:
-        s2_pool_plan(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=2))
+        coarsen(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=level, n_orient=2))
     assert icosphere(level)[0] is pts and icosphere.cache_info().misses == misses
     assert icosphere.cache_info().maxsize == MAX_LEVEL + 1
 
