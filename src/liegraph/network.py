@@ -2,6 +2,9 @@
 
 Vertex signals are (V, B, C) arrays (batch in the middle so sparse matvecs
 can flatten the trailing axes); after global pooling they become (B, C).
+Chebyshev terms are vertex-major too: a layer's stack for a batch is
+(V, B, J, I), so a batch of a dataset's terms is `np.take(z, sel, axis=1)`
+and the layer's one (V*B, J*I) product reads the stack without a copy.
 A training forward (`train=True`, the default) caches what the analytic
 backward needs, which accumulates parameter gradients in-place and returns
 the input gradient; an evaluation forward stores no `_`-prefixed array.  The
@@ -14,7 +17,8 @@ BLAS product per pass.  That operator is a forward cache too.  A first layer
 filters data that no parameter touches, so `train_demo` computes its terms
 once per dataset (`ChebConv.terms`) and feeds batches of them as `ChebTerms`,
 which skips the recurrence forward and the input gradient backward
-(`Model.backward` then returns None).
+(`Model.backward` then returns None).  A layer fed a signal still copies its
+(J, V, B, I) recurrence stack to (V*B, J*I) for its product.
 
 A `PoolPlan` is a cluster map of fine vertices, which derives its segment
 layout.  `coarsen(spec)` gives a sampling's next coarser level and the plan
@@ -24,6 +28,7 @@ onto it, on grids and spheres alike.  `Pool` takes each cluster's maximum;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,11 +52,30 @@ def _matvec(matrix, x: np.ndarray) -> np.ndarray:
     return np.asarray(matrix @ x.reshape(v, -1)).reshape(x.shape)
 
 
+def _add_row(y: np.ndarray, row: np.ndarray) -> None:
+    """y += row on a C-contiguous (N, O) array, with the same sums.  A
+    broadcast add loops over only O entries at a time; whole blocks of 64
+    rows take one add of the row tiled 64 times instead."""
+    n, o = y.shape
+    bulk = n - n % 64
+    head = y[:bulk].reshape(-1, 64 * o)
+    np.add(head, np.tile(row, 64), out=head)
+    y[bulk:] += row
+
+
+def _flat_index(ids: np.ndarray) -> np.ndarray:
+    """Flat indices, into a C-ordered (V, *T) array, of entry (ids[k, t], t)
+    for each k and trailing position t of a (K, *T) array of vertex ids."""
+    tail = ids.shape[1:]
+    size = math.prod(tail)
+    return ids * size + np.arange(size).reshape(tail)
+
+
 @dataclass
 class ChebTerms:
-    """The (J, V, B, I) stack z_j = T_j(L) x of a signal x, as `ChebConv.terms`
-    returns it; column b holds the terms of x[:, b] alone, so z[:, :, sel]
-    are the terms of x[:, sel]."""
+    """The vertex-major (V, B, J, I) stack z[:, :, j] = T_j(L) x of a signal
+    x, as `ChebConv.terms` returns it.  Column b holds the terms of x[:, b]
+    alone, so `np.take(z, sel, axis=1)` are the terms of x[:, sel]."""
 
     z: np.ndarray
 
@@ -59,10 +83,13 @@ class ChebTerms:
 class ChebConv:
     """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias.
 
-    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one.  After a
-    signal, `backward` returns gx, (V, B, I), by the operator's reverse
-    sweep; after terms, which no parameter precedes, it only accumulates the
-    parameter gradients and returns None.
+    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one, whose
+    (V, B, J, I) stack it reads as (V*B, J*I) rows of one product; `terms`
+    gives that stack for a whole dataset, and a batch takes its columns with
+    `np.take(z, sel, axis=1)`.  After a signal, `backward` returns gx,
+    (V, B, I), by the operator's reverse sweep; after terms, which no
+    parameter precedes, it only accumulates the parameter gradients and
+    returns None.
 
     The terms z_j = T_j(L) x come from one of two operator forms, picked
     once from the fill of L: `dense` when nnz >= V^2 / DENSE_FILL.
@@ -113,25 +140,28 @@ class ChebConv:
         return z
 
     def terms(self, x: np.ndarray) -> ChebTerms:
-        """The terms of x by this layer's operator form, caching nothing."""
-        return ChebTerms(self._terms(x, train=False))
+        """The (V, B, J, I) terms of x by this layer's operator form, caching
+        nothing."""
+        return ChebTerms(np.ascontiguousarray(self._terms(x, train=False).transpose(1, 2, 0, 3)))
 
     def forward(self, x: np.ndarray | ChebTerms, train: bool = True) -> np.ndarray:
         if isinstance(x, ChebTerms):
             z = x.z
-            if (z.shape[0], z.shape[1], z.shape[-1]) != (self.order, self.lap.n, self.n_in):
-                raise ValueError(f"terms of shape {z.shape} for a layer with J={self.order}, "
-                                 f"V={self.lap.n}, I={self.n_in}")
+            if z.shape[:1] + z.shape[2:] != (self.lap.n, self.order, self.n_in):
+                raise ValueError(f"terms of shape {z.shape} for a layer with V={self.lap.n}, "
+                                 f"J={self.order}, I={self.n_in}")
+            v, b, j, i = z.shape
         else:
             z = self._terms(x, train)
-        j, v, b, i = z.shape
+            j, v, b, i = z.shape
+            z = z.transpose(1, 2, 0, 3)
         # One (V*B, J*I) @ (J*I, O) product contracts terms and channels.
-        z = z.transpose(1, 2, 0, 3).reshape(v * b, j * i)
+        z = z.reshape(v * b, j * i)
         if train:
             self._z = z
             self._sweep = not isinstance(x, ChebTerms)
         y = z @ self.theta.reshape(j * i, self.n_out)
-        y += self.bias
+        _add_row(y, self.bias)
         return y.reshape(v, b, self.n_out)
 
     def backward(self, gy: np.ndarray) -> np.ndarray | None:
@@ -141,9 +171,15 @@ class ChebConv:
         self.g_bias += np.ones(v * b) @ gy2
         if not self._sweep:
             return None
-        # gz[j] = gy theta_j^T for every term at once, as (J, V, B, I).
-        gz = gy2 @ self.theta.reshape(-1, o).T
-        gz = np.ascontiguousarray(gz.reshape(v, b, self.order, self.n_in).transpose(2, 0, 1, 3))
+        # gz[j] = gy theta_j^T, written as (J, V, B, I) by matrix products:
+        # one batched product, or for one input channel one (J, O) @ (O, V*B)
+        # product, since the batched form would then run matrix-vector
+        # products, which round differently.
+        if self.n_in == 1:
+            gz = self.theta[:, 0] @ gy2.T
+        else:
+            gz = np.matmul(gy2, self.theta.transpose(0, 2, 1))
+        gz = gz.reshape(self.order, v, b, self.n_in)
         if self.dense:
             flat = gz.reshape(self.order * v, -1)
             flat[:v] += self._p.T @ flat[v:]
@@ -278,7 +314,7 @@ class Pool:
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx = np.zeros((self.plan.cluster.size,) + gy.shape[1:])
         # Clusters are disjoint, so winners never collide per (b, c).
-        np.put_along_axis(gx, self._winner, gy, axis=0)
+        np.put(gx, _flat_index(self._winner), gy)
         return gx
 
     def params(self):
@@ -306,15 +342,20 @@ class Unpool:
 
 
 class GlobalMaxPool:
+    """Maximum over the vertices; a NaN wins.  A training forward reads the
+    maximum at its first argmax, where backward routes the gradient (a tie of
+    -0.0 and 0.0 keeps that entry's sign, which ReLU output never holds)."""
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if train:
-            self._arg = np.argmax(x, axis=0)[None]
-            self._shape = x.shape
-        return x.max(axis=0)
+        if not train:
+            return x.max(axis=0)
+        self._arg = _flat_index(np.argmax(x, axis=0)[None])[0]
+        self._shape = x.shape
+        return np.take(x, self._arg)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx = np.zeros(self._shape)
-        np.put_along_axis(gx, self._arg, gy[None], axis=0)
+        np.put(gx, self._arg, gy)
         return gx
 
     def params(self):
@@ -485,16 +526,19 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
 
     Metric rows are dicts with epoch, loss (mean train loss; epoch 0 is the
     untrained evaluation), test accuracy, and rotation consistency.  NaN loss
-    aborts with TrainingDiverged; epochs < 0 raise ValueError.  The first
-    layer's Chebyshev terms of the train, test and rotated test sets are
-    computed once per call, and every forward takes its batch's columns of
-    them, which gives the signal path's numbers bit for bit (each column's
-    terms are computed alone).  The terms live only during the call, and the
-    model's forward caches are released on return, so a trained model holds
-    only its parameters.
+    aborts with TrainingDiverged; epochs < 0, and batch, n_train or n_test
+    below 1, raise ValueError.  The first layer's Chebyshev terms of the
+    train, test and rotated test sets are computed once per call, and every
+    forward takes its batch's columns of them, which gives the signal path's
+    numbers bit for bit (each column's terms are computed alone).  The terms
+    live only during the call, and the model's forward caches are released
+    on return, so a trained model holds only its parameters.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
+    for name, value in (("batch", batch), ("n_train", n_train), ("n_test", n_test)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if setup is None:
         setup = build_demo(seed)
     n_orient = setup.fine_graph.vertices.spec.n_orient
@@ -523,7 +567,7 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
         losses = []
         for lo in range(0, n, batch):
             sel = order[lo:lo + batch]
-            log_probs = model.forward(ChebTerms(train_z.z[:, :, sel]))
+            log_probs = model.forward(ChebTerms(np.take(train_z.z, sel, axis=1)))
             loss, grad = nll_loss(log_probs, train_y[sel])
             if not np.isfinite(loss):
                 raise TrainingDiverged(

@@ -315,7 +315,7 @@ def test_model_version_1_rejected(tmp_path, model_file):
     ("n_coarse", 0, 65, "coarse vertex 64 has no fine member", "cluster"),
 ], ids=["id_n_coarse", "id_minus_5", "n_coarse_2_62", "n_coarse_0", "empty_cluster"])
 def test_model_bad_pool_plan(tmp_path, model_file, field, entry, value, message, reported):
-    """A stored cluster map is checked by pool_plan; a bad count or id is a
+    """A stored cluster map is checked by PoolPlan; a bad count or id is a
     format error at that field, an empty cluster one at the map's start."""
     data, laps = model_file
     pool = model_layout(data)[2]

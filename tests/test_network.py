@@ -30,6 +30,7 @@ from liegraph.network import (
     nll_loss,
     oriented_bars,
     train_demo,
+    _add_row,
 )
 from liegraph.sampling import GridKind, GridSpec, RuleError, icosphere
 from liegraph.spectral import cheb_terms, rotation_permutation
@@ -549,7 +550,9 @@ def check_chebconv_against_einsum(operator_laps, form, n_in, batch, order):
 def test_chebconv_terms_input_matches_signal(demo_setup, k, batch):
     """On either operator form, a forward on the layer's own terms of x gives
     the signal path's output, g_theta and g_bias bit for bit, and backward
-    after terms returns no input gradient."""
+    after terms returns no input gradient.  The terms are (V, B, J, I), a
+    permuted subset of columns taken on axis 1 has the bits of that subset's
+    own terms, and stacks with the wrong J or V are refused."""
     like = demo_setup.model.layers[k]
     rng = np.random.Generator(np.random.Philox([37, k, batch]))
     conv = ChebConv(like.lap, like.n_in, like.n_out, like.order, rng)
@@ -563,13 +566,16 @@ def test_chebconv_terms_input_matches_signal(demo_setup, k, batch):
     conv.g_theta[...] = 0.0
     conv.g_bias[...] = 0.0
     terms = conv.terms(x)
-    assert terms.z.shape == (conv.order,) + x.shape
+    assert terms.z.shape == (conv.lap.n, batch, conv.order, conv.n_in)
     assert_same_bits(conv.forward(terms), y)
     assert conv.backward(gy) is None
     assert_same_bits(conv.g_theta, g_theta)
     assert_same_bits(conv.g_bias, g_bias)
-    with pytest.raises(ValueError, match="terms of shape"):
-        conv.forward(ChebTerms(terms.z[1:]))
+    sel = rng.permutation(batch)[:max(1, batch // 2)]
+    assert_same_bits(np.take(terms.z, sel, axis=1), conv.terms(x[:, sel]).z)
+    for wrong in (terms.z[:, :, 1:], terms.z[1:]):
+        with pytest.raises(ValueError, match="terms of shape"):
+            conv.forward(ChebTerms(wrong))
 
 
 def max_plans():
@@ -628,6 +634,56 @@ def test_global_max_nan_wins():
     assert out[0, 0] == 0.0 and np.isnan(out[1, 0])
     gx = layer.backward(np.ones((2, 1)))
     assert gx[0, 0, 0] == 1.0 and gx[4, 1, 0] == 1.0 and np.count_nonzero(gx) == 2
+
+
+@pytest.mark.parametrize("rows, width", [(1, 3), (63, 1), (65, 8), (200, 1), (8197, 16)])
+def test_add_row_matches_broadcast(rows, width):
+    """The tiled bias add gives the broadcast sums bit for bit, on row counts
+    below, above and off a multiple of its 64-row tile."""
+    rng = np.random.Generator(np.random.Philox([38, rows, width]))
+    y = rng.standard_normal((rows, width))
+    row = rng.standard_normal(width)
+    expected = y + row
+    _add_row(y, row)
+    assert_same_bits(y, expected)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("k, n_out", [(0, 1), (3, 16)], ids=["L0_one_out", "L3"])
+def test_chebconv_bias_matches_broadcast(demo_setup, k, n_out, batch):
+    """ChebConv's output is its product plus the broadcast bias, bit for bit,
+    with one output channel and with one batch column."""
+    like = demo_setup.model.layers[k]
+    rng = np.random.Generator(np.random.Philox([39, k, batch]))
+    conv = ChebConv(like.lap, like.n_in, n_out, like.order, rng)
+    conv.bias[:] = rng.standard_normal(n_out)
+    terms = conv.terms(rng.standard_normal((conv.lap.n, batch, conv.n_in)))
+    v, b, j, i = terms.z.shape
+    expected = terms.z.reshape(v * b, j * i) @ conv.theta.reshape(j * i, n_out) + conv.bias
+    assert_same_bits(conv.forward(terms, train=False), expected.reshape(v, b, n_out))
+
+
+def test_flat_scatters_match_put_along_axis():
+    """Pool's and GlobalMaxPool's backward scatters through flat indices give
+    what np.put_along_axis gives, bit for bit, and GlobalMaxPool's training
+    forward, read at its argmax, gives the reduction's maximum on post-ReLU
+    input with ties."""
+    rng = np.random.Generator(np.random.Philox(40))
+    for plan in max_plans():
+        pool = Pool(plan)
+        pool.forward(np.round(2.0 * rng.standard_normal((plan.cluster.size, 4, 3))))
+        gy = rng.standard_normal((plan.n_coarse, 4, 3))
+        expected = np.zeros((plan.cluster.size, 4, 3))
+        np.put_along_axis(expected, pool._winner, gy, axis=0)
+        assert_same_bits(pool.backward(gy), expected)
+    for shape in [(64, 1, 16), (64, 32, 16), (7, 5, 1)]:
+        x = np.maximum(np.round(2.0 * rng.standard_normal(shape)), 0.0)
+        layer = GlobalMaxPool()
+        assert_same_bits(layer.forward(x), x.max(axis=0))
+        gy = rng.standard_normal(shape[1:])
+        expected = np.zeros(shape)
+        np.put_along_axis(expected, np.argmax(x, axis=0)[None], gy[None], axis=0)
+        assert_same_bits(layer.backward(gy), expected)
 
 
 def assert_same_bits(a, b):
@@ -716,6 +772,15 @@ def test_train_demo_computes_input_terms_once(epochs):
     first._terms = counted
     train_demo(epochs=epochs, lr=0.2, seed=0, setup=setup)
     assert shapes == [(256, 256, 1), (256, 128, 1), (256, 128, 1)]
+
+
+@pytest.mark.parametrize("arg, value", [("epochs", -1), ("batch", 0), ("batch", -1),
+                                        ("n_train", 0), ("n_test", 0)])
+def test_train_demo_refuses_bad_sizes(demo_setup, arg, value):
+    """Sizes that would train nothing or fail deep inside are refused up
+    front, with the argument's name."""
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        train_demo(**{"epochs": 1, arg: value}, setup=demo_setup)
 
 
 def test_train_demo_nan_lr_diverges():

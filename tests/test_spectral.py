@@ -180,7 +180,8 @@ def test_heat_coeffs_memory():
 
 
 def test_eigensystem_zero_laplacian(se2_8x8x4):
-    """No edges, or zero weights only: the sparse branch gives the dense answer."""
+    """No edges, or zero weights only: every vertex is its own component, so
+    any dense cap gives k zeros and the first k unit vectors."""
     # every weight exp(-d^2 / 4t) underflows to exactly 0
     zero_w = dataclasses.replace(se2_8x8x4, edge_distances=np.full(se2_8x8x4.n_edges, 1e10))
     assert zero_w.weights.size and not zero_w.weights.any()
@@ -210,7 +211,7 @@ def test_eigensystem_partial_and_iterative(se2_8x8x4_lap):
     full = eigensystem(se2_8x8x4_lap)
     part = eigensystem(se2_8x8x4_lap, k=10)
     np.testing.assert_allclose(part.values, full.values[:10], atol=1e-9)
-    # force the Lanczos branch with a tiny dense cap
+    # one 256-vertex component runs Lanczos at k=5; a cap of 10 bounds only dense solves
     it = eigensystem(se2_8x8x4_lap, k=5, dense_cap=10)
     np.testing.assert_allclose(it.values, full.values[:5], atol=1e-8)
     with pytest.raises(ValueError):
