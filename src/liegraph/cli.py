@@ -46,9 +46,13 @@ def _rate(text: str) -> float:
     return value
 
 
-def _print_config(command: str, args: dict) -> None:
-    pairs = " ".join(f"{k}={v}" for k, v in sorted(args.items()) if v is not None)
-    print(f"config: command={command} {pairs}")
+def _print_config(args, values: dict | None = None) -> None:
+    """The sorted config line of a command: its parsed arguments, or the
+    resolved values given in their place; None values are left out."""
+    if values is None:
+        values = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+    pairs = " ".join(f"{k}={v}" for k, v in sorted(values.items()) if v is not None)
+    print(f"config: command={args.command} {pairs}")
 
 
 def _graph_summary(graph: ManifoldGraph, lambda_max: float) -> None:
@@ -86,7 +90,7 @@ def cmd_build_graph(args) -> int:
     metric, alpha = make_metric(spec, epsilon=args.epsilon, alpha=args.alpha, xi=args.xi)
     knn = args.knn if args.knn is not None else default_knn(spec)
 
-    _print_config("build-graph", {
+    _print_config(args, {
         "kind": args.kind, "nx": spec.nx or None, "ny": spec.ny or None,
         "level": None if planar else spec.level,
         "orient": spec.n_orient, "epsilon": f"{metric.epsilon:.12g}",
@@ -105,14 +109,14 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_info(args) -> int:
-    _print_config("info", {"graph": args.graph})
+    _print_config(args)
     graph, lap = io.read_graph(args.graph)
     _graph_summary(graph, lap.lambda_max)
     return 0
 
 
 def cmd_eigenmaps(args) -> int:
-    _print_config("eigenmaps", {"graph": args.graph, "k": args.k, "out": args.out})
+    _print_config(args)
     _, lap = io.read_graph(args.graph)
     eig = eigensystem(lap, args.k)
     io.write_eigenmaps_csv(args.out, eig.values, eig.vectors)
@@ -129,9 +133,7 @@ def _sidecar(csv_path: str) -> str:
 
 
 def cmd_diffuse(args) -> int:
-    _print_config("diffuse", {"graph": args.graph, "impulse": args.impulse,
-                              "signal": args.signal, "tau": args.tau,
-                              "order": args.order, "out": args.out})
+    _print_config(args)
     graph, lap = io.read_graph(args.graph)
     require_full_sampling(graph.vertices, "diffuse")
     if (args.impulse is None) == (args.signal is None):
@@ -159,8 +161,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_check_equivariance(args) -> int:
-    _print_config("check-equivariance",
-                  {"graph": args.graph, "quarter_turns": args.quarter_turns})
+    _print_config(args)
     graph, lap = io.read_graph(args.graph)
     require_full_sampling(graph.vertices, "check-equivariance")
     perm = rotation_permutation(graph.vertices.spec, args.quarter_turns)
@@ -176,9 +177,7 @@ def cmd_check_equivariance(args) -> int:
 def cmd_sample(args) -> int:
     if (args.edges is None) == (args.vertices is None):
         raise ValueError("give exactly one of --edges or --vertices")
-    _print_config("sample", {"graph": args.graph, "edges": args.edges,
-                             "vertices": args.vertices, "seed": args.seed,
-                             "out": args.out})
+    _print_config(args)
     graph, _ = io.read_graph(args.graph)
     if args.edges is not None:
         sub = sample_edges(graph, args.edges, args.seed)
@@ -192,9 +191,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
-    _print_config("train-demo", {"epochs": args.epochs, "lr": args.lr,
-                                 "seed": args.seed, "metrics": args.metrics,
-                                 "checkpoint": args.checkpoint})
+    _print_config(args)
     rows, setup = train_demo(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.metrics:
         with open(args.metrics, "w", newline="\n") as fh:

@@ -668,7 +668,7 @@ def build_graph(vertices: VertexSet, metric: Metric, knn: int | None = None, *,
 
 def slice_neighbor_fractions(graph: ManifoldGraph) -> tuple[float, float]:
     """(in-slice, cross-slice) fractions of undirected edges."""
-    i, j, _, _ = graph.edge_pairs()
+    i, j = graph.edge_i, graph.edge_j
     if i.size == 0:
         return 0.0, 0.0
     same = graph.vertices.orientation_index(i) == graph.vertices.orientation_index(j)

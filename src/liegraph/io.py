@@ -275,9 +275,8 @@ def _read_plan(r: _Reader) -> network.PoolPlan:
     try:
         return network.PoolPlan(r.array("<i8", v_fine), n_coarse)
     except RuleError as exc:
-        at = n_pos if exc.field == "n_coarse" else cluster_pos + 8 * exc.entry
-        # A plan's messages name their vertex already.
-        raise FormatError(str(exc).removesuffix(f" (entry {exc.entry})"), at) from exc
+        at = n_pos if exc.field == "n_coarse" else cluster_pos + 8 * (exc.entry or 0)
+        raise FormatError(str(exc), at) from exc
 
 
 def read_model(path, laplacians: list | None = None) -> network.Model:
@@ -346,18 +345,13 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
 # CSV export (17 significant digits, '.' decimal separator, '\n' endings)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def write_eigenmaps_csv(path, values: np.ndarray, vectors: np.ndarray) -> None:
     """One row per eigenpair: index, eigenvalue, then the vertex values."""
     n = vectors.shape[0]
+    rows = np.column_stack([np.arange(values.size), values, vectors.T])
     with open(path, "w", newline="\n") as fh:
         fh.write("k,lambda," + ",".join(f"v{i}" for i in range(n)) + "\n")
-        for k in range(values.size):
-            row = [str(k), _fmt(values[k])] + [_fmt(x) for x in vectors[:, k]]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (n + 1), delimiter=",")
 
 
 def write_field_csv(path, vertices, values: np.ndarray) -> None:
@@ -374,8 +368,7 @@ def write_field_csv(path, vertices, values: np.ndarray) -> None:
     names = ("x", "y", "theta") if planar else ("beta", "gamma", "alpha")
     coords = vertices.params if planar else vertices.params[:, (1, 2, 0)]
     vals = "value" if arr.shape[1] == 1 else ",".join(f"value{i}" for i in range(arr.shape[1]))
+    rows = np.column_stack([np.arange(arr.shape[0]), coords, arr])
     with open(path, "w", newline="\n") as fh:
         fh.write("vertex_id," + ",".join(names) + f",{vals}\n")
-        for v in range(arr.shape[0]):
-            row = [str(v)] + [_fmt(x) for x in coords[v]] + [_fmt(x) for x in arr[v]]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (rows.shape[1] - 1), delimiter=",")

@@ -83,9 +83,10 @@ class ChebTerms:
 class ChebConv:
     """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias.
 
-    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one, whose
-    (V, B, J, I) stack it reads as (V*B, J*I) rows of one product; `terms`
-    gives that stack for a whole dataset, and a batch takes its columns with
+    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one and reads
+    either's (V, B, J, I) stack, after one shape check, as (V*B, J*I) rows
+    of one product (a signal's stack by one transposed copy); `terms` gives
+    that stack for a whole dataset, and a batch takes its columns with
     `np.take(z, sel, axis=1)`.  After a signal, `backward` returns gx,
     (V, B, I), by the operator's reverse sweep; after terms, which no
     parameter precedes, it only accumulates the parameter gradients and
@@ -125,8 +126,10 @@ class ChebConv:
         self._p = None
 
     def _terms(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """The terms of a (V, B, I) signal as a (V, B, J, I) view of the
+        (J, V, B, I) stack either operator form builds."""
         if not self.dense:
-            return cheb_terms(self.lap.matrix, x, self.order)
+            return cheb_terms(self.lap.matrix, x, self.order).transpose(1, 2, 0, 3)
         v = x.shape[0]
         p = self._p
         if p is None:
@@ -137,29 +140,24 @@ class ChebConv:
         # Z_{1..J-1} = P Z_0, written into the stack by one product.
         flat = z.reshape(self.order * v, -1)
         np.matmul(p, flat[:v], out=flat[v:])
-        return z
+        return z.transpose(1, 2, 0, 3)
 
     def terms(self, x: np.ndarray) -> ChebTerms:
         """The (V, B, J, I) terms of x by this layer's operator form, caching
         nothing."""
-        return ChebTerms(np.ascontiguousarray(self._terms(x, train=False).transpose(1, 2, 0, 3)))
+        return ChebTerms(np.ascontiguousarray(self._terms(x, train=False)))
 
     def forward(self, x: np.ndarray | ChebTerms, train: bool = True) -> np.ndarray:
-        if isinstance(x, ChebTerms):
-            z = x.z
-            if z.shape[:1] + z.shape[2:] != (self.lap.n, self.order, self.n_in):
-                raise ValueError(f"terms of shape {z.shape} for a layer with V={self.lap.n}, "
-                                 f"J={self.order}, I={self.n_in}")
-            v, b, j, i = z.shape
-        else:
-            z = self._terms(x, train)
-            j, v, b, i = z.shape
-            z = z.transpose(1, 2, 0, 3)
+        sweep = not isinstance(x, ChebTerms)
+        z = self._terms(x, train) if sweep else x.z
+        if z.shape[:1] + z.shape[2:] != (self.lap.n, self.order, self.n_in):
+            raise ValueError(f"terms of shape {z.shape} for a layer with V={self.lap.n}, "
+                             f"J={self.order}, I={self.n_in}")
         # One (V*B, J*I) @ (J*I, O) product contracts terms and channels.
+        v, b, j, i = z.shape
         z = z.reshape(v * b, j * i)
         if train:
-            self._z = z
-            self._sweep = not isinstance(x, ChebTerms)
+            self._z, self._sweep = z, sweep
         y = z @ self.theta.reshape(j * i, self.n_out)
         _add_row(y, self.bias)
         return y.reshape(v, b, self.n_out)
@@ -200,7 +198,14 @@ class ChebConv:
         return [(self.theta, self.g_theta), (self.bias, self.g_bias)]
 
 
-class ReLU:
+class _Stateless:
+    """A layer without parameters."""
+
+    def params(self):
+        return []
+
+
+class ReLU(_Stateless):
     """max(x, 0).  A NaN pre-activation propagates as NaN; its gradient, like
     that of every x <= 0, is zero."""
 
@@ -211,9 +216,6 @@ class ReLU:
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         return gy * self._mask
-
-    def params(self):
-        return []
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +228,7 @@ class PoolPlan:
     sizes the cluster sizes.  All four arrays are read-only.  RuleError
     unless 1 <= n_coarse <= cluster.size (field "n_coarse"), every id lies in
     [-1, n_coarse) (field "cluster", entry the first bad vertex) and no
-    cluster is empty (field "cluster", entry 0).
+    cluster is empty (field "cluster", no entry).
     """
 
     cluster: np.ndarray
@@ -242,13 +244,11 @@ class PoolPlan:
         bad = (cluster < -1) | (cluster >= n_coarse)
         if bad.any():
             v = int(np.argmax(bad))
-            raise RuleError(f"cluster id {cluster[v]} of vertex {v} outside [-1, {n_coarse})",
-                            "cluster", v)
+            raise RuleError(f"cluster id {cluster[v]} outside [-1, {n_coarse})", "cluster", v)
         kept = np.flatnonzero(cluster >= 0)
         sizes = np.bincount(cluster[kept], minlength=n_coarse)
         if not sizes.all():
-            raise RuleError(f"coarse vertex {int(np.argmin(sizes))} has no fine member",
-                            "cluster", 0)
+            raise RuleError(f"coarse vertex {int(np.argmin(sizes))} has no fine member", "cluster")
         arrays = {"cluster": cluster, "order": kept[np.argsort(cluster[kept], kind="stable")],
                   "starts": np.concatenate([[0], np.cumsum(sizes[:-1])]), "sizes": sizes}
         for name, arr in arrays.items():
@@ -281,7 +281,7 @@ def coarsen(spec: GridSpec) -> tuple[GridSpec, PoolPlan]:
     return coarse, PoolPlan(cluster, coarse.n_vertices)
 
 
-class Pool:
+class Pool(_Stateless):
     """Max pooling over the clusters of a plan; backward routes each gradient
     to its cluster's winning member.
 
@@ -317,11 +317,8 @@ class Pool:
         np.put(gx, _flat_index(self._winner), gy)
         return gx
 
-    def params(self):
-        return []
 
-
-class Unpool:
+class Unpool(_Stateless):
     """Copies each coarse value to every member of its cluster (dropped fine
     vertices get 0); backward sums the gradient over each cluster."""
 
@@ -337,11 +334,8 @@ class Unpool:
     def backward(self, gx: np.ndarray) -> np.ndarray:
         return np.add.reduceat(gx[self.plan.order], self.plan.starts, axis=0)
 
-    def params(self):
-        return []
 
-
-class GlobalMaxPool:
+class GlobalMaxPool(_Stateless):
     """Maximum over the vertices; a NaN wins.  A training forward reads the
     maximum at its first argmax, where backward routes the gradient (a tie of
     -0.0 and 0.0 keeps that entry's sign, which ReLU output never holds)."""
@@ -357,9 +351,6 @@ class GlobalMaxPool:
         gx = np.zeros(self._shape)
         np.put(gx, self._arg, gy)
         return gx
-
-    def params(self):
-        return []
 
 
 class Dense:
@@ -384,7 +375,7 @@ class Dense:
         return [(self.weight, self.g_weight), (self.bias, self.g_bias)]
 
 
-class LogSoftmax:
+class LogSoftmax(_Stateless):
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         shift = x - x.max(axis=-1, keepdims=True)
         out = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
@@ -394,9 +385,6 @@ class LogSoftmax:
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         return gy - np.exp(self._out) * gy.sum(axis=-1, keepdims=True)
-
-    def params(self):
-        return []
 
 
 class Model:
@@ -492,25 +480,28 @@ class DemoSetup:
     perm: np.ndarray
 
 
-def build_demo(seed: int = 0, nx: int = 8, n_orient: int = 4, epsilon_sq: float = 0.1,
-               alpha: float = 1.0, knn: int = 16, order: int = 4,
-               channels: tuple[int, int] = (8, 16)) -> DemoSetup:
+def build_demo(seed: int = 0, epsilon_sq: float = 0.1, alpha: float = 1.0) -> DemoSetup:
+    """The demo's two-level SE(2) classifier on an 8x8 grid of 4 orientation
+    slices and its 2x2-pooled coarse level, each a K = 16 graph under the
+    metric of epsilon_sq and alpha: ChebConv (order 4, 1 -> 8 channels),
+    ReLU, Pool, ChebConv (8 -> 16), ReLU, GlobalMaxPool, Dense (16 -> 4) and
+    LogSoftmax, with parameters drawn from the seed."""
     rng = np.random.Generator(np.random.Philox([seed, 1]))
-    fine_spec = GridSpec(GridKind.SE2_GRID, nx=nx, ny=nx, n_orient=n_orient)
+    fine_spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
     coarse_spec, plan = coarsen(fine_spec)
     graphs = []
     for spec in (fine_spec, coarse_spec):
         metric, _ = make_metric(spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
-        graphs.append(build_graph(build_vertices(spec), metric, knn))
+        graphs.append(build_graph(build_vertices(spec), metric, 16))
     lf, lc = (rescale(power_lambda_max(laplacian(g))) for g in graphs)
     model = Model([
-        ChebConv(lf, 1, channels[0], order, rng),
+        ChebConv(lf, 1, 8, 4, rng),
         ReLU(),
         Pool(plan),
-        ChebConv(lc, channels[0], channels[1], order, rng),
+        ChebConv(lc, 8, 16, 4, rng),
         ReLU(),
         GlobalMaxPool(),
-        Dense(channels[1], 4, rng),
+        Dense(16, 4, rng),
         LogSoftmax(),
     ])
     return DemoSetup(*graphs, model, rotation_permutation(fine_spec, 1))

@@ -122,12 +122,13 @@ class EigenSystem:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """First significant entry of every eigenvector made positive."""
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        big = np.flatnonzero(np.abs(v) > SIGN_TOL * np.max(np.abs(v)))
-        if big.size and v[big[0]] < 0.0:
-            vectors[:, col] = -v
+    """First significant entry of every eigenvector made positive.  A column
+    with no entry above SIGN_TOL times its largest magnitude (a zero column,
+    or one holding NaN or inf) keeps its signs."""
+    mag = np.abs(vectors)
+    big = mag > SIGN_TOL * mag.max(axis=0)
+    first = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    np.multiply(vectors, -1.0, out=vectors, where=big.any(axis=0) & (first < 0.0))
     return vectors
 
 
@@ -185,7 +186,7 @@ def eigensystem(lap: Laplacian, k: int | None = None,
     owner = np.repeat(np.arange(len(vals)), sizes)
     pick = np.argsort(np.concatenate(vals), kind="stable")[:k]
     column = pick - (np.cumsum(sizes) - sizes)[owner[pick]]
-    # Column-major: the eigenvectors are written, and sign-fixed, column by column.
+    # Column-major: the eigenvectors are written column by column.
     out = np.zeros((n, k), order="F")
     for j, (p, c) in enumerate(zip(owner[pick], column)):
         out[ids_of[p], j] = vecs[p][:, c]
@@ -211,21 +212,9 @@ def rotation_permutation(spec: GridSpec, quarter_turns: int = 1) -> np.ndarray:
     m = spec.n_orient
     if m > 1 and m % 2 != 0:
         raise ValueError("orientation count must be even to roll by a quarter turn")
-    n = spec.nx
-    ns = spec.n_spatial
-    ids = np.arange(spec.n_vertices)
-    turn = np.empty_like(ids)
-    ix = (ids % ns) % n
-    iy = (ids % ns) // n
-    k = ids // ns
-    jx = n - 1 - iy
-    jy = ix
-    jk = (k + m // 2) % m if m > 1 else k
-    turn[ids] = jk * ns + jy * n + jx
-    perm = np.arange(spec.n_vertices)
-    for _ in range(quarter_turns % 4):
-        perm = turn[perm]
-    return perm
+    ids = np.arange(spec.n_vertices).reshape(m, spec.ny, spec.nx)
+    q = quarter_turns % 4
+    return np.roll(np.rot90(ids, q, axes=(1, 2)), -q * (m // 2), axis=0).ravel()
 
 
 def require_full_sampling(vertices, command: str) -> None:

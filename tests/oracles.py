@@ -7,18 +7,21 @@ segment reductions instead of matrix products and slot-wise maxima, a
 shift-invert sparse-LU eigensolve instead of plain Lanczos, the SO(3) log
 from the trace and antisymmetric part instead of unit quaternions, and all
 three orientation branches of the SE(2) distance instead of the two that
-can win.  Two exceptions must match the library bit for bit:
-`cheb_terms_reference`, the out-of-place Chebyshev recurrence, and
-`icosphere_loop`, the per-edge subdivision loop that the array form of
-`icosphere` replaced.  The last few functions are plain test helpers: SE(2) composition on
-parameters, vertex permutations and eigenvalue grouping.
+can win.  Some must match the library bit for bit:
+`cheb_terms_reference`, the out-of-place Chebyshev recurrence, and the loops
+that array forms replaced: `icosphere_loop` (per-edge subdivision), the
+per-value CSV writers, `rotation_permutation_loop` (index arithmetic per
+vertex) and `fix_signs_loop` (one eigenvector at a time).  The last few
+functions are plain test helpers: SE(2) composition on parameters, vertex
+permutations and eigenvalue grouping.
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from liegraph.groups import _se2_c12, se2_matrices, wrap_angle
-from liegraph.sampling import _ICO_FACES, _ICO_VERTS
+from liegraph.sampling import _ICO_FACES, _ICO_VERTS, PLANAR_KINDS
+from liegraph.spectral import SIGN_TOL
 
 
 def _batched_sqrtm(mats: np.ndarray, iters: int = 40) -> np.ndarray:
@@ -336,6 +339,62 @@ def so3_pair_sq_mp(mats_a, mats_b, weights, dps: int = 50) -> np.ndarray:
                 best = d2 if best is None else min(best, d2)
             out[p] = float(best)
     return out
+
+
+def _fmt(v: float) -> str:
+    return f"{float(v):.17g}"
+
+
+def write_eigenmaps_csv_loop(path, values: np.ndarray, vectors: np.ndarray) -> None:
+    """io.write_eigenmaps_csv, formatting one value at a time."""
+    n = vectors.shape[0]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("k,lambda," + ",".join(f"v{i}" for i in range(n)) + "\n")
+        for k in range(values.size):
+            row = [str(k), _fmt(values[k])] + [_fmt(x) for x in vectors[:, k]]
+            fh.write(",".join(row) + "\n")
+
+
+def write_field_csv_loop(path, vertices, values: np.ndarray) -> None:
+    """io.write_field_csv, formatting one value at a time."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    planar = vertices.spec.kind in PLANAR_KINDS
+    names = ("x", "y", "theta") if planar else ("beta", "gamma", "alpha")
+    coords = vertices.params if planar else vertices.params[:, (1, 2, 0)]
+    vals = "value" if arr.shape[1] == 1 else ",".join(f"value{i}" for i in range(arr.shape[1]))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("vertex_id," + ",".join(names) + f",{vals}\n")
+        for v in range(arr.shape[0]):
+            row = [str(v)] + [_fmt(x) for x in coords[v]] + [_fmt(x) for x in arr[v]]
+            fh.write(",".join(row) + "\n")
+
+
+def rotation_permutation_loop(spec, quarter_turns: int) -> np.ndarray:
+    """The quarter-turn permutation by index arithmetic: one turn sends
+    (ix, iy, k) to (n-1-iy, ix, k + m/2 mod m), composed quarter_turns mod 4
+    times."""
+    n, ns, m = spec.nx, spec.n_spatial, spec.n_orient
+    ids = np.arange(spec.n_vertices)
+    ix, iy, k = (ids % ns) % n, (ids % ns) // n, ids // ns
+    jk = (k + m // 2) % m if m > 1 else k
+    turn = jk * ns + ix * n + (n - 1 - iy)
+    perm = np.arange(spec.n_vertices)
+    for _ in range(quarter_turns % 4):
+        perm = turn[perm]
+    return perm
+
+
+def fix_signs_loop(vectors: np.ndarray) -> np.ndarray:
+    """spectral._fix_signs one column at a time: negate a column whose first
+    entry above SIGN_TOL times its largest magnitude is negative."""
+    for col in range(vectors.shape[1]):
+        v = vectors[:, col]
+        big = np.flatnonzero(np.abs(v) > SIGN_TOL * np.max(np.abs(v)))
+        if big.size and v[big[0]] < 0.0:
+            vectors[:, col] = -v
+    return vectors
 
 
 def se2_compose(params_a, params_b) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line tests, run in-process through main(argv)."""
 
+import argparse
 import functools
 import re
 
@@ -8,6 +9,8 @@ import pytest
 
 from liegraph import cli, io
 from liegraph.cli import main
+from liegraph.graph import default_knn, make_metric
+from liegraph.sampling import GridKind, GridSpec
 from liegraph.spectral import eigensystem
 
 
@@ -40,6 +43,63 @@ def test_build_graph_config_echo(tmp_path, capsys):
     assert first.startswith("config: command=build-graph")
     for token in ("kind=r2", "nx=3", "ny=3", "knn=8", "epsilon=1", "alpha="):
         assert token in first, token
+
+
+def config_of(out: str) -> tuple[str, dict]:
+    """The command and the key=value pairs of a run's config line."""
+    first = out.splitlines()[0]
+    assert first.startswith("config: command=")
+    command, *pairs = first.removeprefix("config: command=").split(" ")
+    return command, dict(pair.split("=", 1) for pair in pairs)
+
+
+def test_config_line_names_every_parser_destination(graph_path, tmp_path, capsys):
+    """Each command, run with every flag it takes (over two runs where flags
+    exclude each other), echoes every destination of its parser: the values
+    given, and for build-graph the resolved ones."""
+    g, d = str(graph_path), str(tmp_path)
+    runs = [
+        ["build-graph", "--kind", "se2", "--nx", "4", "--ny", "4", "--orient", "2",
+         "--epsilon", "0.5", "--alpha", "2", "--knn", "6", "--lambda-max", "fixed2",
+         "--out", f"{d}/a.clgr"],
+        ["build-graph", "--kind", "so3", "--level", "1", "--orient", "2", "--epsilon", "0.5",
+         "--xi", "0.25", "--out", f"{d}/b.clgr"],
+        ["info", g],
+        ["eigenmaps", "--graph", g, "--k", "5", "--out", f"{d}/e.csv"],
+        ["diffuse", "--graph", g, "--impulse", "3", "--tau", "0.5", "--order", "20",
+         "--out", f"{d}/d.csv"],
+        ["diffuse", "--graph", g, "--signal", f"{d}/e.clsg", "--tau", "0.5", "--out", f"{d}/d.csv"],
+        ["check-equivariance", "--graph", g, "--quarter-turns", "3"],
+        ["sample", "--graph", g, "--edges", "0.5", "--seed", "3", "--out", f"{d}/s.clgr"],
+        ["sample", "--graph", g, "--vertices", "0.5", "--out", f"{d}/s.clgr"],
+        ["train-demo", "--epochs", "0", "--lr", "0.5", "--seed", "2", "--metrics", f"{d}/m.csv",
+         "--checkpoint", f"{d}/m.clmd"],
+    ]
+    se2 = GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)
+    so3 = GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=2)
+    resolved = [
+        {"kind": "se2", "nx": "4", "ny": "4", "orient": "2", "epsilon": "0.5", "alpha": "2",
+         "xi": f"{make_metric(se2, epsilon=0.5, alpha=2.0)[0].xi:.12g}", "knn": "6",
+         "lambda_max": "fixed2", "out": f"{d}/a.clgr"},
+        {"kind": "so3", "level": "1", "orient": "2", "epsilon": "0.5", "xi": "0.25",
+         "alpha": f"{make_metric(so3, epsilon=0.5, xi=0.25)[1]:.12g}",
+         "knn": str(default_knn(so3)), "lambda_max": "power", "out": f"{d}/b.clgr"},
+    ]
+    shown = {}
+    for argv in runs:
+        assert main(argv) == 0, argv
+        command, values = config_of(capsys.readouterr().out)
+        assert command == argv[0]
+        if command == "build-graph":
+            assert values == resolved.pop(0)
+        else:
+            given = {a[2:].replace("-", "_"): v for a, v in zip(argv, argv[1:]) if a[:2] == "--"}
+            assert given.items() <= values.items(), argv
+        shown.setdefault(command, set()).update(values)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert shown == {name: {a.dest for a in sub._actions} - {"help"}
+                     for name, sub in subparsers.choices.items()}
 
 
 def test_build_graph_default_out(tmp_path, monkeypatch):

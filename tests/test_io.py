@@ -15,6 +15,7 @@ from liegraph.network import Model, Pool, Unpool, build_demo, coarsen
 from liegraph.sampling import GridKind, GridSpec, RuleError, VertexSet
 
 from conftest import EPS_ANISO, built
+from oracles import write_eigenmaps_csv_loop, write_field_csv_loop
 
 
 def read_bytes(path):
@@ -308,11 +309,11 @@ def test_model_version_1_rejected(tmp_path, model_file):
 
 
 @pytest.mark.parametrize("field, entry, value, message, reported", [
-    ("cluster", 5, 64, r"cluster id 64 of vertex 5 outside \[-1, 64\)", "cluster"),
-    ("cluster", 7, -5, r"cluster id -5 of vertex 7 outside \[-1, 64\)", "cluster"),
+    ("cluster", 5, 64, r"cluster id 64 outside \[-1, 64\) \(entry 5\)", "cluster"),
+    ("cluster", 7, -5, r"cluster id -5 outside \[-1, 64\) \(entry 7\)", "cluster"),
     ("n_coarse", 0, 2 ** 62, f"{2 ** 62} coarse vertices for 256 fine ones", "n_coarse"),
     ("n_coarse", 0, 0, "0 coarse vertices for 256 fine ones", "n_coarse"),
-    ("n_coarse", 0, 65, "coarse vertex 64 has no fine member", "cluster"),
+    ("n_coarse", 0, 65, r"coarse vertex 64 has no fine member \(at byte", "cluster"),
 ], ids=["id_n_coarse", "id_minus_5", "n_coarse_2_62", "n_coarse_0", "empty_cluster"])
 def test_model_bad_pool_plan(tmp_path, model_file, field, entry, value, message, reported):
     """A stored cluster map is checked by PoolPlan; a bad count or id is a
@@ -852,3 +853,27 @@ def test_field_csv_headers(tmp_path, se2_8x8x4, s2_level2):
     cells = lines[1].split(",")
     assert float(cells[1]) == s2_level2.vertices.params[0, 1]
     assert float(cells[3]) == s2_level2.vertices.params[0, 0]
+
+
+CSV_SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("sampling", ["se2_8x8x4", "s2_level2"])
+def test_csv_writers_match_loop(tmp_path, request, sampling, channels):
+    """Both CSV writers give the per-value loop's bytes, on planar and
+    spherical coordinates, one and three channels, and rows holding -0.0,
+    NaN, +-inf, the smallest subnormal and +-1e300."""
+    vertices = request.getfixturevalue(sampling).vertices
+    rng = np.random.Generator(np.random.Philox(34))
+    values = rng.standard_normal((len(vertices), channels))
+    values.flat[rng.permutation(values.size)[:len(CSV_SPECIALS)]] = CSV_SPECIALS
+    signal = values[:, 0] if channels == 1 else values
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    io.write_field_csv(got, vertices, signal)
+    write_field_csv_loop(ref, vertices, signal)
+    assert got.read_bytes() == ref.read_bytes()
+    eigenvalues = np.array(CSV_SPECIALS[:channels])
+    io.write_eigenmaps_csv(got, eigenvalues, values)
+    write_eigenmaps_csv_loop(ref, eigenvalues, values)
+    assert got.read_bytes() == ref.read_bytes()

@@ -317,20 +317,20 @@ def test_pool_plan_validation():
         coarsen(GridSpec(GridKind.S2_ICOSAHEDRAL, level=0))
 
 
-@pytest.mark.parametrize("cluster, n_coarse, entry, message", [
-    ([0, 0, 1], 0, None, "0 coarse vertices for 3 fine ones"),
-    ([0, 0, 1], 4, None, "4 coarse vertices for 3 fine ones"),
-    ([0, 2, 1], 2, 1, r"cluster id 2 of vertex 1 outside \[-1, 2\)"),
-    ([0, -1, -5], 2, 2, r"cluster id -5 of vertex 2 outside \[-1, 2\)"),
-    ([0, -1, 0], 2, 0, "coarse vertex 1 has no fine member"),
+@pytest.mark.parametrize("cluster, n_coarse, field, entry, message", [
+    ([0, 0, 1], 0, "n_coarse", None, "0 coarse vertices for 3 fine ones$"),
+    ([0, 0, 1], 4, "n_coarse", None, "4 coarse vertices for 3 fine ones$"),
+    ([0, 2, 1], 2, "cluster", 1, r"cluster id 2 outside \[-1, 2\) \(entry 1\)$"),
+    ([0, -1, -5], 2, "cluster", 2, r"cluster id -5 outside \[-1, 2\) \(entry 2\)$"),
+    ([0, -1, 0], 2, "cluster", None, "coarse vertex 1 has no fine member$"),
 ], ids=["n_coarse_0", "n_coarse_above_v_fine", "id_n_coarse", "id_minus_5", "empty_cluster"])
-def test_pool_plan_checks(cluster, n_coarse, entry, message):
+def test_pool_plan_checks(cluster, n_coarse, field, entry, message):
     """PoolPlan checks the count, then every id, then that no cluster is
-    empty, and names the first cluster entry at fault (None for the count)."""
+    empty, and names the first cluster entry at fault only for a bad id."""
     with pytest.raises(RuleError, match=message) as exc:
         PoolPlan(np.array(cluster), n_coarse)
     assert exc.value.entry == entry
-    assert exc.value.field == ("n_coarse" if entry is None else "cluster")
+    assert exc.value.field == field
 
 
 @pytest.mark.parametrize("kind, nx, ny, n_orient", [

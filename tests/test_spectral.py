@@ -32,6 +32,8 @@ from oracles import (
     chebconv_einsum,
     eigensystem_shift_invert,
     eigenvalue_groups,
+    fix_signs_loop,
+    rotation_permutation_loop,
 )
 
 LANCZOS_K = 16
@@ -425,6 +427,42 @@ def test_rotation_permutation_validation():
     # single-slice planar grids need no orientation roll
     perm = rotation_permutation(GridSpec(GridKind.R2_GRID, nx=4, ny=4))
     assert perm.shape == (16,)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(GridKind.SE2_GRID, nx=5, ny=5, n_orient=4),
+    GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=6),
+    GridSpec(GridKind.SE2_GRID, nx=3, ny=3, n_orient=2),
+    GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=1),
+    GridSpec(GridKind.R2_GRID, nx=7, ny=7),
+], ids=["se2_5x5x4", "se2_8x8x6", "se2_3x3x2", "se2_4x4x1", "r2_7x7"])
+def test_rotation_permutation_matches_loop(spec):
+    """The array form equals the per-vertex index arithmetic for turns -5
+    to 8, as int64."""
+    for q in range(-5, 9):
+        perm = rotation_permutation(spec, q)
+        assert perm.dtype == np.int64
+        np.testing.assert_array_equal(perm, rotation_permutation_loop(spec, q))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fix_signs_matches_loop(order):
+    """One masked multiply flips the same columns as the column loop, bit for
+    bit, on blocks with leading sub-tolerance entries of either sign, -0.0
+    entries, a zero column, a NaN column and an infinite column."""
+    rng = np.random.Generator(np.random.Philox(12))
+    for _ in range(50):
+        n, k = rng.integers(1, 12), rng.integers(1, 9)
+        block = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-300, 300, k)
+        block[rng.random((n, k)) < 0.3] = -0.0
+        lead = rng.integers(0, n + 1)
+        block[:lead] *= spectral.SIGN_TOL * rng.uniform(-1.0, 1.0, (lead, k))
+        for col, value in zip(rng.permutation(k)[:3], (0.0, np.nan, np.inf)):
+            block[:, col] = value
+            block[rng.integers(n), col] = -value
+        ref = fix_signs_loop(np.array(block, order=order))
+        got = spectral._fix_signs(np.array(block, order=order))
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_laplacian_equivariance(se2_8x8x4_lap):
