@@ -23,6 +23,7 @@ adjacency and Laplacian are symmetric at the bit level.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 import weakref
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .groups import (GroupKind, Metric, _quat_relative, se2_bound_points, se2_pair_sq,
                      so3_matrices, so3_quat_pair_sq, so3_quaternions, sphere_bound_points,
@@ -47,12 +48,14 @@ ROW_CHUNK = 256
 # Entries (rows x candidates) of one K-NN scoring block; one per worker is
 # in flight, and a block this size stays in cache.
 CANDIDATE_BLOCK = 1 << 14
-# Vertex sets with at most this many pairs skip the tree and are scored as
-# one block, which covers both of the demo network's graphs.  Timed warm on a
-# 2-CPU Xeon, that is slower than the product-layout search on se2 8x8x4 (the
-# demo's fine graph: 7.3-8.0 ms against 3.5-4.2 ms) and faster on 4x4x4 (its
-# coarse graph: 0.3-0.6 ms against 2.1-2.8 ms).  What it buys is that setting
-# up training never imports scipy.spatial, 80-110 ms and 6 MB per process.
+# Vertex sets with at most this many pairs skip the tree and are scored
+# against all vertices in row blocks of about CANDIDATE_BLOCK entries, which
+# covers both of the demo network's graphs.  Timed warm on a 2-CPU Xeon, that
+# is slower than the product-layout search on se2 8x8x4 (the demo's fine
+# graph: 6.4 ms against 2.9 ms; 7.1 ms as one 256 x 256 block) and faster on
+# 4x4x4 (its coarse graph: 0.30 ms against 1.5 ms).  What it buys is that
+# setting up training never imports scipy.spatial, 80-110 ms and 6 MB per
+# process.
 WHOLE_SET_PAIRS = 1 << 17
 # Bracket values (point pairs x slice-pair columns) per product-layout search
 # block: fewer blocks pay less per-call overhead, larger ones leave the cache.
@@ -258,12 +261,18 @@ def _unique_pairs(n: int, picks: list) -> tuple[np.ndarray, np.ndarray]:
     return (packed // np.uint64(n)).astype(np.int64), (packed % np.uint64(n)).astype(np.int64)
 
 
-def knn_pairs_bruteforce(kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _scan_pairs(kern: _Kernel, k: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     """The K-nearest selection scored over all pairs of the kernel's points,
-    ROW_CHUNK rows at a time: the reference that knn_pairs is tested against."""
+    `step` rows at a time."""
     n = len(kern.data)
-    return _unique_pairs(n, [_picks(kern, np.arange(lo, min(lo + ROW_CHUNK, n)), k)
-                             for lo in range(0, n, ROW_CHUNK)])
+    return _unique_pairs(n, [_picks(kern, np.arange(lo, min(lo + step, n)), k)
+                             for lo in range(0, n, step)])
+
+
+def knn_pairs_bruteforce(kern: _Kernel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The all-pairs scan in blocks of ROW_CHUNK rows: the reference that
+    knn_pairs is tested against."""
+    return _scan_pairs(kern, k, ROW_CHUNK)
 
 
 def _product_layout(vertices: VertexSet):
@@ -520,12 +529,13 @@ def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarra
     directions is kept.
 
     The selection is knn_pairs_bruteforce's without scoring all pairs.  A
-    vertex set of at most WHOLE_SET_PAIRS pairs is scored as one block.  A
-    larger one is searched in one of two ways.  Each finds, for every row, a
-    bound U on its K-th smallest squared distance and scores with the kernel
-    a candidate set holding every vertex within U (1 + TIE_REL), so the K-th
-    smallest among the candidates is the row's K-th and the picks are brute
-    force's.
+    vertex set of at most WHOLE_SET_PAIRS pairs is scored against all of its
+    vertices, in blocks of max(CANDIDATE_BLOCK // n, 1) rows, so a block's
+    squared distances stay in cache.  A larger one is searched in one of two
+    ways.  Each finds, for every row, a bound U on its K-th smallest squared
+    distance and scores with the kernel a candidate set holding every vertex
+    within U (1 + TIE_REL), so the K-th smallest among the candidates is the
+    row's K-th and the picks are brute force's.
 
     Points in a product layout (full lifts: SE(2) grids and SO(3) spheres
     with two or more slices) are bracketed per pair of orientation slices
@@ -607,7 +617,7 @@ def knn_pairs(kern: _Kernel, k: int, layout=None) -> tuple[np.ndarray, np.ndarra
     """
     n = len(kern.data)
     if n * n <= WHOLE_SET_PAIRS:
-        return _unique_pairs(n, [_picks(kern, np.arange(n), k)])
+        return _scan_pairs(kern, k, max(CANDIDATE_BLOCK // n, 1))
     # CPython has no sched_getaffinity on macOS or Windows.
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
@@ -748,23 +758,35 @@ def power_lambda_max(lap: Laplacian, tol: float = 1e-4, max_iter: int = 1000,
     rng = np.random.Generator(np.random.Philox(seed))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    v_prev = np.zeros(n)
-    alphas, betas = [], []
+    v_prev, scratch = np.zeros(n), np.empty(n)
+    alphas, betas = np.empty(max_iter), np.empty(max_iter)
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (alphas,))
     beta = 0.0
     for step in range(1, max_iter + 1):
         w = a @ v
-        w -= beta * v_prev
-        alphas.append(float(v @ w))
-        w -= alphas[-1] * v
-        beta = float(np.linalg.norm(w))
+        # Each product is rounded before its subtraction, as w -= c * x does.
+        w -= np.multiply(v_prev, beta, out=scratch)
+        alphas[step - 1] = v @ w
+        w -= np.multiply(v, alphas[step - 1], out=scratch)
+        beta = math.sqrt(w @ w)
         if beta == 0.0 or step % LANCZOS_CHECK == 0 or step == max_iter:
-            theta, s = eigh_tridiagonal(alphas, betas, select="i",
-                                        select_range=(step - 1, step - 1))
-            r = beta * abs(s[-1, 0])
-            if beta == 0.0 or r <= tol * theta[0]:
-                return Laplacian(a, float(min(max(theta[0] + r, np.finfo(float).tiny), 2.0)))
-        betas.append(beta)
-        v_prev, v = v, w / beta
+            # The top Ritz pair by LAPACK's bisection and inverse iteration,
+            # the two calls eigh_tridiagonal(select="i") makes.
+            d, e = alphas[:step], betas[:step - 1]
+            if step == 1:
+                theta, s_last = d[0], 1.0
+            else:
+                m, top, block, split, info = stebz(d, e, 2, 0.0, 1.0, step, step, 0.0, "B")
+                s, info_s = stein(d, e, top[:m], block, split)
+                if info or info_s:
+                    raise np.linalg.LinAlgError(f"stebz info {info}, stein info {info_s}")
+                theta, s_last = top[0], s[-1, 0]
+            r = beta * abs(s_last)
+            if beta == 0.0 or r <= tol * theta:
+                return Laplacian(a, float(min(max(theta + r, np.finfo(float).tiny), 2.0)))
+        betas[step - 1] = beta
+        np.divide(w, beta, out=v_prev)
+        v_prev, v = v, v_prev
     warnings.warn("Lanczos did not converge within the cap; using 2.0")
     return Laplacian(a, 2.0)
 

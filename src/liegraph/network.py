@@ -18,7 +18,10 @@ filters data that no parameter touches, so `train_demo` computes its terms
 once per dataset (`ChebConv.terms`) and feeds batches of them as `ChebTerms`,
 which skips the recurrence forward and the input gradient backward
 (`Model.backward` then returns None).  A layer fed a signal still copies its
-(J, V, B, I) recurrence stack to (V*B, J*I) for its product.
+(J, V, B, I) recurrence stack to (V*B, J*I) for its product.  Every layer
+computes each column of a batch on its own, so `train_demo` also evaluates
+its datasets in slices of at most `batch` columns: the log-probabilities are
+the whole forward's bit for bit, and no activation outgrows a training step's.
 
 A `PoolPlan` is a cluster map of fine vertices, which derives its segment
 layout.  `coarsen(spec)` gives a sampling's next coarser level and the plan
@@ -507,10 +510,6 @@ def build_demo(seed: int = 0, epsilon_sq: float = 0.1, alpha: float = 1.0) -> De
     return DemoSetup(*graphs, model, rotation_permutation(fine_spec, 1))
 
 
-def _predict(model: Model, x: np.ndarray | ChebTerms) -> np.ndarray:
-    return np.argmax(model.forward(x, train=False), axis=1)
-
-
 def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 32,
                n_train: int = 256, n_test: int = 128, setup: DemoSetup | None = None):
     """Train the two-level SE(2) classifier; returns (metric rows, setup).
@@ -521,9 +520,13 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
     below 1, raise ValueError.  The first layer's Chebyshev terms of the
     train, test and rotated test sets are computed once per call, and every
     forward takes its batch's columns of them, which gives the signal path's
-    numbers bit for bit (each column's terms are computed alone).  The terms
-    live only during the call, and the model's forward caches are released
-    on return, so a trained model holds only its parameters.
+    numbers bit for bit (each column's terms are computed alone).  The
+    evaluations (the untrained loss over the training set, and the test and
+    rotated test passes after each epoch) run in consecutive slices of at
+    most `batch` columns, so no forward holds more than a training step's
+    activations.  The terms live only during the call, and the model's
+    forward caches are released on return, so a trained model holds only its
+    parameters.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
@@ -543,13 +546,19 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
     train_z = first.terms(lift_images(train_x, n_orient))
     test_z, rot_z = first.terms(test_sig), first.terms(test_sig[setup.perm])
 
-    def test_metrics():
-        # one forward of the test set gives accuracy and the rotation base
-        pred = _predict(model, test_z)
-        return {"accuracy": float(np.mean(pred == test_y)),
-                "rotation_consistency": float(np.mean(pred == _predict(model, rot_z)))}
+    def evaluate(terms: ChebTerms) -> np.ndarray:
+        # The log-probabilities of a dataset, forwarded batch columns at a time.
+        z = terms.z
+        return np.concatenate([model.forward(ChebTerms(z[:, lo:lo + batch]), train=False)
+                               for lo in range(0, z.shape[1], batch)])
 
-    loss0, _ = nll_loss(model.forward(train_z, train=False), train_y)
+    def test_metrics():
+        # one evaluation of the test set gives accuracy and the rotation base
+        pred, rot = (np.argmax(evaluate(z), axis=1) for z in (test_z, rot_z))
+        return {"accuracy": float(np.mean(pred == test_y)),
+                "rotation_consistency": float(np.mean(pred == rot))}
+
+    loss0, _ = nll_loss(evaluate(train_z), train_y)
     rows = [{"epoch": 0, "loss": loss0, **test_metrics()}]
 
     n = train_y.size

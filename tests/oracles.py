@@ -8,17 +8,23 @@ shift-invert sparse-LU eigensolve instead of plain Lanczos, the SO(3) log
 from the trace and antisymmetric part instead of unit quaternions, and all
 three orientation branches of the SE(2) distance instead of the two that
 can win.  Some must match the library bit for bit:
-`cheb_terms_reference`, the out-of-place Chebyshev recurrence, and the loops
-that array forms replaced: `icosphere_loop` (per-edge subdivision), the
-per-value CSV writers, `rotation_permutation_loop` (index arithmetic per
-vertex) and `fix_signs_loop` (one eigenvector at a time).  The last few
+`cheb_terms_reference`, the out-of-place Chebyshev recurrence,
+`power_lambda_max_loop`, the Lanczos estimate through scipy's tridiagonal
+wrapper, and the loops that array forms replaced: `icosphere_loop`
+(per-edge subdivision), the per-value CSV writers,
+`rotation_permutation_loop` (index arithmetic per vertex) and
+`fix_signs_loop` (one eigenvector at a time).  The last few
 functions are plain test helpers: SE(2) composition on parameters, vertex
 permutations and eigenvalue grouping.
 """
 
+import warnings
+
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
+from liegraph.graph import LANCZOS_CHECK
 from liegraph.groups import _se2_c12, se2_matrices, wrap_angle
 from liegraph.sampling import _ICO_FACES, _ICO_VERTS, PLANAR_KINDS
 from liegraph.spectral import SIGN_TOL
@@ -218,6 +224,37 @@ def eigensystem_shift_invert(matrix, k: int):
     vals, vecs = spla.eigsh(matrix.tocsc(), k=k, sigma=-0.05, which="LM", v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def power_lambda_max_loop(matrix, tol: float = 1e-4, max_iter: int = 1000,
+                          seed: int = 0) -> float:
+    """graph.power_lambda_max's estimate by its list-built Lanczos loop: fresh
+    vectors every step and the Ritz pair from scipy's eigh_tridiagonal."""
+    n = matrix.shape[0]
+    if n == 0 or matrix.nnz == 0:
+        return 2.0
+    rng = np.random.Generator(np.random.Philox(seed))
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = 0.0
+    for step in range(1, max_iter + 1):
+        w = matrix @ v
+        w -= beta * v_prev
+        alphas.append(float(v @ w))
+        w -= alphas[-1] * v
+        beta = float(np.linalg.norm(w))
+        if beta == 0.0 or step % LANCZOS_CHECK == 0 or step == max_iter:
+            theta, s = eigh_tridiagonal(alphas, betas, select="i",
+                                        select_range=(step - 1, step - 1))
+            r = beta * abs(s[-1, 0])
+            if beta == 0.0 or r <= tol * theta[0]:
+                return float(min(max(theta[0] + r, np.finfo(float).tiny), 2.0))
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    warnings.warn("Lanczos did not converge within the cap; using 2.0")
+    return 2.0
 
 
 # Trace threshold below which so3_log_trace reads the axis off the diagonal

@@ -42,7 +42,7 @@ from liegraph.network import build_demo
 from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
 
 from conftest import EPS_ANISO, built
-from oracles import se2_pair_sq_three_branch, so3_pair_sq_matrix_log
+from oracles import power_lambda_max_loop, se2_pair_sq_three_branch, so3_pair_sq_matrix_log
 
 
 def test_metric_resolution():
@@ -190,6 +190,26 @@ def assert_knn_exact(g):
     np.testing.assert_array_equal(d, np.sqrt(kern.fn(kern.data[bi], kern.data[bj], kern.w)))
 
 
+def assert_small_set_blocked(g):
+    """A vertex set of at most WHOLE_SET_PAIRS pairs is scored in row blocks:
+    no kernel call scores more than max(CANDIDATE_BLOCK, n) pairs, and the
+    pairs are brute force's."""
+    kern = graph_module._kernel(g.vertices.spec, g.vertices.params, g.metric)
+    n = len(kern.data)
+    assert n * n <= graph_module.WHOLE_SET_PAIRS
+    sizes = []
+
+    def counted(a, b, w):
+        out = kern.fn(a, b, w)
+        sizes.append(out.size)
+        return out
+
+    got = graph_module.knn_pairs(kern._replace(fn=counted), g.knn)
+    assert sizes and max(sizes) <= max(graph_module.CANDIDATE_BLOCK, n)
+    for a, b in zip(got, knn_pairs_bruteforce(kern, g.knn)):
+        assert a.tobytes() == b.tobytes()
+
+
 def assert_pairs_exact(spec, params, metric, k, layout=None):
     """knn_pairs on the kernel of any points of spec's group, in the product
     layout `layout` if given, picks brute force's pairs, bytes included; K is
@@ -251,15 +271,18 @@ def test_so3_graph_matches_matrix_log_oracle(alpha, monkeypatch):
 def test_knn_tree_matches_bruteforce(name, whole_set_pairs, request, monkeypatch):
     g = request.getfixturevalue(name)
     set_blocks(monkeypatch, whole_set_pairs)
-    assert_knn_exact(build_graph(g.vertices, g.metric, g.knn))
-    assert_knn_exact(built(GridKind.R2_GRID, nx=3, ny=3, knn=2))
+    graphs = [build_graph(g.vertices, g.metric, g.knn),
+              built(GridKind.R2_GRID, nx=3, ny=3, knn=2)]
     clamped = built(GridKind.R2_GRID, nx=3, ny=3, knn=24)
     assert clamped.knn == 8
-    assert_knn_exact(clamped)
+    graphs.append(clamped)
     # vertex-sampled subsets are non-grid vertex sets
     for kappa, seed in ((0.5, 1), (0.2, 2)):
-        sub = sample_vertices(g, kappa, seed).vertices
-        assert_knn_exact(build_graph(sub, g.metric, g.knn))
+        graphs.append(build_graph(sample_vertices(g, kappa, seed).vertices, g.metric, g.knn))
+    for h in graphs:
+        assert_knn_exact(h)
+        if h.n_vertices ** 2 <= whole_set_pairs:
+            assert_small_set_blocked(h)
 
 
 def test_knn_tree_near_duplicates(monkeypatch):
@@ -984,6 +1007,33 @@ def test_power_iteration_cap(se2_8x8x4):
     with pytest.warns(UserWarning, match="did not converge"):
         lap = power_lambda_max(laplacian(se2_8x8x4), tol=0.0, max_iter=2)
     assert lap.lambda_max == 2.0
+
+
+@pytest.fixture(scope="module")
+def build_case_laps():
+    """Laplacians of the benchmark's three build cases: se2 32x32x6, so3
+    level 3x6 and s2 level 4."""
+    return [laplacian(g) for g in (
+        built(GridKind.SE2_GRID, nx=32, ny=32, orient=6, epsilon=EPS_ANISO, alpha=1.0, knn=16),
+        built(GridKind.SO3_ICOSAHEDRAL, level=3, orient=6, epsilon=EPS_ANISO, alpha=1.0),
+        built(GridKind.S2_ICOSAHEDRAL, level=4))]
+
+
+def test_lambda_max_matches_loop_oracle(r2_16x16, build_case_laps):
+    """The estimate has the list-built loop's bits for seeds 0-99 on r2 16x16
+    (whose top is near-degenerate) and on the three build cases, and the same
+    cap warning and 2.0, and the same 2.0 without edges."""
+    for lap in [laplacian(r2_16x16)] + build_case_laps:
+        for seed in range(100):
+            got = power_lambda_max(lap, seed=seed).lambda_max
+            assert got.hex() == power_lambda_max_loop(lap.matrix, seed=seed).hex(), seed
+    lap = laplacian(r2_16x16)
+    for fn in (lambda: power_lambda_max(lap, tol=0.0, max_iter=7).lambda_max,
+               lambda: power_lambda_max_loop(lap.matrix, tol=0.0, max_iter=7)):
+        with pytest.warns(UserWarning, match="^Lanczos did not converge within the cap"):
+            assert fn() == 2.0
+    edgeless = laplacian(built(GridKind.R2_GRID, nx=1, ny=1))
+    assert power_lambda_max(edgeless).lambda_max == power_lambda_max_loop(edgeless.matrix) == 2.0
 
 
 def test_rescale(se2_8x8x4_lap):

@@ -734,26 +734,75 @@ def test_eval_forward_caches_nothing():
     assert all(after[key] is cached[key] for key in cached)
 
 
-def test_train_demo_forward_calls_per_layer():
-    """Each layer's forward, wrapped through an instance attribute as the
-    benchmark's tracer does, runs 13 times in one epoch: 8 training batches,
-    then 5 evaluation forwards (the untrained loss and two test passes at
-    epoch 0, two test passes after epoch 1)."""
-    setup = build_demo(seed=0)
+def wrap_forwards(model):
+    """Wrap each layer's forward through an instance attribute, as the
+    benchmark's tracer does; returns {layer index: [(train, columns), ...]},
+    filled as forwards run.  Columns are a signal's or terms' batch axis, or
+    the rows of a (B, C) array."""
     calls = {}
 
     def counted(k, forward):
         def wrapper(x, *args, **kwargs):
-            calls.setdefault(k, []).append(args[0] if args else kwargs.get("train", True))
+            arr = x.z if isinstance(x, ChebTerms) else x
+            cols = arr.shape[0] if arr.ndim == 2 else arr.shape[1]
+            calls.setdefault(k, []).append(
+                (args[0] if args else kwargs.get("train", True), cols))
             return forward(x, *args, **kwargs)
         return wrapper
 
-    for k, layer in enumerate(setup.model.layers):
+    for k, layer in enumerate(model.layers):
         layer.forward = counted(k, layer.forward)
+    return calls
+
+
+def test_train_demo_forward_calls_per_layer():
+    """Each layer's forward, wrapped through an instance attribute as the
+    benchmark's tracer does, runs 32 times in one epoch at batch 32: the
+    untrained loss over 256 training columns and the test and rotated test
+    passes over 128 columns each, in 8 + 4 + 4 evaluation slices, then 8
+    training batches, then the two test passes again in 4 + 4 slices."""
+    setup = build_demo(seed=0)
+    calls = wrap_forwards(setup.model)
     train_demo(epochs=1, lr=0.2, seed=0, setup=setup)
     assert sorted(calls) == list(range(len(setup.model.layers)))
-    for k, train in calls.items():
-        assert train == [False] * 3 + [True] * 8 + [False] * 2, k
+    for k, seen in calls.items():
+        train = [t for t, _ in seen]
+        assert train == [False] * 16 + [True] * 8 + [False] * 8, k
+
+
+def slices(n, batch):
+    return [min(batch, n - lo) for lo in range(0, n, batch)]
+
+
+@pytest.mark.parametrize("batch", [32, 50])
+def test_train_demo_evaluates_in_batch_slices(batch):
+    """No layer's forward sees more than `batch` columns: every evaluation
+    runs over consecutive slices of its set, the last one shorter, and
+    training over the batches."""
+    setup = build_demo(seed=0)
+    calls = wrap_forwards(setup.model)
+    train_demo(epochs=1, lr=0.2, seed=0, batch=batch, n_train=100, n_test=70, setup=setup)
+    train, test = slices(100, batch), slices(70, batch)
+    want = ([(False, c) for c in train + test + test] + [(True, c) for c in train]
+            + [(False, c) for c in test + test])
+    assert sorted(calls) == list(range(len(setup.model.layers)))
+    for k, seen in calls.items():
+        assert seen == want, k
+        assert max(c for _, c in seen) <= batch
+
+
+@pytest.mark.parametrize("cols", [1, 31, 32, 33, 100, 256])
+def test_eval_forward_is_column_independent(cols):
+    """On the demo model, an evaluation forward over `cols` columns of the
+    bar images' terms equals, bit for bit, the concatenated forwards over
+    its 32-column slices: the rule that lets train_demo evaluate in slices
+    with the same numbers."""
+    model = build_demo(seed=0).model
+    images, _ = oriented_bars(cols, 8, 8, seed=cols)
+    z = model.layers[0].terms(lift_images(images, 4)).z
+    whole = model.forward(ChebTerms(z), train=False)
+    parts = [model.forward(ChebTerms(z[:, lo:lo + 32]), train=False) for lo in range(0, cols, 32)]
+    assert_same_bits(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize("epochs", [1, 2])
