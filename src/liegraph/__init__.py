@@ -10,7 +10,7 @@ from .graph import (Laplacian, ManifoldGraph, build_graph, default_knn,
 from .spectral import (EigenSystem, cheb_apply, cheb_terms, eigensystem,
                        equivariance_error, heat_coeffs, heat_diffuse,
                        rotation_permutation, slice_anisotropy)
-from .network import (ChebConv, ChebTerms, Dense, GlobalMaxPool, LogSoftmax,
+from .network import (ChebConv, Dense, GlobalMaxPool, LogSoftmax,
                       Model, Pool, PoolPlan, ReLU, TrainingDiverged, Unpool,
                       build_demo, coarsen, nll_loss, oriented_bars, train_demo)
 from .io import (FormatError, read_graph, read_model, read_signal, write_graph,

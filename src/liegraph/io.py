@@ -293,8 +293,9 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
 
     ChebConv layers are rebound to `laplacians` in file order (they are not
     stored in the checkpoint); pass the rescaled Laplacians of the graphs the
-    model was trained on.  A Laplacian whose size differs from the vertex
-    count a Pool or Unpool layer fixes around it is a ValueError.
+    model was trained on, exactly one per ChebConv.  Too few or too many
+    Laplacians, or one whose size differs from the vertex count a Pool or
+    Unpool layer fixes around it, is a ValueError.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), "model file")
@@ -338,6 +339,9 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
         layers.append(layer)
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
+    if laps:
+        n_cheb = len(laplacians) - len(laps)
+        raise ValueError(f"{len(laplacians)} Laplacians for {n_cheb} ChebConv layers")
     return network.Model(layers)
 
 

@@ -15,13 +15,14 @@ alone: a sparse L runs the three-term recurrence (J - 1 sparse products per
 pass), a dense one the stacked operator [T_1(L); ...; T_{J-1}(L)] as one
 BLAS product per pass.  That operator is a forward cache too.  A first layer
 filters data that no parameter touches, so `train_demo` computes its terms
-once per dataset (`ChebConv.terms`) and feeds batches of them as `ChebTerms`,
-which skips the recurrence forward and the input gradient backward
-(`Model.backward` then returns None).  A layer fed a signal still copies its
-(J, V, B, I) recurrence stack to (V*B, J*I) for its product.  Every layer
-computes each column of a batch on its own, so `train_demo` also evaluates
-its datasets in slices of at most `batch` columns: the log-probabilities are
-the whole forward's bit for bit, and no activation outgrows a training step's.
+once per dataset (`ChebConv.terms`, a plain (V, B, J, I) array) and feeds
+the model batches of them, which skips the recurrence forward and the input
+gradient backward (`Model.backward` then returns None).  A layer fed a
+signal still copies its (J, V, B, I) recurrence stack to (V*B, J*I) for its
+product.  Every layer computes each column of a batch on its own, so
+`train_demo` also evaluates its datasets in slices of at most `batch`
+columns: the log-probabilities are the whole forward's bit for bit, and no
+activation outgrows a training step's.
 
 A `PoolPlan` is a cluster map of fine vertices, which derives its segment
 layout.  `coarsen(spec)` gives a sampling's next coarser level and the plan
@@ -36,8 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import Laplacian, ManifoldGraph, build_graph, laplacian, make_metric, \
-    power_lambda_max, rescale
+from .graph import Laplacian, build_graph, laplacian, make_metric, power_lambda_max, rescale
 from .sampling import PLANAR_KINDS, GridKind, GridSpec, RuleError, build_vertices, icosphere
 from .spectral import cheb_terms, rotation_permutation
 
@@ -74,26 +74,18 @@ def _flat_index(ids: np.ndarray) -> np.ndarray:
     return ids * size + np.arange(size).reshape(tail)
 
 
-@dataclass
-class ChebTerms:
-    """The vertex-major (V, B, J, I) stack z[:, :, j] = T_j(L) x of a signal
-    x, as `ChebConv.terms` returns it.  Column b holds the terms of x[:, b]
-    alone, so `np.take(z, sel, axis=1)` are the terms of x[:, sel]."""
-
-    z: np.ndarray
-
-
 class ChebConv:
     """Chebyshev polynomial convolution y = sum_j T_j(L) x theta_j + bias.
 
-    `forward` takes a (V, B, I) signal x or a `ChebTerms` of one and reads
-    either's (V, B, J, I) stack, after one shape check, as (V*B, J*I) rows
-    of one product (a signal's stack by one transposed copy); `terms` gives
-    that stack for a whole dataset, and a batch takes its columns with
-    `np.take(z, sel, axis=1)`.  After a signal, `backward` returns gx,
-    (V, B, I), by the operator's reverse sweep; after terms, which no
-    parameter precedes, it only accumulates the parameter gradients and
-    returns None.
+    `forward` takes a 3-D (V, B, I) signal x, whose (V, B, J, I) stack it
+    builds, or any other array as such a stack; after one shape check it
+    reads the stack as (V*B, J*I) rows of one product (a signal's stack by
+    one transposed copy).  `terms` gives the stack for a whole dataset, so
+    `layer.forward(layer.terms(x))` equals `layer.forward(x)`, and a batch
+    takes its columns with `np.take(z, sel, axis=1)`.  After a signal,
+    `backward` returns gx, (V, B, I), by the operator's reverse sweep; after
+    terms, which no parameter precedes, it only accumulates the parameter
+    gradients and returns None.
 
     The terms z_j = T_j(L) x come from one of two operator forms, picked
     once from the fill of L: `dense` when nnz >= V^2 / DENSE_FILL.
@@ -145,14 +137,15 @@ class ChebConv:
         np.matmul(p, flat[:v], out=flat[v:])
         return z.transpose(1, 2, 0, 3)
 
-    def terms(self, x: np.ndarray) -> ChebTerms:
-        """The (V, B, J, I) terms of x by this layer's operator form, caching
-        nothing."""
-        return ChebTerms(np.ascontiguousarray(self._terms(x, train=False)))
+    def terms(self, x: np.ndarray) -> np.ndarray:
+        """The contiguous (V, B, J, I) terms z[:, :, j] = T_j(L) x by this
+        layer's operator form, caching nothing.  Column b holds the terms of
+        x[:, b] alone, so `np.take(z, sel, axis=1)` are the terms of x[:, sel]."""
+        return np.ascontiguousarray(self._terms(x, train=False))
 
-    def forward(self, x: np.ndarray | ChebTerms, train: bool = True) -> np.ndarray:
-        sweep = not isinstance(x, ChebTerms)
-        z = self._terms(x, train) if sweep else x.z
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        sweep = x.ndim == 3
+        z = self._terms(x, train) if sweep else x
         if z.shape[:1] + z.shape[2:] != (self.lap.n, self.order, self.n_in):
             raise ValueError(f"terms of shape {z.shape} for a layer with V={self.lap.n}, "
                              f"J={self.order}, I={self.n_in}")
@@ -394,7 +387,7 @@ class Model:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def forward(self, x: np.ndarray | ChebTerms, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train)
         return x
@@ -474,11 +467,11 @@ def lift_images(images: np.ndarray, n_orient: int) -> np.ndarray:
 
 @dataclass
 class DemoSetup:
-    """The demo's graphs, model and quarter-turn permutation; the model's
-    layers hold the rescaled Laplacians and the pool plan."""
+    """What `train_demo` reads of the demo: its fine sampling's spec, model
+    and quarter-turn permutation.  The model's layers hold the rescaled
+    Laplacians and the pool plan; the graphs are not kept."""
 
-    fine_graph: ManifoldGraph
-    coarse_graph: ManifoldGraph
+    spec: GridSpec
     model: Model
     perm: np.ndarray
 
@@ -488,26 +481,27 @@ def build_demo(seed: int = 0, epsilon_sq: float = 0.1, alpha: float = 1.0) -> De
     slices and its 2x2-pooled coarse level, each a K = 16 graph under the
     metric of epsilon_sq and alpha: ChebConv (order 4, 1 -> 8 channels),
     ReLU, Pool, ChebConv (8 -> 16), ReLU, GlobalMaxPool, Dense (16 -> 4) and
-    LogSoftmax, with parameters drawn from the seed."""
+    LogSoftmax, with parameters drawn from the seed.  Each graph lives only
+    until its rescaled Laplacian is made."""
     rng = np.random.Generator(np.random.Philox([seed, 1]))
     fine_spec = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
     coarse_spec, plan = coarsen(fine_spec)
-    graphs = []
+    laps = []
     for spec in (fine_spec, coarse_spec):
         metric, _ = make_metric(spec, epsilon=float(np.sqrt(epsilon_sq)), alpha=alpha)
-        graphs.append(build_graph(build_vertices(spec), metric, 16))
-    lf, lc = (rescale(power_lambda_max(laplacian(g))) for g in graphs)
+        graph = build_graph(build_vertices(spec), metric, 16)
+        laps.append(rescale(power_lambda_max(laplacian(graph))))
     model = Model([
-        ChebConv(lf, 1, 8, 4, rng),
+        ChebConv(laps[0], 1, 8, 4, rng),
         ReLU(),
         Pool(plan),
-        ChebConv(lc, 8, 16, 4, rng),
+        ChebConv(laps[1], 8, 16, 4, rng),
         ReLU(),
         GlobalMaxPool(),
         Dense(16, 4, rng),
         LogSoftmax(),
     ])
-    return DemoSetup(*graphs, model, rotation_permutation(fine_spec, 1))
+    return DemoSetup(fine_spec, model, rotation_permutation(fine_spec, 1))
 
 
 def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 32,
@@ -517,16 +511,17 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
     Metric rows are dicts with epoch, loss (mean train loss; epoch 0 is the
     untrained evaluation), test accuracy, and rotation consistency.  NaN loss
     aborts with TrainingDiverged; epochs < 0, and batch, n_train or n_test
-    below 1, raise ValueError.  The first layer's Chebyshev terms of the
-    train, test and rotated test sets are computed once per call, and every
-    forward takes its batch's columns of them, which gives the signal path's
-    numbers bit for bit (each column's terms are computed alone).  The
-    evaluations (the untrained loss over the training set, and the test and
-    rotated test passes after each epoch) run in consecutive slices of at
-    most `batch` columns, so no forward holds more than a training step's
-    activations.  The terms live only during the call, and the model's
-    forward caches are released on return, so a trained model holds only its
-    parameters.
+    below 1, raise ValueError.  The images take their size and orientation
+    count from `setup.spec`.  The first layer's Chebyshev terms of the
+    train, test and rotated test sets are computed once per call, as
+    (V, B, J, I) arrays, and every forward takes its batch's columns of
+    them, which gives the signal path's numbers bit for bit (each column's
+    terms are computed alone).  The evaluations (the untrained loss over the
+    training set, and the test and rotated test passes after each epoch) run
+    in consecutive slices of at most `batch` columns, so no forward holds
+    more than a training step's activations.  The terms live only during
+    the call, and the model's forward caches are released on return, so a
+    trained model holds only its parameters.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
@@ -535,8 +530,7 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
             raise ValueError(f"{name} must be at least 1, got {value}")
     if setup is None:
         setup = build_demo(seed)
-    n_orient = setup.fine_graph.vertices.spec.n_orient
-    nx = setup.fine_graph.vertices.spec.nx
+    n_orient, nx = setup.spec.n_orient, setup.spec.nx
     train_x, train_y = oriented_bars(n_train, nx, nx, seed=seed * 7919 + 1)
     test_x, test_y = oriented_bars(n_test, nx, nx, seed=seed * 7919 + 2)
     rng = np.random.Generator(np.random.Philox([seed, 2]))
@@ -546,10 +540,9 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
     train_z = first.terms(lift_images(train_x, n_orient))
     test_z, rot_z = first.terms(test_sig), first.terms(test_sig[setup.perm])
 
-    def evaluate(terms: ChebTerms) -> np.ndarray:
+    def evaluate(z: np.ndarray) -> np.ndarray:
         # The log-probabilities of a dataset, forwarded batch columns at a time.
-        z = terms.z
-        return np.concatenate([model.forward(ChebTerms(z[:, lo:lo + batch]), train=False)
+        return np.concatenate([model.forward(z[:, lo:lo + batch], train=False)
                                for lo in range(0, z.shape[1], batch)])
 
     def test_metrics():
@@ -567,7 +560,7 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
         losses = []
         for lo in range(0, n, batch):
             sel = order[lo:lo + batch]
-            log_probs = model.forward(ChebTerms(np.take(train_z.z, sel, axis=1)))
+            log_probs = model.forward(np.take(train_z, sel, axis=1))
             loss, grad = nll_loss(log_probs, train_y[sel])
             if not np.isfinite(loss):
                 raise TrainingDiverged(

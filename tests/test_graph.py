@@ -38,7 +38,7 @@ from liegraph.graph import (
     xi_from_alpha,
 )
 from liegraph.groups import GroupKind, Metric, so3_matrices, so3_quaternions
-from liegraph.network import build_demo
+from liegraph.network import build_demo, coarsen
 from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
 
 from conftest import EPS_ANISO, built
@@ -248,10 +248,20 @@ def test_se2_graph_matches_three_branch_oracle(name, request, monkeypatch):
 
 
 def test_demo_graphs_match_three_branch_oracle(monkeypatch):
-    demo = build_demo(seed=0)
+    """The demo's two levels, built from its fine spec and coarsen's level
+    under its metric (epsilon^2 0.1, alpha 1) and K = 16, are the same graphs
+    under the three-branch kernel."""
+    fine = build_demo(seed=0).spec
+    specs = (fine, coarsen(fine)[0])
+
+    def demo_graphs():
+        return [build_graph(build_vertices(spec), make_metric(spec, epsilon=np.sqrt(0.1),
+                                                              alpha=1.0)[0], 16)
+                for spec in specs]
+
+    graphs = demo_graphs()
     monkeypatch.setattr(graph_module, "_kernel", oracle_kernel)
-    ref = build_demo(seed=0)
-    for g, r in ((demo.fine_graph, ref.fine_graph), (demo.coarse_graph, ref.coarse_graph)):
+    for g, r in zip(graphs, demo_graphs()):
         for attr in GRAPH_ARRAYS:
             assert getattr(g, attr).tobytes() == getattr(r, attr).tobytes(), attr
 

@@ -277,7 +277,8 @@ def test_model_needs_laplacians(tmp_path):
 def test_model_rejects_swapped_laplacians(tmp_path, model_file):
     """The Pool layer's v_fine and n_coarse fix the vertex counts of the
     ChebConv layers around it, so a Laplacian of the wrong size is named
-    when the model is read, not at its first forward."""
+    when the model is read, not at its first forward; a Laplacian left over
+    after the last ChebConv is refused too."""
     data, laps = model_file
     path = write_tmp(tmp_path, data)
     with pytest.raises(ValueError, match=r"layer 2 \(Pool\) takes 256 vertices, "
@@ -287,6 +288,9 @@ def test_model_rejects_swapped_laplacians(tmp_path, model_file):
     with pytest.raises(ValueError, match=r"layer 3 \(ChebConv\) takes 256 vertices, "
                                          r"layer 2 \(Pool\) gives 64"):
         io.read_model(path, [laps[0], laps[0]])
+    with pytest.raises(ValueError, match=r"^3 Laplacians for 2 ChebConv layers$") as exc:
+        io.read_model(path, laps + [laps[0]])
+    assert not isinstance(exc.value, io.FormatError)
     model = io.read_model(path, laps)
     assert [layer.lap.n for layer in model.layers if hasattr(layer, "lap")] == [256, 64]
 

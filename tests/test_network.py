@@ -4,17 +4,19 @@ Every layer's backward pass is checked against central differences through
 its own forward, and the linear layers against exact adjointness."""
 
 import dataclasses
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liegraph import network
 from liegraph.graph import laplacian, power_lambda_max, rescale
 from liegraph.network import (
     DENSE_FILL,
     ChebConv,
-    ChebTerms,
     Dense,
     GlobalMaxPool,
     LogSoftmax,
@@ -500,6 +502,26 @@ def test_lift_images():
                                       images[0].ravel())
 
 
+def test_build_demo_keeps_no_graph(monkeypatch):
+    """build_demo drops each graph once its rescaled Laplacian is made: the
+    setup holds the fine spec, the model and the permutation, and no graph
+    build_graph returned outlives the call."""
+    refs, original = [], network.build_graph
+
+    def tracked(*args, **kwargs):
+        graph = original(*args, **kwargs)
+        refs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(network, "build_graph", tracked)
+    setup = build_demo(0)
+    gc.collect()
+    assert len(refs) == 2
+    assert all(ref() is None for ref in refs)
+    assert setup.spec == GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
+    assert [layer.lap.n for layer in setup.model.layers if isinstance(layer, ChebConv)] == [256, 64]
+
+
 def test_untrained_accuracy_near_chance(demo_setup):
     rows, _ = train_demo(epochs=0, setup=demo_setup)
     assert len(rows) == 1
@@ -552,7 +574,8 @@ def test_chebconv_terms_input_matches_signal(demo_setup, k, batch):
     the signal path's output, g_theta and g_bias bit for bit, and backward
     after terms returns no input gradient.  The terms are (V, B, J, I), a
     permuted subset of columns taken on axis 1 has the bits of that subset's
-    own terms, and stacks with the wrong J or V are refused."""
+    own terms, and stacks with the wrong J or V, or of 2 or 5 dimensions,
+    are refused."""
     like = demo_setup.model.layers[k]
     rng = np.random.Generator(np.random.Philox([37, k, batch]))
     conv = ChebConv(like.lap, like.n_in, like.n_out, like.order, rng)
@@ -566,16 +589,16 @@ def test_chebconv_terms_input_matches_signal(demo_setup, k, batch):
     conv.g_theta[...] = 0.0
     conv.g_bias[...] = 0.0
     terms = conv.terms(x)
-    assert terms.z.shape == (conv.lap.n, batch, conv.order, conv.n_in)
+    assert terms.shape == (conv.lap.n, batch, conv.order, conv.n_in)
     assert_same_bits(conv.forward(terms), y)
     assert conv.backward(gy) is None
     assert_same_bits(conv.g_theta, g_theta)
     assert_same_bits(conv.g_bias, g_bias)
     sel = rng.permutation(batch)[:max(1, batch // 2)]
-    assert_same_bits(np.take(terms.z, sel, axis=1), conv.terms(x[:, sel]).z)
-    for wrong in (terms.z[:, :, 1:], terms.z[1:]):
+    assert_same_bits(np.take(terms, sel, axis=1), conv.terms(x[:, sel]))
+    for wrong in (terms[:, :, 1:], terms[1:], terms[:, 0, 0], terms[None]):
         with pytest.raises(ValueError, match="terms of shape"):
-            conv.forward(ChebTerms(wrong))
+            conv.forward(wrong)
 
 
 def max_plans():
@@ -658,8 +681,8 @@ def test_chebconv_bias_matches_broadcast(demo_setup, k, n_out, batch):
     conv = ChebConv(like.lap, like.n_in, n_out, like.order, rng)
     conv.bias[:] = rng.standard_normal(n_out)
     terms = conv.terms(rng.standard_normal((conv.lap.n, batch, conv.n_in)))
-    v, b, j, i = terms.z.shape
-    expected = terms.z.reshape(v * b, j * i) @ conv.theta.reshape(j * i, n_out) + conv.bias
+    v, b, j, i = terms.shape
+    expected = terms.reshape(v * b, j * i) @ conv.theta.reshape(j * i, n_out) + conv.bias
     assert_same_bits(conv.forward(terms, train=False), expected.reshape(v, b, n_out))
 
 
@@ -743,8 +766,7 @@ def wrap_forwards(model):
 
     def counted(k, forward):
         def wrapper(x, *args, **kwargs):
-            arr = x.z if isinstance(x, ChebTerms) else x
-            cols = arr.shape[0] if arr.ndim == 2 else arr.shape[1]
+            cols = x.shape[0] if x.ndim == 2 else x.shape[1]
             calls.setdefault(k, []).append(
                 (args[0] if args else kwargs.get("train", True), cols))
             return forward(x, *args, **kwargs)
@@ -799,9 +821,9 @@ def test_eval_forward_is_column_independent(cols):
     with the same numbers."""
     model = build_demo(seed=0).model
     images, _ = oriented_bars(cols, 8, 8, seed=cols)
-    z = model.layers[0].terms(lift_images(images, 4)).z
-    whole = model.forward(ChebTerms(z), train=False)
-    parts = [model.forward(ChebTerms(z[:, lo:lo + 32]), train=False) for lo in range(0, cols, 32)]
+    z = model.layers[0].terms(lift_images(images, 4))
+    whole = model.forward(z, train=False)
+    parts = [model.forward(z[:, lo:lo + 32], train=False) for lo in range(0, cols, 32)]
     assert_same_bits(np.concatenate(parts), whole)
 
 
@@ -846,7 +868,7 @@ def test_train_demo_releases_forward_caches():
     assert [layer.dense for layer in model.layers if isinstance(layer, ChebConv)] == [False, True]
     for layer in model.layers:
         cached = [name for name, value in vars(layer).items()
-                  if name.startswith("_") and isinstance(value, (np.ndarray, ChebTerms))]
+                  if name.startswith("_") and isinstance(value, np.ndarray)]
         assert not cached, (type(layer).__name__, cached)
     rng = np.random.Generator(np.random.Philox(30))
     x = rng.standard_normal((256, 3, 1))
