@@ -194,11 +194,8 @@ def cmd_train_demo(args) -> int:
     _print_config(args)
     rows, setup = train_demo(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.metrics:
-        with open(args.metrics, "w", newline="\n") as fh:
-            fh.write("epoch,loss,accuracy,rotation_consistency\n")
-            for row in rows:
-                fh.write(f"{row['epoch']},{row['loss']:.17g},{row['accuracy']:.17g},"
-                         f"{row['rotation_consistency']:.17g}\n")
+        names = ["epoch", "loss", "accuracy", "rotation_consistency"]
+        io.write_csv(args.metrics, names, [[row[k] for k in names] for row in rows])
     if args.checkpoint:
         io.write_model(args.checkpoint, setup.model)
     for row in rows:

@@ -302,6 +302,7 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
     r.expect_magic(MODEL_MAGIC, MODEL_VERSION)
     n_layers = r.scalar("<I")
     laps = list(laplacians or [])
+    given = len(laps)
     layers = []
     n = source = None  # vertex count the layers so far give, and who fixed it
     rng = np.random.Generator(np.random.Philox(0))
@@ -316,7 +317,8 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
             order, n_in, n_out = _sizes(r, "order", "n_in", "n_out")
             values = [r.array("<f8", order * n_in * n_out), r.array("<f8", n_out)]
             if not laps:
-                raise ValueError("not enough Laplacians to rebind ChebConv layers")
+                raise ValueError(f"{given} Laplacians, none left for ChebConv layer {given} "
+                                 f"(layer {k}; both counting from 0)")
             layer = cls(laps.pop(0), n_in, n_out, order, rng)
             counts = (layer.lap.n, layer.lap.n)
         elif cls is network.Dense:
@@ -340,8 +342,7 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes", r.pos)
     if laps:
-        n_cheb = len(laplacians) - len(laps)
-        raise ValueError(f"{len(laplacians)} Laplacians for {n_cheb} ChebConv layers")
+        raise ValueError(f"{given} Laplacians for {given - len(laps)} ChebConv layers")
     return network.Model(layers)
 
 
@@ -349,13 +350,18 @@ def read_model(path, laplacians: list | None = None) -> network.Model:
 # CSV export (17 significant digits, '.' decimal separator, '\n' endings)
 
 
+def write_csv(path, names, rows) -> None:
+    """A header line of `names`, then one line per row of the 2-D `rows`:
+    the first column as an integer, the others with 17 significant digits."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (len(names) - 1), delimiter=",")
+
+
 def write_eigenmaps_csv(path, values: np.ndarray, vectors: np.ndarray) -> None:
     """One row per eigenpair: index, eigenvalue, then the vertex values."""
-    n = vectors.shape[0]
-    rows = np.column_stack([np.arange(values.size), values, vectors.T])
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,lambda," + ",".join(f"v{i}" for i in range(n)) + "\n")
-        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (n + 1), delimiter=",")
+    names = ["k", "lambda"] + [f"v{i}" for i in range(vectors.shape[0])]
+    write_csv(path, names, np.column_stack([np.arange(values.size), values, vectors.T]))
 
 
 def write_field_csv(path, vertices, values: np.ndarray) -> None:
@@ -369,10 +375,8 @@ def write_field_csv(path, vertices, values: np.ndarray) -> None:
     if arr.ndim == 1:
         arr = arr[:, None]
     planar = vertices.spec.kind in PLANAR_KINDS
-    names = ("x", "y", "theta") if planar else ("beta", "gamma", "alpha")
+    names = ["x", "y", "theta"] if planar else ["beta", "gamma", "alpha"]
     coords = vertices.params if planar else vertices.params[:, (1, 2, 0)]
-    vals = "value" if arr.shape[1] == 1 else ",".join(f"value{i}" for i in range(arr.shape[1]))
-    rows = np.column_stack([np.arange(arr.shape[0]), coords, arr])
-    with open(path, "w", newline="\n") as fh:
-        fh.write("vertex_id," + ",".join(names) + f",{vals}\n")
-        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (rows.shape[1] - 1), delimiter=",")
+    vals = ["value"] if arr.shape[1] == 1 else [f"value{i}" for i in range(arr.shape[1])]
+    write_csv(path, ["vertex_id"] + names + vals,
+              np.column_stack([np.arange(arr.shape[0]), coords, arr]))

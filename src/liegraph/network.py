@@ -159,21 +159,16 @@ class ChebConv:
         return y.reshape(v, b, self.n_out)
 
     def backward(self, gy: np.ndarray) -> np.ndarray | None:
+        """Accumulate g_theta and g_bias from gy, (V, B, O).  After a signal,
+        return gx, (V, B, I): one batched product gives every term gradient
+        gz_j = gy theta_j^T, and the operator's reverse sweep folds them."""
         v, b, o = gy.shape
         gy2 = gy.reshape(v * b, o)
         self.g_theta += (self._z.T @ gy2).reshape(self.theta.shape)
         self.g_bias += np.ones(v * b) @ gy2
         if not self._sweep:
             return None
-        # gz[j] = gy theta_j^T, written as (J, V, B, I) by matrix products:
-        # one batched product, or for one input channel one (J, O) @ (O, V*B)
-        # product, since the batched form would then run matrix-vector
-        # products, which round differently.
-        if self.n_in == 1:
-            gz = self.theta[:, 0] @ gy2.T
-        else:
-            gz = np.matmul(gy2, self.theta.transpose(0, 2, 1))
-        gz = gz.reshape(self.order, v, b, self.n_in)
+        gz = np.matmul(gy2, self.theta.transpose(0, 2, 1)).reshape(self.order, v, b, self.n_in)
         if self.dense:
             flat = gz.reshape(self.order * v, -1)
             flat[:v] += self._p.T @ flat[v:]
@@ -467,13 +462,13 @@ def lift_images(images: np.ndarray, n_orient: int) -> np.ndarray:
 
 @dataclass
 class DemoSetup:
-    """What `train_demo` reads of the demo: its fine sampling's spec, model
-    and quarter-turn permutation.  The model's layers hold the rescaled
-    Laplacians and the pool plan; the graphs are not kept."""
+    """What `train_demo` reads of the demo: its fine sampling's spec, which
+    also gives the quarter-turn permutation, and its model.  The model's
+    layers hold the rescaled Laplacians and the pool plan; the graphs are
+    not kept."""
 
     spec: GridSpec
     model: Model
-    perm: np.ndarray
 
 
 def build_demo(seed: int = 0, epsilon_sq: float = 0.1, alpha: float = 1.0) -> DemoSetup:
@@ -501,7 +496,7 @@ def build_demo(seed: int = 0, epsilon_sq: float = 0.1, alpha: float = 1.0) -> De
         Dense(16, 4, rng),
         LogSoftmax(),
     ])
-    return DemoSetup(fine_spec, model, rotation_permutation(fine_spec, 1))
+    return DemoSetup(fine_spec, model)
 
 
 def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 32,
@@ -538,7 +533,8 @@ def train_demo(epochs: int = 30, lr: float = 1e-2, seed: int = 0, batch: int = 3
     first = model.layers[0]
     test_sig = lift_images(test_x, n_orient)
     train_z = first.terms(lift_images(train_x, n_orient))
-    test_z, rot_z = first.terms(test_sig), first.terms(test_sig[setup.perm])
+    test_z = first.terms(test_sig)
+    rot_z = first.terms(test_sig[rotation_permutation(setup.spec, 1)])
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         # The log-probabilities of a dataset, forwarded batch columns at a time.

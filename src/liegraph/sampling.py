@@ -241,7 +241,3 @@ def build_vertices(spec: GridSpec, kept: np.ndarray | None = None) -> VertexSet:
     """VertexSet(spec, kept=kept): the work grows with the vertices returned
     (plus the icosphere, once per level)."""
     return VertexSet(spec, kept=kept)
-
-
-def grid_se2(nx: int, ny: int, n_orient: int) -> VertexSet:
-    return build_vertices(GridSpec(GridKind.SE2_GRID, nx=nx, ny=ny, n_orient=n_orient))

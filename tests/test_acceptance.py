@@ -401,7 +401,7 @@ def test_criterion_09_demo_training(report, demo_runs):
 
     setup = build_demo(seed=0)
     before = setup.model.forward(x)
-    after = setup.model.forward(apply_permutation(setup.perm, x))
+    after = setup.model.forward(apply_permutation(rotation_permutation(setup.spec, 1), x))
     untrained_inv = float(np.max(np.abs(before - after)))
 
     runs, train_s = demo_runs
@@ -409,7 +409,7 @@ def test_criterion_09_demo_training(report, demo_runs):
     finals = [rows[-1]["accuracy"] for rows, _ in runs.values()]
     trained = runs[0][1]
     a = trained.model.forward(x)
-    b = trained.model.forward(apply_permutation(trained.perm, x))
+    b = trained.model.forward(apply_permutation(rotation_permutation(trained.spec, 1), x))
     trained_inv = float(np.max(np.abs(a - b)))
     hits = sum(acc >= 0.9 for acc in finals)
     elapsed = time.perf_counter() - start + train_s

@@ -10,6 +10,7 @@ import pytest
 from liegraph import cli, io
 from liegraph.cli import main
 from liegraph.graph import default_knn, make_metric
+from liegraph.network import TrainingDiverged
 from liegraph.sampling import GridKind, GridSpec
 from liegraph.spectral import eigensystem
 
@@ -482,6 +483,16 @@ def test_train_demo_negative_epochs(capsys):
     assert err == "error: epochs must be non-negative, got -1\n"
 
 
+def test_train_demo_diverged_exits_1(monkeypatch, capsys):
+    """A TrainingDiverged from train_demo is one error line and exit 1."""
+    def diverge(**kwargs):
+        raise TrainingDiverged("loss became nan in epoch 1")
+
+    monkeypatch.setattr(cli, "train_demo", diverge)
+    assert main(["train-demo", "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == "error: loss became nan in epoch 1\n"
+
+
 def usage_error(argv, capsys) -> str:
     """The one `error:` line argparse prints for argv, which must exit 2."""
     with pytest.raises(SystemExit) as exc:
@@ -514,9 +525,10 @@ def test_negative_seed_names_the_flag(command, graph_path, tmp_path, capsys):
     """Both commands that take --seed reject a negative one through the same
     argparse type, naming the flag, with exit 2."""
     argv = [a.format(graph=graph_path, out=tmp_path / "s.clgr") for a in command]
-    line = usage_error(argv + ["--seed", "-1"], capsys)
-    assert line == (f"liegraph {command[0]}: error: argument --seed: "
-                    "must be a non-negative integer, got '-1'")
+    for seed in ("-1", "abc"):
+        line = usage_error(argv + ["--seed", seed], capsys)
+        assert line == (f"liegraph {command[0]}: error: argument --seed: "
+                        f"must be a non-negative integer, got '{seed}'")
     assert not (tmp_path / "s.clgr").exists()
 
 

@@ -39,7 +39,7 @@ from liegraph.graph import (
 )
 from liegraph.groups import GroupKind, Metric, so3_matrices, so3_quaternions
 from liegraph.network import build_demo, coarsen
-from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
+from liegraph.sampling import GridKind, GridSpec, build_vertices
 
 from conftest import EPS_ANISO, built
 from oracles import power_lambda_max_loop, se2_pair_sq_three_branch, so3_pair_sq_matrix_log
@@ -96,7 +96,7 @@ def test_one_metric_check(r2_16x16, s2_level2):
                 build_graph(g.vertices, metric, 4)
     s2 = s2_level2.vertices.spec
     assert make_metric(s2, xi=1.0) == (Metric(), alpha_from_xi(1.0, s2))
-    one_slice = grid_se2(4, 4, 1)
+    one_slice = build_vertices(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=1))
     metric, _ = make_metric(one_slice.spec, epsilon=EPS_ANISO, xi=0.3)
     assert build_graph(one_slice, metric, 4).metric == Metric(EPS_ANISO, 0.3)
     se2 = GridSpec(GridKind.SE2_GRID, nx=8, ny=8, n_orient=4)
@@ -104,7 +104,7 @@ def test_one_metric_check(r2_16x16, s2_level2):
         with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
             make_metric(se2, epsilon=EPS_ANISO, xi=xi)
         with pytest.raises(ValueError, match=f"gives alpha {alpha}, which is not finite"):
-            build_graph(grid_se2(8, 8, 4), Metric(EPS_ANISO, xi), 4)
+            build_graph(build_vertices(se2), Metric(EPS_ANISO, xi), 4)
 
 
 def test_check_metric_numpy_xi_overflow():
@@ -120,6 +120,8 @@ def test_default_knn():
     assert default_knn(GridSpec(GridKind.SE2_GRID, nx=4, ny=4, n_orient=2)) == 16
     assert default_knn(GridSpec(GridKind.R2_GRID, nx=4, ny=4)) == 8
     assert default_knn(GridSpec(GridKind.S2_ICOSAHEDRAL, level=1)) == 8
+    with pytest.raises(ValueError, match="knn must be at least 1"):
+        build_graph(build_vertices(GridSpec(GridKind.R2_GRID, nx=4, ny=4)), Metric(), knn=0)
 
 
 def test_knn_rook_closure():
@@ -148,7 +150,7 @@ def test_knn_rook_closure():
 
 def test_knn_against_bruteforce():
     """Edge set matches a per-pair oracle built from the three-branch distance."""
-    verts = grid_se2(3, 3, 2)
+    verts = build_vertices(GridSpec(GridKind.SE2_GRID, nx=3, ny=3, n_orient=2))
     metric = Metric(epsilon=EPS_ANISO, xi=0.4)
     g = build_graph(verts, metric, 4)
     n = len(verts)
@@ -453,6 +455,23 @@ def test_knn_product_layout_gate(monkeypatch):
     assert [path for path, _ in runs] == [("product", 63, 6), ("tree", 378), ("tree", 189),
                                           ("product", 42, 6), ("tree", 252), ("tree", 126),
                                           ("tree", 162)]
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e4])
+def test_knn_se2_product_falls_back_to_tree(epsilon, monkeypatch):
+    """At an epsilon so far from 1 that BALL_REL w_max > w_min, the SE(2)
+    brackets are refused and a full se2 lift past WHOLE_SET_PAIRS is searched
+    by the tree, which still picks brute force's pairs."""
+    runs = spy_product_path(monkeypatch)
+    spec = GridSpec(GridKind.SE2_GRID, nx=10, ny=10, n_orient=4)
+    verts = build_vertices(spec)
+    assert len(verts) ** 2 > graph_module.WHOLE_SET_PAIRS
+    metric, _ = make_metric(spec, epsilon=epsilon, alpha=1.0)
+    kern = graph_module._kernel(spec, verts.params, metric)
+    layout = graph_module._product_layout(verts)
+    assert graph_module._se2_product(kern, *layout) is None
+    assert_pairs_exact(spec, verts.params, metric, 16, layout)
+    assert [path for path, _ in runs] == [("tree", 400)]
 
 
 # Kernel pairs the product-layout search may score per row beyond those the
@@ -1152,6 +1171,8 @@ def test_slice_fractions(se2_8x8x4, r2_16x16):
     assert in_frac > 0.0 and cross > 0.0
     in_frac, cross = slice_neighbor_fractions(r2_16x16)
     assert in_frac == 1.0 and cross == 0.0
+    edgeless = sample_edges(se2_8x8x4, 0.0, 0)
+    assert edgeless.n_edges == 0 and slice_neighbor_fractions(edgeless) == (0.0, 0.0)
 
 
 def test_slice_fractions_vertex_sampled(se2_8x8x4):

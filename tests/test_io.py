@@ -11,7 +11,7 @@ from liegraph.cli import main
 from liegraph.graph import (laplacian, power_lambda_max, rescale, sample_edges,
                             sample_vertices)
 from liegraph.groups import Metric
-from liegraph.network import Model, Pool, Unpool, build_demo, coarsen
+from liegraph.network import Model, Pool, ReLU, Unpool, build_demo, coarsen
 from liegraph.sampling import GridKind, GridSpec, RuleError, VertexSet
 
 from conftest import EPS_ANISO, built
@@ -291,6 +291,11 @@ def test_model_rejects_swapped_laplacians(tmp_path, model_file):
     with pytest.raises(ValueError, match=r"^3 Laplacians for 2 ChebConv layers$") as exc:
         io.read_model(path, laps + [laps[0]])
     assert not isinstance(exc.value, io.FormatError)
+    for given, layer in ((laps[:1], 3), (None, 0)):
+        n = len(given or [])
+        with pytest.raises(ValueError, match=rf"^{n} Laplacians, none left for ChebConv layer "
+                                             rf"{n} \(layer {layer}; both counting from 0\)$"):
+            io.read_model(path, given)
     model = io.read_model(path, laps)
     assert [layer.lap.n for layer in model.layers if hasattr(layer, "lap")] == [256, 64]
 
@@ -417,12 +422,20 @@ def test_truncated_file(tmp_path, graph_file):
         io.read_graph(path)
 
 
-def test_trailing_bytes(tmp_path, graph_file):
+def test_trailing_bytes(tmp_path, graph_file, model_file):
     _, data = graph_file
     path = write_tmp(tmp_path, data + b"\x00\x01")
     with pytest.raises(io.FormatError, match="trailing") as exc:
         io.read_graph(path)
     assert exc.value.offset == len(data)
+    # one extra byte after a signal and after a model
+    io.write_signal(tmp_path / "s.clsg", np.ones((3, 2)))
+    model_data, laps = model_file
+    for body, read in ((read_bytes(tmp_path / "s.clsg"), io.read_signal),
+                       (model_data, lambda p: io.read_model(p, laps))):
+        with pytest.raises(io.FormatError, match="^1 trailing bytes") as exc:
+            read(write_tmp(tmp_path, body + b"\x00"))
+        assert exc.value.offset == len(body)
 
 
 def test_version_1_rejected(tmp_path, graph_file):
@@ -821,6 +834,12 @@ def test_model_unknown_layer_code(tmp_path):
     with pytest.raises(io.FormatError, match="unknown layer code") as exc:
         io.read_model(path)
     assert exc.value.offset == 12
+
+    class Scale(ReLU):
+        pass
+
+    with pytest.raises(ValueError, match="^cannot serialize layer Scale$"):
+        io.write_model(tmp_path / "m.clmd", Model([ReLU(), Scale()]))
 
 
 def test_eigenmaps_csv(tmp_path):

@@ -476,7 +476,8 @@ def test_model_rotation_invariant_logits(demo_setup):
     rng = np.random.Generator(np.random.Philox(26))
     x = rng.standard_normal((256, 6, 1))
     base = demo_setup.model.forward(x)
-    rotated = demo_setup.model.forward(apply_permutation(demo_setup.perm, x))
+    perm = rotation_permutation(demo_setup.spec, 1)
+    rotated = demo_setup.model.forward(apply_permutation(perm, x))
     assert np.max(np.abs(base - rotated)) <= 1e-10
     np.testing.assert_array_equal(np.argmax(base, axis=1), np.argmax(rotated, axis=1))
 

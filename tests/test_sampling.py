@@ -12,7 +12,6 @@ from liegraph.sampling import (
     GridSpec,
     VertexSet,
     build_vertices,
-    grid_se2,
     icosphere,
     orientation_angles,
     sphere_angles,
@@ -87,7 +86,7 @@ def test_orientation_angles():
 
 def test_se2_grid_layout():
     """Flat id = orientation * n_spatial + (iy * nx + ix), coords i/n."""
-    v = grid_se2(4, 2, 2)
+    v = build_vertices(GridSpec(GridKind.SE2_GRID, nx=4, ny=2, n_orient=2))
     assert len(v) == 16
     ns = v.spec.n_spatial
     for k in range(2):
@@ -104,7 +103,7 @@ def test_se2_grid_layout():
 
 
 def test_se2_grid_matrices():
-    v = grid_se2(4, 2, 2)
+    v = build_vertices(GridSpec(GridKind.SE2_GRID, nx=4, ny=2, n_orient=2))
     ns = v.spec.n_spatial
     # slice 1 has theta = 0: pure translation
     i = ns + 0 * 4 + 1
@@ -238,7 +237,7 @@ def test_s2_single_slice():
 
 def test_build_vertices_dispatch():
     a = build_vertices(GridSpec(GridKind.SE2_GRID, nx=3, ny=3, n_orient=2))
-    b = grid_se2(3, 3, 2)
+    b = build_vertices(GridSpec(GridKind.SE2_GRID, nx=3, ny=3, n_orient=2))
     np.testing.assert_array_equal(a.params, b.params)
 
 
@@ -246,8 +245,8 @@ def test_vertex_set_derives_matrices():
     """A VertexSet stores spec, params and kept only; its matrices are those
     of its params, and kept is keyword-only, so a three-argument call that
     passes matrices fails."""
-    for v in (grid_se2(4, 2, 2), build_vertices(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1,
-                                                         n_orient=3))):
+    for v in (build_vertices(GridSpec(GridKind.SE2_GRID, nx=4, ny=2, n_orient=2)),
+              build_vertices(GridSpec(GridKind.SO3_ICOSAHEDRAL, level=1, n_orient=3))):
         assert sorted(vars(v)) == ["kept", "params", "spec"]
         to_matrices = se2_matrices if v.spec.group_kind is GroupKind.SE2 else so3_matrices
         assert v.matrices.tobytes() == to_matrices(v.params).tobytes()
@@ -307,7 +306,7 @@ def test_vertex_set_equality_is_spec_and_kept():
     same = build_vertices(spec, np.array([1, 3], dtype=np.int32))
     assert sub == same and hash(sub) == hash(same)
     others = [build_vertices(spec, np.array([1, 2])), build_vertices(spec, np.arange(8)),
-              grid_se2(2, 2, 4), "vertices"]
+              build_vertices(GridSpec(GridKind.SE2_GRID, nx=2, ny=2, n_orient=4)), "vertices"]
     for other in [sub] + others:
         assert full != other
     assert sub not in others

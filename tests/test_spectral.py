@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from liegraph import spectral
 from liegraph.graph import (Laplacian, build_graph, laplacian, make_metric, power_lambda_max,
                             rescale, sample_edges, sample_vertices)
-from liegraph.sampling import GridKind, GridSpec, build_vertices, grid_se2
+from liegraph.sampling import GridKind, GridSpec, build_vertices
 from liegraph.spectral import (
     HEAT_MAX_ORDER,
     cheb_apply,
